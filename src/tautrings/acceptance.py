@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .graded import GeneratorSet, fgca_dims, koszul_cohomology_dims
+from .graded import kernel_cokernel_dims, koszul_cohomology_dims
 from .invariants import (
     TensorSpaceSpec,
     gl_invariant_basis,
@@ -215,11 +215,7 @@ def criterion_5() -> CriterionResult:
         F = random_matrix(rows, cols, rng, lo=-3, hi=3)
         got = koszul_cohomology_dims(F, 8)
         rank = F.rank()
-        kdim, cdim = cols - rank, rows - rank
-        expected_gens = GeneratorSet(
-            [(f"k{i}", 1) for i in range(kdim)]
-            + [(f"c{i}", 2) for i in range(cdim)])
-        expected = fgca_dims(expected_gens, 8)
+        expected = kernel_cokernel_dims(cols - rank, rows - rank, 8)
         if got != expected:
             return CriterionResult(
                 5, "Koszul cohomology", False,

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import acceptance
-from .graded import GeneratorSet, fgca_dims, koszul_cohomology_dims
+from .graded import kernel_cokernel_dims, koszul_cohomology_dims
 from .invariants import (
     TensorSpaceSpec,
     gl_invariant_basis,
@@ -224,9 +224,7 @@ def _cmd_koszul(args) -> dict:
     dims = koszul_cohomology_dims(F, args.maxdeg)
     rank = F.rank()
     kdim, cdim = F.cols - rank, F.rows - rank
-    expected = fgca_dims(GeneratorSet(
-        [(f"k{i}", 1) for i in range(kdim)]
-        + [(f"c{i}", 2) for i in range(cdim)]), args.maxdeg)
+    expected = kernel_cokernel_dims(kdim, cdim, args.maxdeg)
     if dims != expected:
         raise OracleMismatch(
             f"Koszul cohomology {dims} differs from the kernel/cokernel "

@@ -4,13 +4,14 @@ bigraded differential graded algebras.
 Generators carry a bidegree (p, q); singly graded algebras use (0, d).  A
 generator is exterior iff its total degree is odd, polynomial otherwise.
 Monomials are exponent tuples over the (fixed, name-sorted) generator
-list; elements are dicts monomial -> Fraction.
+list; elements are dicts monomial -> int or Fraction.  The engine's own
+elements have int coefficients; Fraction ones from callers mix in freely.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import rank_of_int_rows
 
@@ -51,6 +52,7 @@ class GeneratorSet:
             raise ValueError("generator names must be unique")
         self.gens: tuple[Generator, ...] = tuple(parsed)
         self.index = {g.name: i for i, g in enumerate(parsed)}
+        self.odd: tuple[bool, ...] = tuple(g.odd for g in parsed)
 
     def __len__(self) -> int:
         return len(self.gens)
@@ -60,9 +62,6 @@ class GeneratorSet:
 
     def __getitem__(self, i: int) -> Generator:
         return self.gens[i]
-
-    def unit(self) -> tuple[int, ...]:
-        return (0,) * len(self.gens)
 
     def mono_bidegree(self, mono) -> tuple[int, int]:
         p = sum(e * g.p for e, g in zip(mono, self.gens))
@@ -102,18 +101,44 @@ class GeneratorSet:
         return out
 
     def monomials_bidegree(self, p: int, q: int) -> list[tuple[int, ...]]:
-        return [m for m in self.monomials_total(p + q)
-                if self.mono_bidegree(m) == (p, q)]
+        """All monomials of bidegree (p, q), in the order of
+        monomials_total.  Recurses on the remaining (p, q), so only this
+        cell is visited."""
+        degs = [(g.p, g.q, g.total, g.odd) for g in self.gens]
+        n = len(degs)
+        out = []
+        acc = [0] * n
+
+        def rec(i, rp, rq):
+            if rp == 0 and rq == 0:
+                out.append(tuple(acc))
+                return
+            # generators are sorted by total degree
+            if i == n or degs[i][2] > rp + rq:
+                return
+            gp, gq, _, odd = degs[i]
+            cap = min(rp // gp if gp else rp + rq, rq // gq if gq else rp + rq)
+            if odd:
+                cap = min(cap, 1)
+            for e in range(cap, 0, -1):
+                acc[i] = e
+                rec(i + 1, rp - e * gp, rq - e * gq)
+            acc[i] = 0
+            rec(i + 1, rp, rq)
+
+        rec(0, p, q)
+        return out
 
 
 def mono_mul(gens: GeneratorSet, m1, m2):
     """Product of two canonical monomials: (sign, monomial) or None if zero."""
+    odd = gens.odd
     sign = 1
     # odd letters of m2 must move left past the odd letters of m1 with
     # larger generator index
-    odd1 = [i for i, e in enumerate(m1) if e and gens[i].odd]
+    odd1 = [i for i, e in enumerate(m1) if e and odd[i]]
     for j, e in enumerate(m2):
-        if not e or not gens[j].odd:
+        if not e or not odd[j]:
             continue
         if m1[j]:
             return None
@@ -131,7 +156,7 @@ def elem_mul(gens: GeneratorSet, e1: dict, e2: dict) -> dict:
             if r is None:
                 continue
             sign, m = r
-            v = out.get(m, Fraction(0)) + sign * c1 * c2
+            v = out.get(m, 0) + sign * c1 * c2
             if v:
                 out[m] = v
             else:
@@ -139,10 +164,10 @@ def elem_mul(gens: GeneratorSet, e1: dict, e2: dict) -> dict:
     return out
 
 
-def elem_add(e1: dict, e2: dict, c=Fraction(1)) -> dict:
+def elem_add(e1: dict, e2: dict, c=1) -> dict:
     out = dict(e1)
     for m, v in e2.items():
-        nv = out.get(m, Fraction(0)) + c * v
+        nv = out.get(m, 0) + c * v
         if nv:
             out[m] = nv
         else:
@@ -151,27 +176,41 @@ def elem_add(e1: dict, e2: dict, c=Fraction(1)) -> dict:
 
 
 def mono_elem(mono) -> dict:
-    return {mono: Fraction(1)}
+    return {mono: 1}
 
 
 def apply_derivation(gens: GeneratorSet, dvals: dict[int, dict], mono) -> dict:
     """Extend generator values to a derivation with the Koszul sign rule.
 
     dvals maps generator index -> element; absent indices have derivative
-    zero.  d(xy) = dx y + (-1)^{|x|} x dy on total degree.
+    zero.  d(xy) = dx y + (-1)^{|x|} x dy on total degree.  Each term of
+    d(x_i) is multiplied into the monomial as prefix * (term * rest).
     """
     out: dict = {}
     prefix_parity = 0
     for i, e in enumerate(mono):
-        if e and i in dvals and dvals[i]:
+        if not e:
+            continue
+        val = dvals.get(i)
+        if val:
             prefix = mono[:i] + (0,) * (len(mono) - i)
             rest = (0,) * i + (e - 1,) + mono[i + 1:]
-            sign = -1 if prefix_parity % 2 else 1
-            term = elem_mul(gens, mono_elem(prefix),
-                            elem_mul(gens, dvals[i], mono_elem(rest)))
-            out = elem_add(out, term, Fraction(sign * e))
-        if e:
-            prefix_parity += e * gens[i].total
+            factor = -e if prefix_parity % 2 else e
+            for m, c in val.items():
+                r = mono_mul(gens, m, rest)
+                if r is None:
+                    continue
+                s1, m1 = r
+                r = mono_mul(gens, prefix, m1)
+                if r is None:
+                    continue
+                s2, m2 = r
+                v = out.get(m2, 0) + factor * s1 * s2 * c
+                if v:
+                    out[m2] = v
+                else:
+                    del out[m2]
+        prefix_parity += e * gens[i].total
     return out
 
 
@@ -226,6 +265,19 @@ def monomial_basis(gens: GeneratorSet, degree: int) -> list[tuple[int, ...]]:
     return gens.monomials_total(degree)
 
 
+def span_rank(rows) -> int:
+    """Rank over Q of rows given as dicts key -> int or Fraction.
+
+    Each row's denominators are cleared (which leaves its span unchanged)
+    before exact integer elimination.
+    """
+    int_rows = []
+    for row in rows:
+        den = math.lcm(*(v.denominator for v in row.values()))
+        int_rows.append({k: int(v * den) for k, v in row.items()})
+    return rank_of_int_rows(int_rows)
+
+
 def _homogeneous_degree(gens: GeneratorSet, elem: dict) -> int:
     degs = {gens.mono_total(m) for m in elem}
     if len(degs) != 1:
@@ -261,8 +313,6 @@ def quotient_dims(gens: GeneratorSet, relations: list[dict], maxdeg: int) -> lis
     free = fgca_dims(gens, maxdeg)
     out = [free[0]]
     for d in range(1, maxdeg + 1):
-        basis = gens.monomials_total(d)
-        idx = {m: i for i, m in enumerate(basis)}
         rows = []
         for r, dr in zip(rels, rel_degs):
             if dr > d:
@@ -270,12 +320,8 @@ def quotient_dims(gens: GeneratorSet, relations: list[dict], maxdeg: int) -> lis
             for mm in gens.monomials_total(d - dr):
                 prod = elem_mul(gens, r, mono_elem(mm))
                 if prod:
-                    denlcm = 1
-                    for v in prod.values():
-                        denlcm = denlcm * v.denominator
-                    rows.append({idx[m]: int(v * denlcm) for m, v in prod.items()})
-        rank = rank_of_int_rows(rows) if rows else 0
-        out.append(len(basis) - rank)
+                    rows.append(prod)
+        out.append(free[d] - span_rank(rows))
     return out
 
 
@@ -309,7 +355,8 @@ class BigradedDGA:
         return out
 
     def check_d_squared(self, maxtotal: int):
-        """Verify d^2 = 0 on every monomial of total degree <= maxtotal."""
+        """Verify d^2 = 0 on every monomial of total degree <= maxtotal;
+        the reference for check_d_squared_on_generators."""
         for d in range(maxtotal + 1):
             for m in self.gens.monomials_total(d):
                 dd = self.d(self.d(mono_elem(m)))
@@ -317,41 +364,38 @@ class BigradedDGA:
                     raise DgaError(
                         f"d^2 != 0 on monomial {self.gens.mono_str(m)}")
 
-    def _cell_rank(self, p: int, q: int) -> int:
-        """Rank of d restricted to bidegree (p, q)."""
-        basis = self.gens.monomials_bidegree(p, q)
-        if not basis:
-            return 0
-        rows_by_target: dict = {}
-        for j, m in enumerate(basis):
-            img = self.d(mono_elem(m))
-            for tm, c in img.items():
-                rows_by_target.setdefault(tm, {})[j] = c
-        rows = []
-        for d in rows_by_target.values():
-            denlcm = 1
-            for v in d.values():
-                denlcm *= v.denominator
-            rows.append({j: int(v * denlcm) for j, v in d.items()})
-        return rank_of_int_rows(rows)
+    def check_d_squared_on_generators(self, maxtotal: int):
+        """Verify d^2 = 0 on every generator of total degree <= maxtotal.
+
+        Equivalent to check_d_squared(maxtotal): d is an odd derivation,
+        so d^2 = [d, d]/2 is a derivation, and on a monomial it is a sum
+        of terms each carrying d^2 of one of its letters, whose total
+        degrees are at most the monomial's.
+        """
+        for i, val in self.dvals.items():
+            if self.gens[i].total <= maxtotal and self.d(val):
+                raise DgaError(
+                    f"d^2 != 0 on generator {self.gens[i].name}")
+
+    def _cell_rank(self, basis) -> int:
+        """Rank of d on the span of basis, the monomials of one cell."""
+        return span_rank(apply_derivation(self.gens, self.dvals, m)
+                         for m in basis)
 
     def cohomology(self, maxtotal: int, check: bool = True) -> dict[tuple[int, int], int]:
         """dim H^{p,q} for all bidegrees with p + q <= maxtotal."""
         if check:
-            self.check_d_squared(maxtotal)
+            self.check_d_squared_on_generators(maxtotal)
         ranks: dict[tuple[int, int], int] = {}
         dims: dict[tuple[int, int], int] = {}
-        out: dict[tuple[int, int], int] = {}
         for total in range(maxtotal + 1):
             for p in range(0, total + 1):
                 q = total - p
                 basis = self.gens.monomials_bidegree(p, q)
                 dims[(p, q)] = len(basis)
-                ranks[(p, q)] = self._cell_rank(p, q) if basis else 0
-        for (p, q), dim in dims.items():
-            incoming = ranks.get((p - 2, q + 1), 0)
-            out[(p, q)] = dim - ranks[(p, q)] - incoming
-        return out
+                ranks[(p, q)] = self._cell_rank(basis) if basis else 0
+        return {(p, q): dim - ranks[(p, q)] - ranks.get((p - 2, q + 1), 0)
+                for (p, q), dim in dims.items()}
 
 
 def koszul_cohomology_dims(F, maxdeg: int) -> list[int]:
@@ -362,6 +406,8 @@ def koszul_cohomology_dims(F, maxdeg: int) -> list[int]:
     H^0..H^maxdeg.
     """
     ny, nx = F.cols, F.rows
+    # L*F has the same kernel and image as F, so the engine works over Z
+    den = math.lcm(*(c.denominator for c in F.entries.values()))
     gens = GeneratorSet(
         [(f"y{i:03d}", (0, 1)) for i in range(ny)]
         + [(f"x{j:03d}", (2, 0)) for j in range(nx)])
@@ -373,7 +419,7 @@ def koszul_cohomology_dims(F, maxdeg: int) -> list[int]:
             if c:
                 mono = [0] * len(gens)
                 mono[gens.index[f"x{j:03d}"]] = 1
-                val[tuple(mono)] = c
+                val[tuple(mono)] = int(c * den)
         if val:
             diff[f"y{i:03d}"] = val
     dga = BigradedDGA(gens, diff)
@@ -383,3 +429,13 @@ def koszul_cohomology_dims(F, maxdeg: int) -> list[int]:
         if p + q <= maxdeg:
             dims[p + q] += h
     return dims
+
+
+def kernel_cokernel_dims(kernel_dim: int, cokernel_dim: int,
+                         maxdeg: int) -> list[int]:
+    """The expected Koszul cohomology of a map: the Hilbert series of the
+    exterior algebra on the kernel (degree 1) tensor the symmetric algebra
+    on the cokernel (degree 2), in degrees 0..maxdeg."""
+    return fgca_dims(GeneratorSet(
+        [(f"k{i}", 1) for i in range(kernel_dim)]
+        + [(f"c{i}", 2) for i in range(cokernel_dim)]), maxdeg)

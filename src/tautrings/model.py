@@ -28,6 +28,7 @@ from .graded import (
     elem_mul,
     fgca_dims,
     mono_elem,
+    span_rank,
     substitute_generator,
 )
 from .linalg import kernel_basis_columns, rank_of_int_rows
@@ -185,7 +186,7 @@ def build_D_dga(params: ModelParams) -> BigradedDGA:
             sign = 1 if m0 < m1 else -1
             mono = [0] * len(gens)
             mono[gens.index[f"z{a}_{b}"]] = 1
-            diff[f"y{m0}_{m1}"] = {tuple(mono): Fraction(sign)}
+            diff[f"y{m0}_{m1}"] = {tuple(mono): sign}
     return BigradedDGA(gens, diff)
 
 
@@ -535,7 +536,7 @@ class E2Model:
                     mono = [0] * len(self.gens)
                     mono[xi[0]] = 1
                     mono[self.gens.index[f"lb_{i}_{m}"]] = 1
-                    val[tuple(mono)] = Fraction(lead * xi[1])
+                    val[tuple(mono)] = lead * xi[1]
                 if val:
                     diff[f"la_{j}_{m}"] = val
         return diff
@@ -637,18 +638,7 @@ def e2_bruteforce_oracle(params: ModelParams) -> dict[tuple[int, int], int]:
             q = total - p
             vectors = model.sl_invariant_vectors(p, q)
             invdim[(p, q)] = len(vectors)
-            rows_by_target: dict = {}
-            for j, vec in enumerate(vectors):
-                img = model.dga.d(vec)
-                for tm, c in img.items():
-                    rows_by_target.setdefault(tm, {})[j] = c
-            rows = []
-            for d in rows_by_target.values():
-                denlcm = 1
-                for v in d.values():
-                    denlcm *= v.denominator
-                rows.append({j: int(v * denlcm) for j, v in d.items()})
-            outrank[(p, q)] = rank_of_int_rows(rows)
+            outrank[(p, q)] = span_rank(model.dga.d(vec) for vec in vectors)
     table: dict[tuple[int, int], int] = {}
     for (p, q), dim in invdim.items():
         table[(p, q)] = dim - outrank[(p, q)] - outrank.get((p - 2, q + 1), 0)
@@ -684,7 +674,7 @@ class LambdaExpression:
     gens: GeneratorSet
     element: dict
 
-    def terms(self) -> list[tuple[Fraction, str]]:
+    def terms(self) -> list[tuple[int | Fraction, str]]:
         return [(c, self.gens.mono_str(m))
                 for m, c in sorted(self.element.items(), reverse=True)]
 

@@ -13,6 +13,7 @@ from tautrings.graded import (
     elem_add,
     elem_mul,
     fgca_dims,
+    kernel_cokernel_dims,
     koszul_cohomology_dims,
     mono_elem,
     monomial_basis,
@@ -25,6 +26,49 @@ def single(gens, name):
     mono = [0] * len(gens)
     mono[gens.index[name]] = 1
     return tuple(mono)
+
+
+def bidegree_filter(gens, p, q):
+    """Reference enumeration of a (p, q) cell: filter its total degree."""
+    return [m for m in gens.monomials_total(p + q)
+            if gens.mono_bidegree(m) == (p, q)]
+
+
+def random_dga(rng, closed):
+    """A small bigraded DGA with random values of d on random generators.
+
+    closed: only "source" generators get a value, a combination of
+    monomials in the "sink" generators, on which d vanishes; so d^2 = 0.
+    Otherwise d^2 may or may not vanish.
+    """
+    degs = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 0), (2, 1), (2, 2),
+            (3, 1), (4, 0), (4, 1), (5, 0)]
+    gens = GeneratorSet([(f"g{i}", rng.choice(degs))
+                         for i in range(rng.randint(2, 7))])
+    sinks = {i for i in range(len(gens)) if closed and rng.random() < 0.5}
+    coeffs = [1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 4)]
+    diff = {}
+    for i, g in enumerate(gens):
+        if i in sinks:
+            continue
+        targets = [m for m in bidegree_filter(gens, g.p + 2, g.q - 1)
+                   if not closed or all(e == 0 or j in sinks
+                                        for j, e in enumerate(m))]
+        val = {}
+        for m in targets:
+            if rng.random() < 0.7:
+                val[m] = rng.choice(coeffs)
+        if val:
+            diff[g.name] = val
+    return BigradedDGA(gens, diff)
+
+
+def d_squared_passes(check, maxtotal):
+    try:
+        check(maxtotal)
+    except DgaError:
+        return False
+    return True
 
 
 class TestGeneratorSet:
@@ -59,6 +103,15 @@ class TestMonomialBasis:
         g = GeneratorSet([("a", (2, 0)), ("b", (0, 2))])
         assert g.monomials_bidegree(2, 2) == [(1, 1)]
         assert g.monomials_bidegree(4, 0) == [(2, 0)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(0, 6), st.integers(0, 6))
+    def test_bidegree_matches_total_degree_filter(self, seed, p, q):
+        rng = random.Random(seed)
+        degs = [(a, b) for a in range(4) for b in range(4) if a + b]
+        gens = GeneratorSet([(f"g{i}", rng.choice(degs))
+                             for i in range(rng.randint(0, 7))])
+        assert gens.monomials_bidegree(p, q) == bidegree_filter(gens, p, q)
 
 
 class TestFgcaDims:
@@ -176,8 +229,7 @@ class TestKoszul:
 
     def test_zero_map(self):
         got = koszul_cohomology_dims(QMatrix.zeros(1, 1), 6)
-        expected = fgca_dims(GeneratorSet([("y", 1), ("x", 2)]), 6)
-        assert got == expected
+        assert got == kernel_cokernel_dims(1, 1, 6)
 
     def test_surjective_with_kernel(self):
         got = koszul_cohomology_dims(QMatrix.from_rows([[1, 1]]), 5)
@@ -190,10 +242,30 @@ class TestKoszul:
         rows, cols = rng.randint(0, 5), rng.randint(0, 5)
         F = random_matrix(rows, cols, rng, lo=-3, hi=3)
         rank = F.rank()
-        expected = fgca_dims(GeneratorSet(
-            [(f"k{i}", 1) for i in range(cols - rank)]
-            + [(f"c{i}", 2) for i in range(rows - rank)]), 8)
+        expected = kernel_cokernel_dims(cols - rank, rows - rank, 8)
         assert koszul_cohomology_dims(F, 8) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_rational_maps_match_kernel_cokernel_model(self, seed):
+        rng = random.Random(seed)
+        rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+        F = QMatrix(rows, cols, {
+            (i, j): Fraction(rng.randint(-3, 3), rng.randint(1, 7))
+            for i in range(rows) for j in range(cols)})
+        rank = F.rank()
+        expected = kernel_cokernel_dims(cols - rank, rows - rank, 7)
+        assert koszul_cohomology_dims(F, 7) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6),
+           st.fractions().filter(lambda c: c != 0))
+    def test_invariant_under_rational_scaling(self, seed, c):
+        rng = random.Random(seed)
+        F = random_matrix(rng.randint(0, 4), rng.randint(0, 4), rng,
+                          lo=-3, hi=3)
+        assert koszul_cohomology_dims(F, 6) == koszul_cohomology_dims(
+            F.scale(c), 6)
 
 
 class TestBigradedDGA:
@@ -227,3 +299,23 @@ class TestBigradedDGA:
             "x": mono_elem(single(gens, "z"))})
         with pytest.raises(DgaError, match="y"):
             dga.check_d_squared(4)
+        with pytest.raises(DgaError, match="y"):
+            dga.cohomology(4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**6), st.booleans(), st.integers(0, 7))
+    def test_d_squared_on_generators_matches_all_monomials(
+            self, seed, closed, maxtotal):
+        dga = random_dga(random.Random(seed), closed)
+        on_gens = d_squared_passes(dga.check_d_squared_on_generators,
+                                   maxtotal)
+        assert on_gens == d_squared_passes(dga.check_d_squared, maxtotal)
+        if closed:
+            assert on_gens
+
+    def test_random_dgas_cover_both_outcomes(self):
+        # the property above must see differentials with d^2 != 0 as well
+        outcomes = {d_squared_passes(
+            random_dga(random.Random(seed), False).check_d_squared, 7)
+            for seed in range(200)}
+        assert outcomes == {True, False}

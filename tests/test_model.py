@@ -115,6 +115,15 @@ class TestE3ZeroColumn:
             assert e3_zero_column(params) == fgca_dims(
                 GeneratorSet(sp.K), n - 3)
 
+    @pytest.mark.slow
+    def test_past_criterion_6_range(self):
+        for n in range(13, 25):
+            params = ModelParams(n=n, g=n - 2, M=minimal_M(n),
+                                 maxdeg=n - 3)
+            sp = build_spaces(params)
+            assert e3_zero_column(params) == fgca_dims(
+                GeneratorSet(sp.K), n - 3)
+
 
 class TestACInvariants:
     def test_gl_vanishes_off_diagonal_weight(self):
