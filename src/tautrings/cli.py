@@ -78,6 +78,11 @@ def _emit(report: dict, args) -> None:
             lines.append("degree,dim")
             for d, v in enumerate(report["dims"]):
                 lines.append(f"{d},{v}")
+        elif "table" in report:
+            # cells keyed "(p,q)", in (p, q) order
+            lines.append("p,q,dim")
+            for cell, v in report["table"].items():
+                lines.append(f"{cell.strip('()')},{v}")
         else:
             for k in sorted(report):
                 if k in ("inputs", "provenance"):

@@ -1,11 +1,18 @@
 """Brute-force invariant theory on mixed tensor powers of Q^g.
 
-Invariants under GL_g (resp. SL_g) are computed as the joint kernel of the
-infinitesimal action of the elementary matrices of gl_g (resp. its
-trace-zero part); over Q this kernel coincides with the group invariants
-for the rational representations at hand.  Basis tensors are weight vectors
-for the diagonal torus, so the computation first restricts to the relevant
-weight subspace and only then eliminates.
+Invariants under GL_g (resp. SL_g) are computed as a joint kernel of the
+infinitesimal gl_g action; over Q this kernel coincides with the group
+invariants for the rational representations at hand.  Basis tensors are
+weight vectors for the diagonal torus, so the computation first restricts
+to the relevant weight subspace: weight 0 for GL_g, constant weight
+(c, ..., c), i.e. sl_g-weight 0, for SL_g.
+
+On that subspace only the simple raising operators E_{r,r+1}, r < g - 1,
+are stacked, not all g(g - 1) operators E_rs.  This is exact: T^{k,l}(Q^g)
+is a finite-dimensional gl_g-module over Q, hence completely reducible, so
+a vector of sl_g-weight 0 killed by every E_{r,r+1} is a highest-weight
+vector of weight 0 and spans a trivial summand, which every E_rs kills.
+The all-pairs system stays in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -52,25 +59,55 @@ def _word_index(word: tuple[int, ...], g: int) -> int:
     return idx
 
 
-def _weight(word: tuple[int, ...], k: int, g: int) -> tuple[int, ...]:
-    wt = [0] * g
-    for pos, i in enumerate(word):
-        wt[i] += 1 if pos < k else -1
-    return tuple(wt)
+def _weight_words(spec: TensorSpaceSpec,
+                  target: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """All basis words of T^{k,l} with the given torus weight, in
+    lexicographic order.
 
-
-def _weight_words(spec: TensorSpaceSpec, target) -> list[tuple[int, ...]]:
-    """All basis words of T^{k,l} with the given torus weight.
-
-    target is either a weight tuple or a predicate on weight tuples.
+    Depth-first over the slots, keeping only prefixes that can still be
+    completed: `need` is the weight left to place, and only covariant
+    slots spend its positive part, so that part must fit into the
+    covariant slots still open.
     """
     k, l, g = spec.k, spec.l, spec.g
-    pred = target if callable(target) else (lambda w: w == target)
-    out = []
-    for word in itertools.product(range(g), repeat=k + l):
-        if pred(_weight(word, k, g)):
-            out.append(word)
+    need = list(target)
+    surplus = sum(x for x in need if x > 0)
+    if len(need) != g or sum(need) != k - l or surplus > k:
+        return []
+    out: list[tuple[int, ...]] = []
+    word: list[int] = []
+
+    def extend(pos: int, surplus: int):
+        if pos == k + l:
+            out.append(tuple(word))
+            return
+        covariant = pos < k
+        for i in range(g):
+            if covariant:
+                # spend one unit at i; the positive part left must fit
+                # into the covariant slots after this one
+                left = surplus - 1 if need[i] > 0 else surplus
+                if left > k - pos - 1:
+                    continue
+                step = -1
+            elif need[i] < 0:
+                # give one unit back; nothing is left to spend
+                left, step = surplus, 1
+            else:
+                continue
+            need[i] += step
+            word.append(i)
+            extend(pos + 1, left)
+            word.pop()
+            need[i] -= step
+
+    extend(0, surplus)
     return out
+
+
+def raising_pairs(g: int) -> list[tuple[int, int]]:
+    """The simple raising operators E_{r,r+1} of gl_g, as (r, s) pairs."""
+    return [(r, r + 1) for r in range(g - 1)]
 
 
 def _action_rows(spec: TensorSpaceSpec, words: list[tuple[int, ...]],
@@ -112,8 +149,7 @@ def _invariant_basis(spec: TensorSpaceSpec, group: str) -> QMatrix:
         raise ValueError(f"unknown group {group!r}")
     if not words:
         return QMatrix(spec.dim, 0)
-    pairs = [(r, s) for r in range(g) for s in range(g) if r != s]
-    rows = _action_rows(spec, words, pairs)
+    rows = _action_rows(spec, words, raising_pairs(g))
     kernel = kernel_basis_columns(rows, len(words))
     cols = []
     for vec in kernel:

@@ -5,10 +5,17 @@ are simply absent.  This keeps the huge-but-sparse tensor-space matrices
 tractable while the API stays that of an ordinary dense matrix.  All rank
 and kernel computations are exact integer/rational eliminations; no
 floating point is used anywhere.
+
+One routine, `_eliminate`, does every elimination: fraction-free over the
+integers, pivoting on the shortest live row (taken from a lazy min-heap)
+at its column with the fewest rows, which keeps fill-in low on the sparse
+Lie-action systems.  `kernel_basis_columns` back-substitutes in integers
+over one common denominator and makes Fractions only at the end.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -29,7 +36,8 @@ class QMatrix:
             for (i, j), v in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise IndexError((i, j))
-                v = Fraction(v)
+                if type(v) is not Fraction:
+                    v = Fraction(v)
                 if v:
                     self.entries[(i, j)] = v
 
@@ -62,7 +70,7 @@ class QMatrix:
         for j, col in enumerate(cols):
             for i, v in col.items():
                 if v:
-                    e[(i, j)] = Fraction(v)
+                    e[(i, j)] = v
         return cls(rows, len(cols), e)
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
@@ -128,10 +136,9 @@ class QMatrix:
             by_row.setdefault(i, {})[j] = v
         out = []
         for i, rowd in by_row.items():
-            lcm = 1
-            for v in rowd.values():
-                lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-            out.append({j: int(v * lcm) for j, v in rowd.items()})
+            lcm = math.lcm(*(v.denominator for v in rowd.values()))
+            out.append({j: v.numerator * (lcm // v.denominator)
+                        for j, v in rowd.items()})
         return out
 
     def rank(self) -> int:
@@ -153,63 +160,71 @@ def _eliminate(rows: list[dict[int, int]]):
     Returns (pivots, pivot_rows): pivots is the list of pivot columns in
     elimination order, pivot_rows the corresponding reduced integer rows.
     Pivot row k has zero in all pivot columns of steps < k.
+
+    Each step pivots on the shortest live row, at that row's column with
+    the fewest rows (ties to the lowest column).  Live rows sit in a lazy
+    min-heap keyed by (length, index): a row is re-pushed when its length
+    changes, and an entry whose length no longer matches is skipped.
     """
-    rows_d = {i: dict(r) for i, r in enumerate(rows) if r}
+    rows_d = {}
+    for i, r in enumerate(rows):
+        r = {c: v for c, v in r.items() if v}
+        if r:
+            rows_d[i] = r
     cols_rows: dict[int, set[int]] = {}
     for i, r in rows_d.items():
         for c in r:
             cols_rows.setdefault(c, set()).add(i)
+    heap = [(len(r), i) for i, r in rows_d.items()]
+    heapq.heapify(heap)
     pivots: list[int] = []
     pivot_rows: list[dict[int, int]] = []
-    pivoted: set[int] = set()
-    while True:
-        best = None
-        best_len = None
-        for c, rs in cols_rows.items():
-            if c in pivoted or not rs:
-                continue
-            if best is None or len(rs) < best_len:
-                best, best_len = c, len(rs)
-        if best is None:
-            break
-        c = best
-        prow_i = min(cols_rows[c], key=lambda i: (len(rows_d[i]), i))
-        pr = rows_d[prow_i]
+    while heap:
+        n, prow_i = heapq.heappop(heap)
+        pr = rows_d.get(prow_i)
+        if pr is None or len(pr) != n:
+            continue
+        c = min(pr, key=lambda cc: (len(cols_rows[cc]), cc))
         pv = pr[c]
         pivots.append(c)
         pivot_rows.append(pr)
-        pivoted.add(c)
         for i in list(cols_rows[c]):
             if i == prow_i:
                 continue
+            # ri <- m1 * ri - m2 * pr with m1 > 0, in place: live rows are
+            # private copies, and a pivot row leaves rows_d once chosen
             ri = rows_d[i]
+            before = len(ri)
             v = ri[c]
             g = math.gcd(pv, v)
             m1, m2 = pv // g, v // g
-            new = {cc: vv * m1 for cc, vv in ri.items()}
+            if m1 < 0:
+                m1, m2 = -m1, -m2
+            if m1 != 1:
+                for cc in ri:
+                    ri[cc] *= m1
             for cc, vv in pr.items():
-                nv = new.get(cc, 0) - vv * m2
+                nv = ri.get(cc, 0) - vv * m2
                 if nv:
-                    new[cc] = nv
+                    if cc not in ri:
+                        cols_rows[cc].add(i)
+                    ri[cc] = nv
                 else:
-                    new.pop(cc, None)
+                    del ri[cc]
+                    cols_rows[cc].discard(i)
+            if not ri:
+                del rows_d[i]
+                continue
             g = 0
-            for vv in new.values():
+            for vv in ri.values():
                 g = math.gcd(g, vv)
                 if g == 1:
                     break
             if g > 1:
-                new = {cc: vv // g for cc, vv in new.items()}
-            for cc in ri:
-                if cc not in new:
-                    cols_rows[cc].discard(i)
-            for cc in new:
-                if cc not in ri:
-                    cols_rows.setdefault(cc, set()).add(i)
-            if new:
-                rows_d[i] = new
-            else:
-                del rows_d[i]
+                for cc in ri:
+                    ri[cc] //= g
+            if len(ri) != before:
+                heapq.heappush(heap, (len(ri), i))
         for cc in pr:
             cols_rows[cc].discard(prow_i)
         del rows_d[prow_i]
@@ -220,24 +235,37 @@ def kernel_basis_columns(rows: list[dict[int, int]], ncols: int) -> list[dict[in
     """Basis of the kernel of the integer row system, one dict per vector.
 
     Back-substitutes through the elimination in reverse order; pivot row k
-    may involve pivot columns of later steps and free columns only.
+    may involve pivot columns of later steps and free columns only.  The
+    vector for free column f has 1 at f and 0 at the other free columns.
+    It is carried as ints over one common denominator, which grows only
+    when a pivot does not divide its running sum, and becomes Fractions
+    once at the end.
     """
     pivots, pivot_rows = _eliminate(rows)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
+    steps = list(zip(reversed(pivots), reversed(pivot_rows)))
     basis = []
     for f in free_cols:
-        v: dict[int, Fraction] = {f: Fraction(1)}
-        for c, pr in zip(reversed(pivots), reversed(pivot_rows)):
-            s = Fraction(0)
+        v: dict[int, int] = {f: 1}
+        den = 1
+        for c, pr in steps:
+            # c is not yet in v: each pivot column is solved once
+            s = 0
             for cc, coef in pr.items():
-                if cc == c:
-                    continue
                 if cc in v:
                     s += coef * v[cc]
-            if s:
-                v[c] = -s / pr[c]
-        basis.append(v)
+            if not s:
+                continue
+            pv = pr[c]
+            if s % pv:
+                m = abs(pv) // math.gcd(s, pv)
+                for cc in v:
+                    v[cc] *= m
+                den *= m
+                s *= m
+            v[c] = -s // pv
+        basis.append({cc: Fraction(x, den) for cc, x in v.items()})
     return basis
 
 

@@ -31,6 +31,7 @@ from .graded import (
     span_rank,
     substitute_generator,
 )
+from .invariants import raising_pairs
 from .linalg import kernel_basis_columns, rank_of_int_rows
 
 # cap on the dimension of any single brute-force cell
@@ -284,8 +285,9 @@ def ac_invariant_dims_bruteforce(spec: ACAlgebraSpec, p: int, q: int, r: int,
 
     The cell basis is taken directly in symmetrized/antisymmetrized
     letter coordinates (multisets for symmetric factors, subsets for
-    exterior ones); invariants are the joint kernel of the infinitesimal
-    action, restricted first to the relevant torus-weight subspace.
+    exterior ones); invariants are the joint kernel of the simple raising
+    operators E_{r,r+1} on the relevant torus-weight subspace, which is
+    the invariant subspace by the highest-weight argument in invariants.
     """
     if min(p, q, r) < 0:
         raise ValueError("requires nonnegative p, q, r")
@@ -325,25 +327,31 @@ def ac_invariant_dims_bruteforce(spec: ACAlgebraSpec, p: int, q: int, r: int,
         c = wsum // g
         target = (c,) * g
 
-    def weight(xs, ys, zs):
-        w = [0] * g
-        for li in xs:
-            i, j = xl[li]
-            w[i] += 1
-            w[j] += 1
-        for li in ys:
-            w[yl[li][0]] += 1
-        for li in zs:
-            w[zl[li][0]] -= 1
-        return tuple(w)
+    def weights(factor_basis, letter_weight):
+        out = []
+        for letters in factor_basis:
+            w = [0] * g
+            for li in letters:
+                for i, e in letter_weight[li]:
+                    w[i] += e
+            out.append(tuple(w))
+        return out
 
     xbasis = list(_multiset_basis(len(xl), p) if x_sym else _set_basis(len(xl), p))
     ybasis = list(_multiset_basis(len(yl), q) if y_sym else _set_basis(len(yl), q))
     zbasis = list(_multiset_basis(len(zl), r) if z_sym else _set_basis(len(zl), r))
+    xw = weights(xbasis, [((i, 1), (j, 1)) for i, j in xl])
+    yw = weights(ybasis, [((i, 1),) for i, _ in yl])
+    # z factors grouped by weight, each group in basis order, so the cell
+    # basis below keeps the (x, y, z) product order
+    z_by_weight: dict[tuple[int, ...], list] = {}
+    for zs, wz in zip(zbasis, weights(zbasis, [((i, -1),) for i, _ in zl])):
+        z_by_weight.setdefault(wz, []).append(zs)
     basis = [
         (xs, ys, zs)
-        for xs in xbasis for ys in ybasis for zs in zbasis
-        if weight(xs, ys, zs) == target
+        for xs, wx in zip(xbasis, xw) for ys, wy in zip(ybasis, yw)
+        for zs in z_by_weight.get(
+            tuple(t - a - b for t, a, b in zip(target, wx, wy)), ())
     ]
     if not basis:
         return 0
@@ -382,7 +390,7 @@ def ac_invariant_dims_bruteforce(spec: ACAlgebraSpec, p: int, q: int, r: int,
             if not d[col]:
                 del d[col]
 
-    pairs = [(rr, ss) for rr in range(g) for ss in range(g) if rr != ss]
+    pairs = raising_pairs(g)
     for col, (xs, ys, zs) in enumerate(basis):
         for rr, ss in pairs:
             for pos in range(len(xs)):
@@ -587,14 +595,18 @@ class E2Model:
         return out
 
     def sl_invariant_vectors(self, p: int, q: int) -> list[dict]:
-        """Basis of the SL-invariants of the (p, q) cell, as elements."""
+        """Basis of the SL-invariants of the (p, q) cell, as elements.
+
+        The joint kernel of the simple raising operators on the monomials
+        of constant weight (c, ..., c); see invariants for why these
+        operators suffice.
+        """
         monos = [m for m in self.gens.monomials_bidegree(p, q)
                  if len(set(self.mono_weight(m))) <= 1]
         if not monos:
             return []
         rows: dict[tuple, dict[int, int]] = {}
-        pairs = [(rr, ss) for rr in range(self.g) for ss in range(self.g)
-                 if rr != ss]
+        pairs = raising_pairs(self.g)
         for j, mono in enumerate(monos):
             for rr, ss in pairs:
                 for coeff, img in self.lie_action(mono, rr, ss):

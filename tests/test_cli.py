@@ -144,6 +144,19 @@ class TestOutputs:
         assert out.splitlines()[0] == "degree,dim"
         assert out.splitlines()[1] == "0,1"
 
+    def test_csv_oracle_e2_table(self, capsys):
+        """One p,q,dim row per cell, matching the JSON table."""
+        table = run_json(capsys, "oracle-e2", "--n", "6", "--g", "4")["table"]
+        code, out, err = run(capsys, "oracle-e2", "--n", "6", "--g", "4",
+                             "--format", "csv")
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[0] == "p,q,dim"
+        rows = [tuple(int(t) for t in line.split(",")) for line in lines[1:]]
+        assert rows == [(p, q, table[f"({p},{q})"]) for p, q, _ in rows]
+        assert len(rows) == len(table) == 10
+        assert (0, 3, 2) in rows
+
     def test_text_projection(self, capsys):
         code, out, err = run(capsys, "lr", "1", "1", "2", "--format", "text")
         assert code == 0

@@ -1,15 +1,19 @@
+import itertools
 import math
 
 import pytest
 
 from tautrings.invariants import (
     TensorSpaceSpec,
+    _action_rows,
+    _weight_words,
+    _word_index,
     gl_invariant_basis,
     sigma_matrix,
     sl_invariant_basis,
     verify_fundamental_theorems,
 )
-from tautrings.linalg import subspace_equal
+from tautrings.linalg import rank_of_int_rows, subspace_equal
 from tautrings.partitions import Partition, schur_product_expand
 
 
@@ -127,3 +131,95 @@ class TestFundamentalTheorems:
     def test_1_1(self):
         rep = verify_fundamental_theorems(1, 1)
         assert (rep.rank, rep.surjective, rep.injective) == (1, True, True)
+
+
+# every T^{k,l}(Q^g) with k + l <= 5 and g <= 3, and T^{4,4}(Q^3)
+SMALL_SPECS = [TensorSpaceSpec(k, n - k, g)
+               for g in (1, 2, 3) for n in range(6) for k in range(n + 1)]
+SMALL_SPECS.append(TensorSpaceSpec(4, 4, 3))
+
+
+def _weight(word, k, g):
+    wt = [0] * g
+    for pos, i in enumerate(word):
+        wt[i] += 1 if pos < k else -1
+    return tuple(wt)
+
+
+class TestWeightWords:
+    def test_matches_filtered_product(self):
+        """Direct enumeration = all g^(k+l) words filtered by weight."""
+        for spec in SMALL_SPECS:
+            k, g = spec.k, spec.g
+            by_weight = {}
+            for word in itertools.product(range(g), repeat=k + spec.l):
+                by_weight.setdefault(_weight(word, k, g), []).append(word)
+            for wt, words in by_weight.items():
+                assert _weight_words(spec, wt) == words
+            for wt in [(0,) * g, (1,) * g, (-1,) * g, (spec.k + 1,) + (0,) * (g - 1)]:
+                assert _weight_words(spec, wt) == by_weight.get(wt, [])
+
+
+class TestRaisingOperators:
+    """The simple raising operators cut out the same kernel as all E_rs."""
+
+    @pytest.mark.parametrize("group", ["GL", "SL"])
+    def test_kernel_equals_all_pairs_kernel(self, group):
+        for spec in SMALL_SPECS:
+            k, l, g = spec.k, spec.l, spec.g
+            if group == "GL":
+                basis = gl_invariant_basis(spec)
+                target = (0,) * g
+            else:
+                basis = sl_invariant_basis(spec)
+                if (k - l) % g:
+                    assert basis.cols == 0
+                    continue
+                target = ((k - l) // g,) * g
+            words = _weight_words(spec, target)
+            all_pairs = [(r, s) for r in range(g) for s in range(g) if r != s]
+            rows = _action_rows(spec, words, all_pairs)
+            assert basis.cols == len(words) - rank_of_int_rows(rows)
+            position = {_word_index(w, g): j for j, w in enumerate(words)}
+            columns = [{} for _ in range(basis.cols)]
+            for (i, c), v in basis.entries.items():
+                columns[c][position[i]] = v
+            for col in columns:
+                for row in rows:
+                    assert sum(a * col.get(j, 0) for j, a in row.items()) == 0
+
+
+def _partitions(m, largest=None):
+    largest = m if largest is None else largest
+    if m == 0:
+        yield ()
+        return
+    for first in range(min(m, largest), 0, -1):
+        for rest in _partitions(m - first, first):
+            yield (first,) + rest
+
+
+def _hook_length_count(lam):
+    """f^lambda, the number of standard Young tableaux of shape lambda."""
+    conj = [sum(1 for part in lam if part > j) for j in range(lam[0])] if lam else []
+    hooks = 1
+    for i, part in enumerate(lam):
+        for j in range(part):
+            hooks *= (part - j - 1) + (conj[j] - i - 1) + 1
+    return math.factorial(sum(lam)) // hooks
+
+
+class TestSchurWeylCount:
+    """dim T^{m,m}(Q^g)^GL = sum over lambda |- m, l(lambda) <= g of
+    (f^lambda)^2, independently of the kernel and of sigma_matrix."""
+
+    @pytest.mark.parametrize("m,g", [(m, g) for m in range(1, 5)
+                                     for g in range(1, 5)] + [(5, 2)])
+    def test_invariant_dim(self, m, g):
+        want = sum(_hook_length_count(lam) ** 2 for lam in _partitions(m)
+                   if len(lam) <= g)
+        assert gl_invariant_basis(TensorSpaceSpec(m, m, g)).cols == want
+
+    def test_hook_lengths(self):
+        assert [_hook_length_count(lam) for lam in _partitions(4)] == \
+            [1, 3, 2, 3, 1]

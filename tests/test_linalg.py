@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tautrings.linalg import QMatrix, random_matrix, subspace_equal
+from tautrings.linalg import (
+    QMatrix,
+    _eliminate,
+    kernel_basis_columns,
+    random_matrix,
+    subspace_equal,
+)
 
 
 class TestConstruction:
@@ -63,6 +69,68 @@ class TestKernel:
         k = a.kernel_basis()
         assert a.rank() + k.cols == cols
         assert (a @ k).is_zero()
+
+
+def _gauss_jordan_rank(rows, ncols):
+    """Rank by plain Fraction Gauss-Jordan on dense rows."""
+    dense = [[Fraction(r.get(c, 0)) for c in range(ncols)] for r in rows]
+    rank = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(rank, len(dense)) if dense[i][c]), None)
+        if pivot is None:
+            continue
+        dense[rank], dense[pivot] = dense[pivot], dense[rank]
+        for i in range(len(dense)):
+            if i != rank and dense[i][c]:
+                f = dense[i][c] / dense[rank][c]
+                dense[i] = [a - f * b for a, b in zip(dense[i], dense[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def int_systems(draw):
+    """Sparse int rows with empty rows, explicit zero entries, duplicates
+    and integer combinations of earlier rows."""
+    ncols = draw(st.integers(0, 9))
+    entry = st.integers(-4, 4)
+    col = st.integers(0, max(ncols - 1, 0))
+    rows = draw(st.lists(
+        st.dictionaries(col, entry, max_size=ncols) if ncols
+        else st.just({}), max_size=8))
+    for _ in range(draw(st.integers(0, 4))):
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows) - 1))
+        a, b = draw(entry), draw(entry)
+        combo = {c: a * rows[i].get(c, 0) + b * rows[j].get(c, 0)
+                 for c in set(rows[i]) | set(rows[j])}
+        rows.append(draw(st.sampled_from([dict(rows[i]), combo, {}])))
+    return rows, ncols
+
+
+class TestEliminate:
+    @settings(max_examples=200, deadline=None)
+    @given(int_systems())
+    def test_against_gauss_jordan(self, system):
+        rows, ncols = system
+        rank = _gauss_jordan_rank(rows, ncols)
+        pivots, pivot_rows = _eliminate(rows)
+        assert len(pivots) == rank
+        for k, (c, pr) in enumerate(zip(pivots, pivot_rows)):
+            assert pr.get(c, 0) != 0
+            assert all(pr.get(earlier, 0) == 0 for earlier in pivots[:k])
+        kernel = kernel_basis_columns(rows, ncols)
+        assert len(kernel) == ncols - rank
+        # one vector per free column: 1 there, 0 at the other free columns
+        free = [c for c in range(ncols) if c not in pivots]
+        assert [{c: vec[c] for c in free if vec.get(c)} for vec in kernel] \
+            == [{c: 1} for c in free]
+        for vec in kernel:
+            for row in rows:
+                assert sum(a * vec.get(c, 0) for c, a in row.items()) == 0
+        assert _gauss_jordan_rank(kernel, ncols) == len(kernel)
 
 
 class TestSubspaceEqual:

@@ -196,6 +196,24 @@ class TestE2Oracle:
         vecs = model.sl_invariant_vectors(0, 3)
         assert len(vecs) == 2
 
+    @pytest.mark.parametrize("n,g", [(n, g) for n in (5, 6) for g in range(1, 5)])
+    def test_raising_kernel_killed_by_all_pairs(self, n, g):
+        # the raising-operator kernel lies in, hence equals, the joint
+        # kernel of every E_rs
+        model = E2Model(n, g, minimal_M(n))
+        for total in range(4):
+            for p in range(total + 1):
+                for vec in model.sl_invariant_vectors(p, total - p):
+                    for rr in range(g):
+                        for ss in range(g):
+                            if rr == ss:
+                                continue
+                            image = {}
+                            for mono, c in vec.items():
+                                for coeff, img in model.lie_action(mono, rr, ss):
+                                    image[img] = image.get(img, 0) + c * coeff
+                            assert not any(image.values()), (p, total - p, rr, ss)
+
 
 class TestLambdaRelations:
     def params(self):
