@@ -83,6 +83,15 @@ def _emit(report: dict, args) -> None:
             lines.append("p,q,dim")
             for cell, v in report["table"].items():
                 lines.append(f"{cell.strip('()')},{v}")
+        elif "partitions" in report:
+            # parts space-separated; the empty partition is a quoted ""
+            lines.append("parts")
+            for parts in report["partitions"]:
+                lines.append(" ".join(map(str, parts)) or '""')
+        elif "terms" in report:
+            lines.append("coeff,monomial")
+            for t in report["terms"]:
+                lines.append(f"{t['coeff']},{t['monomial']}")
         else:
             for k in sorted(report):
                 if k in ("inputs", "provenance"):

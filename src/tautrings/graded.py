@@ -53,6 +53,9 @@ class GeneratorSet:
         self.gens: tuple[Generator, ...] = tuple(parsed)
         self.index = {g.name: i for i, g in enumerate(parsed)}
         self.odd: tuple[bool, ...] = tuple(g.odd for g in parsed)
+        # (p, q, total, odd) per generator, built once for the hot loops
+        self.degs: tuple[tuple[int, int, int, bool], ...] = tuple(
+            (g.p, g.q, g.total, g.odd) for g in parsed)
 
     def __len__(self) -> int:
         return len(self.gens)
@@ -64,12 +67,12 @@ class GeneratorSet:
         return self.gens[i]
 
     def mono_bidegree(self, mono) -> tuple[int, int]:
-        p = sum(e * g.p for e, g in zip(mono, self.gens))
-        q = sum(e * g.q for e, g in zip(mono, self.gens))
+        p = sum(e * d[0] for e, d in zip(mono, self.degs))
+        q = sum(e * d[1] for e, d in zip(mono, self.degs))
         return p, q
 
     def mono_total(self, mono) -> int:
-        return sum(e * g.total for e, g in zip(mono, self.gens))
+        return sum(e * d[2] for e, d in zip(mono, self.degs))
 
     def mono_str(self, mono) -> str:
         parts = []
@@ -104,7 +107,7 @@ class GeneratorSet:
         """All monomials of bidegree (p, q), in the order of
         monomials_total.  Recurses on the remaining (p, q), so only this
         cell is visited."""
-        degs = [(g.p, g.q, g.total, g.odd) for g in self.gens]
+        degs = self.degs
         n = len(degs)
         out = []
         acc = [0] * n
@@ -247,9 +250,8 @@ def fgca_dims(gens: GeneratorSet, maxdeg: int) -> list[int]:
     """Hilbert series coefficients of the free graded-commutative algebra."""
     series = [0] * (maxdeg + 1)
     series[0] = 1
-    for g in gens:
-        d = g.total
-        if g.odd:
+    for _, _, d, odd in gens.degs:
+        if odd:
             new = series[:]
             for k in range(maxdeg + 1 - d):
                 new[k + d] += series[k]
@@ -290,26 +292,9 @@ def quotient_dims(gens: GeneratorSet, relations: list[dict], maxdeg: int) -> lis
 
     Relations must be homogeneous elements.  The ideal is spanned
     degreewise by products relation * monomial; the span's rank is exact.
-    Pure-generator relations short-circuit to a Hilbert-series count.
     """
-    rel_degs = [_homogeneous_degree(gens, r) for r in relations if r]
     rels = [r for r in relations if r]
-
-    killed = set()
-    simple = True
-    for r in rels:
-        if len(r) == 1:
-            (mono,) = r
-            if sum(mono) == 1:
-                killed.add(mono.index(1))
-                continue
-        simple = False
-        break
-    if simple:
-        remaining = GeneratorSet(
-            [(g.name, (g.p, g.q)) for i, g in enumerate(gens.gens) if i not in killed])
-        return fgca_dims(remaining, maxdeg)
-
+    rel_degs = [_homogeneous_degree(gens, r) for r in rels]
     free = fgca_dims(gens, maxdeg)
     out = [free[0]]
     for d in range(1, maxdeg + 1):

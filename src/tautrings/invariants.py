@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import QMatrix, kernel_basis_columns, subspace_equal
+from .linalg import QMatrix, column_rank, kernel_basis_columns
 
 # ambient dimension cap; beyond this the weight-zero subspace itself gets
 # unwieldy and the caller should rethink
@@ -211,8 +211,10 @@ def verify_fundamental_theorems(m: int, g: int) -> FundamentalTheoremReport:
     T^{m,m}(Q^g) and are independent exactly when m <= g."""
     sigma = sigma_matrix(m, g)
     inv = gl_invariant_basis(TensorSpaceSpec(m, m, g))
-    rank = sigma.rank()
-    surjective = subspace_equal(sigma, inv)
+    rank = column_rank(sigma)
+    # each basis column is 1 at its own free column, so inv has rank
+    # inv.cols; equal ranks plus containment give equal spans
+    surjective = rank == inv.cols and column_rank(sigma, inv) == rank
     injective = rank == math.factorial(m)
     return FundamentalTheoremReport(m=m, g=g, rank=rank,
                                     surjective=surjective, injective=injective)

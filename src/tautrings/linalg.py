@@ -116,23 +116,19 @@ class QMatrix:
             e[(i, j + self.cols)] = v
         return QMatrix(self.rows, self.cols + other.cols, e)
 
-    def transpose(self) -> "QMatrix":
-        return QMatrix(self.cols, self.rows,
-                       {(j, i): v for (i, j), v in self.entries.items()})
-
     def column(self, j: int) -> dict[int, Fraction]:
         return {i: v for (i, jj), v in self.entries.items() if jj == j}
 
     def is_zero(self) -> bool:
         return not self.entries
 
-    def to_lists(self) -> list[list[Fraction]]:
-        return [[self[i, j] for j in range(self.cols)] for i in range(self.rows)]
-
-    def _int_rows(self) -> list[dict[int, int]]:
-        """Rows with cleared denominators, as col -> int dicts."""
+    def _int_rows(self, columns: bool = False) -> list[dict[int, int]]:
+        """Rows (or, with columns, the columns) with cleared denominators,
+        as index -> int dicts."""
         by_row: dict[int, dict[int, Fraction]] = {}
         for (i, j), v in self.entries.items():
+            if columns:
+                i, j = j, i
             by_row.setdefault(i, {})[j] = v
         out = []
         for i, rowd in by_row.items():
@@ -272,6 +268,16 @@ def kernel_basis_columns(rows: list[dict[int, int]], ncols: int) -> list[dict[in
 def rank_of_int_rows(rows: list[dict[int, int]]) -> int:
     piv, _ = _eliminate(rows)
     return len(piv)
+
+
+def column_rank(*matrices: QMatrix) -> int:
+    """Dimension of the span of the columns of all the given matrices,
+    eliminating the columns themselves: few long vectors, where a tall
+    matrix has many short rows."""
+    if len({m.rows for m in matrices}) > 1:
+        raise ValueError("ambient dimensions differ")
+    return rank_of_int_rows([col for m in matrices
+                             for col in m._int_rows(columns=True)])
 
 
 def subspace_equal(b1: QMatrix, b2: QMatrix) -> bool:

@@ -481,20 +481,17 @@ class E2Model:
             name = f"x_{i}_{j}"
             gens_list.append((name, (2, 0)))
             kind_by_name[name] = ("x", (i, j))
-        self.a_ms = [m for m in range(1, M + 1) if 4 * m - n > 0]
-        self.b_ms = [m for m in range(1, M + 1) if 4 * m - n - 1 > 0]
-        self.u_ms = [m for m in range(1, M + 1) if 4 * m - 2 * n - 1 > 0]
-        for m in self.a_ms:
+        for m in w_range(n, M):
             for i in range(g):
                 name = f"la_{i}_{m}"
                 gens_list.append((name, (0, 4 * m - n)))
                 kind_by_name[name] = ("a", (i, m))
-        for m in self.b_ms:
+        for m in u_range(n, M):
             for i in range(g):
                 name = f"lb_{i}_{m}"
                 gens_list.append((name, (0, 4 * m - n - 1)))
                 kind_by_name[name] = ("b", (i, m))
-        for m in self.u_ms:
+        for m in v_range(n, M):
             name = f"lu_{m}"
             gens_list.append((name, (0, 4 * m - 2 * n - 1)))
             kind_by_name[name] = ("u", (m,))
@@ -532,7 +529,7 @@ class E2Model:
         n, g = self.n, self.g
         lead = 1 if (n + 1) % 2 == 0 else -1
         diff: dict[str, dict] = {}
-        for m in self.a_ms:
+        for m in w_range(n, self.M):
             if 4 * m - n - 1 == 0:
                 continue
             for j in range(g):
@@ -727,7 +724,7 @@ def lambda_relations(params: ModelParams, ms: list[int]) -> LambdaExpression:
     m0, m1 = ms
     elem: dict = {}
     for first, second in ((m0, m1), (m1, m0)):
-        if first not in model.a_ms or second not in model.b_ms:
+        if first not in w_range(n, M) or second not in u_range(n, M):
             continue
         for j in range(g):
             ma = [0] * len(gens)

@@ -65,12 +65,6 @@ class Partition:
     def __hash__(self) -> int:
         return hash(("Partition", self.parts))
 
-    def __lt__(self, other: "Partition") -> bool:
-        # graded, then descending-lex within a grade
-        if self.size != other.size:
-            return self.size < other.size
-        return self.parts > other.parts
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)
 

@@ -3,15 +3,15 @@ diffeomorphism-group ring via three independent presentations, and the
 block-diffeomorphism / tangential stages.
 
 All answers are exterior algebras in the computed range; presentations
-are stored as generators-plus-relations and evaluated degreewise by the
-exact quotient engine.
+are stored as generators plus the names of the generators they kill, and
+evaluated as the free algebra on the surviving generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graded import GeneratorSet, fgca_dims, mono_elem, quotient_dims
+from .graded import GeneratorSet, fgca_dims
 from .model import (
     OracleMismatch,
     borel_generators,
@@ -77,27 +77,23 @@ def mt_cohomology(n: int, maxdeg: int) -> RingPresentation:
     return RingPresentation(generators=gens, relations=(), dims=tuple(dims))
 
 
-def _single_gen_relations(gens: GeneratorSet, names: list[str]) -> list[dict]:
-    rels = []
-    for name in names:
-        mono = [0] * len(gens)
-        mono[gens.index[name]] = 1
-        rels.append(mono_elem(tuple(mono)))
-    return rels
+def _drop_generators(gens: list[tuple[str, int]], killed: list[str],
+                     maxdeg: int) -> tuple[RingPresentation, list[int]]:
+    """The free graded-commutative algebra on gens modulo the named
+    generators, which is the free algebra on the survivors."""
+    dead = set(killed)
+    dims = fgca_dims(GeneratorSet([g for g in gens if g[0] not in dead]),
+                     maxdeg)
+    pres = RingPresentation(generators=tuple(gens), relations=tuple(killed),
+                            dims=tuple(dims))
+    return pres, dims
 
 
 def _diff_presentation_a(n: int, maxdeg: int) -> tuple[RingPresentation, list[int]]:
     """Quotient of the Thom-spectrum ring by (all mu_{L_m}) + (degree 1)."""
-    mt = mt_cohomology(n, maxdeg)
-    gens = GeneratorSet(mt.generators)
-    killed = []
-    for c, d in mt_generators(n, maxdeg):
-        if len(c) == 1 or d == 1:
-            killed.append(_mu_name(c))
-    dims = quotient_dims(gens, _single_gen_relations(gens, killed), maxdeg)
-    pres = RingPresentation(generators=mt.generators,
-                            relations=tuple(killed), dims=tuple(dims))
-    return pres, dims
+    mts = mt_generators(n, maxdeg)
+    killed = [_mu_name(c) for c, d in mts if len(c) == 1 or d == 1]
+    return _drop_generators([(_mu_name(c), d) for c, d in mts], killed, maxdeg)
 
 
 def _diff_presentation_b(n: int, maxdeg: int) -> tuple[RingPresentation, list[int]]:
@@ -107,21 +103,16 @@ def _diff_presentation_b(n: int, maxdeg: int) -> tuple[RingPresentation, list[in
     placed in degree 4*sum(c) - (2n+1) and truncated at maxdeg.
     Relations: every kappa_{L_m}; every kappa_c containing an index with
     4m <= n; every degree-1 pair kappa_{L_{m0}L_{m1}}, 4(m0+m1) = 2n+2.
+    A killed generator just drops out of the free algebra, so the
+    kappa_c with an index m <= n/4 are never enumerated: the indices
+    start at n//4 + 1.
     """
     shift = 2 * n + 1
-    cs = _multisets_in_degree(1, (shift + maxdeg) // 4, shift, maxdeg)
-    gens_list = tuple((_kappa_name(c), 4 * sum(c) - shift) for c in cs)
-    gens = GeneratorSet(gens_list)
-    killed = []
-    for c in cs:
-        if (len(c) == 1
-                or any(4 * m <= n for m in c)
-                or (len(c) == 2 and 4 * sum(c) == 2 * n + 2)):
-            killed.append(_kappa_name(c))
-    dims = quotient_dims(gens, _single_gen_relations(gens, killed), maxdeg)
-    pres = RingPresentation(generators=gens_list,
-                            relations=tuple(killed), dims=tuple(dims))
-    return pres, dims
+    cs = _multisets_in_degree(n // 4 + 1, (shift + maxdeg) // 4, shift, maxdeg)
+    killed = [_kappa_name(c) for c in cs
+              if len(c) == 1 or (len(c) == 2 and 4 * sum(c) == 2 * n + 2)]
+    return _drop_generators([(_kappa_name(c), 4 * sum(c) - shift) for c in cs],
+                            killed, maxdeg)
 
 
 def _diff_presentation_c(n: int, maxdeg: int,

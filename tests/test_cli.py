@@ -1,3 +1,4 @@
+import csv
 import json
 import pathlib
 
@@ -156,6 +157,29 @@ class TestOutputs:
         assert rows == [(p, q, table[f"({p},{q})"]) for p, q, _ in rows]
         assert len(rows) == len(table) == 10
         assert (0, 3, 2) in rows
+
+    @pytest.mark.parametrize("n", [0, 4, 6])
+    def test_csv_partitions(self, capsys, n):
+        """A header, then one row per partition with its parts in one
+        space-separated field, matching the JSON list."""
+        parts = run_json(capsys, "partitions", str(n))["partitions"]
+        code, out, err = run(capsys, "partitions", str(n), "--format", "csv")
+        assert code == 0, err
+        rows = list(csv.reader(out.splitlines()))
+        assert rows[0] == ["parts"]
+        assert all(len(row) == 1 for row in rows)
+        assert [[int(t) for t in row[0].split()] for row in rows[1:]] == parts
+
+    @pytest.mark.parametrize("ms", ["2,3", "2,3,4"])
+    def test_csv_lambda_product(self, capsys, ms):
+        """A coeff,monomial header, then one row per term of the JSON."""
+        argv = ["lambda-product", "--n", "5", "--M", "4", "--ms", ms]
+        terms = run_json(capsys, *argv)["terms"]
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert code == 0, err
+        rows = list(csv.DictReader(out.splitlines()))
+        assert rows == terms
+        assert len(rows) == (6 if ms == "2,3" else 0)
 
     def test_text_projection(self, capsys):
         code, out, err = run(capsys, "lr", "1", "1", "2", "--format", "text")

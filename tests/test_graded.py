@@ -222,6 +222,23 @@ class TestQuotientDims:
             assert all(c <= p for c, p in zip(cur, prev))
             prev = cur
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_killing_generators_leaves_survivors(self, data):
+        """F(gens)/(killed generators) is the free algebra on the
+        survivors: the span-rank path agrees with their Hilbert series."""
+        bidegree = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(
+            lambda pq: 1 <= sum(pq) <= 4)
+        degs = data.draw(st.lists(bidegree, min_size=1, max_size=5))
+        gens = GeneratorSet([(f"g{i}", pq) for i, pq in enumerate(degs)])
+        killed = data.draw(st.sets(st.sampled_from([g.name for g in gens])))
+        maxdeg = data.draw(st.integers(1, 8))
+        rels = [mono_elem(single(gens, name)) for name in sorted(killed)]
+        survivors = GeneratorSet([(g.name, (g.p, g.q)) for g in gens
+                                  if g.name not in killed])
+        assert (quotient_dims(gens, rels, maxdeg)
+                == fgca_dims(survivors, maxdeg))
+
 
 class TestKoszul:
     def test_acyclic_identity(self):

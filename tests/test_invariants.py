@@ -1,8 +1,10 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
+from tautrings import invariants
 from tautrings.invariants import (
     TensorSpaceSpec,
     _action_rows,
@@ -13,7 +15,7 @@ from tautrings.invariants import (
     sl_invariant_basis,
     verify_fundamental_theorems,
 )
-from tautrings.linalg import rank_of_int_rows, subspace_equal
+from tautrings.linalg import QMatrix, rank_of_int_rows, subspace_equal
 from tautrings.partitions import Partition, schur_product_expand
 
 
@@ -131,6 +133,25 @@ class TestFundamentalTheorems:
     def test_1_1(self):
         rep = verify_fundamental_theorems(1, 1)
         assert (rep.rank, rep.surjective, rep.injective) == (1, True, True)
+
+    @pytest.mark.parametrize("tamper", ["drop", "swap"])
+    def test_wrong_invariant_basis_not_surjective(self, monkeypatch, tamper):
+        """A basis one vector short fails the rank count; one with a
+        vector swapped for the non-invariant tensor e_0^(x3) (x) e_0*^(x3)
+        fails the containment."""
+        real = invariants.gl_invariant_basis
+
+        def tampered(spec):
+            basis = real(spec)
+            cols = [basis.column(j) for j in range(basis.cols)]
+            if tamper == "drop":
+                cols.pop()
+            else:
+                cols[-1] = {0: Fraction(1)}
+            return QMatrix.from_columns(basis.rows, cols)
+
+        monkeypatch.setattr(invariants, "gl_invariant_basis", tampered)
+        assert not verify_fundamental_theorems(3, 2).surjective
 
 
 # every T^{k,l}(Q^g) with k + l <= 5 and g <= 3, and T^{4,4}(Q^3)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tautrings.linalg import (
     QMatrix,
     _eliminate,
+    column_rank,
     kernel_basis_columns,
     random_matrix,
     subspace_equal,
@@ -133,6 +134,31 @@ class TestEliminate:
         assert _gauss_jordan_rank(kernel, ncols) == len(kernel)
 
 
+class TestColumnRank:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 12345), st.integers(1, 12), st.integers(1, 12),
+           st.integers(0, 4))
+    def test_against_gauss_jordan(self, seed, rows, cols, extra):
+        """Tall and wide matrices with fractional entries; b repeats
+        combinations of a's columns, so the joint rank is a's rank."""
+        rng = random.Random(seed)
+        a = QMatrix(rows, cols, {
+            (i, j): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            for i in range(rows) for j in range(cols) if rng.random() < 0.4})
+        mix = QMatrix.from_rows([[rng.randint(-2, 2) for _ in range(extra)]
+                                 for _ in range(cols)]) if extra else None
+        dense = [{j: a[i, j] for j in range(cols)} for i in range(rows)]
+        rank = _gauss_jordan_rank(dense, cols)
+        assert column_rank(a) == a.rank() == rank
+        if mix is not None:
+            assert column_rank(a, a @ mix) == rank
+        assert column_rank(a, QMatrix.identity(rows)) == rows
+
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            column_rank(QMatrix.zeros(2, 1), QMatrix.zeros(3, 1))
+
+
 class TestSubspaceEqual:
     def test_reflexive(self):
         b = QMatrix.from_rows([[1, 0], [1, 1]])
@@ -167,8 +193,9 @@ class TestExactness:
         with pytest.raises(ValueError):
             QMatrix.zeros(2, 3) @ QMatrix.zeros(2, 3)
 
-    def test_hstack_transpose(self):
+    def test_hstack(self):
         a = QMatrix.from_rows([[1, 2]])
         b = QMatrix.from_rows([[3]])
-        assert a.hstack(b).to_lists() == [[1, 2, 3]]
-        assert a.transpose().to_lists() == [[1], [2]]
+        ab = a.hstack(b)
+        assert (ab.rows, ab.cols) == (1, 3)
+        assert [ab[0, j] for j in range(3)] == [1, 2, 3]

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from tautrings.graded import GeneratorSet, fgca_dims
@@ -93,6 +95,21 @@ class TestDiff:
         assert ("k2_2", 1) not in strict.generators
         with pytest.raises(OracleMismatch, match="degree 1"):
             diff_cohomology(7, 4, min_pair_degree=1)
+
+
+@pytest.mark.slow
+class TestDiffLadder:
+    def test_presentations_agree_to_60(self):
+        for n in range(4, 61):
+            res = diff_cohomology(n, n - 3)
+            assert (res.presentation_a.dims == res.presentation_b.dims
+                    == res.presentation_c.dims == res.dims)
+
+    def test_n60_under_a_second(self):
+        t0 = time.perf_counter()
+        res = diff_cohomology(60, 57)
+        assert time.perf_counter() - t0 < 1.0
+        assert res.dims[1] == 0
 
 
 class TestBlockDiff:
