@@ -27,7 +27,6 @@ from .graded import (
     GeneratorSet,
     fgca_dims,
     koszul_cohomology_dims,
-    monomial_basis,
     quotient_dims,
 )
 from .model import (
@@ -59,7 +58,7 @@ __all__ = [
     "schur_product_expand", "QMatrix", "subspace_equal", "TensorSpaceSpec",
     "gl_invariant_basis", "sl_invariant_basis", "sigma_matrix",
     "verify_fundamental_theorems", "GeneratorSet", "BigradedDGA",
-    "fgca_dims", "monomial_basis", "quotient_dims",
+    "fgca_dims", "quotient_dims",
     "koszul_cohomology_dims", "ModelParams", "PaperGradedSpaces",
     "ACAlgebraSpec", "OracleMismatch", "minimal_M", "build_spaces",
     "build_D_dga", "e3_zero_column", "ac_invariant_dims_bruteforce",

@@ -227,13 +227,18 @@ def _read_map_file(path: str) -> QMatrix:
             f"got {len(body)}")
     entries = {}
     for idx, tok in enumerate(body):
-        v = Fraction(tok)
+        try:
+            v = Fraction(tok)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"map file {path}: bad entry {tok!r}") from None
         if v:
             entries[(idx // cols, idx % cols)] = v
     return QMatrix(rows, cols, entries)
 
 
 def _cmd_koszul(args) -> dict:
+    if args.maxdeg < 0:
+        raise ValueError(f"requires maxdeg >= 0 (got {args.maxdeg})")
     F = _read_map_file(args.map_file)
     dims = koszul_cohomology_dims(F, args.maxdeg)
     rank = F.rank()

@@ -217,35 +217,6 @@ def apply_derivation(gens: GeneratorSet, dvals: dict[int, dict], mono) -> dict:
     return out
 
 
-def substitute_generator(gens: GeneratorSet, mono, i: int, j: int):
-    """Replace one occurrence of generator i by generator j (same parity),
-    as an ungraded derivation slot move.  Returns (coeff, monomial) or None.
-
-    Used for Lie-algebra actions: no Koszul signs, but moving an odd letter
-    to its canonical slot picks up the wedge reordering sign.
-    """
-    if mono[i] == 0:
-        return None
-    if i == j:
-        lst = list(mono)
-        return mono[i], tuple(lst)
-    gi, gj = gens[i], gens[j]
-    if gi.odd != gj.odd:
-        raise ValueError("parity mismatch in substitution")
-    if gi.odd and mono[j]:
-        return None
-    lst = list(mono)
-    lst[i] -= 1
-    lst[j] += 1
-    coeff = mono[i]
-    if gi.odd:
-        lo, hi = (i, j) if i < j else (j, i)
-        between = sum(mono[k] for k in range(lo + 1, hi) if gens[k].odd)
-        if between % 2:
-            coeff = -coeff
-    return coeff, tuple(lst)
-
-
 def fgca_dims(gens: GeneratorSet, maxdeg: int) -> list[int]:
     """Hilbert series coefficients of the free graded-commutative algebra."""
     series = [0] * (maxdeg + 1)
@@ -261,10 +232,6 @@ def fgca_dims(gens: GeneratorSet, maxdeg: int) -> list[int]:
             for k in range(d, maxdeg + 1):
                 series[k] += series[k - d]
     return series
-
-
-def monomial_basis(gens: GeneratorSet, degree: int) -> list[tuple[int, ...]]:
-    return gens.monomials_total(degree)
 
 
 def span_rank(rows) -> int:

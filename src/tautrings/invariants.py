@@ -1,26 +1,39 @@
-"""Brute-force invariant theory on mixed tensor powers of Q^g.
+"""Invariant theory by Lie-algebra kernels: the one raising-operator core,
+and brute-force invariants of mixed tensor powers of Q^g.
+
+The core works on a free graded-commutative algebra whose letters carry
+indices: an `Alphabet` lists each letter's indices in N = Q^g and in the
+dual N^v, whether it is exterior, and whether a two-index letter is
+symmetric or alternating.  From that alone it derives each letter's torus
+weight and its images under E_rs, and `_action_rows` applies E_rs as a
+derivation to basis elements stored as sorted tuples of letter ids.  The
+tensor invariants here, the trigraded cell counts and the second-page
+oracle in model only list their letters and a weight-restricted basis.
 
 Invariants under GL_g (resp. SL_g) are computed as a joint kernel of the
 infinitesimal gl_g action; over Q this kernel coincides with the group
-invariants for the rational representations at hand.  Basis tensors are
+invariants for the rational representations at hand.  Basis elements are
 weight vectors for the diagonal torus, so the computation first restricts
 to the relevant weight subspace: weight 0 for GL_g, constant weight
 (c, ..., c), i.e. sl_g-weight 0, for SL_g.
 
 On that subspace only the simple raising operators E_{r,r+1}, r < g - 1,
-are stacked, not all g(g - 1) operators E_rs.  This is exact: T^{k,l}(Q^g)
-is a finite-dimensional gl_g-module over Q, hence completely reducible, so
-a vector of sl_g-weight 0 killed by every E_{r,r+1} is a highest-weight
+are stacked, not all g(g - 1) operators E_rs.  This is exact: each cell
+is a finite-dimensional gl_g-module over Q, hence completely reducible,
+so a vector of sl_g-weight 0 killed by every E_{r,r+1} is a highest-weight
 vector of weight 0 and spans a trivial summand, which every E_rs kills.
-The all-pairs system stays in the tests as the oracle.
+The all-pairs systems stay in the tests as the oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
+from typing import NamedTuple
 
 from .linalg import QMatrix, column_rank, kernel_basis_columns
 
@@ -105,51 +118,155 @@ def _weight_words(spec: TensorSpaceSpec,
     return out
 
 
+class Letter(NamedTuple):
+    """A letter of a free graded-commutative algebra on which gl_g acts.
+
+    `up` lists its indices in N = Q^g and `down` its indices in the dual
+    N^v; letters with the same tag differ only in their indices.  An
+    exterior letter squares to zero and anticommutes with the other
+    exterior letters.  A letter with several indices of one kind is
+    symmetric or alternating in them (x_ji = x_ij or x_ji = -x_ij) and is
+    listed once, with those indices sorted.
+    """
+
+    tag: object
+    up: tuple[int, ...] = ()
+    down: tuple[int, ...] = ()
+    exterior: bool = False
+    alternating: bool = False
+
+
+def _sorted_sign(idx: tuple[int, ...], alternating: bool):
+    """(sign, sorted indices) of a letter written with the indices idx, or
+    None when an alternating letter repeats an index."""
+    ordered = tuple(sorted(idx))
+    if not alternating:
+        return 1, ordered
+    if len(set(idx)) < len(idx):
+        return None
+    inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
+    return (-1) ** inversions, ordered
+
+
+class Alphabet:
+    """An ordered list of letters.  A basis element of the algebra is the
+    sorted tuple of the positions (ids) of its letters."""
+
+    def __init__(self, g: int, letters):
+        self.g = g
+        self.letters = tuple(letters)
+        self.exterior = tuple(a.exterior for a in self.letters)
+        self._id = {(a.tag, a.up, a.down): i
+                    for i, a in enumerate(self.letters)}
+
+    def weight(self, elt) -> tuple[int, ...]:
+        """Torus weight of a basis element: +1 per N index, -1 per N^v
+        index."""
+        w = [0] * self.g
+        for a in elt:
+            letter = self.letters[a]
+            for i in letter.up:
+                w[i] += 1
+            for i in letter.down:
+                w[i] -= 1
+        return tuple(w)
+
+    def images(self, r: int, s: int) -> list[tuple[tuple[int, int], ...]]:
+        """E_rs on each letter, as (coefficient, letter id) terms.
+
+        E_rs sends e_s to e_r in N and e^r to -e^s in N^v, one index at a
+        time.
+        """
+        table = []
+        for a in self.letters:
+            terms = []
+            for t, i in enumerate(a.up):
+                if i == s:
+                    moved = _sorted_sign(a.up[:t] + (r,) + a.up[t + 1:],
+                                         a.alternating)
+                    if moved:
+                        c, up = moved
+                        terms.append((c, self._id[a.tag, up, a.down]))
+            for t, i in enumerate(a.down):
+                if i == r:
+                    moved = _sorted_sign(a.down[:t] + (s,) + a.down[t + 1:],
+                                         a.alternating)
+                    if moved:
+                        c, down = moved
+                        terms.append((-c, self._id[a.tag, a.up, down]))
+            table.append(tuple(terms))
+        return table
+
+
 def raising_pairs(g: int) -> list[tuple[int, int]]:
     """The simple raising operators E_{r,r+1} of gl_g, as (r, s) pairs."""
     return [(r, r + 1) for r in range(g - 1)]
 
 
-def _action_rows(spec: TensorSpaceSpec, words: list[tuple[int, ...]],
+def _action_rows(alphabet: Alphabet, basis,
                  pairs: list[tuple[int, int]]) -> list[dict[int, int]]:
-    """Rows of the stacked E_{rs} actions restricted to the given words.
+    """Rows of the stacked E_rs actions on the span of basis, an iterable
+    of sorted tuples of letter ids.
 
-    E_{rs} sends a_s -> a_r on covariant slots and a^r -> -a^s on
-    contravariant slots.  Rows are indexed by (r, s, image word).
+    E_rs acts as a derivation: it replaces one letter a at a time by an
+    image b.  An exterior b that already occurs kills the term; otherwise
+    moving b to its sorted place costs one sign per exterior letter
+    strictly between a and b.  Rows are indexed by (r, s, image) in the
+    order first seen; entries that cancel are dropped.
     """
-    k = spec.k
+    exterior = alphabet.exterior
+    tables = [(r, s, alphabet.images(r, s)) for r, s in pairs]
     rows: dict[tuple, dict[int, int]] = {}
-    for j, word in enumerate(words):
-        for r, s in pairs:
-            for pos, i in enumerate(word):
-                if pos < k and i == s:
-                    img = word[:pos] + (r,) + word[pos + 1:]
+    for j, elt in enumerate(basis):
+        for r, s, table in tables:
+            for pos, a in enumerate(elt):
+                terms = table[a]
+                if not terms:
+                    continue
+                others = elt[:pos] + elt[pos + 1:]
+                for c, b in terms:
+                    k = bisect_left(others, b)
+                    if exterior[b]:
+                        if k < len(others) and others[k] == b:
+                            continue
+                        lo, hi = ((bisect_right(others, a), k) if a < b
+                                  else (k, bisect_left(others, a)))
+                        if sum(exterior[o] for o in others[lo:hi]) % 2:
+                            c = -c
+                    img = others[:k] + (b,) + others[k:]
                     d = rows.setdefault((r, s, img), {})
-                    d[j] = d.get(j, 0) + 1
-                elif pos >= k and i == r:
-                    img = word[:pos] + (s,) + word[pos + 1:]
-                    d = rows.setdefault((r, s, img), {})
-                    d[j] = d.get(j, 0) - 1
+                    v = d.get(j, 0) + c
+                    if v:
+                        d[j] = v
+                    else:
+                        del d[j]
     return [d for d in rows.values() if d]
+
+
+def _tensor_alphabet(spec: TensorSpaceSpec) -> Alphabet:
+    """Letter pos*g + i is index i in slot pos: in N for the k covariant
+    slots, in N^v for the l contravariant ones."""
+    k, g = spec.k, spec.g
+    return Alphabet(g, [Letter(pos, (i,)) if pos < k else Letter(pos, (), (i,))
+                        for pos in range(k + spec.l) for i in range(g)])
 
 
 def _invariant_basis(spec: TensorSpaceSpec, group: str) -> QMatrix:
     spec.check_guard()
     k, l, g = spec.k, spec.l, spec.g
-    if group == "GL":
-        # all E_{rr} eigenvalues must vanish
-        words = _weight_words(spec, tuple([0] * g))
-    elif group == "SL":
-        # constant weight (c, ..., c); possible only when g divides k - l
-        if (k - l) % g != 0:
-            return QMatrix(spec.dim, 0)
-        c = (k - l) // g
-        words = _weight_words(spec, tuple([c] * g))
-    else:
+    if group not in ("GL", "SL"):
         raise ValueError(f"unknown group {group!r}")
+    # constant weight (c, ..., c), so g must divide k - l; GL needs c = 0,
+    # i.e. every E_{rr} eigenvalue vanishes
+    if (k - l) % g or (group == "GL" and k != l):
+        return QMatrix(spec.dim, 0)
+    words = _weight_words(spec, ((k - l) // g,) * g)
     if not words:
         return QMatrix(spec.dim, 0)
-    rows = _action_rows(spec, words, raising_pairs(g))
+    offsets = range(0, (k + l) * g, g)
+    rows = _action_rows(_tensor_alphabet(spec),
+                        (tuple(map(add, offsets, w)) for w in words),
+                        raising_pairs(g))
     kernel = kernel_basis_columns(rows, len(words))
     cols = []
     for vec in kernel:

@@ -23,15 +23,21 @@ from fractions import Fraction
 
 from .graded import (
     BigradedDGA,
+    DgaError,
     GeneratorSet,
     elem_add,
     elem_mul,
     fgca_dims,
     mono_elem,
     span_rank,
-    substitute_generator,
 )
-from .invariants import raising_pairs
+from .invariants import (
+    Alphabet,
+    Letter,
+    _action_rows,
+    _sorted_sign,
+    raising_pairs,
+)
 from .linalg import kernel_basis_columns, rank_of_int_rows
 
 # cap on the dimension of any single brute-force cell
@@ -239,44 +245,17 @@ class ACAlgebraSpec:
             raise ValueError("requires positive g, dimW, dimU")
 
 
-def _x_letters(spec: ACAlgebraSpec) -> list[tuple[int, int]]:
-    if spec.variant == "A":
-        return [(i, j) for i in range(spec.g) for j in range(i, spec.g)]
-    return [(i, j) for i in range(spec.g) for j in range(i + 1, spec.g)]
-
-
-def _canonical_pair(spec_variant: str, u: int, v: int):
-    """Canonical (letter, sign) for the L^2-letter with slots (u, v)."""
-    if spec_variant == "A":
-        return ((min(u, v), max(u, v)), 1)
-    if u == v:
-        return None
-    if u < v:
-        return ((u, v), 1)
-    return ((v, u), -1)
-
-
-def _multiset_basis(nletters: int, size: int):
-    return itertools.combinations_with_replacement(range(nletters), size)
-
-
-def _set_basis(nletters: int, size: int):
-    return itertools.combinations(range(nletters), size)
-
-
-def _replace_sym(elt: tuple, pos: int, new: int) -> tuple:
-    return tuple(sorted(elt[:pos] + elt[pos + 1:] + (new,)))
-
-
-def _replace_ext(elt: tuple, pos: int, new: int):
-    """(sign, sorted tuple) or None if the new letter already occurs."""
-    others = elt[:pos] + elt[pos + 1:]
-    if new in others:
-        return None
-    old = elt[pos]
-    lo, hi = (old, new) if old < new else (new, old)
-    crossings = sum(1 for o in others if lo < o < hi)
-    return (-1 if crossings % 2 else 1), tuple(sorted(others + (new,)))
+def _ac_alphabet(spec: ACAlgebraSpec) -> Alphabet:
+    """The x letters of S^2 N or Lambda^2 N, then the y letters of N (x) W,
+    then the z letters of N^v (x) U."""
+    g, is_a = spec.g, spec.variant == "A"
+    return Alphabet(g, [
+        *(Letter("x", (i, j), alternating=not is_a)
+          for i in range(g) for j in range(i if is_a else i + 1, g)),
+        *(Letter(("y", w), (i,), exterior=not is_a)
+          for i in range(g) for w in range(spec.dimW)),
+        *(Letter(("z", u), (), (i,), exterior=is_a)
+          for i in range(g) for u in range(spec.dimU))])
 
 
 def ac_invariant_dims_bruteforce(spec: ACAlgebraSpec, p: int, q: int, r: int,
@@ -293,133 +272,57 @@ def ac_invariant_dims_bruteforce(spec: ACAlgebraSpec, p: int, q: int, r: int,
         raise ValueError("requires nonnegative p, q, r")
     if group not in ("GL", "SL"):
         raise ValueError(f"unknown group {group!r}")
-    g = spec.g
-    xl = _x_letters(spec)
-    yl = [(i, a) for i in range(g) for a in range(spec.dimW)]
-    zl = [(i, b) for i in range(g) for b in range(spec.dimU)]
-    x_sym = True
-    y_sym = spec.variant == "A"
-    z_sym = spec.variant == "C"
+    g, is_a = spec.g, spec.variant == "A"
+    nx, ny = (g * (g + 1) if is_a else g * (g - 1)) // 2, g * spec.dimW
+    # (first letter id, letter count, size, exterior) of the x, y and z
+    # factors
+    factors = ((0, nx, p, False), (nx, ny, q, not is_a),
+               (nx + ny, g * spec.dimU, r, is_a))
 
-    def count(nlet, size, sym):
-        if sym:
-            if nlet == 0:
-                return 1 if size == 0 else 0
-            return math.comb(nlet + size - 1, size)
-        return math.comb(nlet, size)
+    def count(_lo, nlet, size, exterior):
+        if exterior:
+            return math.comb(nlet, size)
+        if nlet == 0:
+            return 1 if size == 0 else 0
+        return math.comb(nlet + size - 1, size)
 
-    dim = (count(len(xl), p, x_sym) * count(len(yl), q, y_sym)
-           * count(len(zl), r, z_sym))
+    dim = math.prod(count(*f) for f in factors)
     if dim == 0:
         return 0
     if dim > CELL_CAP:
         raise ValueError(f"cell dimension {dim} exceeds cap {CELL_CAP}")
 
-    # every basis element has total torus weight summing to 2p + q - r
+    # every basis element has total torus weight summing to 2p + q - r;
+    # the target is (c, ..., c), with c = 0 for GL
     wsum = 2 * p + q - r
-    if group == "GL":
-        if wsum != 0:
-            return 0
-        target = (0,) * g
-    else:
-        if wsum % g != 0:
-            return 0
-        c = wsum // g
-        target = (c,) * g
+    if wsum % g or (group == "GL" and wsum):
+        return 0
+    target = (wsum // g,) * g
 
-    def weights(factor_basis, letter_weight):
-        out = []
-        for letters in factor_basis:
-            w = [0] * g
-            for li in letters:
-                for i, e in letter_weight[li]:
-                    w[i] += e
-            out.append(tuple(w))
-        return out
+    alphabet = _ac_alphabet(spec)
 
-    xbasis = list(_multiset_basis(len(xl), p) if x_sym else _set_basis(len(xl), p))
-    ybasis = list(_multiset_basis(len(yl), q) if y_sym else _set_basis(len(yl), q))
-    zbasis = list(_multiset_basis(len(zl), r) if z_sym else _set_basis(len(zl), r))
-    xw = weights(xbasis, [((i, 1), (j, 1)) for i, j in xl])
-    yw = weights(ybasis, [((i, 1),) for i, _ in yl])
+    def factor_basis(lo, nlet, size, exterior):
+        choose = (itertools.combinations if exterior
+                  else itertools.combinations_with_replacement)
+        return [(fs, alphabet.weight(fs))
+                for fs in choose(range(lo, lo + nlet), size)]
+
+    xbasis, ybasis, zbasis = (factor_basis(*f) for f in factors)
     # z factors grouped by weight, each group in basis order, so the cell
     # basis below keeps the (x, y, z) product order
     z_by_weight: dict[tuple[int, ...], list] = {}
-    for zs, wz in zip(zbasis, weights(zbasis, [((i, -1),) for i, _ in zl])):
+    for zs, wz in zbasis:
         z_by_weight.setdefault(wz, []).append(zs)
     basis = [
-        (xs, ys, zs)
-        for xs, wx in zip(xbasis, xw) for ys, wy in zip(ybasis, yw)
+        xs + ys + zs
+        for xs, wx in xbasis for ys, wy in ybasis
         for zs in z_by_weight.get(
             tuple(t - a - b for t, a, b in zip(target, wx, wy)), ())
     ]
     if not basis:
         return 0
-
-    xind = {l: i for i, l in enumerate(xl)}
-    yind = {l: i for i, l in enumerate(yl)}
-    zind = {l: i for i, l in enumerate(zl)}
-
-    def x_images(li, rr, ss):
-        i, j = xl[li]
-        out = []
-        if i == ss:
-            c = _canonical_pair(spec.variant, rr, j)
-            if c:
-                out.append((xind[c[0]], c[1]))
-        if j == ss:
-            c = _canonical_pair(spec.variant, i, rr)
-            if c:
-                out.append((xind[c[0]], c[1]))
-        return out
-
-    def y_images(li, rr, ss):
-        i, a = yl[li]
-        return [(yind[(rr, a)], 1)] if i == ss else []
-
-    def z_images(li, rr, ss):
-        i, b = zl[li]
-        return [(zind[(ss, b)], -1)] if i == rr else []
-
-    rows: dict[tuple, dict[int, int]] = {}
-
-    def add(key, col, coeff):
-        if coeff:
-            d = rows.setdefault(key, {})
-            d[col] = d.get(col, 0) + coeff
-            if not d[col]:
-                del d[col]
-
-    pairs = raising_pairs(g)
-    for col, (xs, ys, zs) in enumerate(basis):
-        for rr, ss in pairs:
-            for pos in range(len(xs)):
-                for new, coeff in x_images(xs[pos], rr, ss):
-                    img = (_replace_sym(xs, pos, new), ys, zs)
-                    add((rr, ss, img), col, coeff)
-            for pos in range(len(ys)):
-                for new, coeff in y_images(ys[pos], rr, ss):
-                    if y_sym:
-                        img = (xs, _replace_sym(ys, pos, new), zs)
-                    else:
-                        rep = _replace_ext(ys, pos, new)
-                        if rep is None:
-                            continue
-                        coeff *= rep[0]
-                        img = (xs, rep[1], zs)
-                    add((rr, ss, img), col, coeff)
-            for pos in range(len(zs)):
-                for new, coeff in z_images(zs[pos], rr, ss):
-                    if z_sym:
-                        img = (xs, ys, _replace_sym(zs, pos, new))
-                    else:
-                        rep = _replace_ext(zs, pos, new)
-                        if rep is None:
-                            continue
-                        coeff *= rep[0]
-                        img = (xs, ys, rep[1])
-                    add((rr, ss, img), col, coeff)
-    return len(basis) - rank_of_int_rows([d for d in rows.values() if d])
+    rows = _action_rows(alphabet, basis, raising_pairs(g))
+    return len(basis) - rank_of_int_rows(rows)
 
 
 def ac_invariant_dims_formula(spec: ACAlgebraSpec, p: int, q: int) -> int:
@@ -471,59 +374,26 @@ class E2Model:
 
     def __init__(self, n: int, g: int, M: int):
         self.n, self.g, self.M = n, g, M
-        gens_list: list[tuple[str, tuple[int, int]]] = []
-        kind_by_name: dict[str, tuple] = {}
-        if n % 2 == 0:
-            xpairs = [(i, j) for i in range(g) for j in range(i, g)]
-        else:
-            xpairs = [(i, j) for i in range(g) for j in range(i + 1, g)]
-        for i, j in xpairs:
-            name = f"x_{i}_{j}"
-            gens_list.append((name, (2, 0)))
-            kind_by_name[name] = ("x", (i, j))
+        gens: dict[str, tuple[tuple[int, int], Letter]] = {}
+        for i in range(g):
+            for j in range(i if n % 2 == 0 else i + 1, g):
+                gens[f"x_{i}_{j}"] = (
+                    (2, 0), Letter("x", (i, j), alternating=n % 2 == 1))
         for m in w_range(n, M):
             for i in range(g):
-                name = f"la_{i}_{m}"
-                gens_list.append((name, (0, 4 * m - n)))
-                kind_by_name[name] = ("a", (i, m))
+                gens[f"la_{i}_{m}"] = ((0, 4 * m - n), Letter(("a", m), (i,)))
         for m in u_range(n, M):
             for i in range(g):
-                name = f"lb_{i}_{m}"
-                gens_list.append((name, (0, 4 * m - n - 1)))
-                kind_by_name[name] = ("b", (i, m))
+                gens[f"lb_{i}_{m}"] = (
+                    (0, 4 * m - n - 1), Letter(("b", m), (), (i,)))
         for m in v_range(n, M):
-            name = f"lu_{m}"
-            gens_list.append((name, (0, 4 * m - 2 * n - 1)))
-            kind_by_name[name] = ("u", (m,))
-        self.gens = GeneratorSet(gens_list)
-        self.kind = [kind_by_name[gg.name] for gg in self.gens]
-        self.weights = [self._gen_weight(k) for k in self.kind]
+            gens[f"lu_{m}"] = ((0, 4 * m - 2 * n - 1), Letter(("u", m)))
+        self.gens = GeneratorSet(
+            (name, deg) for name, (deg, _) in gens.items())
+        # one letter per generator, in GeneratorSet order
+        self.alphabet = Alphabet(g, [
+            gens[gg.name][1]._replace(exterior=gg.odd) for gg in self.gens])
         self.dga = BigradedDGA(self.gens, self._differential())
-
-    def _gen_weight(self, kind) -> tuple[int, ...]:
-        w = [0] * self.g
-        tag, data = kind
-        if tag == "x":
-            i, j = data
-            w[i] += 1
-            w[j] += 1
-        elif tag == "a":
-            w[data[0]] += 1
-        elif tag == "b":
-            w[data[0]] -= 1
-        return tuple(w)
-
-    def x_index(self, u: int, v: int):
-        """Index and sign of the canonical generator for x_{uv}."""
-        n = self.n
-        if n % 2 == 0:
-            a, b = (u, v) if u <= v else (v, u)
-            return self.gens.index[f"x_{a}_{b}"], 1
-        if u == v:
-            return None
-        if u < v:
-            return self.gens.index[f"x_{u}_{v}"], 1
-        return self.gens.index[f"x_{v}_{u}"], -1
 
     def _differential(self) -> dict[str, dict]:
         n, g = self.n, self.g
@@ -535,61 +405,18 @@ class E2Model:
             for j in range(g):
                 val: dict = {}
                 for i in range(g):
-                    xi = self.x_index(i, j)
-                    if xi is None:
+                    # x_{ij} is a sign times the generator x_{ab}, a <= b
+                    x = _sorted_sign((i, j), n % 2 == 1)
+                    if x is None:
                         continue
+                    sign, (a, b) = x
                     mono = [0] * len(self.gens)
-                    mono[xi[0]] = 1
+                    mono[self.gens.index[f"x_{a}_{b}"]] = 1
                     mono[self.gens.index[f"lb_{i}_{m}"]] = 1
-                    val[tuple(mono)] = lead * xi[1]
+                    val[tuple(mono)] = lead * sign
                 if val:
                     diff[f"la_{j}_{m}"] = val
         return diff
-
-    def mono_weight(self, mono) -> tuple[int, ...]:
-        w = [0] * self.g
-        for i, e in enumerate(mono):
-            if e:
-                for t in range(self.g):
-                    w[t] += e * self.weights[i][t]
-        return tuple(w)
-
-    def lie_action(self, mono, rr: int, ss: int) -> list[tuple[int, tuple]]:
-        """E_{rr,ss} applied to a monomial: list of (coeff, monomial)."""
-        out = []
-        for i, e in enumerate(mono):
-            if not e:
-                continue
-            tag, data = self.kind[i]
-            if tag == "x":
-                a, b = data
-                for slot_is_first in (True, False):
-                    src = a if slot_is_first else b
-                    other = b if slot_is_first else a
-                    if src != ss:
-                        continue
-                    xi = self.x_index(rr, other) if slot_is_first \
-                        else self.x_index(other, rr)
-                    if xi is None:
-                        continue
-                    res = substitute_generator(self.gens, mono, i, xi[0])
-                    if res:
-                        out.append((res[0] * xi[1], res[1]))
-            elif tag == "a":
-                ii, m = data
-                if ii == ss:
-                    tgt = self.gens.index[f"la_{rr}_{m}"]
-                    res = substitute_generator(self.gens, mono, i, tgt)
-                    if res:
-                        out.append((res[0], res[1]))
-            elif tag == "b":
-                ii, m = data
-                if ii == rr:
-                    tgt = self.gens.index[f"lb_{ss}_{m}"]
-                    res = substitute_generator(self.gens, mono, i, tgt)
-                    if res:
-                        out.append((-res[0], res[1]))
-        return out
 
     def sl_invariant_vectors(self, p: int, q: int) -> list[dict]:
         """Basis of the SL-invariants of the (p, q) cell, as elements.
@@ -598,22 +425,22 @@ class E2Model:
         of constant weight (c, ..., c); see invariants for why these
         operators suffice.
         """
-        monos = [m for m in self.gens.monomials_bidegree(p, q)
-                 if len(set(self.mono_weight(m))) <= 1]
-        if not monos:
+        monos, basis = [], []
+        for mono in self.gens.monomials_bidegree(p, q):
+            elt = mono_letters(mono)
+            if len(set(self.alphabet.weight(elt))) <= 1:
+                monos.append(mono)
+                basis.append(elt)
+        if not basis:
             return []
-        rows: dict[tuple, dict[int, int]] = {}
-        pairs = raising_pairs(self.g)
-        for j, mono in enumerate(monos):
-            for rr, ss in pairs:
-                for coeff, img in self.lie_action(mono, rr, ss):
-                    d = rows.setdefault((rr, ss, img), {})
-                    d[j] = d.get(j, 0) + coeff
-                    if not d[j]:
-                        del d[j]
-        kernel = kernel_basis_columns(
-            [d for d in rows.values() if d], len(monos))
+        rows = _action_rows(self.alphabet, basis, raising_pairs(self.g))
+        kernel = kernel_basis_columns(rows, len(basis))
         return [{monos[j]: v for j, v in vec.items()} for vec in kernel]
+
+
+def mono_letters(mono) -> tuple[int, ...]:
+    """An exponent tuple as the sorted tuple of its generator indices."""
+    return tuple(i for i, e in enumerate(mono) for _ in range(e))
 
 
 def e2_bruteforce_oracle(params: ModelParams) -> dict[tuple[int, int], int]:
@@ -631,13 +458,11 @@ def e2_bruteforce_oracle(params: ModelParams) -> dict[tuple[int, int], int]:
     model = E2Model(n, g, params.M)
 
     # d2 must square to zero on every generator
-    for i in range(len(model.gens)):
-        mono = [0] * len(model.gens)
-        mono[i] = 1
-        dd = model.dga.d(model.dga.d(mono_elem(tuple(mono))))
-        if dd:
-            raise OracleMismatch(
-                f"d2^2 != 0 on generator {model.gens[i].name}")
+    try:
+        model.dga.check_d_squared_on_generators(
+            max(gg.total for gg in model.gens))
+    except DgaError as exc:
+        raise OracleMismatch(str(exc)) from None
 
     maxdeg = params.maxdeg
     invdim: dict[tuple[int, int], int] = {}

@@ -1,6 +1,10 @@
 """Cohomology ring presentations: the Thom-spectrum ring, the
-diffeomorphism-group ring via three independent presentations, and the
+diffeomorphism-group ring via three presentations, and the
 block-diffeomorphism / tangential stages.
+
+Presentation c of the diffeomorphism-group ring is its independent check;
+a and b keep the same multisets by the same rule (ceil((n+1)/4) =
+n//4 + 1), so their agreement checks the naming and the bound arithmetic.
 
 All answers are exterior algebras in the computed range; presentations
 are stored as generators plus the names of the generators they kill, and
@@ -148,7 +152,9 @@ def diff_cohomology(n: int, maxdeg: int, g: int | None = None,
 
     The three presentations (Thom-spectrum quotient, desuspended-algebra
     quotient, exterior algebra on pair generators) must agree degreewise;
-    a mismatch raises OracleMismatch naming the degree.
+    a mismatch raises OracleMismatch naming the degree.  Only c is
+    independent mathematics: a and b keep the same generators by the same
+    rule, so they check the naming and the bound arithmetic.
     """
     if n < 4:
         raise ValueError(f"requires n >= 4 (got n={n})")

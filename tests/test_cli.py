@@ -111,6 +111,23 @@ class TestKoszul:
         assert code == 1
         assert "entries" in err
 
+    def test_zero_denominator_entry(self, capsys, tmp_path):
+        path = tmp_path / "map.txt"
+        path.write_text("1 2\n1/0 1\n")
+        code, out, err = run(capsys, "koszul", "--map-file", str(path))
+        assert code == 1
+        assert err.startswith("error:")
+        assert str(path) in err and "1/0" in err
+
+    def test_negative_maxdeg(self, capsys, tmp_path):
+        path = tmp_path / "map.txt"
+        path.write_text("1 2\n1 1\n")
+        code, out, err = run(capsys, "koszul", "--map-file", str(path),
+                             "--maxdeg", "-1")
+        assert code == 1
+        assert err.startswith("error:")
+        assert "maxdeg >= 0" in err
+
 
 class TestExitCodes:
     def test_invalid_params_names_bound(self, capsys):

@@ -8,6 +8,7 @@ from tautrings import invariants
 from tautrings.invariants import (
     TensorSpaceSpec,
     _action_rows,
+    _tensor_alphabet,
     _weight_words,
     _word_index,
     gl_invariant_basis,
@@ -199,7 +200,9 @@ class TestRaisingOperators:
                 target = ((k - l) // g,) * g
             words = _weight_words(spec, target)
             all_pairs = [(r, s) for r in range(g) for s in range(g) if r != s]
-            rows = _action_rows(spec, words, all_pairs)
+            letters = [tuple(pos * g + i for pos, i in enumerate(w))
+                       for w in words]
+            rows = _action_rows(_tensor_alphabet(spec), letters, all_pairs)
             assert basis.cols == len(words) - rank_of_int_rows(rows)
             position = {_word_index(w, g): j for j, w in enumerate(words)}
             columns = [{} for _ in range(basis.cols)]

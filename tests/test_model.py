@@ -1,6 +1,11 @@
+import math
+from functools import lru_cache
+
 import pytest
 
+from tautrings import model
 from tautrings.graded import GeneratorSet, fgca_dims, mono_elem
+from tautrings.invariants import _action_rows
 from tautrings.model import (
     ACAlgebraSpec,
     E2Model,
@@ -16,6 +21,7 @@ from tautrings.model import (
     gh_target_dims,
     lambda_relations,
     minimal_M,
+    mono_letters,
 )
 
 
@@ -161,6 +167,132 @@ class TestACInvariants:
         assert ac_invariant_dims_bruteforce(spec, 0, 1, 0, group="SL") == 0
 
 
+def _laurent_mul(a, b):
+    """Product of Laurent polynomials stored as {exponent tuple: int}."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _power_character(g, weights, degree, exterior):
+    """Character of Lambda^degree (e_degree) or S^degree (h_degree) of the
+    representation whose weights, with multiplicity, are given."""
+    parts = [{(0,) * g: 1}] + [{} for _ in range(degree)]
+    for w in weights:
+        # e_d gains w * e_{d-1} (old); h_d gains w * h_{d-1} (new)
+        for d in range(degree, 0, -1) if exterior else range(1, degree + 1):
+            for e, c in _laurent_mul(parts[d - 1], {w: 1}).items():
+                parts[d][e] = parts[d].get(e, 0) + c
+    return parts[degree]
+
+
+@lru_cache(maxsize=None)
+def _weyl_density(g):
+    """prod over i != j of (1 - x_i / x_j), as a Laurent polynomial."""
+    out = {(0,) * g: 1}
+    for i in range(g):
+        for j in range(g):
+            if i != j:
+                root = tuple((t == i) - (t == j) for t in range(g))
+                out = _laurent_mul(out, {(0,) * g: 1, root: -1})
+    return out
+
+
+def _weyl_invariant_dim(spec, p, q, r, group):
+    """dim V^G = (1/g!) CT[chi_V * (x_1...x_g)^(-c) * prod_{i!=j}(1 - x_i/x_j)]
+    with c = 0 for GL and c = (2p+q-r)/g for SL (Weyl integration formula,
+    Fulton-Harris section 26); the characters use only the letters'
+    weights."""
+    g, is_a = spec.g, spec.variant == "A"
+    wsum = 2 * p + q - r
+    if group == "SL" and wsum % g:
+        return 0
+    unit = [tuple(int(t == i) for t in range(g)) for i in range(g)]
+    x = [tuple(a + b for a, b in zip(unit[i], unit[j]))
+         for i in range(g) for j in range(i if is_a else i + 1, g)]
+    y = unit * spec.dimW
+    z = [tuple(-t for t in u) for u in unit] * spec.dimU
+    chi = _laurent_mul(
+        _laurent_mul(_power_character(g, x, p, False),
+                     _power_character(g, y, q, not is_a)),
+        _power_character(g, z, r, is_a))
+    c = wsum // g if group == "SL" else 0
+    density = _weyl_density(g)
+    total = sum(coeff * density.get(tuple(c - t for t in e), 0)
+                for e, coeff in chi.items())
+    dim, rest = divmod(total, math.factorial(g))
+    assert rest == 0
+    return dim
+
+
+class TestWeylCharacterOracle:
+    """Brute force against the Weyl integration formula, a count that
+    shares no sign or action code with the raising-operator kernel."""
+
+    # (variant, g, dimW, dimU, p range, q range); the g = 2 cases reach
+    # r = 2p+q >= 9, past the LR formula's cap, and the SL sweep takes
+    # r != 2p+q, which the LR formula never evaluates
+    CASES = [
+        ("A", 1, 2, 3, range(3), range(3)),
+        ("C", 1, 2, 3, range(3), range(3)),
+        ("A", 2, 1, 5, range(6), range(5)),
+        ("C", 2, 1, 2, range(6), range(3)),
+        ("A", 3, 1, 3, range(4), range(4)),
+        ("C", 3, 1, 1, range(4), range(4)),
+        ("A", 4, 1, 2, range(3), range(3)),
+        ("C", 4, 1, 1, range(3), range(3)),
+    ]
+
+    @pytest.mark.parametrize("group", ["GL", "SL"])
+    def test_matches_bruteforce(self, group):
+        for variant, g, dimW, dimU, ps, qs in self.CASES:
+            spec = ACAlgebraSpec(variant, g, dimW, dimU)
+            for p in ps:
+                for q in qs:
+                    rs = ([2 * p + q] if group == "GL"
+                          else range(max(0, 2 * p + q - g), 2 * p + q + g + 1))
+                    for r in rs:
+                        assert (ac_invariant_dims_bruteforce(spec, p, q, r,
+                                                             group)
+                                == _weyl_invariant_dim(spec, p, q, r, group)
+                                ), (spec, p, q, r)
+
+    def test_all_pairs_kernel(self, monkeypatch):
+        """The joint kernel of all g(g-1) operators E_rs has the same
+        dimension.  The simple raising operators only move a letter to a
+        neighbour of its own family (same W or U index), so the exterior
+        crossing sign could be wrong there without any dimension changing;
+        the longer E_rs move letters past others of the family."""
+        monkeypatch.setattr(model, "raising_pairs", lambda g: [
+            (r, s) for r in range(g) for s in range(g) if r != s])
+        for variant in ("A", "C"):
+            for spec in (ACAlgebraSpec(variant, 3, 2, 2),
+                         ACAlgebraSpec(variant, 3, 1, 3)):
+                for p in range(3):
+                    for q in range(5 - 2 * p):
+                        r = 2 * p + q
+                        assert (ac_invariant_dims_bruteforce(spec, p, q, r)
+                                == _weyl_invariant_dim(spec, p, q, r, "GL")
+                                ), (spec, p, q, r)
+
+    # GL cells with 2p+q >= 9 and a nonzero invariant space at g = 3
+    PAST_LR_CAP = [
+        (ACAlgebraSpec("A", 3, 1, 4), [(3, 3), (4, 1), (4, 2), (5, 0)]),
+        (ACAlgebraSpec("C", 3, 1, 2), [(4, 1), (4, 2), (5, 0)]),
+    ]
+
+    def test_past_lr_cap(self):
+        for spec, cells in self.PAST_LR_CAP:
+            for p, q in cells:
+                r = 2 * p + q
+                brute = ac_invariant_dims_bruteforce(spec, p, q, r)
+                assert brute > 0
+                assert brute == _weyl_invariant_dim(spec, p, q, r, "GL")
+
+
 class TestGHTarget:
     def test_examples(self):
         assert gh_target_dims(2, 2, 1, 0) == 1
@@ -204,15 +336,17 @@ class TestE2Oracle:
         for total in range(4):
             for p in range(total + 1):
                 for vec in model.sl_invariant_vectors(p, total - p):
+                    basis = [mono_letters(mono) for mono in vec]
+                    coeffs = list(vec.values())
                     for rr in range(g):
                         for ss in range(g):
                             if rr == ss:
                                 continue
-                            image = {}
-                            for mono, c in vec.items():
-                                for coeff, img in model.lie_action(mono, rr, ss):
-                                    image[img] = image.get(img, 0) + c * coeff
-                            assert not any(image.values()), (p, total - p, rr, ss)
+                            rows = _action_rows(model.alphabet, basis,
+                                                [(rr, ss)])
+                            image = [sum(c * coeffs[j] for j, c in row.items())
+                                     for row in rows]
+                            assert not any(image), (p, total - p, rr, ss)
 
 
 class TestLambdaRelations:
