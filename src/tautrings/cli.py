@@ -219,6 +219,10 @@ def _read_map_file(path: str) -> QMatrix:
         tokens = fh.read().split()
     if len(tokens) < 2:
         raise ValueError(f"map file {path}: needs 'rows cols' header")
+    if not (tokens[0].isdecimal() and tokens[1].isdecimal()):
+        raise ValueError(
+            f"map file {path}: rows and cols must be integers >= 0 "
+            f"(got {tokens[0]!r} {tokens[1]!r})")
     rows, cols = int(tokens[0]), int(tokens[1])
     body = tokens[2:]
     if len(body) != rows * cols:

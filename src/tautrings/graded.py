@@ -6,12 +6,19 @@ generator is exterior iff its total degree is odd, polynomial otherwise.
 Monomials are exponent tuples over the (fixed, name-sorted) generator
 list; elements are dicts monomial -> int or Fraction.  The engine's own
 elements have int coefficients; Fraction ones from callers mix in freely.
+
+A derivation walks only the sparse support of each term of d(x_i), with
+one sign flip per odd letter of the monomial strictly between slot i and
+each odd letter of the term (README, "Why one sign per odd letter in
+between"); the rank of d on a cell is taken over int column ids.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 
 from .linalg import rank_of_int_rows
 
@@ -182,38 +189,69 @@ def mono_elem(mono) -> dict:
     return {mono: 1}
 
 
-def apply_derivation(gens: GeneratorSet, dvals: dict[int, dict], mono) -> dict:
+def _derivation_terms(gens: GeneratorSet, dvals: dict[int, dict]):
+    """The terms of each d-value as (coefficient, support, odd letters):
+    support is the term's sparse ((j, e_j), ...) and odd letters its odd
+    j in increasing order."""
+    odd = gens.odd
+    table = {}
+    for i, val in dvals.items():
+        table[i] = terms = []
+        for m, c in val.items():
+            supp = tuple((j, e) for j, e in enumerate(m) if e)
+            terms.append((c, supp, tuple(j for j, _ in supp if odd[j])))
+    return table
+
+
+def apply_derivation(gens: GeneratorSet, dvals: dict[int, dict], mono,
+                     *, terms=None) -> dict:
     """Extend generator values to a derivation with the Koszul sign rule.
 
     dvals maps generator index -> element; absent indices have derivative
-    zero.  d(xy) = dx y + (-1)^{|x|} x dy on total degree.  Each term of
-    d(x_i) is multiplied into the monomial as prefix * (term * rest).
+    zero.  d(xy) = dx y + (-1)^{|x|} x dy on total degree, so slot i of
+    mono contributes e_i (-1)^{k} x_<i term x_i^{e_i - 1} x_>i for each
+    term of d(x_i), k the number of odd letters of mono before slot i.
+    Its image is mono - e_i + term, zero if an odd letter of the term is
+    already in the rest of mono.  Moving the term's odd letters to their
+    sorted places costs one sign per odd letter of mono strictly between
+    slot i and each of them.  terms is _derivation_terms(gens, dvals);
+    callers applying d to many monomials build it once and pass it.
     """
+    if terms is None:
+        terms = _derivation_terms(gens, dvals)
+    odd = gens.odd
+    letters = list(compress(range(len(mono)), mono))
+    opos = [j for j in letters if odd[j]]   # odd letters of mono, increasing
     out: dict = {}
-    prefix_parity = 0
-    for i, e in enumerate(mono):
-        if not e:
-            continue
-        val = dvals.get(i)
-        if val:
-            prefix = mono[:i] + (0,) * (len(mono) - i)
-            rest = (0,) * i + (e - 1,) + mono[i + 1:]
-            factor = -e if prefix_parity % 2 else e
-            for m, c in val.items():
-                r = mono_mul(gens, m, rest)
-                if r is None:
-                    continue
-                s1, m1 = r
-                r = mono_mul(gens, prefix, m1)
-                if r is None:
-                    continue
-                s2, m2 = r
-                v = out.get(m2, 0) + factor * s1 * s2 * c
-                if v:
-                    out[m2] = v
+    k = 0   # odd letters of mono before slot i
+    for i in letters:
+        ts = terms.get(i)
+        if ts:
+            e = mono[i]
+            base = list(mono)
+            base[i] = e - 1
+            # opos[:k] lie below slot i, opos[khi:] above it
+            khi = k + odd[i]
+            factor = -e if k % 2 else e
+            for c, supp, odds in ts:
+                flips = 0
+                for b in odds:
+                    if base[b]:
+                        break
+                    kb = bisect_left(opos, b)
+                    flips += kb - khi if b > i else k - kb
                 else:
-                    del out[m2]
-        prefix_parity += e * gens[i].total
+                    img = base[:]
+                    for j, ej in supp:
+                        img[j] += ej
+                    img = tuple(img)
+                    v = out.get(img, 0) + (-factor if flips % 2 else factor) * c
+                    if v:
+                        out[img] = v
+                    else:
+                        del out[img]
+        if odd[i]:
+            k += 1
     return out
 
 
@@ -299,11 +337,13 @@ class BigradedDGA:
                         raise ValueError(
                             f"differential of {name} not of bidegree (2,-1)")
                 self.dvals[i] = val
+        self._terms = _derivation_terms(gens, self.dvals)
 
     def d(self, elem: dict) -> dict:
         out: dict = {}
         for m, c in elem.items():
-            out = elem_add(out, apply_derivation(self.gens, self.dvals, m), c)
+            out = elem_add(out, apply_derivation(self.gens, self.dvals, m,
+                                                 terms=self._terms), c)
         return out
 
     def check_d_squared(self, maxtotal: int):
@@ -330,9 +370,16 @@ class BigradedDGA:
                     f"d^2 != 0 on generator {self.gens[i].name}")
 
     def _cell_rank(self, basis) -> int:
-        """Rank of d on the span of basis, the monomials of one cell."""
-        return span_rank(apply_derivation(self.gens, self.dvals, m)
-                         for m in basis)
+        """Rank of d on the span of basis, the monomials of one cell.
+
+        Image monomials become dense int column ids in first-seen order,
+        so that elimination hashes ints, not exponent tuples."""
+        ids: dict = {}
+        rows = []
+        for m in basis:
+            img = apply_derivation(self.gens, self.dvals, m, terms=self._terms)
+            rows.append({ids.setdefault(x, len(ids)): c for x, c in img.items()})
+        return span_rank(rows)
 
     def cohomology(self, maxtotal: int, check: bool = True) -> dict[tuple[int, int], int]:
         """dim H^{p,q} for all bidegrees with p + q <= maxtotal."""
@@ -350,19 +397,30 @@ class BigradedDGA:
                 for (p, q), dim in dims.items()}
 
 
+# basis monomials of degree <= maxdeg that koszul_cohomology_dims may build;
+# a 6x6 map at degree 10 has 8 008 and takes about 3 s on a shared Xeon
+KOSZUL_CAP = 20_000
+
+
 def koszul_cohomology_dims(F, maxdeg: int) -> list[int]:
     """Cohomology dimensions of the Koszul complex of a linear map.
 
     F is a QMatrix X x Y (a map from Y to X); the exterior generators sit
     in degree 1, the polynomial generators in degree 2.  Returns dims of
-    H^0..H^maxdeg.
+    H^0..H^maxdeg.  Raises ValueError, before any cell is built, if the
+    complex has more than KOSZUL_CAP basis monomials up to maxdeg.
     """
     ny, nx = F.cols, F.rows
-    # L*F has the same kernel and image as F, so the engine works over Z
-    den = math.lcm(*(c.denominator for c in F.entries.values()))
     gens = GeneratorSet(
         [(f"y{i:03d}", (0, 1)) for i in range(ny)]
         + [(f"x{j:03d}", (2, 0)) for j in range(nx)])
+    work = sum(fgca_dims(gens, maxdeg))
+    if work > KOSZUL_CAP:
+        raise ValueError(
+            f"Koszul complex of a {nx}x{ny} map to degree {maxdeg} has "
+            f"{work} basis monomials, over the cap of {KOSZUL_CAP}")
+    # L*F has the same kernel and image as F, so the engine works over Z
+    den = math.lcm(*(c.denominator for c in F.entries.values()))
     diff: dict[str, dict] = {}
     for i in range(ny):
         val: dict = {}

@@ -111,6 +111,24 @@ class TestKoszul:
         assert code == 1
         assert "entries" in err
 
+    @pytest.mark.parametrize("header", ["x 2", "-1 -1"])
+    def test_bad_map_header(self, capsys, tmp_path, header):
+        path = tmp_path / "map.txt"
+        path.write_text(f"{header}\n")
+        code, out, err = run(capsys, "koszul", "--map-file", str(path))
+        assert code == 1
+        assert err.startswith(f"error: map file {path}: ")
+        assert "rows and cols must be integers >= 0" in err
+
+    def test_koszul_work_cap(self, capsys, tmp_path):
+        path = tmp_path / "map.txt"
+        path.write_text("12 12\n" + "1 " * 144 + "\n")
+        code, out, err = run(capsys, "koszul", "--map-file", str(path),
+                             "--maxdeg", "12")
+        assert code == 1
+        assert err.startswith("error:")
+        assert "cap of 20000" in err
+
     def test_zero_denominator_entry(self, capsys, tmp_path):
         path = tmp_path / "map.txt"
         path.write_text("1 2\n1/0 1\n")

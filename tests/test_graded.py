@@ -16,6 +16,7 @@ from tautrings.graded import (
     kernel_cokernel_dims,
     koszul_cohomology_dims,
     mono_elem,
+    mono_mul,
     quotient_dims,
 )
 from tautrings.linalg import QMatrix, random_matrix
@@ -60,6 +61,57 @@ def random_dga(rng, closed):
         if val:
             diff[g.name] = val
     return BigradedDGA(gens, diff)
+
+
+def reference_derivation(gens, dvals, mono):
+    """apply_derivation by products: each term of d(x_i) is multiplied
+    into mono as prefix * (term * rest) through two mono_mul calls."""
+    out = {}
+    prefix_parity = 0
+    for i, e in enumerate(mono):
+        if not e:
+            continue
+        val = dvals.get(i)
+        if val:
+            prefix = mono[:i] + (0,) * (len(mono) - i)
+            rest = (0,) * i + (e - 1,) + mono[i + 1:]
+            factor = -e if prefix_parity % 2 else e
+            for m, c in val.items():
+                r = mono_mul(gens, m, rest)
+                if r is None:
+                    continue
+                s1, m1 = r
+                r = mono_mul(gens, prefix, m1)
+                if r is None:
+                    continue
+                s2, m2 = r
+                out = elem_add(out, {m2: factor * s1 * s2 * c})
+        prefix_parity += e * gens[i].total
+    return out
+
+
+def random_derivation(rng):
+    """Generators of mixed parity and bidegree, at least six of them odd,
+    and d-values of random multi-letter terms: each letter occurs with
+    probability 1/2, an even one to a power up to 3.  The terms are not
+    homogeneous; the sign rule does not need them to be."""
+    odd_degs = [(0, 1), (1, 0), (0, 3), (1, 2), (2, 1)]
+    even_degs = [(0, 2), (2, 0), (1, 1), (2, 2)]
+    degs = [rng.choice(odd_degs) for _ in range(6)]
+    degs += [rng.choice(odd_degs + even_degs) for _ in range(rng.randint(1, 3))]
+    gens = GeneratorSet([(f"g{i}", pq) for i, pq in enumerate(degs)])
+    dvals = {}
+    for i in range(len(gens)):
+        if rng.random() < 0.3:
+            continue
+        val = {}
+        for _ in range(rng.randint(1, 3)):
+            term = tuple(
+                0 if rng.random() < 0.5 else 1 if gens.odd[j]
+                else rng.randint(1, 3) for j in range(len(gens)))
+            val[term] = rng.choice([1, -1, 2, -3, Fraction(1, 2)])
+        dvals[i] = val
+    return gens, dvals
 
 
 def d_squared_passes(check, maxtotal):
@@ -180,6 +232,17 @@ class TestProducts:
         rhs = elem_add(da_b, a_db, sign)
         assert d_prod == rhs
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_derivation_matches_products(self, seed):
+        """The one-pass kernel equals prefix * (term * rest) on every
+        monomial up to total degree 6."""
+        gens, dvals = random_derivation(random.Random(seed))
+        for d in range(7):
+            for m in gens.monomials_total(d):
+                assert (apply_derivation(gens, dvals, m)
+                        == reference_derivation(gens, dvals, m)), m
+
 
 class TestQuotientDims:
     def test_kill_generator(self):
@@ -272,6 +335,29 @@ class TestKoszul:
         rank = F.rank()
         expected = kernel_cokernel_dims(cols - rank, rows - rank, 7)
         assert koszul_cohomology_dims(F, 7) == expected
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("rows, cols, rank, seed", [
+        (6, 6, 6, 1), (6, 6, 4, 2), (6, 6, 3, 3), (7, 5, 3, 4)])
+    def test_maps_past_criterion_5(self, rows, cols, rank, seed):
+        # a rows x rank times rank x cols product of random rationals
+        rng = random.Random(seed)
+
+        def factor(r, c):
+            return QMatrix(r, c, {
+                (i, j): Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                 rng.randint(1, 9))
+                for i in range(r) for j in range(c)})
+
+        F = factor(rows, rank) @ factor(rank, cols)
+        assert F.rank() == rank
+        expected = kernel_cokernel_dims(cols - rank, rows - rank, 8)
+        assert koszul_cohomology_dims(F, 8) == expected
+
+    def test_work_cap(self):
+        # 7 + 7 generators to degree 11 span 31 824 monomials (19 448 to 10)
+        with pytest.raises(ValueError, match="31824 basis monomials"):
+            koszul_cohomology_dims(QMatrix.identity(7), 11)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6),
