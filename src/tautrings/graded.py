@@ -276,10 +276,13 @@ def span_rank(rows) -> int:
     """Rank over Q of rows given as dicts key -> int or Fraction.
 
     Each row's denominators are cleared (which leaves its span unchanged)
-    before exact integer elimination.
+    before exact integer elimination; an all-int row passes as it is.
     """
     int_rows = []
     for row in rows:
+        if all(type(v) is int for v in row.values()):
+            int_rows.append(row)
+            continue
         den = math.lcm(*(v.denominator for v in row.values()))
         int_rows.append({k: int(v * den) for k, v in row.items()})
     return rank_of_int_rows(int_rows)

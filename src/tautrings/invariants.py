@@ -31,7 +31,6 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add
 from typing import NamedTuple
 
@@ -233,8 +232,11 @@ def _action_rows(alphabet: Alphabet, basis,
                                   else (k, bisect_left(others, a)))
                         if sum(exterior[o] for o in others[lo:hi]) % 2:
                             c = -c
-                    img = others[:k] + (b,) + others[k:]
-                    d = rows.setdefault((r, s, img), {})
+                    key = (r, s, others[:k] + (b,) + others[k:])
+                    d = rows.get(key)
+                    if d is None:
+                        rows[key] = {j: c}
+                        continue
                     v = d.get(j, 0) + c
                     if v:
                         d[j] = v
@@ -305,11 +307,11 @@ def sigma_matrix(m: int, g: int) -> QMatrix:
         inv = [0] * m
         for pos, img in enumerate(perm):
             inv[img] = pos
-        col: dict[int, Fraction] = {}
+        col: dict[int, int] = {}
         for word in itertools.product(range(g), repeat=m):
             contra = tuple(word[inv[t]] for t in range(m))
             idx = _word_index(word + contra, g)
-            col[idx] = col.get(idx, Fraction(0)) + 1
+            col[idx] = col.get(idx, 0) + 1
         cols.append(col)
     return QMatrix.from_columns(dim, cols)
 

@@ -9,7 +9,12 @@ floating point is used anywhere.
 One routine, `_eliminate`, does every elimination: fraction-free over the
 integers, pivoting on the shortest live row (taken from a lazy min-heap)
 at its column with the fewest rows, which keeps fill-in low on the sparse
-Lie-action systems.  `kernel_basis_columns` back-substitutes in integers
+Lie-action systems.  Nearly all pivots of those systems are +-1, and a
+unit pivot clears its column from another row by one subtraction, with
+no gcd and no scaling of that row.  The heap takes a row back only when
+it shrinks, and re-files a stale entry of a row that has grown when it
+comes up, which leaves the pivot order exactly that of a heap refreshed
+on every change.  `kernel_basis_columns` back-substitutes in integers
 over one common denominator and makes Fractions only at the end.
 """
 
@@ -157,10 +162,13 @@ def _eliminate(rows: list[dict[int, int]]):
     elimination order, pivot_rows the corresponding reduced integer rows.
     Pivot row k has zero in all pivot columns of steps < k.
 
-    Each step pivots on the shortest live row, at that row's column with
-    the fewest rows (ties to the lowest column).  Live rows sit in a lazy
-    min-heap keyed by (length, index): a row is re-pushed when its length
-    changes, and an entry whose length no longer matches is skipped.
+    Each step pivots on the live row least in (length, index), at that
+    row's column with the fewest rows (ties to the lowest column).  Live
+    rows sit in a lazy min-heap keyed by (length, index) whose entry for a
+    row is never longer than the row: a row is pushed when it shrinks, and
+    a popped entry whose row has since grown is pushed again with its true
+    length, so the first entry popped with its row's true length is the
+    least live row.  A unit pivot (+-1) needs no scaling of the other rows.
     """
     rows_d = {}
     for i, r in enumerate(rows):
@@ -173,57 +181,73 @@ def _eliminate(rows: list[dict[int, int]]):
             cols_rows.setdefault(c, set()).add(i)
     heap = [(len(r), i) for i, r in rows_d.items()]
     heapq.heapify(heap)
+    heappush, heappop, gcd = heapq.heappush, heapq.heappop, math.gcd
     pivots: list[int] = []
     pivot_rows: list[dict[int, int]] = []
     while heap:
-        n, prow_i = heapq.heappop(heap)
+        n, prow_i = heappop(heap)
         pr = rows_d.get(prow_i)
-        if pr is None or len(pr) != n:
+        if pr is None:
             continue
-        c = min(pr, key=lambda cc: (len(cols_rows[cc]), cc))
+        if len(pr) != n:
+            heappush(heap, (len(pr), prow_i))
+            continue
+        c = None
+        best = len(rows_d) + 1
+        for cc in pr:
+            k = len(cols_rows[cc])
+            if k < best or (k == best and cc < c):
+                best, c = k, cc
         pv = pr[c]
         pivots.append(c)
         pivot_rows.append(pr)
-        for i in list(cols_rows[c]):
-            if i == prow_i:
-                continue
+        del rows_d[prow_i]
+        others = cols_rows.pop(c)
+        others.discard(prow_i)
+        rest = [(cc, vv) for cc, vv in pr.items() if cc != c]
+        for cc, _ in rest:
+            cols_rows[cc].discard(prow_i)
+        unit = pv == 1 or pv == -1
+        for i in others:
             # ri <- m1 * ri - m2 * pr with m1 > 0, in place: live rows are
             # private copies, and a pivot row leaves rows_d once chosen
             ri = rows_d[i]
             before = len(ri)
-            v = ri[c]
-            g = math.gcd(pv, v)
-            m1, m2 = pv // g, v // g
-            if m1 < 0:
-                m1, m2 = -m1, -m2
-            if m1 != 1:
-                for cc in ri:
-                    ri[cc] *= m1
-            for cc, vv in pr.items():
-                nv = ri.get(cc, 0) - vv * m2
-                if nv:
-                    if cc not in ri:
-                        cols_rows[cc].add(i)
-                    ri[cc] = nv
+            v = ri.pop(c)
+            if unit:
+                m2 = v * pv
+            else:
+                g = gcd(pv, v)
+                m1, m2 = pv // g, v // g
+                if m1 < 0:
+                    m1, m2 = -m1, -m2
+                if m1 != 1:
+                    for cc in ri:
+                        ri[cc] *= m1
+            for cc, vv in rest:
+                if cc in ri:
+                    nv = ri[cc] - vv * m2
+                    if nv:
+                        ri[cc] = nv
+                    else:
+                        del ri[cc]
+                        cols_rows[cc].discard(i)
                 else:
-                    del ri[cc]
-                    cols_rows[cc].discard(i)
+                    ri[cc] = -vv * m2
+                    cols_rows[cc].add(i)
             if not ri:
                 del rows_d[i]
                 continue
             g = 0
             for vv in ri.values():
-                g = math.gcd(g, vv)
+                g = gcd(g, vv)
                 if g == 1:
                     break
             if g > 1:
                 for cc in ri:
                     ri[cc] //= g
-            if len(ri) != before:
-                heapq.heappush(heap, (len(ri), i))
-        for cc in pr:
-            cols_rows[cc].discard(prow_i)
-        del rows_d[prow_i]
+            if len(ri) < before:
+                heappush(heap, (len(ri), i))
     return pivots, pivot_rows
 
 
@@ -240,20 +264,22 @@ def kernel_basis_columns(rows: list[dict[int, int]], ncols: int) -> list[dict[in
     pivots, pivot_rows = _eliminate(rows)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
-    steps = list(zip(reversed(pivots), reversed(pivot_rows)))
+    steps = [(c, pr[c], pr.items())
+             for c, pr in zip(reversed(pivots), reversed(pivot_rows))]
     basis = []
     for f in free_cols:
         v: dict[int, int] = {f: 1}
+        get = v.get
         den = 1
-        for c, pr in steps:
+        for c, pv, items in steps:
             # c is not yet in v: each pivot column is solved once
             s = 0
-            for cc, coef in pr.items():
-                if cc in v:
-                    s += coef * v[cc]
+            for cc, coef in items:
+                x = get(cc)
+                if x is not None:
+                    s += coef * x
             if not s:
                 continue
-            pv = pr[c]
             if s % pv:
                 m = abs(pv) // math.gcd(s, pv)
                 for cc in v:

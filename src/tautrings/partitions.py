@@ -42,10 +42,7 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Transpose the Young diagram (rows become columns)."""
-        if not self.parts:
-            return Partition()
-        cols = [sum(1 for p in self.parts if p > j) for j in range(self.parts[0])]
-        return Partition(cols)
+        return _conjugate(self.parts)
 
     def contains(self, other: "Partition") -> bool:
         """Diagram containment: other fits inside self."""
@@ -76,6 +73,14 @@ class Partition:
 
 
 EMPTY = Partition()
+
+
+@lru_cache(maxsize=None)
+def _conjugate(parts: tuple[int, ...]) -> Partition:
+    # one shared instance per shape: Partition is immutable
+    if not parts:
+        return EMPTY
+    return Partition(sum(1 for p in parts if p > j) for j in range(parts[0]))
 
 
 def _partitions_desc(n: int, maxpart: int) -> Iterator[tuple[int, ...]]:

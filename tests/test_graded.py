@@ -18,6 +18,7 @@ from tautrings.graded import (
     mono_elem,
     mono_mul,
     quotient_dims,
+    span_rank,
 )
 from tautrings.linalg import QMatrix, random_matrix
 
@@ -242,6 +243,47 @@ class TestProducts:
             for m in gens.monomials_total(d):
                 assert (apply_derivation(gens, dvals, m)
                         == reference_derivation(gens, dvals, m)), m
+
+
+def fraction_rank(rows):
+    """Rank by plain Fraction Gauss-Jordan over the sorted union of keys."""
+    keys = sorted({k for r in rows for k in r})
+    dense = [[Fraction(r.get(k, 0)) for k in keys] for r in rows]
+    rank = 0
+    for c in range(len(keys)):
+        pivot = next((i for i in range(rank, len(dense)) if dense[i][c]), None)
+        if pivot is None:
+            continue
+        dense[rank], dense[pivot] = dense[pivot], dense[rank]
+        for i in range(len(dense)):
+            if i != rank and dense[i][c]:
+                f = dense[i][c] / dense[rank][c]
+                dense[i] = [a - f * b for a, b in zip(dense[i], dense[rank])]
+        rank += 1
+    return rank
+
+
+class TestSpanRank:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_int_and_fraction_rows_against_gauss_jordan(self, data):
+        """All-int rows pass to elimination as they are, rows with a
+        Fraction have their denominators cleared; multiples of earlier
+        rows, int and Fraction, make the rank fall short."""
+        key = st.tuples(st.integers(0, 2), st.integers(0, 2))
+        value = st.one_of(st.integers(-3, 3),
+                          st.fractions(-3, 3, max_denominator=4))
+        rows = data.draw(st.lists(st.dictionaries(key, value, max_size=5),
+                                  max_size=7))
+        for _ in range(data.draw(st.integers(0, 3))):
+            if not rows:
+                break
+            src = data.draw(st.sampled_from(rows))
+            factor = data.draw(st.sampled_from([2, -1, Fraction(1, 3)]))
+            rows.append({k: v * factor for k, v in src.items()})
+        copy = [dict(r) for r in rows]
+        assert span_rank(rows) == fraction_rank(rows)
+        assert rows == copy
 
 
 class TestQuotientDims:

@@ -1,8 +1,10 @@
+import heapq
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tautrings.linalg import (
@@ -90,15 +92,14 @@ def _gauss_jordan_rank(rows, ncols):
 
 
 @st.composite
-def int_systems(draw):
+def int_systems(draw, max_cols=9, max_rows=8, entry=st.integers(-4, 4)):
     """Sparse int rows with empty rows, explicit zero entries, duplicates
     and integer combinations of earlier rows."""
-    ncols = draw(st.integers(0, 9))
-    entry = st.integers(-4, 4)
+    ncols = draw(st.integers(0, max_cols))
     col = st.integers(0, max(ncols - 1, 0))
     rows = draw(st.lists(
         st.dictionaries(col, entry, max_size=ncols) if ncols
-        else st.just({}), max_size=8))
+        else st.just({}), max_size=max_rows))
     for _ in range(draw(st.integers(0, 4))):
         if not rows:
             break
@@ -132,6 +133,109 @@ class TestEliminate:
             for row in rows:
                 assert sum(a * vec.get(c, 0) for c, a in row.items()) == 0
         assert _gauss_jordan_rank(kernel, ncols) == len(kernel)
+
+
+# The elimination as it was before the unit-pivot step and the shrink-only
+# heap, kept verbatim: `_eliminate` must return the same pivots and the
+# same pivot rows, entry order included.
+def reference_eliminate(rows: list[dict[int, int]]):
+    """Fraction-free sparse Gaussian elimination.
+
+    Returns (pivots, pivot_rows): pivots is the list of pivot columns in
+    elimination order, pivot_rows the corresponding reduced integer rows.
+    Pivot row k has zero in all pivot columns of steps < k.
+
+    Each step pivots on the shortest live row, at that row's column with
+    the fewest rows (ties to the lowest column).  Live rows sit in a lazy
+    min-heap keyed by (length, index): a row is re-pushed when its length
+    changes, and an entry whose length no longer matches is skipped.
+    """
+    rows_d = {}
+    for i, r in enumerate(rows):
+        r = {c: v for c, v in r.items() if v}
+        if r:
+            rows_d[i] = r
+    cols_rows: dict[int, set[int]] = {}
+    for i, r in rows_d.items():
+        for c in r:
+            cols_rows.setdefault(c, set()).add(i)
+    heap = [(len(r), i) for i, r in rows_d.items()]
+    heapq.heapify(heap)
+    pivots: list[int] = []
+    pivot_rows: list[dict[int, int]] = []
+    while heap:
+        n, prow_i = heapq.heappop(heap)
+        pr = rows_d.get(prow_i)
+        if pr is None or len(pr) != n:
+            continue
+        c = min(pr, key=lambda cc: (len(cols_rows[cc]), cc))
+        pv = pr[c]
+        pivots.append(c)
+        pivot_rows.append(pr)
+        for i in list(cols_rows[c]):
+            if i == prow_i:
+                continue
+            # ri <- m1 * ri - m2 * pr with m1 > 0, in place: live rows are
+            # private copies, and a pivot row leaves rows_d once chosen
+            ri = rows_d[i]
+            before = len(ri)
+            v = ri[c]
+            g = math.gcd(pv, v)
+            m1, m2 = pv // g, v // g
+            if m1 < 0:
+                m1, m2 = -m1, -m2
+            if m1 != 1:
+                for cc in ri:
+                    ri[cc] *= m1
+            for cc, vv in pr.items():
+                nv = ri.get(cc, 0) - vv * m2
+                if nv:
+                    if cc not in ri:
+                        cols_rows[cc].add(i)
+                    ri[cc] = nv
+                else:
+                    del ri[cc]
+                    cols_rows[cc].discard(i)
+            if not ri:
+                del rows_d[i]
+                continue
+            g = 0
+            for vv in ri.values():
+                g = math.gcd(g, vv)
+                if g == 1:
+                    break
+            if g > 1:
+                for cc in ri:
+                    ri[cc] //= g
+            if len(ri) != before:
+                heapq.heappush(heap, (len(ri), i))
+        for cc in pr:
+            cols_rows[cc].discard(prow_i)
+        del rows_d[prow_i]
+    return pivots, pivot_rows
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(int_systems(max_cols=14, max_rows=16,
+                       entry=st.sampled_from([1, -1, 1, -1, 2, -2, 3, 0])))
+    # the first row grows by fill while its old heap entry waits
+    @example(([{0: 1, 1: 1, 2: 1, 3: 1}, {4: 1, 5: 1, 6: 1, 1: 1},
+               {0: 1, 4: 1, 5: 1}], 7))
+    # a -1 pivot; two columns tied at one row each
+    @example(([{0: -1, 1: 1}, {0: 1, 1: 1}], 2))
+    @example(([{0: 1, 1: 1}], 2))
+    def test_same_pivots_and_rows(self, system):
+        """Mostly unit entries, so most pivots are +-1, with some larger
+        ones; wide rows fill in and grow before they are chosen."""
+        rows, _ = system
+        copy = [dict(r) for r in rows]
+        pivots, pivot_rows = _eliminate(rows)
+        assert rows == copy
+        ref_pivots, ref_rows = reference_eliminate(copy)
+        assert pivots == ref_pivots
+        assert [list(r.items()) for r in pivot_rows] \
+            == [list(r.items()) for r in ref_rows]
 
 
 class TestColumnRank:
