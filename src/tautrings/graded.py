@@ -63,6 +63,13 @@ class GeneratorSet:
         # (p, q, total, odd) per generator, built once for the hot loops
         self.degs: tuple[tuple[int, int, int, bool], ...] = tuple(
             (g.p, g.q, g.total, g.odd) for g in parsed)
+        # (gcd of p, gcd of q) over generators i.. (0 for none), so a cell
+        # whose remainder is no multiple of it has no monomial in i..
+        gcds = [(0, 0)]
+        for g in reversed(parsed):
+            gp, gq = gcds[-1]
+            gcds.append((math.gcd(gp, g.p), math.gcd(gq, g.q)))
+        self.suffix_gcds: tuple[tuple[int, int], ...] = tuple(reversed(gcds))
 
     def __len__(self) -> int:
         return len(self.gens)
@@ -113,8 +120,9 @@ class GeneratorSet:
     def monomials_bidegree(self, p: int, q: int) -> list[tuple[int, ...]]:
         """All monomials of bidegree (p, q), in the order of
         monomials_total.  Recurses on the remaining (p, q), so only this
-        cell is visited."""
-        degs = self.degs
+        cell is visited, and returns as soon as the remainder is no
+        multiple of the suffix gcds."""
+        degs, gcds = self.degs, self.suffix_gcds
         n = len(degs)
         out = []
         acc = [0] * n
@@ -125,6 +133,9 @@ class GeneratorSet:
                 return
             # generators are sorted by total degree
             if i == n or degs[i][2] > rp + rq:
+                return
+            dp, dq = gcds[i]
+            if (rp % dp if dp else rp) or (rq % dq if dq else rq):
                 return
             gp, gq, _, odd = degs[i]
             cap = min(rp // gp if gp else rp + rq, rq // gq if gq else rp + rq)

@@ -23,6 +23,13 @@ is a finite-dimensional gl_g-module over Q, hence completely reducible,
 so a vector of sl_g-weight 0 killed by every E_{r,r+1} is a highest-weight
 vector of weight 0 and spans a trivial summand, which every E_rs kills.
 The all-pairs systems stay in the tests as the oracle.
+
+The fundamental-theorem check stays in integers from end to end: the
+permutation tensors are int count dicts, eliminated once for their rank,
+and each int kernel vector of the GL-invariants is reduced against their
+pivot rows (README, the section on reducing the kernel against sigma).
+`sigma_matrix` and the invariant bases are QMatrix wrappers over the
+same int columns.
 """
 
 from __future__ import annotations
@@ -31,10 +38,11 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import add
 from typing import NamedTuple
 
-from .linalg import QMatrix, column_rank, kernel_basis_columns
+from .linalg import QMatrix, _eliminate, kernel_int_basis, reduce_against
 
 # ambient dimension cap; beyond this the weight-zero subspace itself gets
 # unwieldy and the caller should rethink
@@ -253,7 +261,10 @@ def _tensor_alphabet(spec: TensorSpaceSpec) -> Alphabet:
                         for pos in range(k + spec.l) for i in range(g)])
 
 
-def _invariant_basis(spec: TensorSpaceSpec, group: str) -> QMatrix:
+def _invariant_vectors(spec: TensorSpaceSpec,
+                       group: str) -> list[tuple[dict[int, int], int]]:
+    """The invariant kernel as (vector, den) pairs over word indices of
+    T^{k,l}: vector / den is a basis vector, vector has int entries."""
     spec.check_guard()
     k, l, g = spec.k, spec.l, spec.g
     if group not in ("GL", "SL"):
@@ -261,19 +272,23 @@ def _invariant_basis(spec: TensorSpaceSpec, group: str) -> QMatrix:
     # constant weight (c, ..., c), so g must divide k - l; GL needs c = 0,
     # i.e. every E_{rr} eigenvalue vanishes
     if (k - l) % g or (group == "GL" and k != l):
-        return QMatrix(spec.dim, 0)
+        return []
     words = _weight_words(spec, ((k - l) // g,) * g)
     if not words:
-        return QMatrix(spec.dim, 0)
+        return []
     offsets = range(0, (k + l) * g, g)
     rows = _action_rows(_tensor_alphabet(spec),
                         (tuple(map(add, offsets, w)) for w in words),
                         raising_pairs(g))
-    kernel = kernel_basis_columns(rows, len(words))
-    cols = []
-    for vec in kernel:
-        cols.append({_word_index(words[j], g): v for j, v in vec.items()})
-    return QMatrix.from_columns(spec.dim, cols)
+    index = [_word_index(w, g) for w in words]
+    return [({index[j]: x for j, x in v.items()}, den)
+            for v, den in kernel_int_basis(rows, len(words))]
+
+
+def _invariant_basis(spec: TensorSpaceSpec, group: str) -> QMatrix:
+    return QMatrix.from_columns(
+        spec.dim, [{i: Fraction(x, den) for i, x in v.items()}
+                   for v, den in _invariant_vectors(spec, group)])
 
 
 def gl_invariant_basis(spec: TensorSpaceSpec) -> QMatrix:
@@ -286,20 +301,16 @@ def sl_invariant_basis(spec: TensorSpaceSpec) -> QMatrix:
     return _invariant_basis(spec, "SL")
 
 
-def sigma_matrix(m: int, g: int) -> QMatrix:
-    """Permutation-tensor spanning map on T^{m,m}(Q^g), one column per
-    element of the symmetric group on m letters.
-
-    Column for s is the sum over all words (i_1..i_m) of the basis tensor
-    with covariant word (i_1..i_m) and contravariant word
-    (i_{s^-1(1)}..i_{s^-1(m)}).  Columns are ordered lexicographically by
-    the one-line notation of s.
-    """
+def _check_sigma_args(m: int, g: int):
     if m < 1 or g < 1:
         raise ValueError("need m, g >= 1")
     if m > 6:
         raise ValueError("m > 6 rejected: factorial column count")
-    dim = g ** (2 * m)
+
+
+def _sigma_columns(m: int, g: int) -> list[dict[int, int]]:
+    """The columns of `sigma_matrix` as int count dicts."""
+    _check_sigma_args(m, g)
     cols = []
     for perm in itertools.permutations(range(m)):
         # perm maps positions: s(pos) = perm[pos]; contra slot t carries
@@ -313,7 +324,19 @@ def sigma_matrix(m: int, g: int) -> QMatrix:
             idx = _word_index(word + contra, g)
             col[idx] = col.get(idx, 0) + 1
         cols.append(col)
-    return QMatrix.from_columns(dim, cols)
+    return cols
+
+
+def sigma_matrix(m: int, g: int) -> QMatrix:
+    """Permutation-tensor spanning map on T^{m,m}(Q^g), one column per
+    element of the symmetric group on m letters.
+
+    Column for s is the sum over all words (i_1..i_m) of the basis tensor
+    with covariant word (i_1..i_m) and contravariant word
+    (i_{s^-1(1)}..i_{s^-1(m)}).  Columns are ordered lexicographically by
+    the one-line notation of s.
+    """
+    return QMatrix.from_columns(g ** (2 * m), _sigma_columns(m, g))
 
 
 @dataclass(frozen=True)
@@ -327,13 +350,23 @@ class FundamentalTheoremReport:
 
 def verify_fundamental_theorems(m: int, g: int) -> FundamentalTheoremReport:
     """Check that the permutation tensors span the GL-invariants of
-    T^{m,m}(Q^g) and are independent exactly when m <= g."""
-    sigma = sigma_matrix(m, g)
-    inv = gl_invariant_basis(TensorSpaceSpec(m, m, g))
-    rank = column_rank(sigma)
-    # each basis column is 1 at its own free column, so inv has rank
-    # inv.cols; equal ranks plus containment give equal spans
-    surjective = rank == inv.cols and column_rank(sigma, inv) == rank
+    T^{m,m}(Q^g) and are independent exactly when m <= g.
+
+    Both bounds are checked before sigma is built.  Sigma's columns are
+    eliminated once, which gives its rank; each invariant basis vector is
+    then reduced against the pivot rows (README, the section on reducing
+    the kernel against sigma).
+    """
+    _check_sigma_args(m, g)
+    spec = TensorSpaceSpec(m, m, g)
+    spec.check_guard()
+    pivots, pivot_rows = _eliminate(_sigma_columns(m, g))
+    rank = len(pivots)
+    kernel = _invariant_vectors(spec, "GL")
+    # the basis vectors are independent (each is nonzero at its own free
+    # column only), so equal counts plus containment give equal spans
+    surjective = rank == len(kernel) and not any(
+        reduce_against(pivots, pivot_rows, v) for v, _ in kernel)
     injective = rank == math.factorial(m)
     return FundamentalTheoremReport(m=m, g=g, rank=rank,
                                     surjective=surjective, injective=injective)

@@ -14,8 +14,13 @@ unit pivot clears its column from another row by one subtraction, with
 no gcd and no scaling of that row.  The heap takes a row back only when
 it shrinks, and re-files a stale entry of a row that has grown when it
 comes up, which leaves the pivot order exactly that of a heap refreshed
-on every change.  `kernel_basis_columns` back-substitutes in integers
-over one common denominator and makes Fractions only at the end.
+on every change.  `kernel_int_basis` back-substitutes in integers over
+one common denominator per vector; `kernel_basis_columns` makes Fractions
+of that only at the end.  `reduce_against` takes an int vector through the
+pivot rows of one elimination, fraction-free, and leaves an empty residual
+exactly when the vector lies in their span, so a span inclusion costs one
+elimination of the spanning set (`subspace_equal`, and the
+fundamental-theorem check in invariants).
 """
 
 from __future__ import annotations
@@ -251,15 +256,16 @@ def _eliminate(rows: list[dict[int, int]]):
     return pivots, pivot_rows
 
 
-def kernel_basis_columns(rows: list[dict[int, int]], ncols: int) -> list[dict[int, Fraction]]:
-    """Basis of the kernel of the integer row system, one dict per vector.
+def kernel_int_basis(rows: list[dict[int, int]],
+                     ncols: int) -> list[tuple[dict[int, int], int]]:
+    """Basis of the kernel of the integer row system, as (vector, den)
+    pairs: vector / den is the basis vector, vector has int entries.
 
     Back-substitutes through the elimination in reverse order; pivot row k
     may involve pivot columns of later steps and free columns only.  The
-    vector for free column f has 1 at f and 0 at the other free columns.
+    vector for free column f is den at f and 0 at the other free columns.
     It is carried as ints over one common denominator, which grows only
-    when a pivot does not divide its running sum, and becomes Fractions
-    once at the end.
+    when a pivot does not divide its running sum.
     """
     pivots, pivot_rows = _eliminate(rows)
     pivot_set = set(pivots)
@@ -287,8 +293,14 @@ def kernel_basis_columns(rows: list[dict[int, int]], ncols: int) -> list[dict[in
                 den *= m
                 s *= m
             v[c] = -s // pv
-        basis.append({cc: Fraction(x, den) for cc, x in v.items()})
+        basis.append((v, den))
     return basis
+
+
+def kernel_basis_columns(rows: list[dict[int, int]], ncols: int) -> list[dict[int, Fraction]]:
+    """`kernel_int_basis` as Fraction vectors, 1 at their own free column."""
+    return [{c: Fraction(x, den) for c, x in v.items()}
+            for v, den in kernel_int_basis(rows, ncols)]
 
 
 def rank_of_int_rows(rows: list[dict[int, int]]) -> int:
@@ -296,10 +308,47 @@ def rank_of_int_rows(rows: list[dict[int, int]]) -> int:
     return len(piv)
 
 
+def reduce_against(pivots: list[int], pivot_rows: list[dict[int, int]],
+                   vec: dict[int, int]) -> dict[int, int]:
+    """The residual of an int vector against the pivot rows of an
+    elimination, in step order: empty exactly when vec lies in the span of
+    the eliminated rows.
+
+    Step k clears pivot column k by v <- m1*v - m2*row with m1 > 0, which
+    later steps leave at zero, since pivot row k is zero at every earlier
+    pivot column.  The residual is thus zero at every pivot column; a
+    nonzero combination of pivot rows is not (at the pivot column of its
+    first row), so the residual vanishes iff vec is in their span.
+    """
+    v = {c: x for c, x in vec.items() if x}
+    gcd = math.gcd
+    for c, pr in zip(pivots, pivot_rows):
+        x = v.get(c)
+        if not x:
+            continue
+        pv = pr[c]
+        if x % pv:
+            m1 = abs(pv) // gcd(x, pv)
+            for cc in v:
+                v[cc] *= m1
+            x *= m1
+        m2 = x // pv
+        for cc, vv in pr.items():
+            nv = v.get(cc, 0) - vv * m2
+            if nv:
+                v[cc] = nv
+            else:
+                v.pop(cc, None)
+    return v
+
+
 def column_rank(*matrices: QMatrix) -> int:
     """Dimension of the span of the columns of all the given matrices,
     eliminating the columns themselves: few long vectors, where a tall
-    matrix has many short rows."""
+    matrix has many short rows.  The tests build the rank form of the
+    fundamental-theorem check with it (rank of sigma stacked with the
+    invariant basis equals rank of sigma), the oracle that
+    `invariants.verify_fundamental_theorems` must agree with."""
     if len({m.rows for m in matrices}) > 1:
         raise ValueError("ambient dimensions differ")
     return rank_of_int_rows([col for m in matrices
@@ -307,14 +356,15 @@ def column_rank(*matrices: QMatrix) -> int:
 
 
 def subspace_equal(b1: QMatrix, b2: QMatrix) -> bool:
-    """Do the column spans of b1 and b2 coincide?"""
+    """Do the column spans of b1 and b2 coincide?  Equal ranks, and every
+    column of b2 reduces to zero against b1's eliminated columns."""
     if b1.rows != b2.rows:
         raise ValueError("ambient dimensions differ")
-    r1 = b1.rank()
-    r2 = b2.rank()
-    if r1 != r2:
+    cols2 = b2._int_rows(columns=True)
+    pivots, pivot_rows = _eliminate(b1._int_rows(columns=True))
+    if len(pivots) != rank_of_int_rows(cols2):
         return False
-    return b1.hstack(b2).rank() == r1
+    return not any(reduce_against(pivots, pivot_rows, c) for c in cols2)
 
 
 def random_matrix(rows: int, cols: int, rng: random.Random,

@@ -4,6 +4,7 @@ import pathlib
 
 import pytest
 
+from tautrings import invariants
 from tautrings.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -161,6 +162,20 @@ class TestExitCodes:
         code, out, err = run(capsys, "oracle-e2", "--n", "8")
         assert code == 1
         assert "n in" in err
+
+    @pytest.mark.parametrize("m,g,bound", [
+        ("6", "5", "tensor space dimension 244140625 exceeds cap 200000"),
+        ("7", "1", "m > 6 rejected"),
+    ])
+    def test_fft_bounds_before_sigma(self, capsys, monkeypatch, m, g, bound):
+        def never(*args):
+            pytest.fail("sigma built before the bounds were checked")
+
+        monkeypatch.setattr(invariants, "_sigma_columns", never)
+        monkeypatch.setattr(invariants, "sigma_matrix", never)
+        code, out, err = run(capsys, "fft-check", m, g)
+        assert code == 1
+        assert bound in err
 
 
 class TestOutputs:

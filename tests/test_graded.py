@@ -21,6 +21,7 @@ from tautrings.graded import (
     span_rank,
 )
 from tautrings.linalg import QMatrix, random_matrix
+from tautrings.model import ModelParams, build_D_dga, minimal_M
 
 
 def single(gens, name):
@@ -164,6 +165,28 @@ class TestMonomialBasis:
         gens = GeneratorSet([(f"g{i}", rng.choice(degs))
                              for i in range(rng.randint(0, 7))])
         assert gens.monomials_bidegree(p, q) == bidegree_filter(gens, p, q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 5), st.integers(0, 4), st.integers(0, 9),
+           st.integers(0, 7))
+    def test_bidegree_koszul_generators(self, ny, nx, p, q):
+        """Koszul generators, y at (0, 1) and x at (2, 0), as
+        koszul_cohomology_dims builds them; p may be odd and q above ny,
+        cells the suffix-gcd prune cuts off."""
+        gens = GeneratorSet([(f"y{i:03d}", (0, 1)) for i in range(ny)]
+                            + [(f"x{j:03d}", (2, 0)) for j in range(nx)])
+        assert gens.monomials_bidegree(p, q) == bidegree_filter(gens, p, q)
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_bidegree_d_model_generators(self, n):
+        """Every cell the D-model's cohomology visits, and the cells next
+        to them."""
+        params = ModelParams(n=n, g=n - 2, M=minimal_M(n), maxdeg=n - 3)
+        gens = build_D_dga(params).gens
+        for total in range(n):
+            for p in range(total + 1):
+                assert gens.monomials_bidegree(p, total - p) \
+                    == bidegree_filter(gens, p, total - p)
 
 
 class TestFgcaDims:

@@ -1,6 +1,5 @@
 import itertools
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -16,7 +15,7 @@ from tautrings.invariants import (
     sl_invariant_basis,
     verify_fundamental_theorems,
 )
-from tautrings.linalg import QMatrix, rank_of_int_rows, subspace_equal
+from tautrings.linalg import column_rank, rank_of_int_rows, subspace_equal
 from tautrings.partitions import Partition, schur_product_expand
 
 
@@ -139,20 +138,34 @@ class TestFundamentalTheorems:
     def test_wrong_invariant_basis_not_surjective(self, monkeypatch, tamper):
         """A basis one vector short fails the rank count; one with a
         vector swapped for the non-invariant tensor e_0^(x3) (x) e_0*^(x3)
-        fails the containment."""
-        real = invariants.gl_invariant_basis
+        fails the containment.  The check reads the int kernel vectors,
+        so the tampering happens there."""
+        real = invariants._invariant_vectors
 
-        def tampered(spec):
-            basis = real(spec)
-            cols = [basis.column(j) for j in range(basis.cols)]
+        def tampered(spec, group):
+            vectors = real(spec, group)
             if tamper == "drop":
-                cols.pop()
+                vectors.pop()
             else:
-                cols[-1] = {0: Fraction(1)}
-            return QMatrix.from_columns(basis.rows, cols)
+                vectors[-1] = ({0: 1}, 1)
+            return vectors
 
-        monkeypatch.setattr(invariants, "gl_invariant_basis", tampered)
+        monkeypatch.setattr(invariants, "_invariant_vectors", tampered)
         assert not verify_fundamental_theorems(3, 2).surjective
+
+    @pytest.mark.parametrize("m,g", [(m, g) for m in range(1, 5)
+                                     for g in range(1, 5)] + [(5, 2)])
+    def test_matches_column_rank_check(self, m, g):
+        """Oracle: the rank form of the check, in which sigma stacked
+        with the Fraction invariant basis must keep sigma's rank."""
+        sigma = sigma_matrix(m, g)
+        inv = gl_invariant_basis(TensorSpaceSpec(m, m, g))
+        rank = column_rank(sigma)
+        old = invariants.FundamentalTheoremReport(
+            m=m, g=g, rank=rank,
+            surjective=rank == inv.cols and column_rank(sigma, inv) == rank,
+            injective=rank == math.factorial(m))
+        assert verify_fundamental_theorems(m, g) == old
 
 
 # every T^{k,l}(Q^g) with k + l <= 5 and g <= 3, and T^{4,4}(Q^3)

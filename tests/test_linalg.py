@@ -12,7 +12,9 @@ from tautrings.linalg import (
     _eliminate,
     column_rank,
     kernel_basis_columns,
+    kernel_int_basis,
     random_matrix,
+    reduce_against,
     subspace_equal,
 )
 
@@ -133,6 +135,43 @@ class TestEliminate:
             for row in rows:
                 assert sum(a * vec.get(c, 0) for c, a in row.items()) == 0
         assert _gauss_jordan_rank(kernel, ncols) == len(kernel)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(int_systems())
+    def test_int_kernel_over_common_denominator(self, system):
+        rows, ncols = system
+        ints = kernel_int_basis(rows, ncols)
+        assert [{c: Fraction(x, den) for c, x in v.items()}
+                for v, den in ints] == kernel_basis_columns(rows, ncols)
+        assert all(den > 0 and all(type(x) is int for x in v.values())
+                   for v, den in ints)
+
+
+class TestReduceAgainst:
+    @settings(max_examples=200, deadline=None)
+    @given(int_systems(), st.data())
+    def test_empty_residual_iff_rank_unchanged(self, system, data):
+        """Random vectors, and integer combinations of the rows (which
+        must reduce to nothing)."""
+        rows, ncols = system
+        entry = st.integers(-4, 4)
+        if rows and data.draw(st.booleans()):
+            coeffs = data.draw(st.lists(entry, min_size=len(rows),
+                                        max_size=len(rows)))
+            vec = {c: sum(a * r.get(c, 0) for a, r in zip(coeffs, rows))
+                   for c in range(ncols)}
+        else:
+            vec = data.draw(st.dictionaries(
+                st.integers(0, max(ncols - 1, 0)), entry, max_size=ncols)
+                if ncols else st.just({}))
+        pivots, pivot_rows = _eliminate(rows)
+        residual = reduce_against(pivots, pivot_rows, vec)
+        assert all(residual.values())
+        assert all(c not in residual for c in pivots)
+        unchanged = (_gauss_jordan_rank(rows + [vec], ncols)
+                     == _gauss_jordan_rank(rows, ncols))
+        assert (not residual) == unchanged
 
 
 # The elimination as it was before the unit-pivot step and the shrink-only
@@ -285,6 +324,33 @@ class TestSubspaceEqual:
         b1 = QMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
         b2 = QMatrix.from_rows([[1, 1], [1, -1], [2, 0]])
         assert subspace_equal(b1, b2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 7), st.integers(0, 5),
+           st.integers(0, 5), st.sampled_from(["random", "mixed", "scaled"]))
+    def test_against_stacked_rank(self, seed, rows, c1, c2, kind):
+        """Equal spans iff both ranks equal the rank of the two stacked;
+        b2 is random, a combination of b1's columns, or b1 scaled."""
+        rng = random.Random(seed)
+
+        def rand(cols):
+            return QMatrix(rows, cols, {
+                (i, j): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                for i in range(rows) for j in range(cols)
+                if rng.random() < 0.5})
+
+        b1 = rand(c1)
+        if kind == "random":
+            b2 = rand(c2)
+        elif kind == "mixed":
+            b2 = b1 @ QMatrix.from_rows(
+                [[rng.randint(-2, 2) for _ in range(c2)] for _ in range(c1)]) \
+                if c1 and c2 else QMatrix.zeros(rows, c2)
+        else:
+            b2 = b1.scale(Fraction(rng.choice([-7, -1, 2, 5]), rng.randint(1, 4)))
+        want = b1.rank() == b2.rank() == b1.hstack(b2).rank()
+        assert subspace_equal(b1, b2) == want
+        assert subspace_equal(b2, b1) == want
 
 
 class TestExactness:
