@@ -29,12 +29,7 @@ from .model import (
     gh_target_dims,
     minimal_M,
 )
-from .partitions import (
-    Partition,
-    enumerate_partitions,
-    lr_coefficient,
-    schur_dim,
-)
+from .partitions import enumerate_partitions, lr_coefficient, schur_dim
 from .rings import blockdiff_cohomology, diff_cohomology, mt_cohomology
 
 

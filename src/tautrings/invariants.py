@@ -8,7 +8,9 @@ symmetric or alternating.  From that alone it derives each letter's torus
 weight and its images under E_rs, and `_action_rows` applies E_rs as a
 derivation to basis elements stored as sorted tuples of letter ids.  The
 tensor invariants here, the trigraded cell counts and the second-page
-oracle in model only list their letters and a weight-restricted basis.
+oracle in model only list their letters and the factors of their basis;
+one meet-in-the-middle join, `_weight_join`, keeps the products of
+factors that have the target weight.
 
 Invariants under GL_g (resp. SL_g) are computed as a joint kernel of the
 infinitesimal gl_g action; over Q this kernel coincides with the group
@@ -39,7 +41,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from typing import NamedTuple
 
 from .linalg import QMatrix, _eliminate, kernel_int_basis, reduce_against
@@ -79,50 +81,44 @@ def _word_index(word: tuple[int, ...], g: int) -> int:
     return idx
 
 
+def _weight_join(factors, weight, target) -> list[tuple[int, ...]]:
+    """Every concatenation of one tuple from each factor whose weight is
+    target; weight must be additive over concatenation.
+
+    The last factor is grouped by weight; the product of the others is
+    streamed, and each partial tuple looks up the weight it still needs.
+    When each factor lists sorted letter-id tuples of one length in
+    lexicographic order, its letters above those of the factor before,
+    the output is sorted tuples in lexicographic order (README, "How the
+    weight-restricted basis is built").
+    """
+    *head, last = factors
+    by_weight: dict[tuple[int, ...], list] = {}
+    for t in last:
+        by_weight.setdefault(weight(t), []).append(t)
+    pools = [[(t, weight(t)) for t in f] for f in head]
+    out = []
+    for parts in itertools.product(*pools):
+        prefix, need = (), target
+        for t, w in parts:
+            prefix += t
+            need = tuple(map(sub, need, w))
+        out.extend(prefix + t for t in by_weight.get(need, ()))
+    return out
+
+
 def _weight_words(spec: TensorSpaceSpec,
                   target: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All basis words of T^{k,l} with the given torus weight, in
-    lexicographic order.
-
-    Depth-first over the slots, keeping only prefixes that can still be
-    completed: `need` is the weight left to place, and only covariant
-    slots spend its positive part, so that part must fit into the
-    covariant slots still open.
-    """
+    lexicographic order: the join of the first ceil((k + l)/2) slots
+    with the rest."""
     k, l, g = spec.k, spec.l, spec.g
-    need = list(target)
-    surplus = sum(x for x in need if x > 0)
-    if len(need) != g or sum(need) != k - l or surplus > k:
-        return []
-    out: list[tuple[int, ...]] = []
-    word: list[int] = []
-
-    def extend(pos: int, surplus: int):
-        if pos == k + l:
-            out.append(tuple(word))
-            return
-        covariant = pos < k
-        for i in range(g):
-            if covariant:
-                # spend one unit at i; the positive part left must fit
-                # into the covariant slots after this one
-                left = surplus - 1 if need[i] > 0 else surplus
-                if left > k - pos - 1:
-                    continue
-                step = -1
-            elif need[i] < 0:
-                # give one unit back; nothing is left to spend
-                left, step = surplus, 1
-            else:
-                continue
-            need[i] += step
-            word.append(i)
-            extend(pos + 1, left)
-            word.pop()
-            need[i] -= step
-
-    extend(0, surplus)
-    return out
+    slots = [range(pos * g, pos * g + g) for pos in range(k + l)]
+    h = (k + l + 1) // 2
+    letters = _weight_join(
+        [itertools.product(*slots[:h]), itertools.product(*slots[h:])],
+        _tensor_alphabet(spec).weight, target)
+    return [tuple(a % g for a in w) for w in letters]
 
 
 class Letter(NamedTuple):

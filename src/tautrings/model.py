@@ -12,6 +12,10 @@ generators.  Degrees follow the fixed scheme
     u_m : 4m - n - 1        (U)
 
 with a generator present exactly when its degree is positive and m <= M.
+
+The trigraded counts and the second-page oracle build each cell's
+weight-restricted basis with the join in invariants.  The oracle's
+CELL_CAP admits every n <= 11 at g = n - 2 and n - 1.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .invariants import (
     Letter,
     _action_rows,
     _sorted_sign,
+    _weight_join,
     raising_pairs,
 )
 from .linalg import kernel_basis_columns, rank_of_int_rows
@@ -299,26 +304,14 @@ def ac_invariant_dims_bruteforce(spec: ACAlgebraSpec, p: int, q: int, r: int,
         return 0
     target = (wsum // g,) * g
 
-    alphabet = _ac_alphabet(spec)
-
-    def factor_basis(lo, nlet, size, exterior):
+    def factor(lo, nlet, size, exterior):
         choose = (itertools.combinations if exterior
                   else itertools.combinations_with_replacement)
-        return [(fs, alphabet.weight(fs))
-                for fs in choose(range(lo, lo + nlet), size)]
+        return choose(range(lo, lo + nlet), size)
 
-    xbasis, ybasis, zbasis = (factor_basis(*f) for f in factors)
-    # z factors grouped by weight, each group in basis order, so the cell
-    # basis below keeps the (x, y, z) product order
-    z_by_weight: dict[tuple[int, ...], list] = {}
-    for zs, wz in zbasis:
-        z_by_weight.setdefault(wz, []).append(zs)
-    basis = [
-        xs + ys + zs
-        for xs, wx in xbasis for ys, wy in ybasis
-        for zs in z_by_weight.get(
-            tuple(t - a - b for t, a, b in zip(target, wx, wy)), ())
-    ]
+    alphabet = _ac_alphabet(spec)
+    basis = _weight_join([factor(*f) for f in factors], alphabet.weight,
+                         target)
     if not basis:
         return 0
     rows = _action_rows(alphabet, basis, raising_pairs(g))
@@ -421,20 +414,30 @@ class E2Model:
     def sl_invariant_vectors(self, p: int, q: int) -> list[dict]:
         """Basis of the SL-invariants of the (p, q) cell, as elements.
 
-        The joint kernel of the simple raising operators on the monomials
-        of constant weight (c, ..., c); see invariants for why these
-        operators suffice.
+        Only x has p > 0, so the cell joins the multisets of p/2 x letters
+        with the lambda monomials of bidegree (0, q), on the reduced
+        weight (w_1 - w_0, ..., w_{g-1} - w_0) = 0, i.e. constant weight;
+        see invariants for why the simple raising operators suffice.
         """
-        monos, basis = [], []
-        for mono in self.gens.monomials_bidegree(p, q):
-            elt = mono_letters(mono)
-            if len(set(self.alphabet.weight(elt))) <= 1:
-                monos.append(mono)
-                basis.append(elt)
+        if p % 2:
+            return []
+        gens, weight = self.gens, self.alphabet.weight
+        xs = [i for i, gg in enumerate(gens) if gg.p]
+        x_part = itertools.combinations_with_replacement(xs, p // 2)
+        lam_part = map(mono_letters, gens.monomials_bidegree(0, q))
+
+        def reduced(elt):
+            w = weight(elt)
+            return tuple(c - w[0] for c in w[1:])
+
+        # x and lambda ids interleave in generator order
+        basis = sorted(tuple(sorted(elt)) for elt in _weight_join(
+            [x_part, lam_part], reduced, (0,) * (self.g - 1)))
         if not basis:
             return []
         rows = _action_rows(self.alphabet, basis, raising_pairs(self.g))
         kernel = kernel_basis_columns(rows, len(basis))
+        monos = [tuple(map(elt.count, range(len(gens)))) for elt in basis]
         return [{monos[j]: v for j, v in vec.items()} for vec in kernel]
 
 
@@ -448,14 +451,25 @@ def e2_bruteforce_oracle(params: ModelParams) -> dict[tuple[int, int], int]:
 
     Cellwise: take SL-invariants by Lie-algebra kernel, restrict d2, and
     read off kernel-mod-image dimensions for every bidegree with total
-    degree <= maxdeg.
+    degree <= maxdeg.  A model with a cell whose join would build more
+    than CELL_CAP factor elements is refused before any cell is built.
     """
-    n, g = params.n, params.g
-    if n not in (5, 6):
-        raise ValueError(f"requires n in {{5, 6}} (got n={n})")
-    if g > 5:
-        raise ValueError(f"requires g <= 5 (got g={g})")
+    n, g, maxdeg = params.n, params.g, params.maxdeg
     model = E2Model(n, g, params.M)
+    cells = [(p, total - p) for total in range(maxdeg + 1)
+             for p in range(total + 1)]
+
+    # the join of an even-p cell builds its x part and its lambda part
+    lam = GeneratorSet((gg.name, gg.q) for gg in model.gens if not gg.p)
+    lam_dims = fgca_dims(lam, maxdeg)
+    nx = len(model.gens) - len(lam)
+    for p, q in cells:
+        size = (0 if p % 2
+                else math.comb(nx + p // 2 - 1, p // 2) + lam_dims[q])
+        if size > CELL_CAP:
+            raise ValueError(
+                f"cell ({p},{q}) of the second page at n={n}, g={g} joins "
+                f"{size} factor elements, over CELL_CAP {CELL_CAP}")
 
     # d2 must square to zero on every generator
     try:
@@ -464,19 +478,14 @@ def e2_bruteforce_oracle(params: ModelParams) -> dict[tuple[int, int], int]:
     except DgaError as exc:
         raise OracleMismatch(str(exc)) from None
 
-    maxdeg = params.maxdeg
     invdim: dict[tuple[int, int], int] = {}
     outrank: dict[tuple[int, int], int] = {}
-    for total in range(maxdeg + 1):
-        for p in range(total + 1):
-            q = total - p
-            vectors = model.sl_invariant_vectors(p, q)
-            invdim[(p, q)] = len(vectors)
-            outrank[(p, q)] = span_rank(model.dga.d(vec) for vec in vectors)
-    table: dict[tuple[int, int], int] = {}
-    for (p, q), dim in invdim.items():
-        table[(p, q)] = dim - outrank[(p, q)] - outrank.get((p - 2, q + 1), 0)
-    return table
+    for p, q in cells:
+        vectors = model.sl_invariant_vectors(p, q)
+        invdim[(p, q)] = len(vectors)
+        outrank[(p, q)] = span_rank(model.dga.d(vec) for vec in vectors)
+    return {(p, q): dim - outrank[(p, q)] - outrank.get((p - 2, q + 1), 0)
+            for (p, q), dim in invdim.items()}
 
 
 def e2_oracle_check(params: ModelParams) -> dict[tuple[int, int], int]:
@@ -488,16 +497,12 @@ def e2_oracle_check(params: ModelParams) -> dict[tuple[int, int], int]:
     table = e2_bruteforce_oracle(params)
     dga = build_D_dga(params)
     dtable = dga.cohomology(params.maxdeg)
-    for total in range(params.maxdeg + 1):
-        for p in range(total + 1):
-            q = total - p
-            a = table.get((p, q), 0)
-            b = dtable.get((p, q), 0)
-            if a != b:
-                raise OracleMismatch(
-                    f"second-page oracle gives {a} but the D-model gives "
-                    f"{b} at bidegree ({p},{q}) for n={params.n}, "
-                    f"g={params.g}")
+    for (p, q), a in table.items():
+        b = dtable.get((p, q), 0)
+        if a != b:
+            raise OracleMismatch(
+                f"second-page oracle gives {a} but the D-model gives "
+                f"{b} at bidegree ({p},{q}) for n={params.n}, g={params.g}")
     return table
 
 

@@ -159,9 +159,9 @@ class TestExitCodes:
         assert code == 1
 
     def test_oracle_guard(self, capsys):
-        code, out, err = run(capsys, "oracle-e2", "--n", "8")
+        code, out, err = run(capsys, "oracle-e2", "--n", "12", "--g", "10")
         assert code == 1
-        assert "n in" in err
+        assert "over CELL_CAP 200000" in err
 
     @pytest.mark.parametrize("m,g,bound", [
         ("6", "5", "tensor space dimension 244140625 exceeds cap 200000"),

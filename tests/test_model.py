@@ -1,16 +1,16 @@
+import itertools
 import math
 from functools import lru_cache
 
 import pytest
 
 from tautrings import model
-from tautrings.graded import GeneratorSet, fgca_dims, mono_elem
+from tautrings.graded import GeneratorSet, fgca_dims
 from tautrings.invariants import _action_rows
 from tautrings.model import (
     ACAlgebraSpec,
     E2Model,
     ModelParams,
-    OracleMismatch,
     ac_invariant_dims_bruteforce,
     ac_invariant_dims_formula,
     build_D_dga,
@@ -304,6 +304,99 @@ class TestGHTarget:
         assert gh_target_dims(2, 1, 1, 0) == 0
 
 
+def reference_ac_basis(spec, p, q, r, group):
+    """The trigraded cell basis as it was built before the shared join:
+    full x and y factor bases, joined with the z factors grouped by
+    weight."""
+    g, is_a = spec.g, spec.variant == "A"
+    wsum = 2 * p + q - r
+    if wsum % g or (group == "GL" and wsum):
+        return []
+    target = (wsum // g,) * g
+    nx, ny = (g * (g + 1) if is_a else g * (g - 1)) // 2, g * spec.dimW
+    factors = ((0, nx, p, False), (nx, ny, q, not is_a),
+               (nx + ny, g * spec.dimU, r, is_a))
+    alphabet = model._ac_alphabet(spec)
+
+    def factor_basis(lo, nlet, size, exterior):
+        choose = (itertools.combinations if exterior
+                  else itertools.combinations_with_replacement)
+        return [(fs, alphabet.weight(fs))
+                for fs in choose(range(lo, lo + nlet), size)]
+
+    xbasis, ybasis, zbasis = (factor_basis(*f) for f in factors)
+    z_by_weight = {}
+    for zs, wz in zbasis:
+        z_by_weight.setdefault(wz, []).append(zs)
+    return [xs + ys + zs
+            for xs, wx in xbasis for ys, wy in ybasis
+            for zs in z_by_weight.get(
+                tuple(t - a - b for t, a, b in zip(target, wx, wy)), ())]
+
+
+def reference_e2_basis(e2, p, q):
+    """The second-page cell basis as it was built before the shared join:
+    every monomial of the cell, kept when its weight is constant."""
+    basis = []
+    for mono in e2.gens.monomials_bidegree(p, q):
+        elt = mono_letters(mono)
+        if len(set(e2.alphabet.weight(elt))) <= 1:
+            basis.append(elt)
+    return basis
+
+
+@pytest.fixture
+def core_bases(monkeypatch):
+    """Every basis handed to the raising-operator core from model."""
+    seen = []
+    real = model._action_rows
+
+    def capture(alphabet, basis, pairs):
+        seen.append(list(basis))
+        return real(alphabet, seen[-1], pairs)
+
+    monkeypatch.setattr(model, "_action_rows", capture)
+    return seen
+
+
+class TestWeightJoin:
+    """The shared join builds the same bases, in the same order, as the
+    enumerators it replaced (the tensor case is in test_invariants)."""
+
+    # every criterion-4 spec, plus g = 4; each (p, q) cell at r up to
+    # 2p + q + 2, both groups
+    AC_CELLS = [(ACAlgebraSpec(variant, g, dimW, dimU), p, q, r, group)
+                for variant, g, dimW, dimU in itertools.product(
+                    "AC", range(1, 5), (1, 2), (1, 2))
+                for p in range(3) for q in range(5 - 2 * p)
+                for r in range(2 * p + q + 3) for group in ("GL", "SL")]
+
+    def test_ac_matches_reference(self, core_bases):
+        for cell in self.AC_CELLS:
+            core_bases.clear()
+            try:
+                ac_invariant_dims_bruteforce(*cell)
+            except ValueError:
+                assert cell[0].g == 4  # a g = 4 cell over CELL_CAP
+                continue
+            got = core_bases[0] if core_bases else []
+            assert got == reference_ac_basis(*cell), cell
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_e2_matches_reference(self, core_bases, n):
+        # x and lambda ids interleave, so the join's output needs its
+        # sort at n = 7, g = 3 and 4
+        for g in range(1, n):
+            e2 = E2Model(n, g, minimal_M(n))
+            for total in range(n - 2):
+                for p in range(total + 1):
+                    core_bases.clear()
+                    e2.sl_invariant_vectors(p, total - p)
+                    got = core_bases[0] if core_bases else []
+                    assert got == reference_e2_basis(e2, p, total - p), (
+                        n, g, p, total - p)
+
+
 class TestE2Oracle:
     def test_n5_matches_model(self):
         params = ModelParams(n=5, g=4, M=3, maxdeg=2)
@@ -317,9 +410,27 @@ class TestE2Oracle:
         table = e2_oracle_check(params)
         assert table[(0, 3)] == 2
 
-    def test_guard(self):
-        with pytest.raises(ValueError, match="n in"):
-            e2_bruteforce_oracle(ModelParams(n=7, g=5, M=4, maxdeg=2))
+    def test_guard(self, monkeypatch):
+        """At n = 12, g = 10 the join of cell (8, 0) would build 424 271
+        factor elements; the cap refuses before any cell is enumerated."""
+        def fail(*args):
+            raise AssertionError("a cell was enumerated")
+
+        monkeypatch.setattr(GeneratorSet, "monomials_bidegree", fail)
+        with pytest.raises(ValueError, match=r"cell \(8,0\) .* 424271 "
+                           r"factor elements, over CELL_CAP 200000"):
+            e2_bruteforce_oracle(ModelParams(n=12, g=10, M=minimal_M(12),
+                                             maxdeg=9))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", range(7, 12))
+    def test_matches_model_past_criterion_7(self, n):
+        # criterion 7 covers n = 5, 6; n = 11, g = 10 is the largest case
+        # under the cap
+        for g in (n - 2, n - 1):
+            table = e2_oracle_check(ModelParams(n=n, g=g, M=minimal_M(n),
+                                                maxdeg=n - 3))
+            assert table[(0, 0)] == 1
 
     def test_invariant_cells_match_stable_counts(self):
         # the (0,3) cell of the n=6 model: one invariant generator plus
