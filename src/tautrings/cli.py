@@ -18,8 +18,7 @@ from . import acceptance
 from .graded import kernel_cokernel_dims, koszul_cohomology_dims
 from .invariants import (
     TensorSpaceSpec,
-    gl_invariant_basis,
-    sl_invariant_basis,
+    invariant_dim,
     verify_fundamental_theorems,
 )
 from .linalg import QMatrix
@@ -143,12 +142,10 @@ def _cmd_partitions(args) -> dict:
 
 def _cmd_invariants(args) -> dict:
     spec = TensorSpaceSpec(args.k, args.l, args.g)
-    basis = (gl_invariant_basis(spec) if args.group == "GL"
-             else sl_invariant_basis(spec))
     return {
         "inputs": {"k": args.k, "l": args.l, "g": args.g,
                    "group": args.group},
-        "dim": basis.cols,
+        "dim": invariant_dim(spec, args.group),
         "ambient_dim": spec.dim,
         "provenance": "invariants of mixed tensor powers as the kernel of "
                       "the infinitesimal action",

@@ -70,6 +70,14 @@ class GeneratorSet:
             gp, gq = gcds[-1]
             gcds.append((math.gcd(gp, g.p), math.gcd(gq, g.q)))
         self.suffix_gcds: tuple[tuple[int, int], ...] = tuple(reversed(gcds))
+        # the first generator j >= i with p = 0 (resp. q = 0), or len:
+        # once nothing is left in p (resp. q), the search jumps there
+        n = len(parsed)
+        zero_p, zero_q = [n] * (n + 1), [n] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            zero_p[i] = i if parsed[i].p == 0 else zero_p[i + 1]
+            zero_q[i] = i if parsed[i].q == 0 else zero_q[i + 1]
+        self.next_zero = (tuple(zero_p), tuple(zero_q))
 
     def __len__(self) -> int:
         return len(self.gens)
@@ -120,32 +128,42 @@ class GeneratorSet:
     def monomials_bidegree(self, p: int, q: int) -> list[tuple[int, ...]]:
         """All monomials of bidegree (p, q), in the order of
         monomials_total.  Recurses on the remaining (p, q), so only this
-        cell is visited, and returns as soon as the remainder is no
-        multiple of the suffix gcds."""
+        cell is visited.  Exponent 0 and the generators the remainder
+        cannot use are stepped over in a loop, not a call; with nothing
+        left in p (or q) the loop jumps to the next generator with none
+        there.  The search stops as soon as the remainder is no multiple
+        of the suffix gcds."""
         degs, gcds = self.degs, self.suffix_gcds
         n = len(degs)
         out = []
         acc = [0] * n
+        zero_p, zero_q = self.next_zero
 
         def rec(i, rp, rq):
             if rp == 0 and rq == 0:
                 out.append(tuple(acc))
                 return
             # generators are sorted by total degree
-            if i == n or degs[i][2] > rp + rq:
-                return
-            dp, dq = gcds[i]
-            if (rp % dp if dp else rp) or (rq % dq if dq else rq):
-                return
-            gp, gq, _, odd = degs[i]
-            cap = min(rp // gp if gp else rp + rq, rq // gq if gq else rp + rq)
-            if odd:
-                cap = min(cap, 1)
-            for e in range(cap, 0, -1):
-                acc[i] = e
-                rec(i + 1, rp - e * gp, rq - e * gq)
-            acc[i] = 0
-            rec(i + 1, rp, rq)
+            while True:
+                if not rp:
+                    i = zero_p[i]
+                elif not rq:
+                    i = zero_q[i]
+                if i == n or degs[i][2] > rp + rq:
+                    return
+                dp, dq = gcds[i]
+                if (rp % dp if dp else rp) or (rq % dq if dq else rq):
+                    return
+                gp, gq, _, odd = degs[i]
+                cap = min(rp // gp if gp else rp + rq,
+                          rq // gq if gq else rp + rq)
+                if odd:
+                    cap = min(cap, 1)
+                for e in range(cap, 0, -1):
+                    acc[i] = e
+                    rec(i + 1, rp - e * gp, rq - e * gq)
+                acc[i] = 0
+                i += 1
 
         rec(0, p, q)
         return out

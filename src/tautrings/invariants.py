@@ -26,12 +26,14 @@ so a vector of sl_g-weight 0 killed by every E_{r,r+1} is a highest-weight
 vector of weight 0 and spans a trivial summand, which every E_rs kills.
 The all-pairs systems stay in the tests as the oracle.
 
-The fundamental-theorem check stays in integers from end to end: the
-permutation tensors are int count dicts, eliminated once for their rank,
-and each int kernel vector of the GL-invariants is reduced against their
-pivot rows (README, the section on reducing the kernel against sigma).
-`sigma_matrix` and the invariant bases are QMatrix wrappers over the
-same int columns.
+The fundamental-theorem check stays in integers and builds no kernel
+basis: the permutation tensors are int dicts, eliminated once for their
+rank; the raising rows are eliminated once for the dimension of the
+invariants; and one sparse product checks that the rows kill every
+permutation tensor (README, "Why containment and a count decide the
+span").  `invariant_dim` gives the same count for any T^{k,l}.
+`sigma_matrix` and the invariant bases are QMatrix wrappers over int
+columns.
 """
 
 from __future__ import annotations
@@ -40,11 +42,10 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 from typing import NamedTuple
 
-from .linalg import QMatrix, _eliminate, kernel_int_basis, reduce_against
+from .linalg import QMatrix, _eliminate, kernel_basis_columns
 
 # ambient dimension cap; beyond this the weight-zero subspace itself gets
 # unwieldy and the caller should rethink
@@ -257,10 +258,11 @@ def _tensor_alphabet(spec: TensorSpaceSpec) -> Alphabet:
                         for pos in range(k + spec.l) for i in range(g)])
 
 
-def _invariant_vectors(spec: TensorSpaceSpec,
-                       group: str) -> list[tuple[dict[int, int], int]]:
-    """The invariant kernel as (vector, den) pairs over word indices of
-    T^{k,l}: vector / den is a basis vector, vector has int entries."""
+def _raising_system(spec: TensorSpaceSpec, group: str):
+    """(words, rows): the basis words of T^{k,l} of the weight a group
+    invariant must have, in lexicographic order, and the rows of the
+    simple raising operators on their span, over word positions.  Both
+    are empty when no word has that weight."""
     spec.check_guard()
     k, l, g = spec.k, spec.l, spec.g
     if group not in ("GL", "SL"):
@@ -268,23 +270,31 @@ def _invariant_vectors(spec: TensorSpaceSpec,
     # constant weight (c, ..., c), so g must divide k - l; GL needs c = 0,
     # i.e. every E_{rr} eigenvalue vanishes
     if (k - l) % g or (group == "GL" and k != l):
-        return []
+        return [], []
     words = _weight_words(spec, ((k - l) // g,) * g)
     if not words:
-        return []
+        return [], []
     offsets = range(0, (k + l) * g, g)
     rows = _action_rows(_tensor_alphabet(spec),
                         (tuple(map(add, offsets, w)) for w in words),
                         raising_pairs(g))
-    index = [_word_index(w, g) for w in words]
-    return [({index[j]: x for j, x in v.items()}, den)
-            for v, den in kernel_int_basis(rows, len(words))]
+    return words, rows
+
+
+def invariant_dim(spec: TensorSpaceSpec, group: str) -> int:
+    """Dimension of the GL_g- or SL_g-invariants of T^{k,l}(Q^g): the
+    number of words of the invariant weight minus the rank of the raising
+    operators on them, with no kernel basis built."""
+    words, rows = _raising_system(spec, group)
+    return len(words) - len(_eliminate(rows)[0])
 
 
 def _invariant_basis(spec: TensorSpaceSpec, group: str) -> QMatrix:
+    words, rows = _raising_system(spec, group)
+    index = [_word_index(w, spec.g) for w in words]
     return QMatrix.from_columns(
-        spec.dim, [{i: Fraction(x, den) for i, x in v.items()}
-                   for v, den in _invariant_vectors(spec, group)])
+        spec.dim, [{index[j]: x for j, x in v.items()}
+                   for v in kernel_basis_columns(rows, len(words))])
 
 
 def gl_invariant_basis(spec: TensorSpaceSpec) -> QMatrix:
@@ -305,21 +315,18 @@ def _check_sigma_args(m: int, g: int):
 
 
 def _sigma_columns(m: int, g: int) -> list[dict[int, int]]:
-    """The columns of `sigma_matrix` as int count dicts."""
+    """The columns of `sigma_matrix` as int dicts, every entry 1: for a
+    fixed s, word -> (word, word o s^-1) is injective."""
     _check_sigma_args(m, g)
+    words = list(itertools.product(range(g), repeat=m))
     cols = []
     for perm in itertools.permutations(range(m)):
-        # perm maps positions: s(pos) = perm[pos]; contra slot t carries
-        # index i_{s^-1(t)}
-        inv = [0] * m
-        for pos, img in enumerate(perm):
-            inv[img] = pos
-        col: dict[int, int] = {}
-        for word in itertools.product(range(g), repeat=m):
-            contra = tuple(word[inv[t]] for t in range(m))
-            idx = _word_index(word + contra, g)
-            col[idx] = col.get(idx, 0) + 1
-        cols.append(col)
+        # perm maps positions: s(pos) = perm[pos], and contra slot s(pos)
+        # carries index i_pos; w[pos] weighs i_pos in both its slots
+        w = [g ** (2 * m - 1 - pos) + g ** (m - 1 - img)
+             for pos, img in enumerate(perm)]
+        cols.append(dict.fromkeys((sum(map(mul, word, w)) for word in words),
+                                  1))
     return cols
 
 
@@ -344,25 +351,46 @@ class FundamentalTheoremReport:
     injective: bool
 
 
+def _kills(by_word, position, col: dict[int, int]) -> bool:
+    """Is col supported on the words of `position` and killed by every
+    row, given the rows' entries grouped by word position?"""
+    image: dict[int, int] = {}
+    for idx, x in col.items():
+        j = position.get(idx)
+        if j is None:
+            return False
+        for i, c in by_word[j]:
+            image[i] = image.get(i, 0) + c * x
+    return not any(image.values())
+
+
 def verify_fundamental_theorems(m: int, g: int) -> FundamentalTheoremReport:
     """Check that the permutation tensors span the GL-invariants of
     T^{m,m}(Q^g) and are independent exactly when m <= g.
 
     Both bounds are checked before sigma is built.  Sigma's columns are
-    eliminated once, which gives its rank; each invariant basis vector is
-    then reduced against the pivot rows (README, the section on reducing
-    the kernel against sigma).
+    eliminated once, which gives its rank; the raising operators on the
+    weight-0 words are eliminated once, which gives the dimension of the
+    invariants.  Sigma spans them exactly when the two agree and every
+    column of sigma lies on the weight-0 words and is killed by the
+    operators (README, "Why containment and a count decide the span").
     """
     _check_sigma_args(m, g)
     spec = TensorSpaceSpec(m, m, g)
     spec.check_guard()
-    pivots, pivot_rows = _eliminate(_sigma_columns(m, g))
-    rank = len(pivots)
-    kernel = _invariant_vectors(spec, "GL")
-    # the basis vectors are independent (each is nonzero at its own free
-    # column only), so equal counts plus containment give equal spans
-    surjective = rank == len(kernel) and not any(
-        reduce_against(pivots, pivot_rows, v) for v, _ in kernel)
+    sigma = _sigma_columns(m, g)
+    rank = len(_eliminate(sigma)[0])
+    words, rows = _raising_system(spec, "GL")
+    dim = len(words) - len(_eliminate(rows)[0])
+    position = {_word_index(w, g): j for j, w in enumerate(words)}
+    # the rows' entries grouped by word position, so R.sigma_s is one
+    # pass over sigma_s's support
+    by_word: list[list[tuple[int, int]]] = [[] for _ in words]
+    for i, row in enumerate(rows):
+        for j, c in row.items():
+            by_word[j].append((i, c))
+    killed = all(_kills(by_word, position, col) for col in sigma)
     injective = rank == math.factorial(m)
     return FundamentalTheoremReport(m=m, g=g, rank=rank,
-                                    surjective=surjective, injective=injective)
+                                    surjective=killed and rank == dim,
+                                    injective=injective)

@@ -19,8 +19,7 @@ one common denominator per vector; `kernel_basis_columns` makes Fractions
 of that only at the end.  `reduce_against` takes an int vector through the
 pivot rows of one elimination, fraction-free, and leaves an empty residual
 exactly when the vector lies in their span, so a span inclusion costs one
-elimination of the spanning set (`subspace_equal`, and the
-fundamental-theorem check in invariants).
+elimination of the spanning set (`subspace_equal`).
 """
 
 from __future__ import annotations

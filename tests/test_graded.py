@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from tautrings.graded import (
     span_rank,
 )
 from tautrings.linalg import QMatrix, random_matrix
-from tautrings.model import ModelParams, build_D_dga, minimal_M
+from tautrings.model import E2Model, ModelParams, build_D_dga, minimal_M
 
 
 def single(gens, name):
@@ -34,6 +35,45 @@ def bidegree_filter(gens, p, q):
     """Reference enumeration of a (p, q) cell: filter its total degree."""
     return [m for m in gens.monomials_total(p + q)
             if gens.mono_bidegree(m) == (p, q)]
+
+
+def previous_monomials_bidegree(gens, p, q):
+    """The (p, q) search with one call per generator, exponent 0
+    included: the reference order for `GeneratorSet.monomials_bidegree`."""
+    degs, gcds = gens.degs, gens.suffix_gcds
+    n = len(degs)
+    out = []
+    acc = [0] * n
+
+    def rec(i, rp, rq):
+        if rp == 0 and rq == 0:
+            out.append(tuple(acc))
+            return
+        if i == n or degs[i][2] > rp + rq:
+            return
+        dp, dq = gcds[i]
+        if (rp % dp if dp else rp) or (rq % dq if dq else rq):
+            return
+        gp, gq, _, odd = degs[i]
+        cap = min(rp // gp if gp else rp + rq, rq // gq if gq else rp + rq)
+        if odd:
+            cap = min(cap, 1)
+        for e in range(cap, 0, -1):
+            acc[i] = e
+            rec(i + 1, rp - e * gp, rq - e * gq)
+        acc[i] = 0
+        rec(i + 1, rp, rq)
+
+    rec(0, p, q)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def model_gens(kind, n, g):
+    if kind == "D":
+        return build_D_dga(ModelParams(n=n, g=g, M=minimal_M(n),
+                                       maxdeg=n - 3)).gens
+    return E2Model(n, g, minimal_M(n)).gens
 
 
 def random_dga(rng, closed):
@@ -176,6 +216,27 @@ class TestMonomialBasis:
         gens = GeneratorSet([(f"y{i:03d}", (0, 1)) for i in range(ny)]
                             + [(f"x{j:03d}", (2, 0)) for j in range(nx)])
         assert gens.monomials_bidegree(p, q) == bidegree_filter(gens, p, q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bidegree_same_as_previous_search(self, data):
+        """The same monomials in the same order as the search with one
+        call per generator, on Koszul generators and on the generators of
+        the D-model and of the second page."""
+        kind = data.draw(st.sampled_from(["koszul", "D", "E2"]))
+        if kind == "koszul":
+            ny, nx = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 5))
+            gens = GeneratorSet([(f"y{i:03d}", (0, 1)) for i in range(ny)]
+                                + [(f"x{j:03d}", (2, 0)) for j in range(nx)])
+            top = 10
+        else:
+            n = data.draw(st.integers(5, 9))
+            gens = model_gens(kind, n, data.draw(st.sampled_from([n - 2, n - 1])))
+            top = n
+        p = data.draw(st.integers(0, top))
+        q = data.draw(st.integers(0, top - p))
+        assert gens.monomials_bidegree(p, q) \
+            == previous_monomials_bidegree(gens, p, q)
 
     @pytest.mark.parametrize("n", range(5, 13))
     def test_bidegree_d_model_generators(self, n):

@@ -11,11 +11,19 @@ from tautrings.invariants import (
     _weight_words,
     _word_index,
     gl_invariant_basis,
+    invariant_dim,
     sigma_matrix,
     sl_invariant_basis,
     verify_fundamental_theorems,
 )
-from tautrings.linalg import column_rank, rank_of_int_rows, subspace_equal
+from tautrings.linalg import (
+    _eliminate,
+    column_rank,
+    kernel_int_basis,
+    rank_of_int_rows,
+    reduce_against,
+    subspace_equal,
+)
 from tautrings.partitions import Partition, schur_product_expand
 
 
@@ -97,6 +105,22 @@ class TestSLInvariants:
         assert gl_invariant_basis(spec).cols == 0
 
 
+def _counted_sigma_columns(m, g):
+    """sigma's columns built by counting how often each index occurs."""
+    cols = []
+    for perm in itertools.permutations(range(m)):
+        inv = [0] * m
+        for pos, img in enumerate(perm):
+            inv[img] = pos
+        col = {}
+        for word in itertools.product(range(g), repeat=m):
+            contra = tuple(word[inv[t]] for t in range(m))
+            idx = _word_index(word + contra, g)
+            col[idx] = col.get(idx, 0) + 1
+        cols.append(col)
+    return cols
+
+
 class TestSigma:
     def test_single_column_identity(self):
         s = sigma_matrix(1, 3)
@@ -112,6 +136,18 @@ class TestSigma:
     def test_guard(self):
         with pytest.raises(ValueError):
             sigma_matrix(7, 1)
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_columns_match_counting_builder(self, m):
+        """Same dicts, key order included, as the builder that counted
+        each index, for every g under the cap."""
+        g = 1
+        while g ** (2 * m) <= invariants.DIMENSION_CAP:
+            got = invariants._sigma_columns(m, g)
+            want = _counted_sigma_columns(m, g)
+            assert [list(c.items()) for c in got] \
+                == [list(c.items()) for c in want]
+            g += 1
 
     def test_columns_inside_invariants(self):
         spec = TensorSpaceSpec(3, 3, 2)
@@ -134,24 +170,35 @@ class TestFundamentalTheorems:
         rep = verify_fundamental_theorems(1, 1)
         assert (rep.rank, rep.surjective, rep.injective) == (1, True, True)
 
-    @pytest.mark.parametrize("tamper", ["drop", "swap"])
+    @pytest.mark.parametrize("tamper", ["drop", "swap", "shift"])
     def test_wrong_invariant_basis_not_surjective(self, monkeypatch, tamper):
-        """A basis one vector short fails the rank count; one with a
-        vector swapped for the non-invariant tensor e_0^(x3) (x) e_0*^(x3)
-        fails the containment.  The check reads the int kernel vectors,
-        so the tampering happens there."""
-        real = invariants._invariant_vectors
+        """Each tampering at (3, 3) keeps rank sigma = 6 and breaks one
+        half of the check.  drop: one simple raising operator fewer leaves
+        a kernel larger than the invariants, which sigma still lies in, so
+        only the count fails.  swap: the last permutation tensor becomes
+        e_0^(x3) (x) e_0*^(x3), of weight 0 but no invariant; the six
+        columns stay independent, so only the containment fails (at
+        (3, 2) the rank would change instead).  shift: it becomes
+        e_0^(x3) (x) e_0*^(x2) (x) e_1*, off the weight-0 words, where no
+        row can see it; only the support half of the containment fails."""
+        spec = TensorSpaceSpec(3, 3, 3)
+        if tamper == "drop":
+            real_pairs = invariants.raising_pairs
+            monkeypatch.setattr(invariants, "raising_pairs",
+                                lambda g: real_pairs(g)[:-1])
+            assert invariant_dim(spec, "GL") > 6
+        else:
+            real_sigma = invariants._sigma_columns
 
-        def tampered(spec, group):
-            vectors = real(spec, group)
-            if tamper == "drop":
-                vectors.pop()
-            else:
-                vectors[-1] = ({0: 1}, 1)
-            return vectors
+            def tampered(m, g):
+                cols = real_sigma(m, g)
+                cols[-1] = {0: 1} if tamper == "swap" else {1: 1}
+                return cols
 
-        monkeypatch.setattr(invariants, "_invariant_vectors", tampered)
-        assert not verify_fundamental_theorems(3, 2).surjective
+            monkeypatch.setattr(invariants, "_sigma_columns", tampered)
+            assert invariant_dim(spec, "GL") == 6
+        rep = verify_fundamental_theorems(3, 3)
+        assert rep.rank == 6 and not rep.surjective
 
     @pytest.mark.parametrize("m,g", [(m, g) for m in range(1, 5)
                                      for g in range(1, 5)] + [(5, 2)])
@@ -164,6 +211,25 @@ class TestFundamentalTheorems:
         old = invariants.FundamentalTheoremReport(
             m=m, g=g, rank=rank,
             surjective=rank == inv.cols and column_rank(sigma, inv) == rank,
+            injective=rank == math.factorial(m))
+        assert verify_fundamental_theorems(m, g) == old
+
+    @pytest.mark.slow
+    def test_matches_kernel_reduction_check_5_3(self):
+        """Oracle at (5, 3): the earlier form of the check, which builds
+        the int kernel basis of the invariants and reduces each vector
+        against sigma's pivot rows."""
+        m, g = 5, 3
+        pivots, pivot_rows = _eliminate(invariants._sigma_columns(m, g))
+        rank = len(pivots)
+        words, rows = invariants._raising_system(TensorSpaceSpec(m, m, g), "GL")
+        index = [_word_index(w, g) for w in words]
+        kernel = [{index[j]: x for j, x in v.items()}
+                  for v, _ in kernel_int_basis(rows, len(words))]
+        old = invariants.FundamentalTheoremReport(
+            m=m, g=g, rank=rank,
+            surjective=rank == len(kernel) and not any(
+                reduce_against(pivots, pivot_rows, v) for v in kernel),
             injective=rank == math.factorial(m))
         assert verify_fundamental_theorems(m, g) == old
 
@@ -224,6 +290,14 @@ class TestRaisingOperators:
             for col in columns:
                 for row in rows:
                     assert sum(a * col.get(j, 0) for j, a in row.items()) == 0
+
+
+class TestInvariantDim:
+    @pytest.mark.parametrize("group", ["GL", "SL"])
+    def test_count_equals_basis_size(self, group):
+        basis = gl_invariant_basis if group == "GL" else sl_invariant_basis
+        for spec in SMALL_SPECS:
+            assert invariant_dim(spec, group) == basis(spec).cols
 
 
 def _partitions(m, largest=None):
