@@ -10,6 +10,7 @@ of the same quantity disagreed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -35,7 +36,13 @@ from .model import (
     lambda_relations,
     minimal_M,
 )
-from .partitions import Partition, enumerate_partitions, lr_coefficient, schur_dim
+from .partitions import (
+    Partition,
+    check_partition_cap,
+    enumerate_partitions,
+    lr_coefficient,
+    schur_dim,
+)
 from .rings import blockdiff_cohomology, diff_cohomology, mt_cohomology
 
 INT64_MAX = 2**63 - 1
@@ -173,6 +180,10 @@ def _cmd_cauchy_check(args) -> dict:
     dims = [int(t) for t in args.dims.split(",")]
     if len(dims) != 2 or min(dims) < 1:
         raise ValueError(f"--dims wants two positive ints, got {args.dims!r}")
+    try:   # the largest degree lists the partitions of 2 * maxdeg
+        check_partition_cap(max(0, 2 * args.maxdeg))
+    except ValueError as exc:
+        raise ValueError(f"--maxdeg {args.maxdeg}: {exc}") from None
     for dv in range(1, dims[0] + 1):
         for dw in range(1, dims[1] + 1):
             for d in range(0, args.maxdeg + 1):
@@ -371,7 +382,15 @@ def _cmd_verify_all(args) -> dict:
             "provenance": "full acceptance suite"}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared after it.
+
+    Each parse_args call starts from a fresh namespace, so reusing the
+    parser carries no state from one main() call to the next.  Each
+    subcommand's handler is bound here, when the parser is built:
+    replacing a cli._cmd_* function after the first call has no effect.
+    """
     parser = argparse.ArgumentParser(
         prog="tautrings",
         description="Exact computation of tautological cohomology rings.")

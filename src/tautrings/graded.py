@@ -301,6 +301,44 @@ def fgca_dims(gens: GeneratorSet, maxdeg: int) -> list[int]:
     return series
 
 
+def fgca_bidims(gens: GeneratorSet, maxtotal: int) -> list[list[int]]:
+    """The bigraded Hilbert series of the free graded-commutative algebra:
+    out[p][q] is the number of monomials of bidegree (p, q), p + q <=
+    maxtotal."""
+    series = [[0] * (maxtotal + 1 - p) for p in range(maxtotal + 1)]
+    series[0][0] = 1
+    for gp, gq, d, odd in gens.degs:
+        if d > maxtotal:
+            break   # generators are sorted by total degree
+        # an odd generator multiplies the series by 1 + t, an even one by
+        # 1/(1 - t), t of bidegree (gp, gq): each cell adds into the one t
+        # above it, in descending order (old values) or ascending (new)
+        cells = [(p, q) for p in range(maxtotal - d + 1)
+                 for q in range(maxtotal - d - p + 1)]
+        if odd:
+            cells.reverse()
+        for p, q in cells:
+            series[p + gp][q + gq] += series[p][q]
+    return series
+
+
+# basis monomials through the requested total degree that
+# BigradedDGA.cohomology may build; a 6x6 Koszul map at degree 10 has
+# 8 008 and takes about 3 s on a shared Xeon
+BASIS_CAP = 20_000
+
+
+def check_basis_cap(gens: GeneratorSet, maxtotal: int) -> None:
+    """Raise ValueError if the free algebra on gens has more than
+    BASIS_CAP monomials of total degree <= maxtotal."""
+    count = sum(fgca_dims(gens, maxtotal))
+    if count > BASIS_CAP:
+        raise ValueError(
+            f"free algebra on {len(gens)} generators has {count} basis "
+            f"monomials through total degree {maxtotal}, over the cap of "
+            f"{BASIS_CAP}")
+
+
 def span_rank(rows) -> int:
     """Rank over Q of rows given as dicts key -> int or Fraction.
 
@@ -414,24 +452,22 @@ class BigradedDGA:
         return span_rank(rows)
 
     def cohomology(self, maxtotal: int, check: bool = True) -> dict[tuple[int, int], int]:
-        """dim H^{p,q} for all bidegrees with p + q <= maxtotal."""
+        """dim H^{p,q} for all bidegrees with p + q <= maxtotal.
+
+        Raises ValueError, before any cell is built, if the cells hold more
+        than BASIS_CAP monomials in all.  The bigraded series then gives
+        each cell's size, and only the nonempty cells are enumerated.
+        """
+        check_basis_cap(self.gens, maxtotal)
         if check:
             self.check_d_squared_on_generators(maxtotal)
-        ranks: dict[tuple[int, int], int] = {}
-        dims: dict[tuple[int, int], int] = {}
-        for total in range(maxtotal + 1):
-            for p in range(0, total + 1):
-                q = total - p
-                basis = self.gens.monomials_bidegree(p, q)
-                dims[(p, q)] = len(basis)
-                ranks[(p, q)] = self._cell_rank(basis) if basis else 0
-        return {(p, q): dim - ranks[(p, q)] - ranks.get((p - 2, q + 1), 0)
-                for (p, q), dim in dims.items()}
-
-
-# basis monomials of degree <= maxdeg that koszul_cohomology_dims may build;
-# a 6x6 map at degree 10 has 8 008 and takes about 3 s on a shared Xeon
-KOSZUL_CAP = 20_000
+        sizes = fgca_bidims(self.gens, maxtotal)
+        cells = [(p, total - p) for total in range(maxtotal + 1)
+                 for p in range(total + 1)]
+        ranks = {(p, q): self._cell_rank(self.gens.monomials_bidegree(p, q))
+                 for p, q in cells if sizes[p][q]}
+        return {(p, q): sizes[p][q] - ranks.get((p, q), 0)
+                - ranks.get((p - 2, q + 1), 0) for p, q in cells}
 
 
 def koszul_cohomology_dims(F, maxdeg: int) -> list[int]:
@@ -440,17 +476,13 @@ def koszul_cohomology_dims(F, maxdeg: int) -> list[int]:
     F is a QMatrix X x Y (a map from Y to X); the exterior generators sit
     in degree 1, the polynomial generators in degree 2.  Returns dims of
     H^0..H^maxdeg.  Raises ValueError, before any cell is built, if the
-    complex has more than KOSZUL_CAP basis monomials up to maxdeg.
+    complex has more than BASIS_CAP basis monomials up to maxdeg.
     """
     ny, nx = F.cols, F.rows
     gens = GeneratorSet(
         [(f"y{i:03d}", (0, 1)) for i in range(ny)]
         + [(f"x{j:03d}", (2, 0)) for j in range(nx)])
-    work = sum(fgca_dims(gens, maxdeg))
-    if work > KOSZUL_CAP:
-        raise ValueError(
-            f"Koszul complex of a {nx}x{ny} map to degree {maxdeg} has "
-            f"{work} basis monomials, over the cap of {KOSZUL_CAP}")
+    check_basis_cap(gens, maxdeg)   # before the differential is built
     # L*F has the same kernel and image as F, so the engine works over Z
     den = math.lcm(*(c.denominator for c in F.entries.values()))
     diff: dict[str, dict] = {}

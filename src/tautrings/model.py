@@ -29,6 +29,7 @@ from .graded import (
     BigradedDGA,
     DgaError,
     GeneratorSet,
+    check_basis_cap,
     elem_add,
     elem_mul,
     fgca_dims,
@@ -166,39 +167,51 @@ def build_spaces(params: ModelParams) -> PaperGradedSpaces:
     )
 
 
-def build_D_dga(params: ModelParams) -> BigradedDGA:
+def build_D_dga(params: ModelParams,
+                maxtotal: int | None = None) -> BigradedDGA:
     """The bigraded DGA Lambda(V + W(x)U) (x) S(Q[2,0] (x) Lambda^2 U).
 
     Generators: v_m at (0, 4m-2n-1); y_{m0,m1} = w_{m0}(x)u_{m1} at
     (0, 4(m0+m1)-2n-1); z_{m0,m1} = u_{m0}^u_{m1} (m0 < m1, ungraded
     wedge) at (2, 4(m0+m1)-2n-2).  The differential sends y_{m0,m1} to
     S(w_{m0})^u_{m1} and vanishes on v and z.
+
+    With maxtotal, only the generators of total degree <= maxtotal are
+    built, and the z of total maxtotal + 1, which the kept y hit: a
+    sub-DGA with the same cells, monomials and d through maxtotal (README,
+    "Why e3 builds the model only through maxdeg").  Its basis through
+    maxtotal is held to BASIS_CAP before d is built.
     """
     n, M = params.n, params.M
+    top = math.inf if maxtotal is None else maxtotal
     ws, us = w_range(n, M), u_range(n, M)
     gens_list: list[tuple[str, tuple[int, int]]] = []
     for m in v_range(n, M):
-        gens_list.append((f"v{m}", (0, 4 * m - 2 * n - 1)))
-    for m0 in ws:
-        for m1 in us:
-            gens_list.append(
-                (f"y{m0}_{m1}", (0, 4 * (m0 + m1) - 2 * n - 1)))
+        if 4 * m - 2 * n - 1 <= top:
+            gens_list.append((f"v{m}", (0, 4 * m - 2 * n - 1)))
+    ys = [(m0, m1) for m0 in ws for m1 in us
+          if 4 * (m0 + m1) - 2 * n - 1 <= top]
+    for m0, m1 in ys:
+        gens_list.append((f"y{m0}_{m1}", (0, 4 * (m0 + m1) - 2 * n - 1)))
     for m0, m1 in itertools.combinations(us, 2):
-        gens_list.append((f"z{m0}_{m1}", (2, 4 * (m0 + m1) - 2 * n - 2)))
+        # z_{m0,m1} = -d(y_{m1,m0}), of total one more
+        if 4 * (m0 + m1) - 2 * n <= top + 1:
+            gens_list.append((f"z{m0}_{m1}", (2, 4 * (m0 + m1) - 2 * n - 2)))
     gens = GeneratorSet(gens_list)
+    if maxtotal is not None:
+        check_basis_cap(gens, maxtotal)   # before the dense d-values
 
     diff: dict[str, dict] = {}
-    for m0 in ws:
+    for m0, m1 in ys:
         if 4 * m0 - n - 1 == 0:
             continue  # S(w_{m0}) = 0: degenerate slot
-        for m1 in us:
-            if m0 == m1:
-                continue  # wedge square of a single generator
-            a, b = sorted((m0, m1))
-            sign = 1 if m0 < m1 else -1
-            mono = [0] * len(gens)
-            mono[gens.index[f"z{a}_{b}"]] = 1
-            diff[f"y{m0}_{m1}"] = {tuple(mono): sign}
+        if m0 == m1:
+            continue  # wedge square of a single generator
+        a, b = sorted((m0, m1))
+        sign = 1 if m0 < m1 else -1
+        mono = [0] * len(gens)
+        mono[gens.index[f"z{a}_{b}"]] = 1
+        diff[f"y{m0}_{m1}"] = {tuple(mono): sign}
     return BigradedDGA(gens, diff)
 
 
@@ -209,7 +222,7 @@ def e3_zero_column(params: ModelParams, check_k: bool = True) -> list[int]:
     check_k is set, that the column equals the Hilbert series of the
     exterior algebra on K.
     """
-    dga = build_D_dga(params)
+    dga = build_D_dga(params, params.maxdeg)
     table = dga.cohomology(params.maxdeg)
     for (p, q), h in sorted(table.items()):
         if p != 0 and h != 0:
@@ -495,7 +508,7 @@ def e2_oracle_check(params: ModelParams) -> dict[tuple[int, int], int]:
     differing bidegree.
     """
     table = e2_bruteforce_oracle(params)
-    dga = build_D_dga(params)
+    dga = build_D_dga(params, params.maxdeg)
     dtable = dga.cohomology(params.maxdeg)
     for (p, q), a in table.items():
         b = dtable.get((p, q), 0)

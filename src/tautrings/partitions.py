@@ -92,16 +92,56 @@ def _partitions_desc(n: int, maxpart: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+# p(k) for k < len, filled by partition_count
+_COUNTS = [1]
+
+# partitions enumerate_partitions may list, the cap the tensor spaces and
+# the brute-force cells use; p(49) = 173 525 is under it, p(50) is not
+PARTITION_CAP = 200_000
+
+
+def partition_count(n: int) -> int:
+    """p(n) by Euler's pentagonal recurrence
+    p(m) = sum_{k >= 1} (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2))."""
+    if n < 0:
+        return 0
+    counts = _COUNTS
+    for m in range(len(counts), n + 1):
+        total, k = 0, 1
+        while (g := k * (3 * k - 1) // 2) <= m:
+            term = counts[m - g] + (counts[m - g - k] if g + k <= m else 0)
+            total += term if k % 2 else -term
+            k += 1
+        counts.append(total)
+    return counts[n]
+
+
+def check_partition_cap(n: int) -> None:
+    """Raise ValueError, before any partition is built, if n has more
+    than PARTITION_CAP partitions.  p grows with n, so past n = 1000 the
+    message names p(1000) as a lower bound rather than compute p(n)."""
+    m = min(n, 1000)
+    count = partition_count(m)
+    if count > PARTITION_CAP:
+        rel = "=" if m == n else f">= p({m}) ="
+        raise ValueError(
+            f"n={n} has too many partitions to list: p({n}) {rel} {count}, "
+            f"over the cap of {PARTITION_CAP}")
+
+
 def enumerate_partitions(n: int, filter: str = "all") -> list[Partition]:
     """All partitions of n, in descending lexicographic order.
 
     filter: "all", "even_rows" (every part even) or "even_cols" (every
-    column even, i.e. the conjugate has even rows).
+    column even, i.e. the conjugate has even rows).  Every partition of n
+    is listed before the filter, so n is refused (ValueError) when p(n)
+    exceeds PARTITION_CAP.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if filter not in ("all", "even_rows", "even_cols"):
         raise ValueError(f"unknown filter {filter!r}")
+    check_partition_cap(n)
     out = [Partition(p) for p in _partitions_desc(n, n if n else 1)]
     if filter == "even_rows":
         out = [p for p in out if p.has_even_rows()]

@@ -4,8 +4,9 @@ import pathlib
 
 import pytest
 
-from tautrings import invariants
+from tautrings import cli, invariants, partitions
 from tautrings.cli import main
+from tautrings.graded import BigradedDGA, GeneratorSet
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -176,6 +177,73 @@ class TestExitCodes:
         code, out, err = run(capsys, "fft-check", m, g)
         assert code == 1
         assert bound in err
+
+    def never(self, *args):
+        pytest.fail("work started before the cap was checked")
+
+    def test_partitions_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(partitions, "_partitions_desc", self.never)
+        code, out, err = run(capsys, "partitions", "90")
+        assert code == 1
+        assert "n=90" in err and "p(90) = 56634173" in err
+        assert "cap of 200000" in err
+
+    def test_cauchy_check_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(partitions, "_partitions_desc", self.never)
+        code, out, err = run(capsys, "cauchy-check", "--maxdeg", "30")
+        assert code == 1
+        assert err.startswith("error: --maxdeg 30: n=60 ")
+        assert "p(60) = 966467" in err and "cap of 200000" in err
+
+    def test_e3_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(GeneratorSet, "monomials_bidegree", self.never)
+        monkeypatch.setattr(BigradedDGA, "__init__", self.never)
+        code, out, err = run(capsys, "e3", "--n", "200")
+        assert code == 1
+        assert "48554404087 basis monomials through total degree 197" in err
+        assert "cap of 20000" in err
+
+
+class TestParserReuse:
+    def call(self, capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def test_same_output_as_a_fresh_parser(self, capsys, monkeypatch,
+                                           tmp_path):
+        """Each call of one process sharing the parser prints what the
+        same call prints on a freshly built parser; --g comes back as
+        None, csv goes back to json, and an argparse error leaves none of
+        its state behind."""
+        path = tmp_path / "map.txt"
+        path.write_text("1 2\n1/2 1/2\n")
+        sequence = [
+            ["e3", "--n", "7", "--g", "6"],
+            ["e3", "--n", "7"],
+            ["koszul", "--map-file", str(path), "--maxdeg", "4"],
+            ["mt", "--n", "9", "--maxdeg", "4", "--format", "csv"],
+            ["e3", "--n", "8", "--bogus"],
+            ["mt", "--n", "9", "--maxdeg", "4"],
+            ["--help"],
+            ["e3", "--help"],
+        ]
+        cli.build_parser.cache_clear()
+        shared = [self.call(capsys, argv) for argv in sequence]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            fresh = [self.call(capsys, argv) for argv in sequence]
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2, 0, 0, 0]
+        assert '"g": 6' in shared[0][1] and '"g": 5' in shared[1][1]
+        assert shared[3][1].startswith("degree,dim\n")
+        assert shared[5][1].startswith("{")
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestOutputs:

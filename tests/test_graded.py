@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tautrings.graded import (
+    BASIS_CAP,
     BigradedDGA,
     DgaError,
     GeneratorSet,
     apply_derivation,
     elem_add,
     elem_mul,
+    fgca_bidims,
     fgca_dims,
     kernel_cokernel_dims,
     koszul_cohomology_dims,
@@ -268,6 +270,37 @@ class TestFgcaDims:
         dims = fgca_dims(g, 9)
         for d in range(10):
             assert dims[d] == len(g.monomials_total(d))
+
+
+class TestFgcaBidims:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_cell_sizes_match_enumeration(self, data):
+        """Every cell of random generator sets and of the Koszul, D-model
+        and second-page generators, rows summing to fgca_dims."""
+        kind = data.draw(st.sampled_from(["random", "koszul", "D", "E2"]))
+        if kind == "random":
+            rng = random.Random(data.draw(st.integers(0, 10**6)))
+            degs = [(a, b) for a in range(4) for b in range(4) if a + b]
+            gens = GeneratorSet([(f"g{i}", rng.choice(degs))
+                                 for i in range(rng.randint(0, 7))])
+            top = 8
+        elif kind == "koszul":
+            ny, nx = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 5))
+            gens = GeneratorSet([(f"y{i:03d}", (0, 1)) for i in range(ny)]
+                                + [(f"x{j:03d}", (2, 0)) for j in range(nx)])
+            top = 10
+        else:
+            n = data.draw(st.integers(5, 9))
+            gens = model_gens(kind, n, data.draw(st.sampled_from([n - 2, n - 1])))
+            top = n
+        sizes = fgca_bidims(gens, top)
+        for total in range(top + 1):
+            for p in range(total + 1):
+                assert sizes[p][total - p] == len(
+                    gens.monomials_bidegree(p, total - p)), (p, total - p)
+        assert [sum(sizes[p][t - p] for p in range(t + 1))
+                for t in range(top + 1)] == fgca_dims(gens, top)
 
 
 class TestProducts:
@@ -540,6 +573,37 @@ class TestBigradedDGA:
         assert on_gens == d_squared_passes(dga.check_d_squared, maxtotal)
         if closed:
             assert on_gens
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(0, 7))
+    def test_planned_cells_match_every_cell(self, seed, maxtotal):
+        """The same dict, keys in order and zeros included, as ranking d
+        on every cell."""
+        dga = random_dga(random.Random(seed), True)
+        table = {}
+        ranks = {}
+        for total in range(maxtotal + 1):
+            for p in range(total + 1):
+                basis = dga.gens.monomials_bidegree(p, total - p)
+                table[(p, total - p)] = len(basis)
+                ranks[(p, total - p)] = dga._cell_rank(basis)
+        expected = [((p, q), dim - ranks[(p, q)] - ranks.get((p - 2, q + 1), 0))
+                    for (p, q), dim in table.items()]
+        assert list(dga.cohomology(maxtotal).items()) == expected
+
+    def test_cap_refuses_before_any_cell(self, monkeypatch):
+        def never(*args):
+            pytest.fail("a cell was enumerated before the cap was checked")
+
+        monkeypatch.setattr(GeneratorSet, "monomials_bidegree", never)
+        gens = GeneratorSet([(f"x{i}", (0, 1)) for i in range(8)]
+                            + [(f"e{i}", (2, 0)) for i in range(8)])
+        count = sum(fgca_dims(gens, 12))
+        assert count > BASIS_CAP
+        with pytest.raises(ValueError, match=(
+                f"{count} basis monomials through total degree 12, over "
+                f"the cap of {BASIS_CAP}")):
+            BigradedDGA(gens, {}).cohomology(12)
 
     def test_random_dgas_cover_both_outcomes(self):
         # the property above must see differentials with d^2 != 0 as well

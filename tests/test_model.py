@@ -96,6 +96,46 @@ class TestDModel:
         build_D_dga(params).check_d_squared(6)
 
 
+class TestCutModel:
+    """build_D_dga(params, maxdeg) against the full build, the oracle."""
+
+    @pytest.mark.parametrize("n", range(5, 31))
+    def test_same_generators_and_d(self, n):
+        """The cut keeps the generators of total <= maxdeg and the z their
+        d-values hit, with the same d."""
+        params = ModelParams(n=n, g=n - 2, M=minimal_M(n), maxdeg=n - 3)
+        full, cut = build_D_dga(params), build_D_dga(params, n - 3)
+
+        def named(dga):
+            gens = dga.gens
+            return {gens[i].name: {gens.mono_str(m): c for m, c in v.items()}
+                    for i, v in dga.dvals.items()}
+
+        full_d = named(full)
+        low = {gg.name for gg in full.gens if gg.total <= n - 3}
+        hit = {z for y in low for z in full_d.get(y, {})}
+        assert {gg.name for gg in cut.gens} == low | hit
+        assert named(cut) == {y: full_d[y] for y in low if y in full_d}
+
+    @pytest.mark.parametrize("n", range(5, 31))
+    def test_same_cohomology_table(self, n):
+        """The whole table, keys in order and zeros included, at minimal
+        M and two above it, at the bottom, middle and top of maxdeg."""
+        for M in (minimal_M(n), minimal_M(n) + 2):
+            for maxdeg in sorted({1, (n - 3) // 2, n - 3}):
+                params = ModelParams(n=n, g=n - 2, M=M, maxdeg=maxdeg)
+                full = build_D_dga(params).cohomology(maxdeg)
+                cut = build_D_dga(params, maxdeg).cohomology(maxdeg)
+                assert list(cut.items()) == list(full.items()), (M, maxdeg)
+
+    @pytest.mark.parametrize("n", range(5, 11))
+    def test_e2_oracle_tables(self, n):
+        for g in (n - 2, n - 1):
+            params = ModelParams(n=n, g=g, M=minimal_M(n), maxdeg=n - 3)
+            assert e2_oracle_check(params) == build_D_dga(params).cohomology(
+                n - 3)
+
+
 class TestE3ZeroColumn:
     def test_n5(self):
         params = ModelParams(n=5, g=3, M=4, maxdeg=2)

@@ -2,9 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tautrings import partitions
 from tautrings.partitions import (
+    PARTITION_CAP,
     Partition,
     enumerate_partitions,
+    partition_count,
     lr_coefficient,
     schur_dim,
     schur_product_expand,
@@ -80,6 +83,23 @@ class TestEnumeration:
     def test_bad_filter(self):
         with pytest.raises(ValueError):
             enumerate_partitions(3, "odd_rows")
+
+
+class TestPartitionCount:
+    def test_matches_enumeration(self):
+        for n in range(31):
+            assert partition_count(n) == len(enumerate_partitions(n))
+
+    def test_cap_admits_49_and_refuses_50(self, monkeypatch):
+        assert partition_count(49) <= PARTITION_CAP < partition_count(50)
+
+        def never(*args):
+            pytest.fail("partitions listed before the cap was checked")
+
+        monkeypatch.setattr(partitions, "_partitions_desc", never)
+        with pytest.raises(ValueError, match=r"n=50 .* p\(50\) = 204226, "
+                                             r"over the cap of 200000"):
+            enumerate_partitions(50, "even_rows")
 
 
 class TestSchurDim:
