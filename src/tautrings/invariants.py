@@ -1,39 +1,42 @@
-"""Invariant theory by Lie-algebra kernels: the one raising-operator core,
+"""Invariant theory by Lie-algebra kernels: the one invariant-kernel core,
 and brute-force invariants of mixed tensor powers of Q^g.
 
 The core works on a free graded-commutative algebra whose letters carry
 indices: an `Alphabet` lists each letter's indices in N = Q^g and in the
 dual N^v, whether it is exterior, and whether a two-index letter is
 symmetric or alternating.  From that alone it derives each letter's torus
-weight and its images under E_rs, and `_action_rows` applies E_rs as a
-derivation to basis elements stored as sorted tuples of letter ids.  The
+weight, its images under E_rs and under the transpositions s_r of the
+indices r and r + 1.  Basis elements are sorted tuples of letter ids.  The
 tensor invariants here, the trigraded cell counts and the second-page
 oracle in model only list their letters and the factors of their basis;
 one meet-in-the-middle join, `_weight_join`, keeps the products of
 factors that have the target weight.
 
-Invariants under GL_g (resp. SL_g) are computed as a joint kernel of the
+Invariants under GL_g (resp. SL_g) are computed as a kernel of the
 infinitesimal gl_g action; over Q this kernel coincides with the group
 invariants for the rational representations at hand.  Basis elements are
 weight vectors for the diagonal torus, so the computation first restricts
 to the relevant weight subspace: weight 0 for GL_g, constant weight
 (c, ..., c), i.e. sl_g-weight 0, for SL_g.
 
-On that subspace only the simple raising operators E_{r,r+1}, r < g - 1,
-are stacked, not all g(g - 1) operators E_rs.  This is exact: each cell
-is a finite-dimensional gl_g-module over Q, hence completely reducible,
-so a vector of sl_g-weight 0 killed by every E_{r,r+1} is a highest-weight
-vector of weight 0 and spans a trivial summand, which every E_rs kills.
-The all-pairs systems stay in the tests as the oracle.
+`_invariant_system` reduces that subspace once more, by the Weyl group.
+Permutation matrices P_w lie in GL_g, and a signed one in SL_g acts on
+weight (c, ..., c) as sgn(w)^c P_w, so every invariant is a combination of
+S_g-orbit sums of basis elements, twisted by sgn^c (c = 0 for GL).  On
+those orbit sums it stacks E_01 alone: every E_{r,r+1} is P_w E_01 P_w^-1
+for some w, so an orbit sum killed by E_01 is killed by every simple
+raising operator, hence (highest weight 0, complete reducibility) by all
+of gl_g.  Rows that are +- an earlier row are dropped.  The stacked
+simple-operator and all-pairs systems stay in the tests as oracles.
 
 The fundamental-theorem check stays in integers and builds no kernel
 basis: the permutation tensors are int dicts, eliminated once for their
-rank; the raising rows are eliminated once for the dimension of the
-invariants; and one sparse product checks that the rows kill every
-permutation tensor (README, "Why containment and a count decide the
-span").  `invariant_dim` gives the same count for any T^{k,l}.
-`sigma_matrix` and the invariant bases are QMatrix wrappers over int
-columns.
+rank; the reduced system is eliminated once for the dimension of the
+invariants; and one pass over each permutation tensor checks that it is
+an orbit-sum combination the reduced rows kill (README, "Why containment
+and a count decide the span").  `invariant_dim` gives the same count for
+any T^{k,l}.  `sigma_matrix` and the invariant bases are QMatrix
+wrappers over int or Fraction columns.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import add, mul, sub
 from typing import NamedTuple
 
@@ -148,8 +152,12 @@ def _sorted_sign(idx: tuple[int, ...], alternating: bool):
         return 1, ordered
     if len(set(idx)) < len(idx):
         return None
-    inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
-    return (-1) ** inversions, ordered
+    return -1 if _odd(idx) else 1, ordered
+
+
+def _odd(seq) -> bool:
+    """Has seq an odd number of inversions?"""
+    return sum(a > b for a, b in itertools.combinations(seq, 2)) % 2 == 1
 
 
 class Alphabet:
@@ -162,6 +170,7 @@ class Alphabet:
         self.exterior = tuple(a.exterior for a in self.letters)
         self._id = {(a.tag, a.up, a.down): i
                     for i, a in enumerate(self.letters)}
+        self._relabel: dict[int, tuple[list[int], set[int]]] = {}
 
     def weight(self, elt) -> tuple[int, ...]:
         """Torus weight of a basis element: +1 per N index, -1 per N^v
@@ -201,16 +210,33 @@ class Alphabet:
             table.append(tuple(terms))
         return table
 
+    def relabel(self, r: int) -> tuple[list[int], set[int]]:
+        """The swap s_r of the indices r and r + 1 on each letter, in N and
+        N^v alike, as (image ids, the ids whose image has sign -1).  Built
+        once per alphabet and r."""
+        if r in self._relabel:
+            return self._relabel[r]
+        swap = {r: r + 1, r + 1: r}
+        ids, flips = list(range(len(self.letters))), set()
+        for a, letter in enumerate(self.letters):
+            if swap.keys().isdisjoint(letter.up + letter.down):
+                continue
+            up = [swap.get(i, i) for i in letter.up]
+            down = [swap.get(i, i) for i in letter.down]
+            if letter.alternating and _odd(up) != _odd(down):
+                flips.add(a)
+            ids[a] = self._id[letter.tag, tuple(sorted(up)),
+                              tuple(sorted(down))]
+        self._relabel[r] = ids, flips
+        return ids, flips
 
-def raising_pairs(g: int) -> list[tuple[int, int]]:
-    """The simple raising operators E_{r,r+1} of gl_g, as (r, s) pairs."""
-    return [(r, r + 1) for r in range(g - 1)]
 
-
-def _action_rows(alphabet: Alphabet, basis,
-                 pairs: list[tuple[int, int]]) -> list[dict[int, int]]:
+def _action_rows(alphabet: Alphabet, basis, pairs: list[tuple[int, int]],
+                 columns) -> list[dict[int, int]]:
     """Rows of the stacked E_rs actions on the span of basis, an iterable
-    of sorted tuples of letter ids.
+    of sorted tuples of letter ids, over the columns that columns[j] =
+    (o, e) names: element j adds e times its image into column o, and
+    none where columns[j] is None.
 
     E_rs acts as a derivation: it replaces one letter a at a time by an
     image b.  An exterior b that already occurs kills the term; otherwise
@@ -221,7 +247,10 @@ def _action_rows(alphabet: Alphabet, basis,
     exterior = alphabet.exterior
     tables = [(r, s, alphabet.images(r, s)) for r, s in pairs]
     rows: dict[tuple, dict[int, int]] = {}
-    for j, elt in enumerate(basis):
+    for elt, column in zip(basis, columns):
+        if column is None:
+            continue
+        col, e = column
         for r, s, table in tables:
             for pos, a in enumerate(elt):
                 terms = table[a]
@@ -229,6 +258,7 @@ def _action_rows(alphabet: Alphabet, basis,
                     continue
                 others = elt[:pos] + elt[pos + 1:]
                 for c, b in terms:
+                    c *= e
                     k = bisect_left(others, b)
                     if exterior[b]:
                         if k < len(others) and others[k] == b:
@@ -240,14 +270,86 @@ def _action_rows(alphabet: Alphabet, basis,
                     key = (r, s, others[:k] + (b,) + others[k:])
                     d = rows.get(key)
                     if d is None:
-                        rows[key] = {j: c}
+                        rows[key] = {col: c}
                         continue
-                    v = d.get(j, 0) + c
+                    v = d.get(col, 0) + c
                     if v:
-                        d[j] = v
+                        d[col] = v
                     else:
-                        del d[j]
+                        del d[col]
     return [d for d in rows.values() if d]
+
+
+def _orbits(alphabet: Alphabet, basis) -> list[list[tuple[int, int]]]:
+    """The live S_g-orbits of basis, a list of constant-weight elements
+    closed under permuting indices, as lists of (position, sign e): the
+    sum of e * basis[j] is the vector on the orbit that each P_w maps to
+    sgn(w)^c times itself, c the constant weight.  An element the walk
+    over the s_r reaches with two signs kills every such vector, and its
+    orbit is dropped (README, "Why the simple raising operators
+    suffice")."""
+    exterior = alphabet.exterior
+    odd = any(exterior)
+    tables = [alphabet.relabel(r) for r in range(alphabet.g - 1)]
+    # each letter's weight at index 0
+    w0 = [a.up.count(0) - a.down.count(0) for a in alphabet.letters]
+    position = {elt: j for j, elt in enumerate(basis)}
+    sign = [0] * len(basis)
+    orbits = []
+    for start in range(len(basis)):
+        if sign[start]:
+            continue
+        # s_r maps the orbit sum to sgn(s_r)^c = (-1)^c times itself
+        twist = -1 if sum(map(w0.__getitem__, basis[start])) % 2 else 1
+        sign[start] = 1
+        orbit, live = [start], True
+        for j in orbit:
+            elt = basis[j]
+            for ids, flips in tables:
+                image = [ids[a] for a in elt]
+                e = twist * sign[j]
+                if flips and sum(map(flips.__contains__, elt)) % 2:
+                    e = -e
+                # the sign of re-sorting the exterior images
+                if odd and _odd([b for b in image if exterior[b]]):
+                    e = -e
+                k = position[tuple(sorted(image))]
+                if not sign[k]:
+                    sign[k] = e
+                    orbit.append(k)
+                elif sign[k] != e:
+                    live = False
+        if live:
+            orbits.append([(j, sign[j]) for j in orbit])
+    return orbits
+
+
+def _invariant_system(alphabet: Alphabet, basis):
+    """(orbits, rows): the live orbits of basis and the rows of E_01 on
+    their orbit sums, less every row that is +- an earlier one.  The
+    kernel of the rows is the invariants in orbit-sum coordinates."""
+    orbits = _orbits(alphabet, basis)
+    columns = [None] * len(basis)
+    for o, orbit in enumerate(orbits):
+        for j, e in orbit:
+            columns[j] = (o, e)
+    rows, seen = [], set()
+    for row in _action_rows(alphabet, basis,
+                            [(0, 1)] if alphabet.g > 1 else [], columns):
+        key = tuple(sorted(row.items()))
+        if key[0][1] < 0:
+            key = tuple((o, -c) for o, c in key)
+        if key not in seen:
+            seen.add(key)
+            rows.append(row)
+    return orbits, rows
+
+
+def _kernel_vectors(orbits, rows) -> list[dict[int, Fraction]]:
+    """A basis of the invariants from `_invariant_system`, over basis
+    positions: kernel vector k gives k_o * e at each (j, e) of orbit o."""
+    return [{j: x * e for o, x in vec.items() for j, e in orbits[o]}
+            for vec in kernel_basis_columns(rows, len(orbits))]
 
 
 def _tensor_alphabet(spec: TensorSpaceSpec) -> Alphabet:
@@ -259,10 +361,9 @@ def _tensor_alphabet(spec: TensorSpaceSpec) -> Alphabet:
 
 
 def _raising_system(spec: TensorSpaceSpec, group: str):
-    """(words, rows): the basis words of T^{k,l} of the weight a group
-    invariant must have, in lexicographic order, and the rows of the
-    simple raising operators on their span, over word positions.  Both
-    are empty when no word has that weight."""
+    """(words, orbits, rows): the basis words of T^{k,l} of the weight a
+    group invariant must have, in lexicographic order, and
+    `_invariant_system` on them."""
     spec.check_guard()
     k, l, g = spec.k, spec.l, spec.g
     if group not in ("GL", "SL"):
@@ -270,31 +371,27 @@ def _raising_system(spec: TensorSpaceSpec, group: str):
     # constant weight (c, ..., c), so g must divide k - l; GL needs c = 0,
     # i.e. every E_{rr} eigenvalue vanishes
     if (k - l) % g or (group == "GL" and k != l):
-        return [], []
+        return [], [], []
     words = _weight_words(spec, ((k - l) // g,) * g)
-    if not words:
-        return [], []
     offsets = range(0, (k + l) * g, g)
-    rows = _action_rows(_tensor_alphabet(spec),
-                        (tuple(map(add, offsets, w)) for w in words),
-                        raising_pairs(g))
-    return words, rows
+    return (words, *_invariant_system(
+        _tensor_alphabet(spec), [tuple(map(add, offsets, w)) for w in words]))
 
 
 def invariant_dim(spec: TensorSpaceSpec, group: str) -> int:
     """Dimension of the GL_g- or SL_g-invariants of T^{k,l}(Q^g): the
-    number of words of the invariant weight minus the rank of the raising
-    operators on them, with no kernel basis built."""
-    words, rows = _raising_system(spec, group)
-    return len(words) - len(_eliminate(rows)[0])
+    number of live orbits minus the rank of the reduced system, with no
+    kernel basis built."""
+    _, orbits, rows = _raising_system(spec, group)
+    return len(orbits) - len(_eliminate(rows)[0])
 
 
 def _invariant_basis(spec: TensorSpaceSpec, group: str) -> QMatrix:
-    words, rows = _raising_system(spec, group)
+    words, orbits, rows = _raising_system(spec, group)
     index = [_word_index(w, spec.g) for w in words]
     return QMatrix.from_columns(
         spec.dim, [{index[j]: x for j, x in v.items()}
-                   for v in kernel_basis_columns(rows, len(words))])
+                   for v in _kernel_vectors(orbits, rows)])
 
 
 def gl_invariant_basis(spec: TensorSpaceSpec) -> QMatrix:
@@ -351,15 +448,25 @@ class FundamentalTheoremReport:
     injective: bool
 
 
-def _kills(by_word, position, col: dict[int, int]) -> bool:
-    """Is col supported on the words of `position` and killed by every
-    row, given the rows' entries grouped by word position?"""
-    image: dict[int, int] = {}
+def _kills(by_orbit, orbits, orbit_of, col: dict[int, int]) -> bool:
+    """Is col an invariant?  Over word indices, orbit o is the list of
+    (index, e) and orbit_of[index] = (o, e).  col must be a combination
+    of live orbit sums: zero off their words, and x_o * e at each word of
+    each orbit o it meets.  The reduced rows, their entries grouped by
+    orbit, must kill that combination."""
+    coeff: dict[int, int] = {}
     for idx, x in col.items():
-        j = position.get(idx)
-        if j is None:
+        hit = orbit_of.get(idx)
+        if hit is None:
             return False
-        for i, c in by_word[j]:
+        o, e = hit
+        coeff.setdefault(o, x * e)
+    if any(col.get(idx) != x * e
+           for o, x in coeff.items() for idx, e in orbits[o]):
+        return False
+    image: dict[int, int] = {}
+    for o, x in coeff.items():
+        for i, c in by_orbit[o]:
             image[i] = image.get(i, 0) + c * x
     return not any(image.values())
 
@@ -369,27 +476,30 @@ def verify_fundamental_theorems(m: int, g: int) -> FundamentalTheoremReport:
     T^{m,m}(Q^g) and are independent exactly when m <= g.
 
     Both bounds are checked before sigma is built.  Sigma's columns are
-    eliminated once, which gives its rank; the raising operators on the
-    weight-0 words are eliminated once, which gives the dimension of the
+    eliminated once, which gives its rank; the reduced system on the
+    weight-0 words is eliminated once, which gives the dimension of the
     invariants.  Sigma spans them exactly when the two agree and every
-    column of sigma lies on the weight-0 words and is killed by the
-    operators (README, "Why containment and a count decide the span").
+    column of sigma is a combination of live orbit sums that the reduced
+    rows kill (README, "Why containment and a count decide the span").
     """
     _check_sigma_args(m, g)
     spec = TensorSpaceSpec(m, m, g)
     spec.check_guard()
     sigma = _sigma_columns(m, g)
     rank = len(_eliminate(sigma)[0])
-    words, rows = _raising_system(spec, "GL")
-    dim = len(words) - len(_eliminate(rows)[0])
-    position = {_word_index(w, g): j for j, w in enumerate(words)}
-    # the rows' entries grouped by word position, so R.sigma_s is one
-    # pass over sigma_s's support
-    by_word: list[list[tuple[int, int]]] = [[] for _ in words]
+    words, orbits, rows = _raising_system(spec, "GL")
+    dim = len(orbits) - len(_eliminate(rows)[0])
+    orbits = [[(_word_index(words[j], g), e) for j, e in orbit]
+              for orbit in orbits]
+    orbit_of = {idx: (o, e)
+                for o, orbit in enumerate(orbits) for idx, e in orbit}
+    # the rows' entries grouped by orbit, so R applied to sigma_s is one
+    # pass over sigma_s's orbit coordinates
+    by_orbit: list[list[tuple[int, int]]] = [[] for _ in orbits]
     for i, row in enumerate(rows):
-        for j, c in row.items():
-            by_word[j].append((i, c))
-    killed = all(_kills(by_word, position, col) for col in sigma)
+        for o, c in row.items():
+            by_orbit[o].append((i, c))
+    killed = all(_kills(by_orbit, orbits, orbit_of, col) for col in sigma)
     injective = rank == math.factorial(m)
     return FundamentalTheoremReport(m=m, g=g, rank=rank,
                                     surjective=killed and rank == dim,

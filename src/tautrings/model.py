@@ -39,12 +39,12 @@ from .graded import (
 from .invariants import (
     Alphabet,
     Letter,
-    _action_rows,
+    _invariant_system,
+    _kernel_vectors,
     _sorted_sign,
     _weight_join,
-    raising_pairs,
 )
-from .linalg import kernel_basis_columns, rank_of_int_rows
+from .linalg import rank_of_int_rows
 
 # cap on the dimension of any single brute-force cell
 CELL_CAP = 200_000
@@ -282,9 +282,9 @@ def ac_invariant_dims_bruteforce(spec: ACAlgebraSpec, p: int, q: int, r: int,
 
     The cell basis is taken directly in symmetrized/antisymmetrized
     letter coordinates (multisets for symmetric factors, subsets for
-    exterior ones); invariants are the joint kernel of the simple raising
-    operators E_{r,r+1} on the relevant torus-weight subspace, which is
-    the invariant subspace by the highest-weight argument in invariants.
+    exterior ones); invariants are the kernel of E_01 on the Weyl-orbit
+    sums of the relevant torus-weight subspace, which is the invariant
+    subspace by the argument in invariants.
     """
     if min(p, q, r) < 0:
         raise ValueError("requires nonnegative p, q, r")
@@ -327,8 +327,8 @@ def ac_invariant_dims_bruteforce(spec: ACAlgebraSpec, p: int, q: int, r: int,
                          target)
     if not basis:
         return 0
-    rows = _action_rows(alphabet, basis, raising_pairs(g))
-    return len(basis) - rank_of_int_rows(rows)
+    orbits, rows = _invariant_system(alphabet, basis)
+    return len(orbits) - rank_of_int_rows(rows)
 
 
 def ac_invariant_dims_formula(spec: ACAlgebraSpec, p: int, q: int) -> int:
@@ -430,7 +430,7 @@ class E2Model:
         Only x has p > 0, so the cell joins the multisets of p/2 x letters
         with the lambda monomials of bidegree (0, q), on the reduced
         weight (w_1 - w_0, ..., w_{g-1} - w_0) = 0, i.e. constant weight;
-        see invariants for why the simple raising operators suffice.
+        see invariants for why E_01 on the orbit sums suffices.
         """
         if p % 2:
             return []
@@ -448,10 +448,10 @@ class E2Model:
             [x_part, lam_part], reduced, (0,) * (self.g - 1)))
         if not basis:
             return []
-        rows = _action_rows(self.alphabet, basis, raising_pairs(self.g))
-        kernel = kernel_basis_columns(rows, len(basis))
+        orbits, rows = _invariant_system(self.alphabet, basis)
         monos = [tuple(map(elt.count, range(len(gens)))) for elt in basis]
-        return [{monos[j]: v for j, v in vec.items()} for vec in kernel]
+        return [{monos[j]: v for j, v in vec.items()}
+                for vec in _kernel_vectors(orbits, rows)]
 
 
 def mono_letters(mono) -> tuple[int, ...]:

@@ -5,8 +5,9 @@ import pytest
 
 from tautrings import invariants
 from tautrings.invariants import (
+    Alphabet,
+    Letter,
     TensorSpaceSpec,
-    _action_rows,
     _tensor_alphabet,
     _weight_words,
     _word_index,
@@ -17,6 +18,7 @@ from tautrings.invariants import (
     verify_fundamental_theorems,
 )
 from tautrings.linalg import (
+    QMatrix,
     _eliminate,
     column_rank,
     kernel_int_basis,
@@ -25,6 +27,14 @@ from tautrings.linalg import (
     subspace_equal,
 )
 from tautrings.partitions import Partition, schur_product_expand
+
+from oracles import (
+    all_pairs,
+    stacked_kernel,
+    stacked_rows,
+    stacked_tensor_system,
+    tensor_cell,
+)
 
 
 class TestTensorSpaceSpec:
@@ -170,29 +180,42 @@ class TestFundamentalTheorems:
         rep = verify_fundamental_theorems(1, 1)
         assert (rep.rank, rep.surjective, rep.injective) == (1, True, True)
 
-    @pytest.mark.parametrize("tamper", ["drop", "swap", "shift"])
+    @pytest.mark.parametrize("tamper", ["drop", "swap", "shift", "unsym",
+                                        "partial", "unkilled"])
     def test_wrong_invariant_basis_not_surjective(self, monkeypatch, tamper):
         """Each tampering at (3, 3) keeps rank sigma = 6 and breaks one
-        half of the check.  drop: one simple raising operator fewer leaves
-        a kernel larger than the invariants, which sigma still lies in, so
-        only the count fails.  swap: the last permutation tensor becomes
-        e_0^(x3) (x) e_0*^(x3), of weight 0 but no invariant; the six
-        columns stay independent, so only the containment fails (at
-        (3, 2) the rank would change instead).  shift: it becomes
-        e_0^(x3) (x) e_0*^(x2) (x) e_1*, off the weight-0 words, where no
-        row can see it; only the support half of the containment fails."""
+        part of the check.  drop: without the orbit symmetrization every
+        word is its own orbit, and E_01 alone leaves a kernel larger than
+        the invariants, which sigma still lies in, so only the count fails.
+        The other modes replace the last permutation tensor; the six
+        columns stay independent (at (3, 2) the rank would change instead)
+        and only the containment fails.  swap: e_0^(x3) (x) e_0*^(x3), of
+        weight 0 but neither S_3-fixed nor killed by E_01.  shift:
+        e_0^(x3) (x) e_0*^(x2) (x) e_1*, off the weight-0 words.  unsym:
+        e_2^(x3) (x) e_2*^(x3), which E_01 kills but S_3 moves.  partial:
+        the permutation tensor less its word (2, 2, 2; 2, 2, 2), whose
+        orbit-sum part is still the tensor, so only the orbit half fails.
+        unkilled: the sum of e_i^(x3) (x) e_i*^(x3) over i, S_3-fixed but
+        not killed by E_01."""
         spec = TensorSpaceSpec(3, 3, 3)
         if tamper == "drop":
-            real_pairs = invariants.raising_pairs
-            monkeypatch.setattr(invariants, "raising_pairs",
-                                lambda g: real_pairs(g)[:-1])
+            monkeypatch.setattr(invariants, "_orbits", lambda alphabet, basis:
+                                [[(j, 1)] for j in range(len(basis))])
             assert invariant_dim(spec, "GL") > 6
         else:
             real_sigma = invariants._sigma_columns
+            # the word (i, i, i; i, i, i) has index i * (3^6 - 1) / 2
+            replace = {
+                "swap": lambda col: {0: 1},
+                "shift": lambda col: {1: 1},
+                "unsym": lambda col: {728: 1},
+                "partial": lambda col: {i: x for i, x in col.items()
+                                        if i != 728},
+                "unkilled": lambda col: {0: 1, 364: 1, 728: 1}}[tamper]
 
             def tampered(m, g):
                 cols = real_sigma(m, g)
-                cols[-1] = {0: 1} if tamper == "swap" else {1: 1}
+                cols[-1] = replace(cols[-1])
                 return cols
 
             monkeypatch.setattr(invariants, "_sigma_columns", tampered)
@@ -217,12 +240,12 @@ class TestFundamentalTheorems:
     @pytest.mark.slow
     def test_matches_kernel_reduction_check_5_3(self):
         """Oracle at (5, 3): the earlier form of the check, which builds
-        the int kernel basis of the invariants and reduces each vector
-        against sigma's pivot rows."""
+        the int kernel basis of the stacked simple raising operators and
+        reduces each vector against sigma's pivot rows."""
         m, g = 5, 3
         pivots, pivot_rows = _eliminate(invariants._sigma_columns(m, g))
         rank = len(pivots)
-        words, rows = invariants._raising_system(TensorSpaceSpec(m, m, g), "GL")
+        words, rows = stacked_tensor_system(TensorSpaceSpec(m, m, g), "GL")
         index = [_word_index(w, g) for w in words]
         kernel = [{index[j]: x for j, x in v.items()}
                   for v, _ in kernel_int_basis(rows, len(words))]
@@ -261,27 +284,28 @@ class TestWeightWords:
                 assert _weight_words(spec, wt) == by_weight.get(wt, [])
 
 
+def _basis_over_words(spec, words, vectors) -> QMatrix:
+    """Vectors over word positions as columns of T^{k,l}(Q^g)."""
+    index = [_word_index(w, spec.g) for w in words]
+    return QMatrix.from_columns(
+        spec.dim, [{index[j]: x for j, x in v.items()} for v in vectors])
+
+
 class TestRaisingOperators:
-    """The simple raising operators cut out the same kernel as all E_rs."""
+    """The reduced system cuts out the same kernel as the simple raising
+    operators stacked on every weight word, and both the same as all E_rs."""
 
     @pytest.mark.parametrize("group", ["GL", "SL"])
     def test_kernel_equals_all_pairs_kernel(self, group):
         for spec in SMALL_SPECS:
-            k, l, g = spec.k, spec.l, spec.g
-            if group == "GL":
-                basis = gl_invariant_basis(spec)
-                target = (0,) * g
-            else:
-                basis = sl_invariant_basis(spec)
-                if (k - l) % g:
-                    assert basis.cols == 0
-                    continue
-                target = ((k - l) // g,) * g
-            words = _weight_words(spec, target)
-            all_pairs = [(r, s) for r in range(g) for s in range(g) if r != s]
-            letters = [tuple(pos * g + i for pos, i in enumerate(w))
-                       for w in words]
-            rows = _action_rows(_tensor_alphabet(spec), letters, all_pairs)
+            g = spec.g
+            basis = (gl_invariant_basis if group == "GL"
+                     else sl_invariant_basis)(spec)
+            words, letters = tensor_cell(spec, group)
+            if not words:
+                assert basis.cols == 0
+                continue
+            rows = stacked_rows(_tensor_alphabet(spec), letters, all_pairs(g))
             assert basis.cols == len(words) - rank_of_int_rows(rows)
             position = {_word_index(w, g): j for j, w in enumerate(words)}
             columns = [{} for _ in range(basis.cols)]
@@ -290,6 +314,45 @@ class TestRaisingOperators:
             for col in columns:
                 for row in rows:
                     assert sum(a * col.get(j, 0) for j, a in row.items()) == 0
+
+    @pytest.mark.parametrize("group", ["GL", "SL"])
+    def test_matches_stacked_simple_operators(self, group):
+        """Equal dimensions and equal spans against the stacked system,
+        on every small space and T^{4,4}(Q^3)."""
+        for spec in SMALL_SPECS:
+            words, letters = tensor_cell(spec, group)
+            want = _basis_over_words(
+                spec, words, stacked_kernel(_tensor_alphabet(spec), letters))
+            got = (gl_invariant_basis if group == "GL"
+                   else sl_invariant_basis)(spec)
+            assert invariant_dim(spec, group) == got.cols == want.cols, spec
+            assert subspace_equal(got, want), spec
+
+
+class TestOrbits:
+    """Orbit signs and dropped orbits on hand-checked cases."""
+
+    def test_sl_sign_twist(self):
+        # T^{2,0}(Q^2) at weight (1, 1): the determinant e_0e_1 - e_1e_0
+        alphabet = _tensor_alphabet(TensorSpaceSpec(2, 0, 2))
+        assert invariants._orbits(alphabet, [(0, 3), (1, 2)]) == [
+            [(0, 1), (1, -1)]]
+
+    def test_dead_orbit_dropped(self):
+        # x_01 in S^2(Q^2) has weight (1, 1); s_0 fixes it with sign +1
+        # where sgn(s_0)^1 = -1 is needed, so no SL-invariant lives on it
+        alphabet = Alphabet(2, [Letter("x", (0, 0)), Letter("x", (0, 1)),
+                                Letter("x", (1, 1))])
+        assert invariants._orbits(alphabet, [(1,)]) == []
+
+    def test_fixed_with_sign(self):
+        # x_01 in Lambda^2(Q^2), and y_0 y_1 with y exterior of weight e_i:
+        # s_0 fixes each with sign -1, as weight (1, 1) needs
+        alternating = Alphabet(2, [Letter("x", (0, 1), alternating=True)])
+        assert invariants._orbits(alternating, [(0,)]) == [[(0, 1)]]
+        exterior = Alphabet(2, [Letter("y", (0,), exterior=True),
+                                Letter("y", (1,), exterior=True)])
+        assert invariants._orbits(exterior, [(0, 1)]) == [[(0, 1)]]
 
 
 class TestInvariantDim:
@@ -325,7 +388,7 @@ class TestSchurWeylCount:
     (f^lambda)^2, independently of the kernel and of sigma_matrix."""
 
     @pytest.mark.parametrize("m,g", [(m, g) for m in range(1, 5)
-                                     for g in range(1, 5)] + [(5, 2)])
+                                     for g in range(1, 5)] + [(5, 2), (5, 3)])
     def test_invariant_dim(self, m, g):
         want = sum(_hook_length_count(lam) ** 2 for lam in _partitions(m)
                    if len(lam) <= g)

@@ -4,9 +4,10 @@ from functools import lru_cache
 
 import pytest
 
-from tautrings import model
+from tautrings import invariants, model
 from tautrings.graded import GeneratorSet, fgca_dims
-from tautrings.invariants import _action_rows
+from tautrings.invariants import _invariant_system, _kernel_vectors
+from tautrings.linalg import QMatrix, subspace_equal
 from tautrings.model import (
     ACAlgebraSpec,
     E2Model,
@@ -23,6 +24,8 @@ from tautrings.model import (
     minimal_M,
     mono_letters,
 )
+
+from oracles import all_pairs, stacked_dim, stacked_kernel, stacked_rows
 
 
 class TestModelParams:
@@ -300,23 +303,25 @@ class TestWeylCharacterOracle:
                                 == _weyl_invariant_dim(spec, p, q, r, group)
                                 ), (spec, p, q, r)
 
-    def test_all_pairs_kernel(self, monkeypatch):
-        """The joint kernel of all g(g-1) operators E_rs has the same
-        dimension.  The simple raising operators only move a letter to a
-        neighbour of its own family (same W or U index), so the exterior
-        crossing sign could be wrong there without any dimension changing;
-        the longer E_rs move letters past others of the family."""
-        monkeypatch.setattr(model, "raising_pairs", lambda g: [
-            (r, s) for r in range(g) for s in range(g) if r != s])
+    def test_all_pairs_kernel(self):
+        """The joint kernel of all g(g-1) operators E_rs on the cell's
+        weight space has the Weyl dimension, and so has the brute force.
+        The simple raising operators only move a letter to a neighbour of
+        its own family (same W or U index), so the exterior crossing sign
+        could be wrong there without any dimension changing; the longer
+        E_rs move letters past others of the family."""
         for variant in ("A", "C"):
             for spec in (ACAlgebraSpec(variant, 3, 2, 2),
                          ACAlgebraSpec(variant, 3, 1, 3)):
                 for p in range(3):
                     for q in range(5 - 2 * p):
                         r = 2 * p + q
+                        want = _weyl_invariant_dim(spec, p, q, r, "GL")
+                        basis = reference_ac_basis(spec, p, q, r, "GL")
+                        assert stacked_dim(model._ac_alphabet(spec), basis,
+                                           all_pairs(3)) == want
                         assert (ac_invariant_dims_bruteforce(spec, p, q, r)
-                                == _weyl_invariant_dim(spec, p, q, r, "GL")
-                                ), (spec, p, q, r)
+                                == want), (spec, p, q, r)
 
     # GL cells with 2p+q >= 9 and a nonzero invariant space at g = 3
     PAST_LR_CAP = [
@@ -387,15 +392,15 @@ def reference_e2_basis(e2, p, q):
 
 @pytest.fixture
 def core_bases(monkeypatch):
-    """Every basis handed to the raising-operator core from model."""
+    """Every basis handed to the invariant-kernel core."""
     seen = []
-    real = model._action_rows
+    real = invariants._orbits
 
-    def capture(alphabet, basis, pairs):
+    def capture(alphabet, basis):
         seen.append(list(basis))
-        return real(alphabet, seen[-1], pairs)
+        return real(alphabet, seen[-1])
 
-    monkeypatch.setattr(model, "_action_rows", capture)
+    monkeypatch.setattr(invariants, "_orbits", capture)
     return seen
 
 
@@ -435,6 +440,64 @@ class TestWeightJoin:
                     got = core_bases[0] if core_bases else []
                     assert got == reference_e2_basis(e2, p, total - p), (
                         n, g, p, total - p)
+
+
+def _columns(nrows, vectors) -> QMatrix:
+    return QMatrix.from_columns(nrows, [dict(v) for v in vectors])
+
+
+class TestStackedSimpleOperators:
+    """The reduced core against the simple raising operators stacked on
+    the whole weight space, the system it replaced: equal dimensions and
+    equal spans (the tensor case is in test_invariants)."""
+
+    # every (p, q) cell of 2p + q <= 4 at r = 2p + q - g .. 2p + q + g,
+    # g <= 4, both groups
+    AC_CELLS = [(ACAlgebraSpec(variant, g, dimW, dimU), p, q, r, group)
+                for variant, g, dimW, dimU in itertools.product(
+                    "AC", range(1, 5), (1, 2), (1, 2))
+                for p in range(3) for q in range(5 - 2 * p)
+                for r in range(max(0, 2 * p + q - g), 2 * p + q + g + 1)
+                for group in ("GL", "SL")]
+
+    def test_ac_cells(self):
+        for cell in self.AC_CELLS:
+            spec = cell[0]
+            try:
+                got = ac_invariant_dims_bruteforce(*cell)
+            except ValueError:
+                assert spec.g == 4  # a g = 4 cell over CELL_CAP
+                continue
+            alphabet = model._ac_alphabet(spec)
+            basis = reference_ac_basis(*cell)
+            assert got == stacked_dim(alphabet, basis), cell
+            if got:
+                assert subspace_equal(
+                    _columns(len(basis), _kernel_vectors(
+                        *_invariant_system(alphabet, basis))),
+                    _columns(len(basis), stacked_kernel(alphabet, basis))
+                ), cell
+
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_e2_cells(self, core_bases, n):
+        for g in (n - 2, n - 1):
+            e2 = E2Model(n, g, minimal_M(n))
+            for total in range(n - 2):
+                for p in range(total + 1):
+                    core_bases.clear()
+                    got = e2.sl_invariant_vectors(p, total - p)
+                    if not core_bases:
+                        assert got == []
+                        continue
+                    basis = core_bases[0]
+                    position = {elt: j for j, elt in enumerate(basis)}
+                    want = stacked_kernel(e2.alphabet, basis)
+                    assert len(got) == len(want), (n, g, p, total - p)
+                    assert subspace_equal(
+                        _columns(len(basis), (
+                            {position[mono_letters(m)]: x
+                             for m, x in vec.items()} for vec in got)),
+                        _columns(len(basis), want)), (n, g, p, total - p)
 
 
 class TestE2Oracle:
@@ -493,7 +556,7 @@ class TestE2Oracle:
                         for ss in range(g):
                             if rr == ss:
                                 continue
-                            rows = _action_rows(model.alphabet, basis,
+                            rows = stacked_rows(model.alphabet, basis,
                                                 [(rr, ss)])
                             image = [sum(c * coeffs[j] for j, c in row.items())
                                      for row in rows]
