@@ -1,10 +1,11 @@
 """Exact-arithmetic computation of tautological cohomology rings.
 
 Layers, bottom up: partition/Schur/Littlewood-Richardson combinatorics;
-exact rational linear algebra; brute-force tensor invariants; a free
-graded-commutative algebra engine with quotients, Koszul complexes and
-bigraded DGAs; the parametrized spectral-sequence model; and the final
-ring presentations.
+exact rational linear algebra; a free graded-commutative algebra engine
+on sorted generator-id tuples, with the one derivation routine,
+quotients, Koszul complexes and bigraded DGAs; brute-force tensor
+invariants, whose Lie-algebra action goes through that routine; the
+parametrized spectral-sequence model; and the final ring presentations.
 """
 
 from .partitions import (
@@ -15,19 +16,19 @@ from .partitions import (
     schur_product_expand,
 )
 from .linalg import QMatrix, subspace_equal
-from .invariants import (
-    TensorSpaceSpec,
-    gl_invariant_basis,
-    sigma_matrix,
-    sl_invariant_basis,
-    verify_fundamental_theorems,
-)
 from .graded import (
     BigradedDGA,
     GeneratorSet,
     fgca_dims,
     koszul_cohomology_dims,
     quotient_dims,
+)
+from .invariants import (
+    TensorSpaceSpec,
+    gl_invariant_basis,
+    sigma_matrix,
+    sl_invariant_basis,
+    verify_fundamental_theorems,
 )
 from .model import (
     ACAlgebraSpec,

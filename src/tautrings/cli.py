@@ -47,6 +47,10 @@ from .rings import blockdiff_cohomology, diff_cohomology, mt_cohomology
 
 INT64_MAX = 2**63 - 1
 
+# (dimV, dimW, degree) triples cauchy-check may check; the default 3,3 to
+# degree 6 is 63, and 2 000 triples at degree 6 take about 3 s
+CAUCHY_CAP = 2_000
+
 
 def _jsonable(obj):
     """Ints that may not fit in 64 bits become strings; everything nests."""
@@ -184,6 +188,11 @@ def _cmd_cauchy_check(args) -> dict:
         check_partition_cap(max(0, 2 * args.maxdeg))
     except ValueError as exc:
         raise ValueError(f"--maxdeg {args.maxdeg}: {exc}") from None
+    checks = dims[0] * dims[1] * max(0, args.maxdeg + 1)
+    if checks > CAUCHY_CAP:
+        raise ValueError(
+            f"--dims {args.dims} --maxdeg {args.maxdeg}: {checks} identity "
+            f"checks, over the cap of {CAUCHY_CAP}")
     for dv in range(1, dims[0] + 1):
         for dw in range(1, dims[1] + 1):
             for d in range(0, args.maxdeg + 1):

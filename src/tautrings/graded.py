@@ -3,22 +3,26 @@ bigraded differential graded algebras.
 
 Generators carry a bidegree (p, q); singly graded algebras use (0, d).  A
 generator is exterior iff its total degree is odd, polynomial otherwise.
-Monomials are exponent tuples over the (fixed, name-sorted) generator
-list; elements are dicts monomial -> int or Fraction.  The engine's own
-elements have int coefficients; Fraction ones from callers mix in freely.
+A monomial is the sorted tuple of its generator ids (positions in the
+(total degree, name)-sorted generator list), an id once per unit of its
+exponent; elements are dicts monomial -> int or Fraction.  The engine's
+own elements have int coefficients; Fraction ones from callers mix in
+freely.
 
-A derivation walks only the sparse support of each term of d(x_i), with
-one sign flip per odd letter of the monomial strictly between slot i and
-each odd letter of the term (README, "Why one sign per odd letter in
-between"); the rank of d on a cell is taken over int column ids.
+`apply_derivation` applies every derivation on such letter-id tuples: d
+on the bigraded model and the second page (odd) and E_rs on the letters
+of invariants (even), with one sign flip per odd letter of the monomial
+between a letter and each odd letter of its image (README, "Why one sign
+per odd letter in between").  The rank of d on a cell is taken over int
+column ids.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import groupby
 
 from .linalg import rank_of_int_rows
 
@@ -89,40 +93,34 @@ class GeneratorSet:
         return self.gens[i]
 
     def mono_bidegree(self, mono) -> tuple[int, int]:
-        p = sum(e * d[0] for e, d in zip(mono, self.degs))
-        q = sum(e * d[1] for e, d in zip(mono, self.degs))
-        return p, q
+        degs = self.degs
+        return sum(degs[a][0] for a in mono), sum(degs[a][1] for a in mono)
 
     def mono_total(self, mono) -> int:
-        return sum(e * d[2] for e, d in zip(mono, self.degs))
+        return sum(self.degs[a][2] for a in mono)
 
     def mono_str(self, mono) -> str:
-        parts = []
-        for e, g in zip(mono, self.gens):
-            if e == 1:
-                parts.append(g.name)
-            elif e > 1:
-                parts.append(f"{g.name}^{e}")
-        return "*".join(parts) if parts else "1"
+        powers = [(self.gens[a].name, len(list(run)))
+                  for a, run in groupby(mono)]
+        return "*".join(x if e == 1 else f"{x}^{e}" for x, e in powers) or "1"
 
     def monomials_total(self, degree: int) -> list[tuple[int, ...]]:
-        """All monomials of the given total degree, lexicographic order."""
+        """All monomials of the given total degree, in increasing order."""
         out = []
 
         def rec(i, remaining, acc):
             if remaining == 0:
-                out.append(tuple(acc) + (0,) * (len(self.gens) - i))
+                out.append(acc)
                 return
             if i == len(self.gens):
                 return
             g = self.gens[i]
-            cap = 1 if g.odd else remaining // g.total
-            for e in range(cap, -1, -1):
-                if e * g.total <= remaining:
-                    rec(i + 1, remaining - e * g.total, acc + [e])
+            cap = remaining // g.total
+            for e in range(min(cap, 1) if g.odd else cap, -1, -1):
+                rec(i + 1, remaining - e * g.total, acc + (i,) * e)
 
-        rec(0, degree, [])
-        out.sort(reverse=True)
+        rec(0, degree, ())
+        out.sort()
         return out
 
     def monomials_bidegree(self, p: int, q: int) -> list[tuple[int, ...]]:
@@ -136,12 +134,11 @@ class GeneratorSet:
         degs, gcds = self.degs, self.suffix_gcds
         n = len(degs)
         out = []
-        acc = [0] * n
         zero_p, zero_q = self.next_zero
 
-        def rec(i, rp, rq):
+        def rec(i, rp, rq, acc):
             if rp == 0 and rq == 0:
-                out.append(tuple(acc))
+                out.append(acc)
                 return
             # generators are sorted by total degree
             while True:
@@ -160,31 +157,27 @@ class GeneratorSet:
                 if odd:
                     cap = min(cap, 1)
                 for e in range(cap, 0, -1):
-                    acc[i] = e
-                    rec(i + 1, rp - e * gp, rq - e * gq)
-                acc[i] = 0
+                    rec(i + 1, rp - e * gp, rq - e * gq, acc + (i,) * e)
                 i += 1
 
-        rec(0, p, q)
+        rec(0, p, q, ())
         return out
 
 
 def mono_mul(gens: GeneratorSet, m1, m2):
-    """Product of two canonical monomials: (sign, monomial) or None if zero."""
+    """Product of two monomials: (sign, monomial) or None if zero."""
     odd = gens.odd
+    odd1 = [a for a in m1 if odd[a]]
     sign = 1
-    # odd letters of m2 must move left past the odd letters of m1 with
-    # larger generator index
-    odd1 = [i for i, e in enumerate(m1) if e and odd[i]]
-    for j, e in enumerate(m2):
-        if not e or not odd[j]:
-            continue
-        if m1[j]:
-            return None
-        crossings = sum(1 for i in odd1 if i > j)
-        if crossings % 2:
-            sign = -sign
-    return sign, tuple(a + b for a, b in zip(m1, m2))
+    # each odd letter of m2 moves left past the odd letters of m1 above it
+    for b in m2:
+        if odd[b]:
+            k = bisect_right(odd1, b)
+            if k and odd1[k - 1] == b:
+                return None
+            if (len(odd1) - k) % 2:
+                sign = -sign
+    return sign, tuple(sorted(m1 + m2))
 
 
 def elem_mul(gens: GeneratorSet, e1: dict, e2: dict) -> dict:
@@ -218,69 +211,66 @@ def mono_elem(mono) -> dict:
     return {mono: 1}
 
 
-def _derivation_terms(gens: GeneratorSet, dvals: dict[int, dict]):
-    """The terms of each d-value as (coefficient, support, odd letters):
-    support is the term's sparse ((j, e_j), ...) and odd letters its odd
-    j in increasing order."""
-    odd = gens.odd
-    table = {}
-    for i, val in dvals.items():
-        table[i] = terms = []
-        for m, c in val.items():
-            supp = tuple((j, e) for j, e in enumerate(m) if e)
-            terms.append((c, supp, tuple(j for j, _ in supp if odd[j])))
+def derivation_table(odd, values) -> list:
+    """The value of a derivation on each letter, as apply_derivation takes
+    it: per letter id, a tuple of (coefficient, term, odd letters of the
+    term).  values maps a letter id to its value as (term, coefficient)
+    pairs; the other letters have value zero."""
+    table = [()] * len(odd)
+    for a, pairs in values.items():
+        table[a] = tuple((c, t, tuple(b for b in t if odd[b]))
+                         for t, c in pairs)
     return table
 
 
-def apply_derivation(gens: GeneratorSet, dvals: dict[int, dict], mono,
-                     *, terms=None) -> dict:
-    """Extend generator values to a derivation with the Koszul sign rule.
+def apply_derivation(odd, table, mono, parity: int) -> dict:
+    """The derivation of the given parity (1 odd, 0 even) whose letter
+    values are table (derivation_table) on one monomial, a sorted tuple
+    of letter ids; odd[a] says whether letter a is odd.
 
-    dvals maps generator index -> element; absent indices have derivative
-    zero.  d(xy) = dx y + (-1)^{|x|} x dy on total degree, so slot i of
-    mono contributes e_i (-1)^{k} x_<i term x_i^{e_i - 1} x_>i for each
-    term of d(x_i), k the number of odd letters of mono before slot i.
-    Its image is mono - e_i + term, zero if an odd letter of the term is
-    already in the rest of mono.  Moving the term's odd letters to their
-    sorted places costs one sign per odd letter of mono strictly between
-    slot i and each of them.  terms is _derivation_terms(gens, dvals);
-    callers applying d to many monomials build it once and pass it.
+    d(xy) = dx y + (-1)^{parity |x|} x dy, so a letter a, e times in mono,
+    contributes e (-1)^{parity k} (mono less one a, times a term) for each
+    term of d(a), k the number of odd letters of mono before a.  The
+    product is zero if an odd letter of the term is already in the rest of
+    mono; otherwise moving each odd letter of the term to its sorted place
+    costs one sign per odd letter of mono strictly between a and it.
+    Repeated images add up: E_rs on x_ss is 2 x_rs.
     """
-    if terms is None:
-        terms = _derivation_terms(gens, dvals)
-    odd = gens.odd
-    letters = list(compress(range(len(mono)), mono))
-    opos = [j for j in letters if odd[j]]   # odd letters of mono, increasing
     out: dict = {}
-    k = 0   # odd letters of mono before slot i
-    for i in letters:
-        ts = terms.get(i)
+    opos = None   # odd letters of mono, increasing, once a term needs them
+    k = 0   # odd letters of mono before letter a
+    prev = None
+    n = len(mono)
+    for i, a in enumerate(mono):
+        if a == prev:
+            continue
+        prev = a
+        ts = table[a]
         if ts:
-            e = mono[i]
-            base = list(mono)
-            base[i] = e - 1
-            # opos[:k] lie below slot i, opos[khi:] above it
-            khi = k + odd[i]
-            factor = -e if k % 2 else e
-            for c, supp, odds in ts:
-                flips = 0
-                for b in odds:
-                    if base[b]:
-                        break
-                    kb = bisect_left(opos, b)
-                    flips += kb - khi if b > i else k - kb
+            j = i + 1
+            while j < n and mono[j] == a:
+                j += 1
+            rest = mono[:i] + mono[i + 1:]
+            factor = i - j if parity and k % 2 else j - i
+            for c, t, odds in ts:
+                if odds:
+                    if any(b in rest for b in odds):
+                        continue
+                    if opos is None:
+                        opos = [b for b in mono if odd[b]]
+                    flips = 0
+                    for b in odds:
+                        kb = bisect_left(opos, b)
+                        flips += kb - k - odd[a] if b > a else k - kb
+                    if flips % 2:
+                        c = -c
+                img = tuple(sorted(rest + t))
+                v = out.get(img, 0) + factor * c
+                if v:
+                    out[img] = v
                 else:
-                    img = base[:]
-                    for j, ej in supp:
-                        img[j] += ej
-                    img = tuple(img)
-                    v = out.get(img, 0) + (-factor if flips % 2 else factor) * c
-                    if v:
-                        out[img] = v
-                    else:
-                        del out[img]
-        if odd[i]:
-            k += 1
+                    del out[img]
+        k += odd[a]
     return out
 
 
@@ -394,7 +384,7 @@ class BigradedDGA:
     bidegree (2, -1)."""
 
     def __init__(self, gens: GeneratorSet, differential: dict[str, dict]):
-        """differential maps generator name -> element (exponent-tuple dict)."""
+        """differential maps generator name -> element."""
         self.gens = gens
         self.dvals: dict[int, dict] = {}
         for name, val in differential.items():
@@ -407,13 +397,14 @@ class BigradedDGA:
                         raise ValueError(
                             f"differential of {name} not of bidegree (2,-1)")
                 self.dvals[i] = val
-        self._terms = _derivation_terms(gens, self.dvals)
+        self._table = derivation_table(
+            gens.odd, {i: val.items() for i, val in self.dvals.items()})
 
     def d(self, elem: dict) -> dict:
         out: dict = {}
         for m, c in elem.items():
-            out = elem_add(out, apply_derivation(self.gens, self.dvals, m,
-                                                 terms=self._terms), c)
+            out = elem_add(out, apply_derivation(self.gens.odd, self._table,
+                                                 m, 1), c)
         return out
 
     def check_d_squared(self, maxtotal: int):
@@ -443,11 +434,11 @@ class BigradedDGA:
         """Rank of d on the span of basis, the monomials of one cell.
 
         Image monomials become dense int column ids in first-seen order,
-        so that elimination hashes ints, not exponent tuples."""
+        so that elimination hashes ints, not monomial tuples."""
         ids: dict = {}
         rows = []
         for m in basis:
-            img = apply_derivation(self.gens, self.dvals, m, terms=self._terms)
+            img = apply_derivation(self.gens.odd, self._table, m, 1)
             rows.append({ids.setdefault(x, len(ids)): c for x, c in img.items()})
         return span_rank(rows)
 
@@ -491,9 +482,7 @@ def koszul_cohomology_dims(F, maxdeg: int) -> list[int]:
         for j in range(nx):
             c = F[j, i]
             if c:
-                mono = [0] * len(gens)
-                mono[gens.index[f"x{j:03d}"]] = 1
-                val[tuple(mono)] = int(c * den)
+                val[gens.index[f"x{j:03d}"],] = int(c * den)
         if val:
             diff[f"y{i:03d}"] = val
     dga = BigradedDGA(gens, diff)

@@ -6,11 +6,13 @@ indices: an `Alphabet` lists each letter's indices in N = Q^g and in the
 dual N^v, whether it is exterior, and whether a two-index letter is
 symmetric or alternating.  From that alone it derives each letter's torus
 weight, its images under E_rs and under the transpositions s_r of the
-indices r and r + 1.  Basis elements are sorted tuples of letter ids.  The
-tensor invariants here, the trigraded cell counts and the second-page
-oracle in model only list their letters and the factors of their basis;
-one meet-in-the-middle join, `_weight_join`, keeps the products of
-factors that have the target weight.
+indices r and r + 1.  Basis elements are sorted tuples of letter ids, the
+monomials of graded, and E_rs acts on them as an even derivation through
+graded.apply_derivation; this module sits above graded.  The tensor
+invariants here, the trigraded cell counts and the second-page oracle in
+model only list their letters and the factors of their basis; one
+meet-in-the-middle join, `_weight_join`, keeps the products of factors
+that have the target weight.
 
 Invariants under GL_g (resp. SL_g) are computed as a kernel of the
 infinitesimal gl_g action; over Q this kernel coincides with the group
@@ -43,12 +45,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
 from typing import NamedTuple
 
+from .graded import apply_derivation, derivation_table
 from .linalg import QMatrix, _eliminate, kernel_basis_columns
 
 # ambient dimension cap; beyond this the weight-zero subspace itself gets
@@ -238,45 +240,32 @@ def _action_rows(alphabet: Alphabet, basis, pairs: list[tuple[int, int]],
     (o, e) names: element j adds e times its image into column o, and
     none where columns[j] is None.
 
-    E_rs acts as a derivation: it replaces one letter a at a time by an
-    image b.  An exterior b that already occurs kills the term; otherwise
-    moving b to its sorted place costs one sign per exterior letter
-    strictly between a and b.  Rows are indexed by (r, s, image) in the
+    E_rs acts as an even derivation, applied by graded.apply_derivation to
+    its images of the letters.  Rows are indexed by (r, s, image) in the
     order first seen; entries that cancel are dropped.
     """
     exterior = alphabet.exterior
-    tables = [(r, s, alphabet.images(r, s)) for r, s in pairs]
+    tables = [(r, s, derivation_table(exterior, {
+        a: [((b,), c) for c, b in terms]
+        for a, terms in enumerate(alphabet.images(r, s))}))
+        for r, s in pairs]
     rows: dict[tuple, dict[int, int]] = {}
     for elt, column in zip(basis, columns):
         if column is None:
             continue
         col, e = column
         for r, s, table in tables:
-            for pos, a in enumerate(elt):
-                terms = table[a]
-                if not terms:
+            for image, c in apply_derivation(exterior, table, elt, 0).items():
+                key = (r, s, image)
+                d = rows.get(key)
+                if d is None:
+                    rows[key] = {col: c * e}
                     continue
-                others = elt[:pos] + elt[pos + 1:]
-                for c, b in terms:
-                    c *= e
-                    k = bisect_left(others, b)
-                    if exterior[b]:
-                        if k < len(others) and others[k] == b:
-                            continue
-                        lo, hi = ((bisect_right(others, a), k) if a < b
-                                  else (k, bisect_left(others, a)))
-                        if sum(exterior[o] for o in others[lo:hi]) % 2:
-                            c = -c
-                    key = (r, s, others[:k] + (b,) + others[k:])
-                    d = rows.get(key)
-                    if d is None:
-                        rows[key] = {col: c}
-                        continue
-                    v = d.get(col, 0) + c
-                    if v:
-                        d[col] = v
-                    else:
-                        del d[col]
+                v = d.get(col, 0) + c * e
+                if v:
+                    d[col] = v
+                else:
+                    del d[col]
     return [d for d in rows.values() if d]
 
 
@@ -287,7 +276,9 @@ def _orbits(alphabet: Alphabet, basis) -> list[list[tuple[int, int]]]:
     sgn(w)^c times itself, c the constant weight.  An element the walk
     over the s_r reaches with two signs kills every such vector, and its
     orbit is dropped (README, "Why the simple raising operators
-    suffice")."""
+    suffice").  s_r is an involution, so each edge is checked from one
+    end: the bit r of checked[k] marks the edge from k already checked
+    from its other end."""
     exterior = alphabet.exterior
     odd = any(exterior)
     tables = [alphabet.relabel(r) for r in range(alphabet.g - 1)]
@@ -295,6 +286,7 @@ def _orbits(alphabet: Alphabet, basis) -> list[list[tuple[int, int]]]:
     w0 = [a.up.count(0) - a.down.count(0) for a in alphabet.letters]
     position = {elt: j for j, elt in enumerate(basis)}
     sign = [0] * len(basis)
+    checked = [0] * len(basis)
     orbits = []
     for start in range(len(basis)):
         if sign[start]:
@@ -305,7 +297,10 @@ def _orbits(alphabet: Alphabet, basis) -> list[list[tuple[int, int]]]:
         orbit, live = [start], True
         for j in orbit:
             elt = basis[j]
-            for ids, flips in tables:
+            done = checked[j]
+            for r, (ids, flips) in enumerate(tables):
+                if done >> r & 1:
+                    continue
                 image = [ids[a] for a in elt]
                 e = twist * sign[j]
                 if flips and sum(map(flips.__contains__, elt)) % 2:
@@ -314,6 +309,7 @@ def _orbits(alphabet: Alphabet, basis) -> list[list[tuple[int, int]]]:
                 if odd and _odd([b for b in image if exterior[b]]):
                     e = -e
                 k = position[tuple(sorted(image))]
+                checked[k] |= 1 << r
                 if not sign[k]:
                     sign[k] = e
                     orbit.append(k)

@@ -209,9 +209,7 @@ def build_D_dga(params: ModelParams,
             continue  # wedge square of a single generator
         a, b = sorted((m0, m1))
         sign = 1 if m0 < m1 else -1
-        mono = [0] * len(gens)
-        mono[gens.index[f"z{a}_{b}"]] = 1
-        diff[f"y{m0}_{m1}"] = {tuple(mono): sign}
+        diff[f"y{m0}_{m1}"] = {(gens.index[f"z{a}_{b}"],): sign}
     return BigradedDGA(gens, diff)
 
 
@@ -402,7 +400,7 @@ class E2Model:
         self.dga = BigradedDGA(self.gens, self._differential())
 
     def _differential(self) -> dict[str, dict]:
-        n, g = self.n, self.g
+        n, g, index = self.n, self.g, self.gens.index
         lead = 1 if (n + 1) % 2 == 0 else -1
         diff: dict[str, dict] = {}
         for m in w_range(n, self.M):
@@ -416,10 +414,8 @@ class E2Model:
                     if x is None:
                         continue
                     sign, (a, b) = x
-                    mono = [0] * len(self.gens)
-                    mono[self.gens.index[f"x_{a}_{b}"]] = 1
-                    mono[self.gens.index[f"lb_{i}_{m}"]] = 1
-                    val[tuple(mono)] = lead * sign
+                    val[tuple(sorted((index[f"x_{a}_{b}"],
+                                      index[f"lb_{i}_{m}"])))] = lead * sign
                 if val:
                     diff[f"la_{j}_{m}"] = val
         return diff
@@ -437,7 +433,7 @@ class E2Model:
         gens, weight = self.gens, self.alphabet.weight
         xs = [i for i, gg in enumerate(gens) if gg.p]
         x_part = itertools.combinations_with_replacement(xs, p // 2)
-        lam_part = map(mono_letters, gens.monomials_bidegree(0, q))
+        lam_part = gens.monomials_bidegree(0, q)
 
         def reduced(elt):
             w = weight(elt)
@@ -449,14 +445,8 @@ class E2Model:
         if not basis:
             return []
         orbits, rows = _invariant_system(self.alphabet, basis)
-        monos = [tuple(map(elt.count, range(len(gens)))) for elt in basis]
-        return [{monos[j]: v for j, v in vec.items()}
+        return [{basis[j]: v for j, v in vec.items()}
                 for vec in _kernel_vectors(orbits, rows)]
-
-
-def mono_letters(mono) -> tuple[int, ...]:
-    """An exponent tuple as the sorted tuple of its generator indices."""
-    return tuple(i for i, e in enumerate(mono) for _ in range(e))
 
 
 def e2_bruteforce_oracle(params: ModelParams) -> dict[tuple[int, int], int]:
@@ -528,7 +518,7 @@ class LambdaExpression:
 
     def terms(self) -> list[tuple[int | Fraction, str]]:
         return [(c, self.gens.mono_str(m))
-                for m, c in sorted(self.element.items(), reverse=True)]
+                for m, c in sorted(self.element.items())]
 
     def __str__(self) -> str:
         if not self.element:
@@ -561,19 +551,14 @@ def lambda_relations(params: ModelParams, ms: list[int]) -> LambdaExpression:
         if 4 * m - 2 * n - 1 <= 0:
             raise ValueError(
                 f"requires 4m - 2n - 1 > 0 for a single factor (got m={m})")
-        mono = [0] * len(gens)
-        mono[gens.index[f"lu_{m}"]] = 1
-        return LambdaExpression(gens, mono_elem(tuple(mono)))
+        return LambdaExpression(gens, mono_elem((gens.index[f"lu_{m}"],)))
     m0, m1 = ms
     elem: dict = {}
     for first, second in ((m0, m1), (m1, m0)):
         if first not in w_range(n, M) or second not in u_range(n, M):
             continue
         for j in range(g):
-            ma = [0] * len(gens)
-            ma[gens.index[f"la_{j}_{first}"]] = 1
-            mb = [0] * len(gens)
-            mb[gens.index[f"lb_{j}_{second}"]] = 1
             elem = elem_add(elem, elem_mul(
-                gens, mono_elem(tuple(ma)), mono_elem(tuple(mb))))
+                gens, mono_elem((gens.index[f"la_{j}_{first}"],)),
+                mono_elem((gens.index[f"lb_{j}_{second}"],))))
     return LambdaExpression(gens, elem)

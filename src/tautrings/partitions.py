@@ -99,6 +99,10 @@ _COUNTS = [1]
 # the brute-force cells use; p(49) = 173 525 is under it, p(50) is not
 PARTITION_CAP = 200_000
 
+# cells of a partition whose Schur dimension schur_dim evaluates; 10 000
+# take about 0.1 s
+SCHUR_CELL_CAP = 10_000
+
 
 def partition_count(n: int) -> int:
     """p(n) by Euler's pentagonal recurrence
@@ -172,10 +176,16 @@ def schur_dim(lam: Partition, g: int) -> int:
     """Dimension of the Schur functor applied to a g-dimensional space.
 
     Counts semistandard Young tableaux of shape lam with entries <= g;
-    zero exactly when the diagram has more than g rows.
+    zero exactly when the diagram has more than g rows.  The hook-content
+    product walks every cell, so lam is refused (ValueError) past
+    SCHUR_CELL_CAP cells.
     """
     if g < 1:
         raise ValueError("g must be positive")
+    if lam.size > SCHUR_CELL_CAP:
+        raise ValueError(
+            f"partition of {lam.size} cells, over the cap of "
+            f"{SCHUR_CELL_CAP} cells for a Schur dimension")
     return _schur_dim(lam.parts, g)
 
 

@@ -4,11 +4,72 @@ Each invariant kernel in the program is the kernel of E_01 on the
 Weyl-orbit sums of a weight space (`invariants._invariant_system`).  The
 system it replaced stacks operators E_rs on the whole weight space, over
 basis positions: the g - 1 simple raising operators, or, as the oracle
-for those, all g(g - 1) operators.  Both stay here.
+for those, all g(g - 1) operators.  Both stay here, built by the E_rs
+action loop the program had before its derivations shared one kernel.
 """
 
-from tautrings.invariants import _action_rows, _tensor_alphabet, _weight_words
+from bisect import bisect_left, bisect_right
+
+from tautrings.invariants import (
+    _action_rows,
+    _orbits,
+    _tensor_alphabet,
+    _weight_words,
+)
 from tautrings.linalg import kernel_basis_columns, rank_of_int_rows
+
+
+def previous_action_rows(alphabet, basis, pairs: list[tuple[int, int]],
+                         columns) -> list[dict[int, int]]:
+    """Rows of the stacked E_rs actions on the span of basis, an iterable
+    of sorted tuples of letter ids, over the columns that columns[j] =
+    (o, e) names: element j adds e times its image into column o, and
+    none where columns[j] is None.
+
+    E_rs acts as a derivation: it replaces one letter a at a time by an
+    image b.  An exterior b that already occurs kills the term; otherwise
+    moving b to its sorted place costs one sign per exterior letter
+    strictly between a and b.  Rows are indexed by (r, s, image) in the
+    order first seen; entries that cancel are dropped.
+
+    This is `invariants._action_rows` before it went through the shared
+    derivation kernel `graded.apply_derivation`, with its own insertion
+    and sign loop; the program's rows must equal these, in order.
+    """
+    exterior = alphabet.exterior
+    tables = [(r, s, alphabet.images(r, s)) for r, s in pairs]
+    rows: dict[tuple, dict[int, int]] = {}
+    for elt, column in zip(basis, columns):
+        if column is None:
+            continue
+        col, e = column
+        for r, s, table in tables:
+            for pos, a in enumerate(elt):
+                terms = table[a]
+                if not terms:
+                    continue
+                others = elt[:pos] + elt[pos + 1:]
+                for c, b in terms:
+                    c *= e
+                    k = bisect_left(others, b)
+                    if exterior[b]:
+                        if k < len(others) and others[k] == b:
+                            continue
+                        lo, hi = ((bisect_right(others, a), k) if a < b
+                                  else (k, bisect_left(others, a)))
+                        if sum(exterior[o] for o in others[lo:hi]) % 2:
+                            c = -c
+                    key = (r, s, others[:k] + (b,) + others[k:])
+                    d = rows.get(key)
+                    if d is None:
+                        rows[key] = {col: c}
+                        continue
+                    v = d.get(col, 0) + c
+                    if v:
+                        d[col] = v
+                    else:
+                        del d[col]
+    return [d for d in rows.values() if d]
 
 
 def simple_pairs(g: int) -> list[tuple[int, int]]:
@@ -21,12 +82,41 @@ def all_pairs(g: int) -> list[tuple[int, int]]:
     return [(r, s) for r in range(g) for s in range(g) if r != s]
 
 
+def row_systems(alphabet, basis, every_pair=True):
+    """The (pairs, columns) of every E_rs system the program and these
+    oracles build on basis: E_01 over the live orbits of
+    `invariants._orbits`, as `invariants._invariant_system` builds it,
+    then the simple raising operators and, with every_pair, all E_rs
+    over basis positions, as the stacked systems do."""
+    columns = [None] * len(basis)
+    for o, orbit in enumerate(_orbits(alphabet, basis)):
+        for j, e in orbit:
+            columns[j] = (o, e)
+    positions = [(j, 1) for j in range(len(basis))]
+    g = alphabet.g
+    return [([(0, 1)] if g > 1 else [], columns),
+            (simple_pairs(g), positions),
+            *([(all_pairs(g), positions)] if every_pair else [])]
+
+
+def same_rows_as_previous(alphabet, basis, every_pair=True) -> bool:
+    """Does `invariants._action_rows` give the rows of
+    `previous_action_rows`, entries and their order included, in the same
+    order, on every system of `row_systems`?"""
+    for pairs, columns in row_systems(alphabet, basis, every_pair):
+        got = _action_rows(alphabet, basis, pairs, columns)
+        want = previous_action_rows(alphabet, basis, pairs, columns)
+        if [list(r.items()) for r in got] != [list(r.items()) for r in want]:
+            return False
+    return True
+
+
 def stacked_rows(alphabet, basis, pairs=None) -> list[dict[int, int]]:
     """The rows of the operators in pairs (the simple raising operators
     by default) stacked on the span of basis, over basis positions."""
-    return _action_rows(alphabet, basis,
-                        simple_pairs(alphabet.g) if pairs is None else pairs,
-                        [(j, 1) for j in range(len(basis))])
+    return previous_action_rows(
+        alphabet, basis, simple_pairs(alphabet.g) if pairs is None else pairs,
+        [(j, 1) for j in range(len(basis))])
 
 
 def stacked_dim(alphabet, basis, pairs=None) -> int:

@@ -4,9 +4,10 @@ import pathlib
 
 import pytest
 
-from tautrings import cli, invariants, partitions
+from tautrings import acceptance, cli, invariants, partitions
 from tautrings.cli import main
 from tautrings.graded import BigradedDGA, GeneratorSet
+from tautrings.model import minimal_M
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -195,6 +196,24 @@ class TestExitCodes:
         assert err.startswith("error: --maxdeg 30: n=60 ")
         assert "p(60) = 966467" in err and "cap of 200000" in err
 
+    def test_cauchy_check_count_cap(self, capsys, monkeypatch):
+        """10^10 identity checks are refused before the first one."""
+        monkeypatch.setattr(acceptance, "cauchy_identities", self.never)
+        code, out, err = run(capsys, "cauchy-check", "--dims",
+                             "100000,100000", "--maxdeg", "1")
+        assert code == 1
+        assert err == ("error: --dims 100000,100000 --maxdeg 1: "
+                       "20000000000 identity checks, over the cap of 2000\n")
+
+    def test_schur_dim_cell_cap(self, capsys, monkeypatch):
+        """A one-row partition of 10^9 cells is refused before the hook
+        product walks them."""
+        monkeypatch.setattr(partitions, "_schur_dim", self.never)
+        code, out, err = run(capsys, "schur-dim", "1000000000", "2")
+        assert code == 1
+        assert err == ("error: partition of 1000000000 cells, over the cap "
+                       "of 10000 cells for a Schur dimension\n")
+
     def test_e3_cap(self, capsys, monkeypatch):
         monkeypatch.setattr(GeneratorSet, "monomials_bidegree", self.never)
         monkeypatch.setattr(BigradedDGA, "__init__", self.never)
@@ -311,6 +330,21 @@ class TestOutputs:
         assert code == 0
         golden = (DATA / "cohomology_diff_n9.json").read_text()
         assert out == golden
+
+    def test_golden_file_lambda_product(self, capsys):
+        """lambda-product at n = 5..12, minimal M: one index, two distinct
+        indices and a repeated one; the terms come in monomial order."""
+        parts = []
+        for n in range(5, 13):
+            M = minimal_M(n)
+            single = min(m for m in range(1, M + 1) if 4 * m - 2 * n - 1 > 0)
+            for ms in (f"{single}", f"{M - 1},{M}", f"{M},{M}"):
+                argv = ["lambda-product", "--n", str(n), "--ms", ms]
+                code, out, err = run(capsys, *argv)
+                assert code == 0, err
+                parts.append(f"$ tautrings {' '.join(argv)}\n{out}")
+        golden = (DATA / "lambda_product_n5_12.txt").read_text()
+        assert "".join(parts) == golden
 
     def test_golden_file_lr(self, capsys):
         code, out, err = run(capsys, "lr", "1", "1", "2")

@@ -12,6 +12,7 @@ from tautrings.graded import (
     DgaError,
     GeneratorSet,
     apply_derivation,
+    derivation_table,
     elem_add,
     elem_mul,
     fgca_bidims,
@@ -28,9 +29,36 @@ from tautrings.model import E2Model, ModelParams, build_D_dga, minimal_M
 
 
 def single(gens, name):
-    mono = [0] * len(gens)
-    mono[gens.index[name]] = 1
-    return tuple(mono)
+    return (gens.index[name],)
+
+
+def letters(dense):
+    """An exponent tuple as the sorted tuple of its generator ids."""
+    return tuple(i for i, e in enumerate(dense) for _ in range(e))
+
+
+def dense_monomials_total(gens, degree):
+    """The exponent tuples of the given total degree in descending order:
+    the enumerator the program had before its monomials became sorted
+    generator-id tuples, the reference order for
+    `GeneratorSet.monomials_total`."""
+    out = []
+
+    def rec(i, remaining, acc):
+        if remaining == 0:
+            out.append(tuple(acc) + (0,) * (len(gens) - i))
+            return
+        if i == len(gens):
+            return
+        g = gens[i]
+        cap = 1 if g.odd else remaining // g.total
+        for e in range(cap, -1, -1):
+            if e * g.total <= remaining:
+                rec(i + 1, remaining - e * g.total, acc + [e])
+
+    rec(0, degree, [])
+    out.sort(reverse=True)
+    return out
 
 
 def bidegree_filter(gens, p, q):
@@ -41,7 +69,8 @@ def bidegree_filter(gens, p, q):
 
 def previous_monomials_bidegree(gens, p, q):
     """The (p, q) search with one call per generator, exponent 0
-    included: the reference order for `GeneratorSet.monomials_bidegree`."""
+    included, over exponent tuples: the reference order for
+    `GeneratorSet.monomials_bidegree` (through `letters`)."""
     degs, gcds = gens.degs, gens.suffix_gcds
     n = len(degs)
     out = []
@@ -96,8 +125,7 @@ def random_dga(rng, closed):
         if i in sinks:
             continue
         targets = [m for m in bidegree_filter(gens, g.p + 2, g.q - 1)
-                   if not closed or all(e == 0 or j in sinks
-                                        for j, e in enumerate(m))]
+                   if not closed or all(j in sinks for j in m)]
         val = {}
         for m in targets:
             if rng.random() < 0.7:
@@ -107,30 +135,56 @@ def random_dga(rng, closed):
     return BigradedDGA(gens, diff)
 
 
-def reference_derivation(gens, dvals, mono):
-    """apply_derivation by products: each term of d(x_i) is multiplied
-    into mono as prefix * (term * rest) through two mono_mul calls."""
+def merge_mul(gens, m1, m2):
+    """m1 * m2 on sorted generator-id tuples, written apart from
+    `graded.mono_mul`: merge the two tuples, m1's letter first on a tie,
+    and count one crossing for each odd letter of m2 taken while odd
+    letters of m1 remain.  (sign, monomial), or None when an odd letter
+    repeats."""
+    odd = gens.odd
+    out, i, crossings = [], 0, 0
+    for b in m2:
+        while i < len(m1) and m1[i] <= b:
+            out.append(m1[i])
+            i += 1
+        if odd[b]:
+            crossings += sum(odd[a] for a in m1[i:])
+        out.append(b)
+    out += m1[i:]
+    if any(a == b and odd[a] for a, b in zip(out, out[1:])):
+        return None
+    return (-1) ** crossings, tuple(out)
+
+
+def derive(gens, dvals, mono, parity=1):
+    """The derivation of the given parity with generator values dvals on
+    one monomial."""
+    table = derivation_table(gens.odd, {i: v.items() for i, v in dvals.items()})
+    return apply_derivation(gens.odd, table, mono, parity)
+
+
+def reference_derivation(gens, dvals, mono, parity=1):
+    """apply_derivation by products: each letter of mono, repeated ones
+    one by one, is replaced by each term of its d-value as
+    prefix * (term * rest) through two merge_mul calls, with the sign of
+    an odd d passing the prefix."""
     out = {}
-    prefix_parity = 0
-    for i, e in enumerate(mono):
-        if not e:
+    for pos, a in enumerate(mono):
+        val = dvals.get(a)
+        if not val:
             continue
-        val = dvals.get(i)
-        if val:
-            prefix = mono[:i] + (0,) * (len(mono) - i)
-            rest = (0,) * i + (e - 1,) + mono[i + 1:]
-            factor = -e if prefix_parity % 2 else e
-            for m, c in val.items():
-                r = mono_mul(gens, m, rest)
-                if r is None:
-                    continue
-                s1, m1 = r
-                r = mono_mul(gens, prefix, m1)
-                if r is None:
-                    continue
-                s2, m2 = r
-                out = elem_add(out, {m2: factor * s1 * s2 * c})
-        prefix_parity += e * gens[i].total
+        prefix, rest = mono[:pos], mono[pos + 1:]
+        factor = -1 if parity and gens.mono_total(prefix) % 2 else 1
+        for m, c in val.items():
+            r = merge_mul(gens, m, rest)
+            if r is None:
+                continue
+            s1, m1 = r
+            r = merge_mul(gens, prefix, m1)
+            if r is None:
+                continue
+            s2, m2 = r
+            out = elem_add(out, {m2: factor * s1 * s2 * c})
     return out
 
 
@@ -151,8 +205,8 @@ def random_derivation(rng):
         val = {}
         for _ in range(rng.randint(1, 3)):
             term = tuple(
-                0 if rng.random() < 0.5 else 1 if gens.odd[j]
-                else rng.randint(1, 3) for j in range(len(gens)))
+                j for j in range(len(gens)) if rng.random() >= 0.5
+                for _ in range(1 if gens.odd[j] else rng.randint(1, 3)))
             val[term] = rng.choice([1, -1, 2, -3, Fraction(1, 2)])
         dvals[i] = val
     return gens, dvals
@@ -188,16 +242,33 @@ class TestMonomialBasis:
 
     def test_even_powers(self):
         g = GeneratorSet([("e", 2)])
-        assert g.monomials_total(6) == [(3,)]
+        assert g.monomials_total(6) == [(0, 0, 0)]
 
     def test_two_odds(self):
         g = GeneratorSet([("x", 1), ("y", 1)])
-        assert g.monomials_total(2) == [(1, 1)]
+        assert g.monomials_total(2) == [(0, 1)]
 
     def test_bidegree_filter(self):
         g = GeneratorSet([("a", (2, 0)), ("b", (0, 2))])
-        assert g.monomials_bidegree(2, 2) == [(1, 1)]
-        assert g.monomials_bidegree(4, 0) == [(2, 0)]
+        assert g.monomials_bidegree(2, 2) == [(0, 1)]
+        assert g.monomials_bidegree(4, 0) == [(0, 0)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(0, 9))
+    def test_total_same_as_exponent_tuple_enumerator(self, seed, degree):
+        """The same monomials in the same order as the enumerator over
+        exponent tuples, through `letters`."""
+        rng = random.Random(seed)
+        degs = [(a, b) for a in range(4) for b in range(4) if a + b]
+        gens = GeneratorSet([(f"g{i}", rng.choice(degs))
+                             for i in range(rng.randint(0, 7))])
+        assert gens.monomials_total(degree) == [
+            letters(m) for m in dense_monomials_total(gens, degree)]
+
+    def test_mono_str(self):
+        g = GeneratorSet([("x", 1), ("e", 2), ("f", 2)])
+        assert g.mono_str(()) == "1"
+        assert g.mono_str((0, 1, 1, 2)) == "x*e^2*f"
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10**6), st.integers(0, 6), st.integers(0, 6))
@@ -238,7 +309,7 @@ class TestMonomialBasis:
         p = data.draw(st.integers(0, top))
         q = data.draw(st.integers(0, top - p))
         assert gens.monomials_bidegree(p, q) \
-            == previous_monomials_bidegree(gens, p, q)
+            == [letters(m) for m in previous_monomials_bidegree(gens, p, q)]
 
     @pytest.mark.parametrize("n", range(5, 13))
     def test_bidegree_d_model_generators(self, n):
@@ -343,23 +414,36 @@ class TestProducts:
         prod = elem_mul(gens, mono_elem(a), mono_elem(b))
         d_prod = {}
         for m, c in prod.items():
-            d_prod = elem_add(d_prod, apply_derivation(gens, dvals, m), c)
-        da_b = elem_mul(gens, apply_derivation(gens, dvals, a), mono_elem(b))
+            d_prod = elem_add(d_prod, derive(gens, dvals, m), c)
+        da_b = elem_mul(gens, derive(gens, dvals, a), mono_elem(b))
         sign = Fraction(-1 if gens.mono_total(a) % 2 else 1)
-        a_db = elem_mul(gens, mono_elem(a), apply_derivation(gens, dvals, b))
+        a_db = elem_mul(gens, mono_elem(a), derive(gens, dvals, b))
         rhs = elem_add(da_b, a_db, sign)
         assert d_prod == rhs
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 10**6))
-    def test_derivation_matches_products(self, seed):
+    @given(st.integers(0, 10**6), st.sampled_from([1, 0]))
+    def test_derivation_matches_products(self, seed, parity):
         """The one-pass kernel equals prefix * (term * rest) on every
-        monomial up to total degree 6."""
+        monomial up to total degree 6, for an odd and an even
+        derivation."""
         gens, dvals = random_derivation(random.Random(seed))
         for d in range(7):
             for m in gens.monomials_total(d):
-                assert (apply_derivation(gens, dvals, m)
-                        == reference_derivation(gens, dvals, m)), m
+                assert (derive(gens, dvals, m, parity)
+                        == reference_derivation(gens, dvals, m, parity)), m
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_mono_mul_matches_merge(self, seed):
+        """mono_mul equals the merge and crossing count on random pairs of
+        monomials up to total degree 4."""
+        gens, _ = random_derivation(random.Random(seed))
+        monos = [m for d in range(5) for m in gens.monomials_total(d)]
+        rng = random.Random(seed)
+        for _ in range(50):
+            a, b = rng.choice(monos), rng.choice(monos)
+            assert mono_mul(gens, a, b) == merge_mul(gens, a, b), (a, b)
 
 
 def fraction_rank(rows):
@@ -415,7 +499,7 @@ class TestQuotientDims:
 
     def test_truncated_polynomial(self):
         g = GeneratorSet([("e", 2)])
-        rel = {(2,): Fraction(1)}
+        rel = {(0, 0): Fraction(1)}
         assert quotient_dims(g, [rel], 8) == [1, 0, 1, 0, 0, 0, 0, 0, 0]
 
     def test_inhomogeneous_rejected(self):
@@ -434,7 +518,7 @@ class TestQuotientDims:
     def test_monotone_under_more_relations(self):
         g = GeneratorSet([("x", 1), ("y", 1), ("e", 2)])
         rels = [mono_elem(single(g, "x")),
-                {(0, 0, 1): Fraction(1)},
+                {(2,): Fraction(1)},
                 elem_mul(g, mono_elem(single(g, "y")),
                          mono_elem(single(g, "e")))]
         prev = fgca_dims(g, 6)

@@ -30,6 +30,7 @@ from tautrings.partitions import Partition, schur_product_expand
 
 from oracles import (
     all_pairs,
+    same_rows_as_previous,
     stacked_kernel,
     stacked_rows,
     stacked_tensor_system,
@@ -327,6 +328,19 @@ class TestRaisingOperators:
                    else sl_invariant_basis)(spec)
             assert invariant_dim(spec, group) == got.cols == want.cols, spec
             assert subspace_equal(got, want), spec
+
+
+class TestSharedDerivationKernel:
+    """E_rs through graded.apply_derivation gives the rows of the action
+    loop it replaced, in value and order: E_01 on the orbit sums, the
+    simple raising operators and all E_rs (the A/C and second-page cells
+    are in test_model)."""
+
+    @pytest.mark.parametrize("group", ["GL", "SL"])
+    def test_tensor_rows_match_previous(self, group):
+        for spec in SMALL_SPECS:
+            _, letters = tensor_cell(spec, group)
+            assert same_rows_as_previous(_tensor_alphabet(spec), letters), spec
 
 
 class TestOrbits:

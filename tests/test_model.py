@@ -22,10 +22,15 @@ from tautrings.model import (
     gh_target_dims,
     lambda_relations,
     minimal_M,
-    mono_letters,
 )
 
-from oracles import all_pairs, stacked_dim, stacked_kernel, stacked_rows
+from oracles import (
+    all_pairs,
+    same_rows_as_previous,
+    stacked_dim,
+    stacked_kernel,
+    stacked_rows,
+)
 
 
 class TestModelParams:
@@ -383,8 +388,7 @@ def reference_e2_basis(e2, p, q):
     """The second-page cell basis as it was built before the shared join:
     every monomial of the cell, kept when its weight is constant."""
     basis = []
-    for mono in e2.gens.monomials_bidegree(p, q):
-        elt = mono_letters(mono)
+    for elt in e2.gens.monomials_bidegree(p, q):
         if len(set(e2.alphabet.weight(elt))) <= 1:
             basis.append(elt)
     return basis
@@ -495,9 +499,43 @@ class TestStackedSimpleOperators:
                     assert len(got) == len(want), (n, g, p, total - p)
                     assert subspace_equal(
                         _columns(len(basis), (
-                            {position[mono_letters(m)]: x
+                            {position[m]: x
                              for m, x in vec.items()} for vec in got)),
                         _columns(len(basis), want)), (n, g, p, total - p)
+
+
+class TestSharedDerivationKernel:
+    """E_rs through graded.apply_derivation gives the rows of the action
+    loop it replaced, in value and order, on every basis the core gets
+    from the trigraded sweep and the second page (the tensor cells are in
+    test_invariants)."""
+
+    def test_ac_rows_match_previous(self, core_bases):
+        """The stacked all-pairs system only to g = 3: at g = 4 its twelve
+        operators would double the test's time."""
+        for cell in TestStackedSimpleOperators.AC_CELLS:
+            spec = cell[0]
+            core_bases.clear()
+            try:
+                ac_invariant_dims_bruteforce(*cell)
+            except ValueError:
+                assert spec.g == 4  # a g = 4 cell over CELL_CAP
+                continue
+            for basis in core_bases:
+                assert same_rows_as_previous(model._ac_alphabet(spec), basis,
+                                             every_pair=spec.g < 4), cell
+
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_e2_rows_match_previous(self, core_bases, n):
+        for g in (n - 2, n - 1):
+            e2 = E2Model(n, g, minimal_M(n))
+            for total in range(n - 2):
+                for p in range(total + 1):
+                    core_bases.clear()
+                    e2.sl_invariant_vectors(p, total - p)
+                    for basis in core_bases:
+                        assert same_rows_as_previous(e2.alphabet, basis), (
+                            n, g, p, total - p)
 
 
 class TestE2Oracle:
@@ -550,7 +588,7 @@ class TestE2Oracle:
         for total in range(4):
             for p in range(total + 1):
                 for vec in model.sl_invariant_vectors(p, total - p):
-                    basis = [mono_letters(mono) for mono in vec]
+                    basis = list(vec)
                     coeffs = list(vec.values())
                     for rr in range(g):
                         for ss in range(g):
