@@ -6,6 +6,11 @@ system it replaced stacks operators E_rs on the whole weight space, over
 basis positions: the g - 1 simple raising operators, or, as the oracle
 for those, all g(g - 1) operators.  Both stay here, built by the E_rs
 action loop the program had before its derivations shared one kernel.
+
+Littlewood-Richardson coefficients are held to the cell-wise search the
+program had before it expanded each product one strip of letters at a
+time: `cellwise_lr_count` fills the skew shape kappa/lam one cell at a
+time, once for each triple.
 """
 
 from bisect import bisect_left, bisect_right
@@ -17,6 +22,7 @@ from tautrings.invariants import (
     _weight_words,
 )
 from tautrings.linalg import kernel_basis_columns, rank_of_int_rows
+from tautrings.partitions import Partition
 
 
 def previous_action_rows(alphabet, basis, pairs: list[tuple[int, int]],
@@ -146,3 +152,62 @@ def stacked_tensor_system(spec, group):
     simple raising operators on their span."""
     words, letters = tensor_cell(spec, group)
     return words, stacked_rows(_tensor_alphabet(spec), letters)
+
+
+def _lr_fillings(kappa: Partition, lam: Partition, mu: Partition) -> int:
+    """Count Littlewood-Richardson skew tableaux of shape kappa/lam, content mu.
+
+    Cells are filled in reverse reading order (rows top to bottom, each row
+    right to left), which is exactly the order in which the lattice-word
+    condition constrains letter counts.
+    """
+    shape = kappa.parts
+    inner = lam.parts + (0,) * (kappa.height - lam.height)
+    nrows = len(shape)
+    counts = [0] * (mu.height + 1)
+    grid: dict[tuple[int, int], int] = {}
+
+    all_cells = [
+        (i, j)
+        for i in range(nrows)
+        for j in range(shape[i] - 1, inner[i] - 1, -1)
+    ]
+
+    def rec(pos: int) -> int:
+        if pos == len(all_cells):
+            return 1
+        i, j = all_cells[pos]
+        total = 0
+        for v in range(1, mu.height + 1):
+            if counts[v] >= mu.parts[v - 1]:
+                continue
+            if v > 1 and counts[v] >= counts[v - 1]:
+                continue  # lattice-word prefix condition
+            right = grid.get((i, j + 1))
+            if right is not None and v > right:
+                continue  # weakly increasing along rows
+            above = grid.get((i - 1, j))
+            if i > 0 and j < shape[i - 1] and j >= inner[i - 1] and above is None:
+                raise AssertionError("fill order violated")
+            if above is not None and above >= v:
+                continue  # strictly increasing down columns
+            grid[(i, j)] = v
+            counts[v] += 1
+            total += rec(pos + 1)
+            counts[v] -= 1
+            del grid[(i, j)]
+        return total
+
+    return rec(0)
+
+
+def cellwise_lr_count(lam: Partition, mu: Partition, kappa: Partition) -> int:
+    """c^kappa_{lam mu} by `_lr_fillings`, behind the program's former
+    zeros for a size mismatch, kappa not containing lam, and mu empty."""
+    if kappa.size != lam.size + mu.size:
+        return 0
+    if not kappa.contains(lam):
+        return 0
+    if mu.size == 0:
+        return 1
+    return _lr_fillings(kappa, lam, mu)

@@ -214,6 +214,16 @@ class TestExitCodes:
         assert err == ("error: partition of 1000000000 cells, over the cap "
                        "of 10000 cells for a Schur dimension\n")
 
+    def test_lr_cell_cap(self, capsys, monkeypatch):
+        """A product of 19 + 18 cells is refused before its LR expansion
+        is built."""
+        monkeypatch.setattr(partitions, "_lr_count_cached", self.never)
+        code, out, err = run(capsys, "lr", "10,9", "9,9", "19,18")
+        assert code == 1
+        assert err == ("error: partitions of 19 and 18 cells: 37 cells, over "
+                       "the cap of 36 cells for a Littlewood-Richardson "
+                       "expansion\n")
+
     def test_e3_cap(self, capsys, monkeypatch):
         monkeypatch.setattr(GeneratorSet, "monomials_bidegree", self.never)
         monkeypatch.setattr(BigradedDGA, "__init__", self.never)

@@ -1,9 +1,12 @@
+from math import comb, factorial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tautrings import partitions
 from tautrings.partitions import (
+    LR_CELL_CAP,
     PARTITION_CAP,
     Partition,
     enumerate_partitions,
@@ -12,6 +15,8 @@ from tautrings.partitions import (
     schur_dim,
     schur_product_expand,
 )
+
+from oracles import cellwise_lr_count
 
 
 def P(*parts):
@@ -156,6 +161,83 @@ class TestLR:
                                    kappa.conjugate())
 
 
+def standard_tableaux(lam):
+    """f^lam, the number of standard Young tableaux of shape lam, by the
+    hook-length formula |lam|! / prod of hook lengths."""
+    conj = lam.conjugate().parts
+    hooks = 1
+    for i, row in enumerate(lam.parts):
+        for j in range(row):
+            hooks *= (row - j) + (conj[j] - i) - 1
+    return factorial(lam.size) // hooks
+
+
+def partitions_through(n):
+    return [lam for k in range(n + 1) for lam in enumerate_partitions(k)]
+
+
+class TestLRAgainstCellwise:
+    """lr_coefficient against the cell-wise skew-tableau search, on every
+    triple of the range, size mismatches and non-contained kappa
+    included."""
+
+    def check(self, pairs, kappas):
+        for lam, mu in pairs:
+            for kappa in kappas:
+                assert (lr_coefficient(lam, mu, kappa)
+                        == cellwise_lr_count(lam, mu, kappa)), (lam, mu, kappa)
+
+    def test_factors_to_4(self):
+        small = partitions_through(4)
+        self.check([(lam, mu) for lam in small for mu in small],
+                   partitions_through(9))
+
+    @pytest.mark.slow
+    def test_products_to_11(self):
+        pairs = [(lam, mu) for lam in partitions_through(11)
+                 for mu in partitions_through(11 - lam.size)]
+        self.check(pairs, partitions_through(11))
+
+    def test_standard_tableaux_identity(self):
+        """sum_kappa c^kappa_{lam mu} f^kappa = C(|lam|+|mu|, |lam|) f^lam
+        f^mu: both sides count the standard fillings of lam and mu with
+        the letters 1..|lam|+|mu| split between them."""
+        for lam in partitions_through(10):
+            for mu in partitions_through(10 - lam.size):
+                total = sum(c * standard_tableaux(kappa) for kappa, c in
+                            schur_product_expand(lam, mu).items())
+                assert total == (comb(lam.size + mu.size, lam.size)
+                                 * standard_tableaux(lam)
+                                 * standard_tableaux(mu)), (lam, mu)
+
+
+class TestLRCap:
+    def never(self, *args):
+        pytest.fail("LR expansion built over the cap")
+
+    def test_refused_before_expansion(self, monkeypatch):
+        assert LR_CELL_CAP == 36
+        monkeypatch.setattr(partitions, "_lr_count_cached", self.never)
+        lam, mu = P(10, 9), P(9, 9)
+        with pytest.raises(ValueError, match=r"partitions of 19 and 18 "
+                                             r"cells: 37 cells, over the "
+                                             r"cap of 36 cells"):
+            lr_coefficient(lam, mu, P(19, 18))
+        with pytest.raises(ValueError, match="over the cap of 36"):
+            schur_product_expand(lam, mu)
+
+    def test_cheap_zeros_answer_over_the_cap(self, monkeypatch):
+        monkeypatch.setattr(partitions, "_lr_count_cached", self.never)
+        assert lr_coefficient(P(20), P(20), P(39)) == 0
+        assert lr_coefficient(P(20, 20), P(1), P(41)) == 0
+        assert lr_coefficient(P(40), P(), P(40)) == 1
+
+    def test_at_the_cap(self):
+        # Pieri: a one-row factor adds a horizontal strip
+        got = schur_product_expand(P(18), P(18))
+        assert got == {P(*(p for p in (36 - k, k) if p)): 1 for k in range(19)}
+
+
 class TestProductExpand:
     def test_line_squared(self):
         assert schur_product_expand(P(1), P(1)) == {P(2): 1, P(1, 1): 1}
@@ -165,6 +247,11 @@ class TestProductExpand:
 
     def test_pieri(self):
         assert schur_product_expand(P(2), P(1)) == {P(3): 1, P(2, 1): 1}
+
+    def test_enumeration_order(self):
+        got = list(schur_product_expand(P(2, 1), P(2, 1)))
+        assert got == [kappa for kappa in enumerate_partitions(6)
+                       if kappa in got]
 
     def test_dimension_identity(self):
         for g in range(1, 6):

@@ -6,7 +6,7 @@ not only the benchmark's own tests."""
 import importlib.util
 from pathlib import Path
 
-from tautrings import invariants, linalg
+from tautrings import invariants, linalg, partitions
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -24,3 +24,9 @@ def test_install_and_restore_every_wrapped_name():
         tr.restore()
     assert invariants.verify_fundamental_theorems is original
     assert not hasattr(linalg._eliminate, "__wrapped__")
+
+
+def test_lr_cache_is_readable():
+    """A traced pass reads the LR cache's hit ratio from this function."""
+    info = partitions._lr_count_cached.cache_info()
+    assert info.hits >= 0 and info.misses >= 0
