@@ -92,11 +92,11 @@ def criterion_2() -> CriterionResult:
 def criterion_3() -> CriterionResult:
     """LR symmetries up to size 8 and the four Cauchy dimension identities."""
     checked = 0
-    for s in range(0, 9):
-        kappas = enumerate_partitions(s)
+    by_size = [enumerate_partitions(s) for s in range(0, 9)]
+    for s, kappas in enumerate(by_size):
         for a in range(0, s + 1):
-            for lam in enumerate_partitions(a):
-                for mu in enumerate_partitions(s - a):
+            for lam in by_size[a]:
+                for mu in by_size[s - a]:
                     for kappa in kappas:
                         c = lr_coefficient(lam, mu, kappa)
                         if c != lr_coefficient(mu, lam, kappa):
@@ -127,14 +127,14 @@ def cauchy_identities(dimV: int, dimW: int, degree: int) -> tuple[bool, str]:
     """Check the four Cauchy dimension identities at one (dims, degree)."""
     import math
     q = degree
+    parts = enumerate_partitions(q)
     lhs = math.comb(dimV * dimW + q - 1, q)
-    rhs = sum(schur_dim(lam, dimV) * schur_dim(lam, dimW)
-              for lam in enumerate_partitions(q))
+    rhs = sum(schur_dim(lam, dimV) * schur_dim(lam, dimW) for lam in parts)
     if lhs != rhs:
         return False, "S^q(V(x)W)"
     lhs = math.comb(dimV * dimW, q)
     rhs = sum(schur_dim(lam, dimV) * schur_dim(lam.conjugate(), dimW)
-              for lam in enumerate_partitions(q))
+              for lam in parts)
     if lhs != rhs:
         return False, "Lambda^r(V(x)W)"
     def sym_power_dim(d, k):

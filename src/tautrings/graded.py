@@ -14,7 +14,7 @@ on the bigraded model and the second page (odd) and E_rs on the letters
 of invariants (even), with one sign flip per odd letter of the monomial
 between a letter and each odd letter of its image (README, "Why one sign
 per odd letter in between").  The rank of d on a cell is taken over int
-column ids.
+column ids, on the monomials that are not pivots of d into the cell.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import groupby
 
-from .linalg import rank_of_int_rows
+from .linalg import _eliminate, rank_of_int_rows
 
 
 @dataclass(frozen=True)
@@ -314,7 +314,7 @@ def fgca_bidims(gens: GeneratorSet, maxtotal: int) -> list[list[int]]:
 
 # basis monomials through the requested total degree that
 # BigradedDGA.cohomology may build; a 6x6 Koszul map at degree 10 has
-# 8 008 and takes about 3 s on a shared Xeon
+# 8 008 and takes about 2 s at rank 4 (2.5 s at rank 6) on a shared Xeon
 BASIS_CAP = 20_000
 
 
@@ -329,20 +329,19 @@ def check_basis_cap(gens: GeneratorSet, maxtotal: int) -> None:
             f"{BASIS_CAP}")
 
 
-def span_rank(rows) -> int:
-    """Rank over Q of rows given as dicts key -> int or Fraction.
+def _int_row(row: dict) -> dict:
+    """row, a dict key -> int or Fraction, with its denominators cleared,
+    which leaves its span unchanged; an all-int row is returned as it is."""
+    if all(type(v) is int for v in row.values()):
+        return row
+    den = math.lcm(*(v.denominator for v in row.values()))
+    return {k: int(v * den) for k, v in row.items()}
 
-    Each row's denominators are cleared (which leaves its span unchanged)
-    before exact integer elimination; an all-int row passes as it is.
-    """
-    int_rows = []
-    for row in rows:
-        if all(type(v) is int for v in row.values()):
-            int_rows.append(row)
-            continue
-        den = math.lcm(*(v.denominator for v in row.values()))
-        int_rows.append({k: int(v * den) for k, v in row.items()})
-    return rank_of_int_rows(int_rows)
+
+def span_rank(rows) -> int:
+    """Rank over Q of rows given as dicts key -> int or Fraction, by exact
+    integer elimination of the rows with cleared denominators."""
+    return rank_of_int_rows([_int_row(row) for row in rows])
 
 
 def _homogeneous_degree(gens: GeneratorSet, elem: dict) -> int:
@@ -430,8 +429,9 @@ class BigradedDGA:
                 raise DgaError(
                     f"d^2 != 0 on generator {self.gens[i].name}")
 
-    def _cell_rank(self, basis) -> int:
-        """Rank of d on the span of basis, the monomials of one cell.
+    def _cell_rank(self, basis) -> tuple[int, set]:
+        """Rank of d on the span of basis, monomials of one cell, and the
+        image monomials at the pivot columns of its elimination.
 
         Image monomials become dense int column ids in first-seen order,
         so that elimination hashes ints, not monomial tuples."""
@@ -439,24 +439,39 @@ class BigradedDGA:
         rows = []
         for m in basis:
             img = apply_derivation(self.gens.odd, self._table, m, 1)
-            rows.append({ids.setdefault(x, len(ids)): c for x, c in img.items()})
-        return span_rank(rows)
+            rows.append(_int_row(
+                {ids.setdefault(x, len(ids)): c for x, c in img.items()}))
+        pivots, _ = _eliminate(rows)
+        monos = list(ids)
+        return len(pivots), {monos[c] for c in pivots}
 
-    def cohomology(self, maxtotal: int, check: bool = True) -> dict[tuple[int, int], int]:
+    def cohomology(self, maxtotal: int) -> dict[tuple[int, int], int]:
         """dim H^{p,q} for all bidegrees with p + q <= maxtotal.
 
         Raises ValueError, before any cell is built, if the cells hold more
-        than BASIS_CAP monomials in all.  The bigraded series then gives
-        each cell's size, and only the nonempty cells are enumerated.
+        than BASIS_CAP monomials in all, and DgaError if d^2 != 0.  The
+        bigraded series then gives each cell's size, and only the nonempty
+        cells are enumerated, in increasing p.  d is ranked on the
+        monomials of a cell that are not pivots of the elimination of d
+        into it: the pivot rows complete them to a basis of the cell, and
+        d^2 = 0 kills the pivot rows (README, "How cohomology plans its
+        cells").
         """
         check_basis_cap(self.gens, maxtotal)
-        if check:
-            self.check_d_squared_on_generators(maxtotal)
+        self.check_d_squared_on_generators(maxtotal)
         sizes = fgca_bidims(self.gens, maxtotal)
+        ranks: dict = {}
+        incoming: dict = {}   # cell -> pivot monomials of d into it
+        for p in range(maxtotal + 1):
+            for q in range(maxtotal + 1 - p):
+                pivots = incoming.pop((p, q), ())
+                if sizes[p][q]:
+                    basis = [m for m in self.gens.monomials_bidegree(p, q)
+                             if m not in pivots]
+                    ranks[(p, q)], incoming[(p + 2, q - 1)] = (
+                        self._cell_rank(basis))
         cells = [(p, total - p) for total in range(maxtotal + 1)
                  for p in range(total + 1)]
-        ranks = {(p, q): self._cell_rank(self.gens.monomials_bidegree(p, q))
-                 for p, q in cells if sizes[p][q]}
         return {(p, q): sizes[p][q] - ranks.get((p, q), 0)
                 - ranks.get((p - 2, q + 1), 0) for p, q in cells}
 

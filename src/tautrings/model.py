@@ -331,18 +331,17 @@ def ac_invariant_dims_bruteforce(spec: ACAlgebraSpec, p: int, q: int, r: int,
 
 def ac_invariant_dims_formula(spec: ACAlgebraSpec, p: int, q: int) -> int:
     """Littlewood-Richardson evaluation of the (p, q, 2p+q) invariant dim."""
-    from .partitions import enumerate_partitions, lr_coefficient, schur_dim
+    from .partitions import (enumerate_partitions, schur_dim,
+                             schur_product_expand)
     if 2 * p + q > 8:
         raise ValueError(f"requires 2p+q <= 8 (got {2 * p + q})")
     lam_filter = "even_rows" if spec.variant == "A" else "even_cols"
+    mus = enumerate_partitions(q)
     total = 0
     for lam in enumerate_partitions(2 * p, lam_filter):
-        for mu in enumerate_partitions(q):
-            for nu in enumerate_partitions(2 * p + q):
+        for mu in mus:
+            for nu, c in schur_product_expand(lam, mu).items():
                 if nu.height > spec.g:
-                    continue
-                c = lr_coefficient(lam, mu, nu)
-                if not c:
                     continue
                 if spec.variant == "A":
                     dw = schur_dim(mu, spec.dimW)

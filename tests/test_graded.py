@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import random
 from fractions import Fraction
@@ -545,6 +546,17 @@ class TestQuotientDims:
                 == fgca_dims(survivors, maxdeg))
 
 
+def rank_r_map(rng, rows, cols, rank):
+    """A rows x rank times rank x cols product of random rationals."""
+    def factor(r, c):
+        return QMatrix(r, c, {
+            (i, j): Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                             rng.randint(1, 9))
+            for i in range(r) for j in range(c)})
+
+    return factor(rows, rank) @ factor(rank, cols)
+
+
 class TestKoszul:
     def test_acyclic_identity(self):
         assert koszul_cohomology_dims(QMatrix.identity(1), 5) == [1, 0, 0, 0, 0, 0]
@@ -583,19 +595,17 @@ class TestKoszul:
     @pytest.mark.parametrize("rows, cols, rank, seed", [
         (6, 6, 6, 1), (6, 6, 4, 2), (6, 6, 3, 3), (7, 5, 3, 4)])
     def test_maps_past_criterion_5(self, rows, cols, rank, seed):
-        # a rows x rank times rank x cols product of random rationals
-        rng = random.Random(seed)
-
-        def factor(r, c):
-            return QMatrix(r, c, {
-                (i, j): Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
-                                 rng.randint(1, 9))
-                for i in range(r) for j in range(c)})
-
-        F = factor(rows, rank) @ factor(rank, cols)
+        F = rank_r_map(random.Random(seed), rows, cols, rank)
         assert F.rank() == rank
         expected = kernel_cokernel_dims(cols - rank, rows - rank, 8)
         assert koszul_cohomology_dims(F, 8) == expected
+
+    @pytest.mark.slow
+    def test_six_by_six_rank_4_at_degree_10(self):
+        # 8 008 basis monomials, the size quoted beside BASIS_CAP
+        F = rank_r_map(random.Random(10), 6, 6, 4)
+        assert F.rank() == 4
+        assert koszul_cohomology_dims(F, 10) == kernel_cokernel_dims(2, 2, 10)
 
     def test_work_cap(self):
         # 7 + 7 generators to degree 11 span 31 824 monomials (19 448 to 10)
@@ -611,6 +621,37 @@ class TestKoszul:
                           lo=-3, hi=3)
         assert koszul_cohomology_dims(F, 6) == koszul_cohomology_dims(
             F.scale(c), 6)
+
+
+@contextlib.contextmanager
+def counting_cell_rank():
+    """Record (dga, number of monomials) for each BigradedDGA._cell_rank
+    call while the context is open."""
+    seen = []
+    original = BigradedDGA._cell_rank
+
+    def counting(self, basis):
+        seen.append((self, len(basis)))
+        return original(self, basis)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BigradedDGA, "_cell_rank", counting)
+        yield seen
+
+
+def complement_rows(dga, maxtotal):
+    """The sum over nonempty cells of p + q <= maxtotal of size minus the
+    rank of d into the cell, that rank taken on the full basis of the
+    cell d comes from: the rows the complement walk ranks."""
+    gens, total = dga.gens, 0
+    for t in range(maxtotal + 1):
+        for p in range(t + 1):
+            size = len(gens.monomials_bidegree(p, t - p))
+            if size and p >= 2:
+                source = gens.monomials_bidegree(p - 2, t - p + 1)
+                size -= span_rank([dga.d(mono_elem(m)) for m in source])
+            total += size
+    return total
 
 
 class TestBigradedDGA:
@@ -670,10 +711,34 @@ class TestBigradedDGA:
             for p in range(total + 1):
                 basis = dga.gens.monomials_bidegree(p, total - p)
                 table[(p, total - p)] = len(basis)
-                ranks[(p, total - p)] = dga._cell_rank(basis)
+                ranks[(p, total - p)] = dga._cell_rank(basis)[0]
         expected = [((p, q), dim - ranks[(p, q)] - ranks.get((p - 2, q + 1), 0))
                     for (p, q), dim in table.items()]
         assert list(dga.cohomology(maxtotal).items()) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(0, 7))
+    def test_ranks_only_the_complement_of_incoming_pivots(self, seed,
+                                                          maxtotal):
+        dga = random_dga(random.Random(seed), True)
+        with counting_cell_rank() as seen:
+            dga.cohomology(maxtotal)
+        assert sum(n for _, n in seen) == complement_rows(dga, maxtotal)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(0, 7))
+    def test_koszul_ranks_only_the_complement(self, seed, maxdeg):
+        rng = random.Random(seed)
+        rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+        F = QMatrix(rows, cols, {
+            (i, j): Fraction(rng.randint(-3, 3), rng.randint(1, 7))
+            for i in range(rows) for j in range(cols)})
+        with counting_cell_rank() as seen:
+            dims = koszul_cohomology_dims(F, maxdeg)
+        rank = F.rank()
+        assert dims == kernel_cokernel_dims(cols - rank, rows - rank, maxdeg)
+        dga = seen[0][0]
+        assert sum(n for _, n in seen) == complement_rows(dga, maxdeg)
 
     def test_cap_refuses_before_any_cell(self, monkeypatch):
         def never(*args):
