@@ -6,8 +6,10 @@ the same checks.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .graded import kernel_cokernel_dims, koszul_cohomology_dims
@@ -125,7 +127,6 @@ def criterion_3() -> CriterionResult:
 
 def cauchy_identities(dimV: int, dimW: int, degree: int) -> tuple[bool, str]:
     """Check the four Cauchy dimension identities at one (dims, degree)."""
-    import math
     q = degree
     parts = enumerate_partitions(q)
     lhs = math.comb(dimV * dimW + q - 1, q)
@@ -137,6 +138,14 @@ def cauchy_identities(dimV: int, dimW: int, degree: int) -> tuple[bool, str]:
               for lam in parts)
     if lhs != rhs:
         return False, "Lambda^r(V(x)W)"
+    which = _square_identities(dimV, q)
+    return not which, which
+
+
+@lru_cache(maxsize=None)
+def _square_identities(dimV: int, q: int) -> str:
+    """The Cauchy identities for S^p(S^2 V) and S^p(Lambda^2 V), which do
+    not involve W, once per (dimV, degree): the first that fails, or ""."""
     def sym_power_dim(d, k):
         if d == 0:
             return 1 if k == 0 else 0
@@ -147,14 +156,14 @@ def cauchy_identities(dimV: int, dimW: int, degree: int) -> tuple[bool, str]:
     rhs = sum(schur_dim(lam, dimV)
               for lam in enumerate_partitions(2 * q, "even_rows"))
     if lhs != rhs:
-        return False, "S^p(S^2 V)"
+        return "S^p(S^2 V)"
     dext = dimV * (dimV - 1) // 2
     lhs = sym_power_dim(dext, q)
     rhs = sum(schur_dim(lam, dimV)
               for lam in enumerate_partitions(2 * q, "even_cols"))
     if lhs != rhs:
-        return False, "S^p(Lambda^2 V)"
-    return True, ""
+        return "S^p(Lambda^2 V)"
+    return ""
 
 
 def criterion_4() -> CriterionResult:

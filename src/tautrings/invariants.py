@@ -173,6 +173,7 @@ class Alphabet:
         self._id = {(a.tag, a.up, a.down): i
                     for i, a in enumerate(self.letters)}
         self._relabel: dict[int, tuple[list[int], set[int]]] = {}
+        self._derivation: dict[tuple[int, int], list] = {}
 
     def weight(self, elt) -> tuple[int, ...]:
         """Torus weight of a basis element: +1 per N index, -1 per N^v
@@ -232,6 +233,15 @@ class Alphabet:
         self._relabel[r] = ids, flips
         return ids, flips
 
+    def derivation(self, r: int, s: int) -> list:
+        """E_rs as a graded.derivation_table.  Built once per alphabet and
+        (r, s)."""
+        if (r, s) not in self._derivation:
+            self._derivation[r, s] = derivation_table(self.exterior, {
+                a: [((b,), c) for c, b in terms]
+                for a, terms in enumerate(self.images(r, s))})
+        return self._derivation[r, s]
+
 
 def _action_rows(alphabet: Alphabet, basis, pairs: list[tuple[int, int]],
                  columns) -> list[dict[int, int]]:
@@ -245,10 +255,7 @@ def _action_rows(alphabet: Alphabet, basis, pairs: list[tuple[int, int]],
     order first seen; entries that cancel are dropped.
     """
     exterior = alphabet.exterior
-    tables = [(r, s, derivation_table(exterior, {
-        a: [((b,), c) for c, b in terms]
-        for a, terms in enumerate(alphabet.images(r, s))}))
-        for r, s in pairs]
+    tables = [(r, s, alphabet.derivation(r, s)) for r, s in pairs]
     rows: dict[tuple, dict[int, int]] = {}
     for elt, column in zip(basis, columns):
         if column is None:

@@ -14,7 +14,9 @@ generators.  Degrees follow the fixed scheme
 with a generator present exactly when its degree is positive and m <= M.
 
 The trigraded counts and the second-page oracle build each cell's
-weight-restricted basis with the join in invariants.  The oracle's
+weight-restricted basis with the join in invariants.  A trigraded cell is
+joined and counted one label-content block at a time, with one block for
+each content up to permuting the W and the U labels.  The oracle's
 CELL_CAP admits every n <= 11 at g = n - 2 and n - 1.
 """
 
@@ -22,8 +24,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .graded import (
     BigradedDGA,
@@ -261,17 +265,58 @@ class ACAlgebraSpec:
             raise ValueError("requires positive g, dimW, dimU")
 
 
+@lru_cache(maxsize=None)
 def _ac_alphabet(spec: ACAlgebraSpec) -> Alphabet:
-    """The x letters of S^2 N or Lambda^2 N, then the y letters of N (x) W,
-    then the z letters of N^v (x) U."""
+    """The x letters of S^2 N or Lambda^2 N, then the y letters of N (x) W
+    and the z letters of N^v (x) U, each label's g letters together."""
     g, is_a = spec.g, spec.variant == "A"
     return Alphabet(g, [
         *(Letter("x", (i, j), alternating=not is_a)
           for i in range(g) for j in range(i if is_a else i + 1, g)),
         *(Letter(("y", w), (i,), exterior=not is_a)
-          for i in range(g) for w in range(spec.dimW)),
+          for w in range(spec.dimW) for i in range(g)),
         *(Letter(("z", u), (), (i,), exterior=is_a)
-          for i in range(g) for u in range(spec.dimU))])
+          for u in range(spec.dimU) for i in range(g))])
+
+
+def _ac_blocks(spec: ACAlgebraSpec, p: int, q: int, r: int, group: str):
+    """(rearrangements, basis) for each nonempty label-content block of the
+    (p, q, r) cell's weight space with both contents sorted decreasingly.
+    A block's contents count its y letters of each W label and its z
+    letters of each U label; rearrangements is the number of distinct
+    permutations of the two, and basis is in lexicographic order (README,
+    "Why a trigraded cell splits by label content")."""
+    # every basis element has total torus weight summing to 2p + q - r;
+    # the target is (c, ..., c), with c = 0 for GL
+    g, is_a = spec.g, spec.variant == "A"
+    wsum = 2 * p + q - r
+    if wsum % g or (group == "GL" and wsum):
+        return
+    target = (wsum // g,) * g
+    nx = (g * (g + 1) if is_a else g * (g - 1)) // 2
+
+    def blocks(lo, labels, size, exterior):
+        # per sorted content: its rearrangements, and the product over the
+        # labels of each label's multisets or subsets
+        choose = (itertools.combinations if exterior
+                  else itertools.combinations_with_replacement)
+        rearranged = Counter(
+            tuple(sorted(content, reverse=True))
+            for content in itertools.product(range(size + 1), repeat=labels)
+            if sum(content) == size)
+        return [(m, [sum(parts, ()) for parts in itertools.product(*(
+            choose(range(lo + k * g, lo + k * g + g), n)
+            for k, n in enumerate(content)))])
+            for content, m in rearranged.items()]
+
+    xs = list(itertools.combinations_with_replacement(range(nx), p))
+    zs = blocks(nx + g * spec.dimW, spec.dimU, r, is_a)
+    weight = _ac_alphabet(spec).weight
+    for my, ys in blocks(nx, spec.dimW, q, not is_a):
+        for mz, z in zs:
+            basis = _weight_join([xs, ys, z], weight, target)
+            if basis:
+                yield my * mz, basis
 
 
 def ac_invariant_dims_bruteforce(spec: ACAlgebraSpec, p: int, q: int, r: int,
@@ -282,7 +327,8 @@ def ac_invariant_dims_bruteforce(spec: ACAlgebraSpec, p: int, q: int, r: int,
     letter coordinates (multisets for symmetric factors, subsets for
     exterior ones); invariants are the kernel of E_01 on the Weyl-orbit
     sums of the relevant torus-weight subspace, which is the invariant
-    subspace by the argument in invariants.
+    subspace by the argument in invariants, summed over `_ac_blocks`.
+    The whole cell is held to CELL_CAP before any block is built.
     """
     if min(p, q, r) < 0:
         raise ValueError("requires nonnegative p, q, r")
@@ -290,43 +336,26 @@ def ac_invariant_dims_bruteforce(spec: ACAlgebraSpec, p: int, q: int, r: int,
         raise ValueError(f"unknown group {group!r}")
     g, is_a = spec.g, spec.variant == "A"
     nx, ny = (g * (g + 1) if is_a else g * (g - 1)) // 2, g * spec.dimW
-    # (first letter id, letter count, size, exterior) of the x, y and z
-    # factors
-    factors = ((0, nx, p, False), (nx, ny, q, not is_a),
-               (nx + ny, g * spec.dimU, r, is_a))
 
-    def count(_lo, nlet, size, exterior):
+    def count(nlet, size, exterior):
         if exterior:
             return math.comb(nlet, size)
         if nlet == 0:
             return 1 if size == 0 else 0
         return math.comb(nlet + size - 1, size)
 
-    dim = math.prod(count(*f) for f in factors)
+    dim = (count(nx, p, False) * count(ny, q, not is_a)
+           * count(g * spec.dimU, r, is_a))
     if dim == 0:
         return 0
     if dim > CELL_CAP:
         raise ValueError(f"cell dimension {dim} exceeds cap {CELL_CAP}")
-
-    # every basis element has total torus weight summing to 2p + q - r;
-    # the target is (c, ..., c), with c = 0 for GL
-    wsum = 2 * p + q - r
-    if wsum % g or (group == "GL" and wsum):
-        return 0
-    target = (wsum // g,) * g
-
-    def factor(lo, nlet, size, exterior):
-        choose = (itertools.combinations if exterior
-                  else itertools.combinations_with_replacement)
-        return choose(range(lo, lo + nlet), size)
-
     alphabet = _ac_alphabet(spec)
-    basis = _weight_join([factor(*f) for f in factors], alphabet.weight,
-                         target)
-    if not basis:
-        return 0
-    orbits, rows = _invariant_system(alphabet, basis)
-    return len(orbits) - rank_of_int_rows(rows)
+    total = 0
+    for mult, basis in _ac_blocks(spec, p, q, r, group):
+        orbits, rows = _invariant_system(alphabet, basis)
+        total += mult * (len(orbits) - rank_of_int_rows(rows))
+    return total
 
 
 def ac_invariant_dims_formula(spec: ACAlgebraSpec, p: int, q: int) -> int:

@@ -11,17 +11,24 @@ Littlewood-Richardson coefficients are held to the cell-wise search the
 program had before it expanded each product one strip of letters at a
 time: `cellwise_lr_count` fills the skew shape kappa/lam one cell at a
 time, once for each triple.
+
+The trigraded brute force is held to the count it had before it split a
+cell into label-content blocks: `whole_cell_dim` runs the kernel once on
+the cell's whole weight space, `reference_ac_basis`.
 """
 
+import itertools
 from bisect import bisect_left, bisect_right
 
 from tautrings.invariants import (
     _action_rows,
+    _invariant_system,
     _orbits,
     _tensor_alphabet,
     _weight_words,
 )
 from tautrings.linalg import kernel_basis_columns, rank_of_int_rows
+from tautrings.model import _ac_alphabet
 from tautrings.partitions import Partition
 
 
@@ -152,6 +159,46 @@ def stacked_tensor_system(spec, group):
     simple raising operators on their span."""
     words, letters = tensor_cell(spec, group)
     return words, stacked_rows(_tensor_alphabet(spec), letters)
+
+
+def reference_ac_basis(spec, p, q, r, group):
+    """The trigraded cell basis as it was built before the shared join:
+    full x and y factor bases, joined with the z factors grouped by
+    weight."""
+    g, is_a = spec.g, spec.variant == "A"
+    wsum = 2 * p + q - r
+    if wsum % g or (group == "GL" and wsum):
+        return []
+    target = (wsum // g,) * g
+    nx, ny = (g * (g + 1) if is_a else g * (g - 1)) // 2, g * spec.dimW
+    factors = ((0, nx, p, False), (nx, ny, q, not is_a),
+               (nx + ny, g * spec.dimU, r, is_a))
+    alphabet = _ac_alphabet(spec)
+
+    def factor_basis(lo, nlet, size, exterior):
+        choose = (itertools.combinations if exterior
+                  else itertools.combinations_with_replacement)
+        return [(fs, alphabet.weight(fs))
+                for fs in choose(range(lo, lo + nlet), size)]
+
+    xbasis, ybasis, zbasis = (factor_basis(*f) for f in factors)
+    z_by_weight = {}
+    for zs, wz in zbasis:
+        z_by_weight.setdefault(wz, []).append(zs)
+    return [xs + ys + zs
+            for xs, wx in xbasis for ys, wy in ybasis
+            for zs in z_by_weight.get(
+                tuple(t - a - b for t, a, b in zip(target, wx, wy)), ())]
+
+
+def whole_cell_dim(spec, p, q, r, group) -> int:
+    """The invariants of the (p, q, r) cell, counted by the kernel on the
+    whole weight space at once."""
+    basis = reference_ac_basis(spec, p, q, r, group)
+    if not basis:
+        return 0
+    orbits, rows = _invariant_system(_ac_alphabet(spec), basis)
+    return len(orbits) - rank_of_int_rows(rows)
 
 
 def _lr_fillings(kappa: Partition, lam: Partition, mu: Partition) -> int:

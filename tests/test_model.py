@@ -26,10 +26,12 @@ from tautrings.model import (
 
 from oracles import (
     all_pairs,
+    reference_ac_basis,
     same_rows_as_previous,
     stacked_dim,
     stacked_kernel,
     stacked_rows,
+    whole_cell_dim,
 )
 
 
@@ -354,34 +356,61 @@ class TestGHTarget:
         assert gh_target_dims(2, 1, 1, 0) == 0
 
 
-def reference_ac_basis(spec, p, q, r, group):
-    """The trigraded cell basis as it was built before the shared join:
-    full x and y factor bases, joined with the z factors grouped by
-    weight."""
-    g, is_a = spec.g, spec.variant == "A"
-    wsum = 2 * p + q - r
-    if wsum % g or (group == "GL" and wsum):
-        return []
-    target = (wsum // g,) * g
-    nx, ny = (g * (g + 1) if is_a else g * (g - 1)) // 2, g * spec.dimW
-    factors = ((0, nx, p, False), (nx, ny, q, not is_a),
-               (nx + ny, g * spec.dimU, r, is_a))
+def label_rearrangements(spec, block):
+    """The distinct images of a trigraded block under every permutation of
+    the W labels and of the U labels, each a frozenset of basis elements."""
     alphabet = model._ac_alphabet(spec)
+    out = set()
+    for sw in itertools.permutations(range(spec.dimW)):
+        for su in itertools.permutations(range(spec.dimU)):
+            ids = []
+            for a in alphabet.letters:
+                tag = a.tag
+                if tag != "x":
+                    kind, k = tag
+                    tag = kind, (sw if kind == "y" else su)[k]
+                ids.append(alphabet._id[tag, a.up, a.down])
+            out.add(frozenset(tuple(sorted(ids[a] for a in elt))
+                              for elt in block))
+    return out
 
-    def factor_basis(lo, nlet, size, exterior):
-        choose = (itertools.combinations if exterior
-                  else itertools.combinations_with_replacement)
-        return [(fs, alphabet.weight(fs))
-                for fs in choose(range(lo, lo + nlet), size)]
 
-    xbasis, ybasis, zbasis = (factor_basis(*f) for f in factors)
-    z_by_weight = {}
-    for zs, wz in zbasis:
-        z_by_weight.setdefault(wz, []).append(zs)
-    return [xs + ys + zs
-            for xs, wx in xbasis for ys, wy in ybasis
-            for zs in z_by_weight.get(
-                tuple(t - a - b for t, a, b in zip(target, wx, wy)), ())]
+class TestLabelContentBlocks:
+    """The brute force counts a cell one label-content block at a time,
+    and each block once for all its rearrangements."""
+
+    # every criterion-4 cell, and dimW, dimU <= 3 at g <= 3 for
+    # 2p + q <= 4 and r = 2p + q - g .. 2p + q + g, both groups
+    CELLS = list(dict.fromkeys(
+        [(ACAlgebraSpec(variant, g, dimW, dimU), p, q, r, group)
+         for variant, g, dimW, dimU in itertools.product(
+             "AC", range(1, 4), (1, 2), (1, 2))
+         for p in range(3) for q in range(5 - 2 * p)
+         for r in range(2 * p + q + 3) for group in ("GL", "SL")]
+        + [(ACAlgebraSpec(variant, g, dimW, dimU), p, q, r, group)
+           for variant, g, dimW, dimU in itertools.product(
+               "AC", range(1, 4), (1, 2, 3), (1, 2, 3))
+           for p in range(3) for q in range(5 - 2 * p)
+           for r in range(max(0, 2 * p + q - g), 2 * p + q + g + 1)
+           for group in ("GL", "SL")]))
+
+    def test_counts_match_whole_cell(self):
+        for cell in self.CELLS:
+            try:
+                got = ac_invariant_dims_bruteforce(*cell)
+            except ValueError as exc:
+                # C cells at g = 3 with dimU = 3 and r >= 6
+                assert "exceeds cap" in str(exc), cell
+                continue
+            assert got == whole_cell_dim(*cell), cell
+
+    def test_blocks_cover_weight_space(self):
+        """Sum of rearrangements times block size is the weight space's
+        size: no block is lost or counted twice."""
+        for cell in self.CELLS:
+            assert sum(mult * len(basis)
+                       for mult, basis in model._ac_blocks(*cell)) == len(
+                reference_ac_basis(*cell)), cell
 
 
 def reference_e2_basis(e2, p, q):
@@ -410,7 +439,9 @@ def core_bases(monkeypatch):
 
 class TestWeightJoin:
     """The shared join builds the same bases, in the same order, as the
-    enumerators it replaced (the tensor case is in test_invariants)."""
+    enumerators it replaced (the tensor case is in test_invariants); a
+    trigraded cell's blocks, with their rearrangements, partition the
+    basis its enumerator built."""
 
     # every criterion-4 spec, plus g = 4; each (p, q) cell at r up to
     # 2p + q + 2, both groups
@@ -421,6 +452,9 @@ class TestWeightJoin:
                 for r in range(2 * p + q + 3) for group in ("GL", "SL")]
 
     def test_ac_matches_reference(self, core_bases):
+        """Each label-content block handed to the core is in lexicographic
+        order, and the blocks with their distinct label rearrangements
+        partition the whole weight space."""
         for cell in self.AC_CELLS:
             core_bases.clear()
             try:
@@ -428,8 +462,15 @@ class TestWeightJoin:
             except ValueError:
                 assert cell[0].g == 4  # a g = 4 cell over CELL_CAP
                 continue
-            got = core_bases[0] if core_bases else []
-            assert got == reference_ac_basis(*cell), cell
+            covered = []
+            for basis in core_bases:
+                assert basis == sorted(basis), cell
+                assert all(list(elt) == sorted(elt) for elt in basis), cell
+                for block in label_rearrangements(cell[0], basis):
+                    covered.extend(block)
+            want = reference_ac_basis(*cell)
+            assert len(covered) == len(want), cell
+            assert set(covered) == set(want), cell
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_e2_matches_reference(self, core_bases, n):
