@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -295,19 +294,37 @@ def _ac_blocks(spec: ACAlgebraSpec, p: int, q: int, r: int, group: str):
     target = (wsum // g,) * g
     nx = (g * (g + 1) if is_a else g * (g - 1)) // 2
 
+    def sorted_contents(size, labels, most):
+        # the partitions of size into at most `labels` parts, each at most
+        # `most`, as decreasing (part, count) runs; the bounds on part and
+        # count leave the rest a partition to fill, so no branch dies
+        if size == 0:
+            yield ()
+            return
+        for v in range(min(size, most), -(-size // labels) - 1, -1):
+            for c in range(min(size // v, labels),
+                           max(1, size - labels * (v - 1)) - 1, -1):
+                for rest in sorted_contents(size - c * v, labels - c, v - 1):
+                    yield ((v, c),) + rest
+
     def blocks(lo, labels, size, exterior):
-        # per sorted content: its rearrangements, and the product over the
-        # labels of each label's multisets or subsets
+        # per sorted content, with its nonzero parts on the first labels:
+        # its rearrangements, the multinomial of the counts of each part
+        # value (zeros last), and the product over those labels of each
+        # label's multisets or subsets
         choose = (itertools.combinations if exterior
                   else itertools.combinations_with_replacement)
-        rearranged = Counter(
-            tuple(sorted(content, reverse=True))
-            for content in itertools.product(range(size + 1), repeat=labels)
-            if sum(content) == size)
-        return [(m, [sum(parts, ()) for parts in itertools.product(*(
-            choose(range(lo + k * g, lo + k * g + g), n)
-            for k, n in enumerate(content)))])
-            for content, m in rearranged.items()]
+        out = []
+        for runs in sorted_contents(size, labels, g if exterior else size):
+            m, left, parts = 1, labels, []
+            for v, c in runs:
+                m, left = m * math.comb(left, c), left - c
+                parts += [v] * c
+            out.append((m, [tuple(itertools.chain(*ids))
+                            for ids in itertools.product(*(
+                                choose(range(lo + k * g, lo + k * g + g), n)
+                                for k, n in enumerate(parts)))]))
+        return out
 
     xs = list(itertools.combinations_with_replacement(range(nx), p))
     zs = blocks(nx + g * spec.dimW, spec.dimU, r, is_a)

@@ -1,6 +1,7 @@
 import csv
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -60,6 +61,25 @@ class TestBasicCommands:
         brute = run_json(capsys, "ac-dims", *args, "--mode", "brute")
         formula = run_json(capsys, "ac-dims", *args, "--mode", "formula")
         assert brute["dim"] == formula["dim"] == 1
+
+    @pytest.mark.parametrize("variant,g,dimw,dimu,q,group,dim", [
+        ("A", 1, 40, 1, 1, "GL", 40),
+        ("A", 1, 30, 2, 2, "GL", 465),
+        ("C", 1, 2, 30, 2, "GL", 465),
+        ("C", 2, 2, 40, 2, "SL", 3160),
+    ])
+    def test_ac_dims_many_labels(self, capsys, variant, g, dimw, dimu, q,
+                                 group, dim):
+        """Small cells over many W or U labels: the label contents are
+        listed up to rearrangement, not over every labeling (2^40 of them
+        for the first)."""
+        t0 = time.perf_counter()
+        rep = run_json(capsys, "ac-dims", "--mode", "brute", "--variant",
+                       variant, "--g", str(g), "--dimw", str(dimw),
+                       "--dimu", str(dimu), "--p", "0", "--q", str(q),
+                       "--r", str(q), "--group", group)
+        assert time.perf_counter() - t0 < 5.0
+        assert rep["dim"] == dim
 
     def test_mt(self, capsys):
         rep = run_json(capsys, "mt", "--n", "9", "--maxdeg", "1")
