@@ -235,7 +235,7 @@ def criterion_6() -> CriterionResult:
     for n in range(5, 13):
         params = ModelParams(n=n, g=n - 2, M=minimal_M(n), maxdeg=n - 3)
         try:
-            e3_zero_column(params, check_k=True)
+            e3_zero_column(params)
         except OracleMismatch as exc:
             return CriterionResult(6, "D-model zero column", False,
                                    f"n={n}: {exc}")

@@ -291,7 +291,7 @@ def _params_from_args(args) -> ModelParams:
 
 def _cmd_e3(args) -> dict:
     params = _params_from_args(args)
-    col = e3_zero_column(params, check_k=True)
+    col = e3_zero_column(params)
     spaces = build_spaces(params)
     return {
         "inputs": {"n": params.n, "g": params.g, "M": params.M,

@@ -5,9 +5,9 @@ Generators carry a bidegree (p, q); singly graded algebras use (0, d).  A
 generator is exterior iff its total degree is odd, polynomial otherwise.
 A monomial is the sorted tuple of its generator ids (positions in the
 (total degree, name)-sorted generator list), an id once per unit of its
-exponent; elements are dicts monomial -> int or Fraction.  The engine's
-own elements have int coefficients; Fraction ones from callers mix in
-freely.
+exponent; elements are dicts monomial -> coefficient, all ints in the
+engine: `BigradedDGA` clears a rational differential's denominators once,
+and `span_rank` those of caller-supplied relations.
 
 `apply_derivation` applies every derivation on such letter-id tuples: d
 on the bigraded model and the second page (odd) and E_rs on the letters
@@ -383,9 +383,11 @@ class BigradedDGA:
     bidegree (2, -1)."""
 
     def __init__(self, gens: GeneratorSet, differential: dict[str, dict]):
-        """differential maps generator name -> element."""
+        """differential: generator name -> element, int or Fraction
+        coefficients.  dvals holds L*d in ints, L the lcm of the denominators:
+        same kernels and images as d, and (L*d)^2 = 0 iff d^2 = 0."""
         self.gens = gens
-        self.dvals: dict[int, dict] = {}
+        dvals: dict[int, dict] = {}
         for name, val in differential.items():
             i = gens.index[name]
             if val:
@@ -395,7 +397,12 @@ class BigradedDGA:
                     if (mp, mq) != (gp + 2, gq - 1):
                         raise ValueError(
                             f"differential of {name} not of bidegree (2,-1)")
-                self.dvals[i] = val
+                dvals[i] = val
+        den = math.lcm(*(c.denominator for val in dvals.values()
+                         for c in val.values()))
+        self.dvals: dict[int, dict] = {
+            i: {m: int(c * den) for m, c in val.items()}
+            for i, val in dvals.items()}
         self._table = derivation_table(
             gens.odd, {i: val.items() for i, val in self.dvals.items()})
 
@@ -439,8 +446,8 @@ class BigradedDGA:
         rows = []
         for m in basis:
             img = apply_derivation(self.gens.odd, self._table, m, 1)
-            rows.append(_int_row(
-                {ids.setdefault(x, len(ids)): c for x, c in img.items()}))
+            rows.append({ids.setdefault(x, len(ids)): c
+                         for x, c in img.items()})
         pivots, _ = _eliminate(rows)
         monos = list(ids)
         return len(pivots), {monos[c] for c in pivots}
@@ -479,33 +486,25 @@ class BigradedDGA:
 def koszul_cohomology_dims(F, maxdeg: int) -> list[int]:
     """Cohomology dimensions of the Koszul complex of a linear map.
 
-    F is a QMatrix X x Y (a map from Y to X); the exterior generators sit
-    in degree 1, the polynomial generators in degree 2.  Returns dims of
-    H^0..H^maxdeg.  Raises ValueError, before any cell is built, if the
-    complex has more than BASIS_CAP basis monomials up to maxdeg.
+    F is a QMatrix X x Y (a map from Y to X); d(y_i) is column i of F,
+    rational as it is, and the exterior y sit in degree 1, the polynomial
+    x in degree 2.  Returns dims of H^0..H^maxdeg.  Raises ValueError,
+    before any cell is built, if the complex has more than BASIS_CAP
+    basis monomials up to maxdeg.
     """
     ny, nx = F.cols, F.rows
     gens = GeneratorSet(
         [(f"y{i:03d}", (0, 1)) for i in range(ny)]
         + [(f"x{j:03d}", (2, 0)) for j in range(nx)])
     check_basis_cap(gens, maxdeg)   # before the differential is built
-    # L*F has the same kernel and image as F, so the engine works over Z
-    den = math.lcm(*(c.denominator for c in F.entries.values()))
     diff: dict[str, dict] = {}
-    for i in range(ny):
-        val: dict = {}
-        for j in range(nx):
-            c = F[j, i]
-            if c:
-                val[gens.index[f"x{j:03d}"],] = int(c * den)
-        if val:
-            diff[f"y{i:03d}"] = val
+    for (j, i), c in sorted(F.entries.items(), key=lambda e: e[0][::-1]):
+        diff.setdefault(f"y{i:03d}", {})[gens.index[f"x{j:03d}"],] = c
     dga = BigradedDGA(gens, diff)
     table = dga.cohomology(maxdeg)
     dims = [0] * (maxdeg + 1)
     for (p, q), h in table.items():
-        if p + q <= maxdeg:
-            dims[p + q] += h
+        dims[p + q] += h
     return dims
 
 

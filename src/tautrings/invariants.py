@@ -38,7 +38,7 @@ invariants; and one pass over each permutation tensor checks that it is
 an orbit-sum combination the reduced rows kill (README, "Why containment
 and a count decide the span").  `invariant_dim` gives the same count for
 any T^{k,l}.  `sigma_matrix` and the invariant bases are QMatrix
-wrappers over int or Fraction columns.
+wrappers over int columns, kernel vectors with their denominators dropped.
 """
 
 from __future__ import annotations
@@ -46,12 +46,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, mul, sub
 from typing import NamedTuple
 
 from .graded import apply_derivation, derivation_table
-from .linalg import QMatrix, _eliminate, kernel_basis_columns
+from .linalg import QMatrix, _eliminate, kernel_int_basis
 
 # ambient dimension cap; beyond this the weight-zero subspace itself gets
 # unwieldy and the caller should rethink
@@ -348,11 +347,11 @@ def _invariant_system(alphabet: Alphabet, basis):
     return orbits, rows
 
 
-def _kernel_vectors(orbits, rows) -> list[dict[int, Fraction]]:
+def _kernel_vectors(orbits, rows) -> list[dict[int, int]]:
     """A basis of the invariants from `_invariant_system`, over basis
     positions: kernel vector k gives k_o * e at each (j, e) of orbit o."""
     return [{j: x * e for o, x in vec.items() for j, e in orbits[o]}
-            for vec in kernel_basis_columns(rows, len(orbits))]
+            for vec, _ in kernel_int_basis(rows, len(orbits))]
 
 
 def _tensor_alphabet(spec: TensorSpaceSpec) -> Alphabet:

@@ -15,11 +15,12 @@ no gcd and no scaling of that row.  The heap takes a row back only when
 it shrinks, and re-files a stale entry of a row that has grown when it
 comes up, which leaves the pivot order exactly that of a heap refreshed
 on every change.  `kernel_int_basis` back-substitutes in integers over
-one common denominator per vector; `kernel_basis_columns` makes Fractions
-of that only at the end.  `reduce_against` takes an int vector through the
-pivot rows of one elimination, fraction-free, and leaves an empty residual
-exactly when the vector lies in their span, so a span inclusion costs one
-elimination of the spanning set (`subspace_equal`).
+one common denominator per vector, which the engines drop; only
+`QMatrix.kernel_basis` makes Fractions of it (`kernel_basis_columns`).
+`reduce_against` takes an int vector through the pivot rows of one
+elimination, fraction-free, and leaves an empty residual exactly when the
+vector lies in their span, so a span inclusion costs one elimination of
+the spanning set (`subspace_equal`).
 """
 
 from __future__ import annotations

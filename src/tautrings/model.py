@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .graded import (
@@ -37,7 +36,6 @@ from .graded import (
     elem_mul,
     fgca_dims,
     mono_elem,
-    span_rank,
 )
 from .invariants import (
     Alphabet,
@@ -216,12 +214,11 @@ def build_D_dga(params: ModelParams,
     return BigradedDGA(gens, diff)
 
 
-def e3_zero_column(params: ModelParams, check_k: bool = True) -> list[int]:
+def e3_zero_column(params: ModelParams) -> list[int]:
     """dims of H^{0,q} of the D-model, q <= maxdeg.
 
-    Asserts H^{p,q} = 0 for p != 0 in total degrees <= maxdeg and, when
-    check_k is set, that the column equals the Hilbert series of the
-    exterior algebra on K.
+    Asserts H^{p,q} = 0 for p != 0 in total degrees <= maxdeg and that
+    the column equals the Hilbert series of the exterior algebra on K.
     """
     dga = build_D_dga(params, params.maxdeg)
     table = dga.cohomology(params.maxdeg)
@@ -231,13 +228,11 @@ def e3_zero_column(params: ModelParams, check_k: bool = True) -> list[int]:
                 f"nonzero cohomology {h} off the zero column at "
                 f"bidegree ({p},{q})")
     col = [table.get((0, q), 0) for q in range(params.maxdeg + 1)]
-    if check_k:
-        spaces = build_spaces(params)
-        expected = fgca_dims(GeneratorSet(spaces.K), params.maxdeg)
-        if col != expected:
-            raise OracleMismatch(
-                f"zero column {col} differs from exterior algebra on K "
-                f"{expected} for n={params.n}, M={params.M}")
+    expected = fgca_dims(GeneratorSet(build_spaces(params).K), params.maxdeg)
+    if col != expected:
+        raise OracleMismatch(
+            f"zero column {col} differs from exterior algebra on K "
+            f"{expected} for n={params.n}, M={params.M}")
     return col
 
 
@@ -278,6 +273,13 @@ def _ac_alphabet(spec: ACAlgebraSpec) -> Alphabet:
           for u in range(spec.dimU) for i in range(g))])
 
 
+def _ac_weight(g: int, p: int, q: int, r: int, group: str) -> int | None:
+    """c of the weight (c, ..., c) of the (p, q, r) cell's invariants, or
+    None: basis elements have total weight 2p + q - r, and GL needs 0."""
+    c, rem = divmod(2 * p + q - r, g)
+    return None if rem or (group == "GL" and c) else c
+
+
 def _ac_blocks(spec: ACAlgebraSpec, p: int, q: int, r: int, group: str):
     """(rearrangements, basis) for each nonempty label-content block of the
     (p, q, r) cell's weight space with both contents sorted decreasingly.
@@ -285,13 +287,11 @@ def _ac_blocks(spec: ACAlgebraSpec, p: int, q: int, r: int, group: str):
     letters of each U label; rearrangements is the number of distinct
     permutations of the two, and basis is in lexicographic order (README,
     "Why a trigraded cell splits by label content")."""
-    # every basis element has total torus weight summing to 2p + q - r;
-    # the target is (c, ..., c), with c = 0 for GL
     g, is_a = spec.g, spec.variant == "A"
-    wsum = 2 * p + q - r
-    if wsum % g or (group == "GL" and wsum):
+    level = _ac_weight(g, p, q, r, group)
+    if level is None:
         return
-    target = (wsum // g,) * g
+    target = (level,) * g
     nx = (g * (g + 1) if is_a else g * (g - 1)) // 2
 
     def sorted_contents(size, labels, most):
@@ -345,7 +345,8 @@ def ac_invariant_dims_bruteforce(spec: ACAlgebraSpec, p: int, q: int, r: int,
     exterior ones); invariants are the kernel of E_01 on the Weyl-orbit
     sums of the relevant torus-weight subspace, which is the invariant
     subspace by the argument in invariants, summed over `_ac_blocks`.
-    The whole cell is held to CELL_CAP before any block is built.
+    A cell of the wrong weight has none; any other whole cell is held to
+    CELL_CAP before any block is built.
     """
     if min(p, q, r) < 0:
         raise ValueError("requires nonnegative p, q, r")
@@ -363,7 +364,7 @@ def ac_invariant_dims_bruteforce(spec: ACAlgebraSpec, p: int, q: int, r: int,
 
     dim = (count(nx, p, False) * count(ny, q, not is_a)
            * count(g * spec.dimU, r, is_a))
-    if dim == 0:
+    if dim == 0 or _ac_weight(g, p, q, r, group) is None:
         return 0
     if dim > CELL_CAP:
         raise ValueError(f"cell dimension {dim} exceeds cap {CELL_CAP}")
@@ -466,7 +467,7 @@ class E2Model:
         return diff
 
     def sl_invariant_vectors(self, p: int, q: int) -> list[dict]:
-        """Basis of the SL-invariants of the (p, q) cell, as elements.
+        """Basis of the SL-invariants of the (p, q) cell, as int elements.
 
         Only x has p > 0, so the cell joins the multisets of p/2 x letters
         with the lambda monomials of bidegree (0, q), on the reduced
@@ -531,7 +532,7 @@ def e2_bruteforce_oracle(params: ModelParams) -> dict[tuple[int, int], int]:
     for p, q in cells:
         vectors = model.sl_invariant_vectors(p, q)
         invdim[(p, q)] = len(vectors)
-        outrank[(p, q)] = span_rank(model.dga.d(vec) for vec in vectors)
+        outrank[(p, q)] = rank_of_int_rows([model.dga.d(v) for v in vectors])
     return {(p, q): dim - outrank[(p, q)] - outrank.get((p - 2, q + 1), 0)
             for (p, q), dim in invdim.items()}
 
@@ -561,7 +562,7 @@ class LambdaExpression:
     gens: GeneratorSet
     element: dict
 
-    def terms(self) -> list[tuple[int | Fraction, str]]:
+    def terms(self) -> list[tuple[int, str]]:
         return [(c, self.gens.mono_str(m))
                 for m, c in sorted(self.element.items())]
 

@@ -81,6 +81,14 @@ class TestBasicCommands:
         assert time.perf_counter() - t0 < 5.0
         assert rep["dim"] == dim
 
+    def test_ac_dims_zero_by_weight_past_cap(self, capsys):
+        """A GL cell with 2p + q - r != 0 has no invariants, whatever the
+        size of the cell (378 378 here, over CELL_CAP)."""
+        rep = run_json(capsys, "ac-dims", "--variant", "C", "--g", "3",
+                       "--dimw", "3", "--dimu", "3", "--p", "0", "--q", "4",
+                       "--r", "6")
+        assert rep["dim"] == 0
+
     def test_mt(self, capsys):
         rep = run_json(capsys, "mt", "--n", "9", "--maxdeg", "1")
         assert rep["dims"] == [1, 1]

@@ -136,6 +136,37 @@ def random_dga(rng, closed):
     return BigradedDGA(gens, diff)
 
 
+def rational_closed_differential(rng):
+    """(gens, differential) of a closed bigraded DGA whose d-values are
+    rational combinations of several monomials: d vanishes on the even
+    sinks x_i (2, 0) and w_j (0, 2) and takes the odd sources s_k of
+    bidegree (0, 1), (0, 3) and (2, 1) to sink monomials.  A source drawn
+    after others of its bidegree gets, half the time, a rational
+    combination of their values, so that ranks fall short on exact
+    rational dependencies."""
+    sinks = ([(f"x{i}", (2, 0)) for i in range(rng.randint(1, 3))]
+             + [(f"w{j}", (0, 2)) for j in range(rng.randint(0, 2))])
+    sources = [(f"s{k}", rng.choice([(0, 1), (0, 3), (2, 1)]))
+               for k in range(rng.randint(1, 5))]
+    gens = GeneratorSet(sinks + sources)
+    coeffs = [1, -1, 2, Fraction(1, 2), Fraction(-3, 4), Fraction(2, 3)]
+    diff, earlier = {}, {}
+    for name, (p, q) in sources:
+        same = earlier.setdefault((p, q), [])
+        val = {}
+        if same and rng.random() < 0.5:
+            for v in same:
+                val = elem_add(val, v, rng.choice(coeffs))
+        else:
+            for m in bidegree_filter(gens, p + 2, q - 1):
+                if (all(gens[a].name[0] != "s" for a in m)
+                        and rng.random() < 0.7):
+                    val[m] = rng.choice(coeffs)
+        same.append(val)
+        diff[name] = val
+    return gens, diff
+
+
 def merge_mul(gens, m1, m2):
     """m1 * m2 on sorted generator-id tuples, written apart from
     `graded.mono_mul`: merge the two tuples, m1's letter first on a tie,
@@ -760,3 +791,24 @@ class TestBigradedDGA:
             random_dga(random.Random(seed), False).check_d_squared, 7)
             for seed in range(200)}
         assert outcomes == {True, False}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(0, 6))
+    def test_rational_differential_against_fraction_ranks(self, seed,
+                                                          maxtotal):
+        """The engine ranks L*d in ints; each cell's size less the
+        Fraction Gauss-Jordan ranks of the unscaled d out of it and into
+        it gives the same table."""
+        gens, diff = rational_closed_differential(random.Random(seed))
+        dvals = {gens.index[name]: val for name, val in diff.items()}
+
+        def rank(p, q):
+            if p < 0:
+                return 0
+            return fraction_rank([derive(gens, dvals, m)
+                                  for m in gens.monomials_bidegree(p, q)])
+
+        expected = {(p, t - p): len(gens.monomials_bidegree(p, t - p))
+                    - rank(p, t - p) - rank(p - 2, t - p + 1)
+                    for t in range(maxtotal + 1) for p in range(t + 1)}
+        assert BigradedDGA(gens, diff).cohomology(maxtotal) == expected

@@ -1,0 +1,61 @@
+"""Past the input boundary every coefficient is an int: the engine modules
+import nothing from fractions, and the kernel vectors, second-page vectors
+and differentials they hand on hold int entries only."""
+
+import ast
+import pathlib
+from fractions import Fraction
+
+import pytest
+
+from tautrings import graded, invariants, model
+from tautrings.graded import BigradedDGA, GeneratorSet
+from tautrings.invariants import _invariant_system, _kernel_vectors
+from tautrings.linalg import kernel_basis_columns
+from tautrings.model import ACAlgebraSpec, E2Model, _ac_alphabet, _ac_blocks
+
+
+def all_int(elements):
+    return all(type(c) is int for e in elements for c in e.values())
+
+
+@pytest.mark.parametrize("module", [graded, invariants, model])
+def test_no_fractions_import(module):
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "fractions"
+                       for a in node.names), ast.unparse(node)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module != "fractions", ast.unparse(node)
+            assert all(a.name != "Fraction" for a in node.names), (
+                ast.unparse(node))
+
+
+def test_kernel_vectors_are_int():
+    # the one block of this cell has a kernel whose basis, 1 at its own
+    # free columns, holds halves
+    spec = ACAlgebraSpec("A", 2, 1, 1)
+    (_, basis), = _ac_blocks(spec, 1, 2, 0, "SL")
+    orbits, rows = _invariant_system(_ac_alphabet(spec), basis)
+    columns = kernel_basis_columns(rows, len(orbits))
+    assert any(x.denominator > 1 for col in columns for x in col.values())
+    vectors = _kernel_vectors(orbits, rows)
+    assert len(vectors) == len(columns) > 0
+    assert all_int(vectors)
+
+
+def test_second_page_vectors_are_int():
+    vectors = E2Model(6, 4, 4).sl_invariant_vectors(0, 3)
+    assert vectors and all_int(vectors)
+
+
+def test_rational_differential_is_scaled_once():
+    """dvals and d() hold L*d, L = 6 the lcm of d's denominators."""
+    gens = GeneratorSet([("y", (0, 1)), ("x", (2, 0)), ("z", (2, 0))])
+    y, x, z = (gens.index[name] for name in "yxz")
+    dga = BigradedDGA(gens, {"y": {(x,): Fraction(1, 2),
+                                   (z,): Fraction(-2, 3)}})
+    assert dga.dvals == {y: {(x,): 3, (z,): -4}}
+    assert all_int(dga.dvals.values())
+    assert all_int([dga.d({(y,): 1})])
