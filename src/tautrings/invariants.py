@@ -32,13 +32,21 @@ of gl_g.  Rows that are +- an earlier row are dropped.  The stacked
 simple-operator and all-pairs systems stay in the tests as oracles.
 
 The fundamental-theorem check stays in integers and builds no kernel
-basis: the permutation tensors are int dicts, eliminated once for their
-rank; the reduced system is eliminated once for the dimension of the
-invariants; and one pass over each permutation tensor checks that it is
-an orbit-sum combination the reduced rows kill (README, "Why containment
-and a count decide the span").  `invariant_dim` gives the same count for
-any T^{k,l}.  `sigma_matrix` and the invariant bases are QMatrix
-wrappers over int columns, kernel vectors with their denominators dropped.
+basis: the reduced system is eliminated once for the dimension of the
+invariants; one pass over each permutation tensor, an int dict, checks
+that it is an orbit-sum combination the reduced rows kill and reads its
+orbit-sum coordinates; and those short vectors are eliminated once for
+the rank of the permutation tensors (README, "Why containment and a count
+decide the span").  `invariant_dim` gives the same count for any
+T^{k,l}.  `sigma_matrix` and the invariant bases are QMatrix wrappers
+over int columns, kernel vectors with their denominators dropped.
+
+The tensor path refuses, with ValueError, work past two caps, each
+checked before the stage it gates: WORD_CAP on the half-words the join
+lists and on the weight words times g (the join builds each word, the
+orbit walk applies g - 1 swaps to it), counted from the weighed halves
+before any word is built; and ORBIT_CAP on the live orbits, before any
+row is built.
 """
 
 from __future__ import annotations
@@ -52,9 +60,12 @@ from typing import NamedTuple
 from .graded import apply_derivation, derivation_table
 from .linalg import QMatrix, _eliminate, kernel_int_basis
 
-# ambient dimension cap; beyond this the weight-zero subspace itself gets
-# unwieldy and the caller should rethink
-DIMENSION_CAP = 200_000
+# caps on what the tensor path builds, each checked before the stage it
+# gates (README, "How the tensor path is capped"): the words the join lists
+# and the orbit walk steps through, and the live orbits, the columns of the
+# reduced system
+WORD_CAP = 1_000_000
+ORBIT_CAP = 3_000
 
 
 @dataclass(frozen=True)
@@ -73,10 +84,22 @@ class TensorSpaceSpec:
     def dim(self) -> int:
         return self.g ** (self.k + self.l)
 
+    def __str__(self) -> str:
+        return f"T^{{{self.k},{self.l}}}(Q^{self.g})"
+
     def check_guard(self):
-        if self.dim > DIMENSION_CAP:
+        """The join lists the words of its two halves, g^ceil((k+l)/2) and
+        g^floor((k+l)/2), to count the words of one weight before it
+        builds them; refuse those halves past WORD_CAP.  Once g >= 2 and
+        2^h > WORD_CAP the first half alone is over, so no large power
+        is taken."""
+        g, n = self.g, self.k + self.l
+        h = (n + 1) // 2
+        if (g > 1 and h >= WORD_CAP.bit_length()
+                or g ** h + g ** (n - h) > WORD_CAP):
             raise ValueError(
-                f"tensor space dimension {self.dim} exceeds cap {DIMENSION_CAP}")
+                f"{self}: the join lists {g}^{h} + {g}^{n - h} half-words, "
+                f"over the cap of {WORD_CAP}")
 
 
 def _word_index(word: tuple[int, ...], g: int) -> int:
@@ -99,10 +122,21 @@ def _weight_join(factors, weight, target) -> list[tuple[int, ...]]:
     weight-restricted basis is built").
     """
     *head, last = factors
-    by_weight: dict[tuple[int, ...], list] = {}
-    for t in last:
-        by_weight.setdefault(weight(t), []).append(t)
-    pools = [[(t, weight(t)) for t in f] for f in head]
+    return _join_weighed([[(t, weight(t)) for t in f] for f in head],
+                         _by_weight(last, weight), target)
+
+
+def _by_weight(factor, weight) -> dict[tuple[int, ...], list]:
+    """The tuples of factor grouped by weight, each group in order."""
+    groups: dict[tuple[int, ...], list] = {}
+    for t in factor:
+        groups.setdefault(weight(t), []).append(t)
+    return groups
+
+
+def _join_weighed(pools, by_weight, target) -> list[tuple[int, ...]]:
+    """`_weight_join` over factors already weighed: pools lists (tuple,
+    weight) pairs of each streamed factor, by_weight groups the last."""
     out = []
     for parts in itertools.product(*pools):
         prefix, need = (), target
@@ -117,13 +151,26 @@ def _weight_words(spec: TensorSpaceSpec,
                   target: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All basis words of T^{k,l} with the given torus weight, in
     lexicographic order: the join of the first ceil((k + l)/2) slots
-    with the rest."""
+    with the rest.
+
+    Each half is weighed once: the words are counted from the head's
+    weights and the tail's weight groups before the join builds them from
+    the same groups.  The orbit walk then steps each word through the
+    g - 1 swaps s_r, so words * g is held to WORD_CAP.  The caller holds
+    the halves to `TensorSpaceSpec.check_guard`."""
     k, l, g = spec.k, spec.l, spec.g
     slots = [range(pos * g, pos * g + g) for pos in range(k + l)]
     h = (k + l + 1) // 2
-    letters = _weight_join(
-        [itertools.product(*slots[:h]), itertools.product(*slots[h:])],
-        _tensor_alphabet(spec).weight, target)
+    weight = _tensor_alphabet(spec).weight
+    head = [(t, weight(t)) for t in itertools.product(*slots[:h])]
+    tail = _by_weight(itertools.product(*slots[h:]), weight)
+    count = sum(len(tail.get(tuple(map(sub, target, w)), ()))
+                for _, w in head)
+    if count * g > WORD_CAP:
+        raise ValueError(
+            f"{spec}: {count} weight words times g = {g} make "
+            f"{count * g}, over the cap of {WORD_CAP}")
+    letters = _join_weighed([head], tail, target)
     return [tuple(a % g for a in w) for w in letters]
 
 
@@ -331,6 +378,11 @@ def _invariant_system(alphabet: Alphabet, basis):
     their orbit sums, less every row that is +- an earlier one.  The
     kernel of the rows is the invariants in orbit-sum coordinates."""
     orbits = _orbits(alphabet, basis)
+    return orbits, _reduced_rows(alphabet, basis, orbits)
+
+
+def _reduced_rows(alphabet: Alphabet, basis, orbits) -> list[dict[int, int]]:
+    """The rows of `_invariant_system` on the given live orbits."""
     columns = [None] * len(basis)
     for o, orbit in enumerate(orbits):
         for j, e in orbit:
@@ -344,7 +396,7 @@ def _invariant_system(alphabet: Alphabet, basis):
         if key not in seen:
             seen.add(key)
             rows.append(row)
-    return orbits, rows
+    return rows
 
 
 def _kernel_vectors(orbits, rows) -> list[dict[int, int]]:
@@ -365,7 +417,8 @@ def _tensor_alphabet(spec: TensorSpaceSpec) -> Alphabet:
 def _raising_system(spec: TensorSpaceSpec, group: str):
     """(words, orbits, rows): the basis words of T^{k,l} of the weight a
     group invariant must have, in lexicographic order, and
-    `_invariant_system` on them."""
+    `_invariant_system` on them.  The words are held to WORD_CAP before
+    they are built and the live orbits to ORBIT_CAP before any row is."""
     spec.check_guard()
     k, l, g = spec.k, spec.l, spec.g
     if group not in ("GL", "SL"):
@@ -376,8 +429,14 @@ def _raising_system(spec: TensorSpaceSpec, group: str):
         return [], [], []
     words = _weight_words(spec, ((k - l) // g,) * g)
     offsets = range(0, (k + l) * g, g)
-    return (words, *_invariant_system(
-        _tensor_alphabet(spec), [tuple(map(add, offsets, w)) for w in words]))
+    alphabet = _tensor_alphabet(spec)
+    basis = [tuple(map(add, offsets, w)) for w in words]
+    orbits = _orbits(alphabet, basis)
+    if len(orbits) > ORBIT_CAP:
+        raise ValueError(
+            f"{spec}: {len(orbits)} live orbits of weight words, over the "
+            f"cap of {ORBIT_CAP}")
+    return words, orbits, _reduced_rows(alphabet, basis, orbits)
 
 
 def invariant_dim(spec: TensorSpaceSpec, group: str) -> int:
@@ -450,46 +509,46 @@ class FundamentalTheoremReport:
     injective: bool
 
 
-def _kills(by_orbit, orbits, orbit_of, col: dict[int, int]) -> bool:
-    """Is col an invariant?  Over word indices, orbit o is the list of
-    (index, e) and orbit_of[index] = (o, e).  col must be a combination
-    of live orbit sums: zero off their words, and x_o * e at each word of
-    each orbit o it meets.  The reduced rows, their entries grouped by
-    orbit, must kill that combination."""
+def _kills(by_orbit, orbits, orbit_of, col: dict[int, int]):
+    """col's orbit-sum coordinates {o: x_o} when col is an invariant, else
+    None.  Over word indices, orbit o is the list of (index, e) and
+    orbit_of[index] = (o, e).  col must be a combination of live orbit
+    sums: zero off their words, and x_o * e at each word of each orbit o
+    it meets.  The reduced rows, their entries grouped by orbit, must kill
+    that combination."""
     coeff: dict[int, int] = {}
     for idx, x in col.items():
         hit = orbit_of.get(idx)
         if hit is None:
-            return False
+            return None
         o, e = hit
         coeff.setdefault(o, x * e)
     if any(col.get(idx) != x * e
            for o, x in coeff.items() for idx, e in orbits[o]):
-        return False
+        return None
     image: dict[int, int] = {}
     for o, x in coeff.items():
         for i, c in by_orbit[o]:
             image[i] = image.get(i, 0) + c * x
-    return not any(image.values())
+    return None if any(image.values()) else coeff
 
 
 def verify_fundamental_theorems(m: int, g: int) -> FundamentalTheoremReport:
     """Check that the permutation tensors span the GL-invariants of
     T^{m,m}(Q^g) and are independent exactly when m <= g.
 
-    Both bounds are checked before sigma is built.  Sigma's columns are
-    eliminated once, which gives its rank; the reduced system on the
-    weight-0 words is eliminated once, which gives the dimension of the
-    invariants.  Sigma spans them exactly when the two agree and every
-    column of sigma is a combination of live orbit sums that the reduced
-    rows kill (README, "Why containment and a count decide the span").
+    Every bound is checked before sigma is built: m, the words of weight
+    0 and their live orbits.  The reduced system on the weight-0 words is
+    eliminated once, which gives the dimension of the invariants.  Sigma
+    spans them exactly when the two agree and every column of sigma is a
+    combination of live orbit sums that the reduced rows kill (README,
+    "Why containment and a count decide the span").  Orbit sums have
+    disjoint supports, so rank sigma is the rank of those orbit-sum
+    coordinates; sigma is eliminated over its words only when some column
+    is not an invariant.
     """
     _check_sigma_args(m, g)
-    spec = TensorSpaceSpec(m, m, g)
-    spec.check_guard()
-    sigma = _sigma_columns(m, g)
-    rank = len(_eliminate(sigma)[0])
-    words, orbits, rows = _raising_system(spec, "GL")
+    words, orbits, rows = _raising_system(TensorSpaceSpec(m, m, g), "GL")
     dim = len(orbits) - len(_eliminate(rows)[0])
     orbits = [[(_word_index(words[j], g), e) for j, e in orbit]
               for orbit in orbits]
@@ -501,8 +560,10 @@ def verify_fundamental_theorems(m: int, g: int) -> FundamentalTheoremReport:
     for i, row in enumerate(rows):
         for o, c in row.items():
             by_orbit[o].append((i, c))
-    killed = all(_kills(by_orbit, orbits, orbit_of, col) for col in sigma)
-    injective = rank == math.factorial(m)
+    sigma = _sigma_columns(m, g)
+    coords = [_kills(by_orbit, orbits, orbit_of, col) for col in sigma]
+    killed = None not in coords
+    rank = len(_eliminate(coords if killed else sigma)[0])
     return FundamentalTheoremReport(m=m, g=g, rank=rank,
                                     surjective=killed and rank == dim,
-                                    injective=injective)
+                                    injective=rank == math.factorial(m))

@@ -1,8 +1,9 @@
 """Exact dense-semantics linear algebra over the rationals.
 
-Matrices carry Fraction entries in a dict keyed by (row, col); zero entries
-are simply absent.  This keeps the huge-but-sparse tensor-space matrices
-tractable while the API stays that of an ordinary dense matrix.  All rank
+Matrices carry exact entries, int or Fraction, in a dict keyed by
+(row, col); zero entries are simply absent.  This keeps the
+huge-but-sparse tensor-space matrices tractable while the API stays that
+of an ordinary dense matrix.  All rank
 and kernel computations are exact integer/rational eliminations; no
 floating point is used anywhere.
 
@@ -32,21 +33,25 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 
+Entry = int | Fraction
+
+
 class QMatrix:
-    """A rows x cols matrix over Q."""
+    """A rows x cols matrix over Q.  Int entries stay ints; any other
+    value that is not a Fraction is made one."""
 
     def __init__(self, rows: int, cols: int,
-                 entries: dict[tuple[int, int], Fraction] | None = None):
+                 entries: dict[tuple[int, int], Entry] | None = None):
         if rows < 0 or cols < 0:
             raise ValueError("negative shape")
         self.rows = rows
         self.cols = cols
-        self.entries: dict[tuple[int, int], Fraction] = {}
+        self.entries: dict[tuple[int, int], Entry] = {}
         if entries:
             for (i, j), v in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise IndexError((i, j))
-                if type(v) is not Fraction:
+                if type(v) is not int and type(v) is not Fraction:
                     v = Fraction(v)
                 if v:
                     self.entries[(i, j)] = v
@@ -74,7 +79,7 @@ class QMatrix:
         return cls(rows, cols)
 
     @classmethod
-    def from_columns(cls, rows: int, columns: Iterable[dict[int, Fraction]]) -> "QMatrix":
+    def from_columns(cls, rows: int, columns: Iterable[dict[int, Entry]]) -> "QMatrix":
         cols = list(columns)
         e = {}
         for j, col in enumerate(cols):
@@ -83,7 +88,7 @@ class QMatrix:
                     e[(i, j)] = v
         return cls(rows, len(cols), e)
 
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
+    def __getitem__(self, ij: tuple[int, int]) -> Entry:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(ij)
@@ -126,7 +131,7 @@ class QMatrix:
             e[(i, j + self.cols)] = v
         return QMatrix(self.rows, self.cols + other.cols, e)
 
-    def column(self, j: int) -> dict[int, Fraction]:
+    def column(self, j: int) -> dict[int, Entry]:
         return {i: v for (i, jj), v in self.entries.items() if jj == j}
 
     def is_zero(self) -> bool:
@@ -135,7 +140,7 @@ class QMatrix:
     def _int_rows(self, columns: bool = False) -> list[dict[int, int]]:
         """Rows (or, with columns, the columns) with cleared denominators,
         as index -> int dicts."""
-        by_row: dict[int, dict[int, Fraction]] = {}
+        by_row: dict[int, dict[int, Entry]] = {}
         for (i, j), v in self.entries.items():
             if columns:
                 i, j = j, i

@@ -16,8 +16,10 @@ with a generator present exactly when its degree is positive and m <= M.
 The trigraded counts and the second-page oracle build each cell's
 weight-restricted basis with the join in invariants.  A trigraded cell is
 joined and counted one label-content block at a time, with one block for
-each content up to permuting the W and the U labels.  The oracle's
-CELL_CAP admits every n <= 11 at g = n - 2 and n - 1.
+each content up to permuting the W and the U labels.  CELL_CAP bounds
+the elements the blocks of a trigraded cell restrict, and the factor
+elements of each second-page cell; the oracle's cap admits every n <= 11
+at g = n - 2 and n - 1.
 """
 
 from __future__ import annotations
@@ -280,6 +282,40 @@ def _ac_weight(g: int, p: int, q: int, r: int, group: str) -> int | None:
     return None if rem or (group == "GL" and c) else c
 
 
+def _sorted_contents(size: int, labels: int, most: int):
+    """The partitions of size into at most `labels` parts, each at most
+    `most`, as decreasing (part, count) runs; the bounds on part and count
+    leave the rest a partition to fill, so no branch dies."""
+    if size == 0:
+        yield ()
+        return
+    for v in range(min(size, most), -(-size // labels) - 1, -1):
+        for c in range(min(size // v, labels),
+                       max(1, size - labels * (v - 1)) - 1, -1):
+            for rest in _sorted_contents(size - c * v, labels - c, v - 1):
+                yield ((v, c),) + rest
+
+
+def _ac_contents(g: int, labels: int, size: int, exterior: bool):
+    """(rearrangements, parts) for each sorted content of one factor:
+    parts lists its nonzero label sizes, decreasing, and rearrangements is
+    the multinomial of the counts of each part value (zeros last)."""
+    for runs in _sorted_contents(size, labels, g if exterior else size):
+        m, left, parts = 1, labels, []
+        for v, c in runs:
+            m, left = m * math.comb(left, c), left - c
+            parts += [v] * c
+        yield m, parts
+
+
+def _ac_factor_sizes(g: int, labels: int, size: int, exterior: bool):
+    """The size of one factor's product for each of its sorted contents:
+    per label, the subsets or the multisets of its g letters."""
+    for runs in _sorted_contents(size, labels, g if exterior else size):
+        yield math.prod((math.comb(g, v) if exterior
+                         else math.comb(g + v - 1, v)) ** c for v, c in runs)
+
+
 def _ac_blocks(spec: ACAlgebraSpec, p: int, q: int, r: int, group: str):
     """(rearrangements, basis) for each nonempty label-content block of the
     (p, q, r) cell's weight space with both contents sorted decreasingly.
@@ -294,37 +330,17 @@ def _ac_blocks(spec: ACAlgebraSpec, p: int, q: int, r: int, group: str):
     target = (level,) * g
     nx = (g * (g + 1) if is_a else g * (g - 1)) // 2
 
-    def sorted_contents(size, labels, most):
-        # the partitions of size into at most `labels` parts, each at most
-        # `most`, as decreasing (part, count) runs; the bounds on part and
-        # count leave the rest a partition to fill, so no branch dies
-        if size == 0:
-            yield ()
-            return
-        for v in range(min(size, most), -(-size // labels) - 1, -1):
-            for c in range(min(size // v, labels),
-                           max(1, size - labels * (v - 1)) - 1, -1):
-                for rest in sorted_contents(size - c * v, labels - c, v - 1):
-                    yield ((v, c),) + rest
-
     def blocks(lo, labels, size, exterior):
         # per sorted content, with its nonzero parts on the first labels:
-        # its rearrangements, the multinomial of the counts of each part
-        # value (zeros last), and the product over those labels of each
+        # its rearrangements and the product over those labels of each
         # label's multisets or subsets
         choose = (itertools.combinations if exterior
                   else itertools.combinations_with_replacement)
-        out = []
-        for runs in sorted_contents(size, labels, g if exterior else size):
-            m, left, parts = 1, labels, []
-            for v, c in runs:
-                m, left = m * math.comb(left, c), left - c
-                parts += [v] * c
-            out.append((m, [tuple(itertools.chain(*ids))
-                            for ids in itertools.product(*(
-                                choose(range(lo + k * g, lo + k * g + g), n)
-                                for k, n in enumerate(parts)))]))
-        return out
+        return [(m, [tuple(itertools.chain(*ids))
+                     for ids in itertools.product(*(
+                         choose(range(lo + k * g, lo + k * g + g), n)
+                         for k, n in enumerate(parts)))])
+                for m, parts in _ac_contents(g, labels, size, exterior)]
 
     xs = list(itertools.combinations_with_replacement(range(nx), p))
     zs = blocks(nx + g * spec.dimW, spec.dimU, r, is_a)
@@ -345,29 +361,35 @@ def ac_invariant_dims_bruteforce(spec: ACAlgebraSpec, p: int, q: int, r: int,
     exterior ones); invariants are the kernel of E_01 on the Weyl-orbit
     sums of the relevant torus-weight subspace, which is the invariant
     subspace by the argument in invariants, summed over `_ac_blocks`.
-    A cell of the wrong weight has none; any other whole cell is held to
-    CELL_CAP before any block is built.
+    A cell of the wrong weight has none.  A block's basis is the weight
+    part of the product of its x, y and z factors, so the blocks restrict
+    |x| * sum|y| * sum|z| elements in all, at most the whole cell.  The
+    sorted contents are listed one at a time, each raising that count by
+    at least one, and the cell is refused as soon as it passes CELL_CAP,
+    before any block is built.
     """
     if min(p, q, r) < 0:
         raise ValueError("requires nonnegative p, q, r")
     if group not in ("GL", "SL"):
         raise ValueError(f"unknown group {group!r}")
     g, is_a = spec.g, spec.variant == "A"
-    nx, ny = (g * (g + 1) if is_a else g * (g - 1)) // 2, g * spec.dimW
-
-    def count(nlet, size, exterior):
-        if exterior:
-            return math.comb(nlet, size)
-        if nlet == 0:
-            return 1 if size == 0 else 0
-        return math.comb(nlet + size - 1, size)
-
-    dim = (count(nx, p, False) * count(ny, q, not is_a)
-           * count(g * spec.dimU, r, is_a))
-    if dim == 0 or _ac_weight(g, p, q, r, group) is None:
+    if _ac_weight(g, p, q, r, group) is None:
         return 0
-    if dim > CELL_CAP:
-        raise ValueError(f"cell dimension {dim} exceeds cap {CELL_CAP}")
+    nx = (g * (g + 1) if is_a else g * (g - 1)) // 2
+    x_size = math.comb(nx + p - 1, p) if nx else int(p == 0)
+    ys = _ac_factor_sizes(g, spec.dimW, q, not is_a)
+    zs = _ac_factor_sizes(g, spec.dimU, r, is_a)
+    sums = [next(ys, 0), next(zs, 0)]   # sum|y|, sum|z| so far
+    if not (x_size and all(sums)):
+        return 0
+    more = itertools.chain(((0, n) for n in ys), ((1, n) for n in zs))
+    for side, size in itertools.chain([(0, 0)], more):
+        sums[side] += size
+        built = x_size * sums[0] * sums[1]
+        if built > CELL_CAP:
+            raise ValueError(
+                f"cell ({p},{q},{r}): its label-content blocks hold at "
+                f"least {built} basis elements, over CELL_CAP {CELL_CAP}")
     alphabet = _ac_alphabet(spec)
     total = 0
     for mult, basis in _ac_blocks(spec, p, q, r, group):

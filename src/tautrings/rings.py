@@ -93,11 +93,22 @@ def _drop_generators(gens: list[tuple[str, int]], killed: list[str],
     return pres, dims
 
 
+def _diff_presentation(n: int, maxdeg: int,
+                       name) -> tuple[RingPresentation, list[int]]:
+    """Presentation a or b, its generators named by name(c): both keep
+    the multisets c with indices m >= ceil((n+1)/4) = n//4 + 1 and kill
+    the single classes and those of degree 1, which have two indices."""
+    shift = 2 * n + 1
+    cs = _multisets_in_degree(n // 4 + 1, (shift + maxdeg) // 4, shift, maxdeg)
+    return _drop_generators(
+        [(name(c), 4 * sum(c) - shift) for c in cs],
+        [name(c) for c in cs if len(c) == 1 or 4 * sum(c) - shift == 1],
+        maxdeg)
+
+
 def _diff_presentation_a(n: int, maxdeg: int) -> tuple[RingPresentation, list[int]]:
     """Quotient of the Thom-spectrum ring by (all mu_{L_m}) + (degree 1)."""
-    mts = mt_generators(n, maxdeg)
-    killed = [_mu_name(c) for c, d in mts if len(c) == 1 or d == 1]
-    return _drop_generators([(_mu_name(c), d) for c, d in mts], killed, maxdeg)
+    return _diff_presentation(n, maxdeg, _mu_name)
 
 
 def _diff_presentation_b(n: int, maxdeg: int) -> tuple[RingPresentation, list[int]]:
@@ -111,12 +122,7 @@ def _diff_presentation_b(n: int, maxdeg: int) -> tuple[RingPresentation, list[in
     kappa_c with an index m <= n/4 are never enumerated: the indices
     start at n//4 + 1.
     """
-    shift = 2 * n + 1
-    cs = _multisets_in_degree(n // 4 + 1, (shift + maxdeg) // 4, shift, maxdeg)
-    killed = [_kappa_name(c) for c in cs
-              if len(c) == 1 or (len(c) == 2 and 4 * sum(c) == 2 * n + 2)]
-    return _drop_generators([(_kappa_name(c), 4 * sum(c) - shift) for c in cs],
-                            killed, maxdeg)
+    return _diff_presentation(n, maxdeg, _kappa_name)
 
 
 def _diff_presentation_c(n: int, maxdeg: int,

@@ -15,6 +15,10 @@ time, once for each triple.
 The trigraded brute force is held to the count it had before it split a
 cell into label-content blocks: `whole_cell_dim` runs the kernel once on
 the cell's whole weight space, `reference_ac_basis`.
+
+The fundamental-theorem check reads rank sigma off sigma's orbit-sum
+coordinates; `sigma_word_rank` eliminates sigma over its words, as the
+check did before.
 """
 
 import itertools
@@ -24,6 +28,7 @@ from tautrings.invariants import (
     _action_rows,
     _invariant_system,
     _orbits,
+    _sigma_columns,
     _tensor_alphabet,
     _weight_words,
 )
@@ -159,6 +164,12 @@ def stacked_tensor_system(spec, group):
     simple raising operators on their span."""
     words, letters = tensor_cell(spec, group)
     return words, stacked_rows(_tensor_alphabet(spec), letters)
+
+
+def sigma_word_rank(m, g) -> int:
+    """The rank of the m! permutation tensors on T^{m,m}(Q^g), eliminated
+    over their g^m-entry word columns."""
+    return rank_of_int_rows(_sigma_columns(m, g))
 
 
 def reference_ac_basis(spec, p, q, r, group):

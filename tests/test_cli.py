@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from tautrings import acceptance, cli, invariants, partitions
+from tautrings import acceptance, cli, invariants, model, partitions
 from tautrings.cli import main
 from tautrings.graded import BigradedDGA, GeneratorSet
 from tautrings.model import minimal_M
@@ -88,6 +88,50 @@ class TestBasicCommands:
                        "--dimw", "3", "--dimu", "3", "--p", "0", "--q", "4",
                        "--r", "6")
         assert rep["dim"] == 0
+
+    def test_ac_dims_small_blocks_past_ambient_cap(self, capsys):
+        """The SL cell (0, 4, 7) is 810 810-dimensional, but its blocks
+        restrict 1 * 39 * 1515 = 59 085 elements in all."""
+        rep = run_json(capsys, "ac-dims", "--mode", "brute", "--variant",
+                       "C", "--g", "3", "--dimw", "3", "--dimu", "3", "--p",
+                       "0", "--q", "4", "--r", "7", "--group", "SL")
+        assert rep["dim"] == 126
+
+    def test_ac_dims_block_cap_before_join(self, capsys, monkeypatch):
+        """The blocks of cell (8, 2, 18) restrict C(17, 8) x multisets
+        times 10 y multisets times the 6 z subsets of its first content
+        already: refused before any join."""
+        def never(*args):
+            pytest.fail("a block was joined before the cap was checked")
+
+        monkeypatch.setattr(model, "_weight_join", never)
+        code, out, err = run(capsys, "ac-dims", "--mode", "brute",
+                             "--variant", "A", "--g", "4", "--dimw", "1",
+                             "--dimu", "5", "--p", "8", "--q", "2", "--r",
+                             "18")
+        assert code == 1
+        assert err == ("error: cell (8,2,18): its label-content blocks "
+                       "hold at least 1458600 basis elements, over CELL_CAP "
+                       "200000\n")
+
+    @pytest.mark.parametrize("q", ["100", "400"])
+    def test_ac_dims_many_labels_refused_fast(self, capsys, monkeypatch, q):
+        """At g = 1 every block is small, but q y letters over q W labels
+        have p(q) sorted contents (about 1.9e8 at q = 100); the count stops
+        once it passes the cap, after CELL_CAP contents."""
+        def never(*args):
+            pytest.fail("a block was built before the cap was checked")
+
+        monkeypatch.setattr(model, "_ac_blocks", never)
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "ac-dims", "--mode", "brute",
+                             "--variant", "A", "--g", "1", "--dimw", q,
+                             "--dimu", q, "--p", "0", "--q", q, "--r", q)
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 1
+        assert err == (f"error: cell (0,{q},{q}): its label-content blocks "
+                       "hold at least 200001 basis elements, over CELL_CAP "
+                       "200000\n")
 
     def test_mt(self, capsys):
         rep = run_json(capsys, "mt", "--n", "9", "--maxdeg", "1")
@@ -194,7 +238,10 @@ class TestExitCodes:
         assert "over CELL_CAP 200000" in err
 
     @pytest.mark.parametrize("m,g,bound", [
-        ("6", "5", "tensor space dimension 244140625 exceeds cap 200000"),
+        ("6", "5", "T^{6,6}(Q^5): 2241225 weight words times g = 5 make "
+                   "11206125, over the cap of 1000000"),
+        ("6", "3", "T^{6,6}(Q^3): 5862 live orbits of weight words, over "
+                   "the cap of 3000"),
         ("7", "1", "m > 6 rejected"),
     ])
     def test_fft_bounds_before_sigma(self, capsys, monkeypatch, m, g, bound):
@@ -203,9 +250,27 @@ class TestExitCodes:
 
         monkeypatch.setattr(invariants, "_sigma_columns", never)
         monkeypatch.setattr(invariants, "sigma_matrix", never)
+        monkeypatch.setattr(invariants, "_action_rows", never)
         code, out, err = run(capsys, "fft-check", m, g)
         assert code == 1
         assert bound in err
+
+    def test_invariants_past_the_former_cap(self, capsys):
+        """T^{4,4}(Q^5), 5^8 = 390 625 words in all, was refused for that
+        size; its join builds 7 885 words in 131 live orbits."""
+        rep = run_json(capsys, "invariants", "4", "4", "5")
+        assert (rep["dim"], rep["ambient_dim"]) == (24, 390625)
+
+    @pytest.mark.parametrize("group", ["GL", "SL"])
+    def test_invariants_huge_mixed_space(self, capsys, group):
+        """A GL space with k != l has no invariants, but a huge one is
+        still refused by the half-word count, before any report is
+        written."""
+        code, out, err = run(capsys, "invariants", "5000", "0", "10",
+                             "--group", group)
+        assert (code, out) == (1, "")
+        assert err == ("error: T^{5000,0}(Q^10): the join lists 10^2500 + "
+                       "10^2500 half-words, over the cap of 1000000\n")
 
     def never(self, *args):
         pytest.fail("work started before the cap was checked")

@@ -111,17 +111,34 @@ def model_gens(kind, n, g):
 def random_dga(rng, closed):
     """A small bigraded DGA with random values of d on random generators.
 
-    closed: only "source" generators get a value, a combination of
-    monomials in the "sink" generators, on which d vanishes; so d^2 = 0.
+    closed: the "sink" generators have d = 0, and every other
+    generator, in GeneratorSet order, takes a combination of the
+    monomials in the sinks of the target bidegree plus d(e), for e a
+    random rational combination of the monomials of its own bidegree in
+    the generators before it.  d^2 = 0 on those generators makes d(e)
+    closed; where e has two letters with d != 0, d(e) has several terms
+    whose d vanishes only by exact cancellation.  So d^2 = 0.
     Otherwise d^2 may or may not vanish.
     """
-    degs = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 0), (2, 1), (2, 2),
-            (3, 1), (4, 0), (4, 1), (5, 0)]
-    gens = GeneratorSet([(f"g{i}", rng.choice(degs))
-                         for i in range(rng.randint(2, 7))])
-    sinks = {i for i in range(len(gens)) if closed and rng.random() < 0.5}
+    if closed:
+        # even sinks x (2, 0) and w (0, 2), odd s (0, 1) whose values are
+        # combinations of the x, and one or two more, whose own bidegree
+        # holds products of the s, x and w
+        sink_degs = [(2, 0)] * rng.randint(1, 3) + [(0, 2)] * rng.randint(0, 1)
+        others = [(0, 1)] * rng.randint(1, 3) + [
+            rng.choice([(0, 2), (0, 3), (1, 2), (2, 1)])
+            for _ in range(rng.randint(1, 2))]
+        gens = GeneratorSet([(f"g{i}", d)
+                             for i, d in enumerate(sink_degs + others)])
+        sinks = {gens.index[f"g{i}"] for i in range(len(sink_degs))}
+    else:
+        degs = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 0), (2, 1), (2, 2),
+                (3, 1), (4, 0), (4, 1), (5, 0)]
+        gens = GeneratorSet([(f"g{i}", rng.choice(degs))
+                             for i in range(rng.randint(2, 7))])
+        sinks = set()
     coeffs = [1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 4)]
-    diff = {}
+    diff, dvals = {}, {}
     for i, g in enumerate(gens):
         if i in sinks:
             continue
@@ -131,8 +148,13 @@ def random_dga(rng, closed):
         for m in targets:
             if rng.random() < 0.7:
                 val[m] = rng.choice(coeffs)
+        if closed:
+            for m in bidegree_filter(gens, g.p, g.q):
+                if m[-1] < i and rng.random() < 0.7:
+                    val = elem_add(val, derive(gens, dvals, m),
+                                   rng.choice(coeffs))
         if val:
-            diff[g.name] = val
+            diff[g.name] = dvals[i] = val
     return BigradedDGA(gens, diff)
 
 

@@ -1,6 +1,7 @@
 """Past the input boundary every coefficient is an int: the engine modules
-import nothing from fractions, and the kernel vectors, second-page vectors
-and differentials they hand on hold int entries only."""
+import nothing from fractions, and the kernel vectors, public invariant
+bases, second-page vectors and differentials they hand on hold int
+entries only."""
 
 import ast
 import pathlib
@@ -10,8 +11,14 @@ import pytest
 
 from tautrings import graded, invariants, model
 from tautrings.graded import BigradedDGA, GeneratorSet
-from tautrings.invariants import _invariant_system, _kernel_vectors
-from tautrings.linalg import kernel_basis_columns
+from tautrings.invariants import (
+    TensorSpaceSpec,
+    _invariant_system,
+    _kernel_vectors,
+    gl_invariant_basis,
+    sl_invariant_basis,
+)
+from tautrings.linalg import QMatrix, kernel_basis_columns
 from tautrings.model import ACAlgebraSpec, E2Model, _ac_alphabet, _ac_blocks
 
 
@@ -59,3 +66,20 @@ def test_rational_differential_is_scaled_once():
     assert dga.dvals == {y: {(x,): 3, (z,): -4}}
     assert all_int(dga.dvals.values())
     assert all_int([dga.d({(y,): 1})])
+
+
+@pytest.mark.parametrize("spec", [TensorSpaceSpec(2, 2, 2),
+                                  TensorSpaceSpec(3, 3, 3),
+                                  TensorSpaceSpec(4, 1, 3),
+                                  TensorSpaceSpec(2, 0, 2)])
+def test_public_bases_are_int(spec):
+    """The bases hand on the int kernel vectors as QMatrix entries."""
+    for basis in (gl_invariant_basis(spec), sl_invariant_basis(spec)):
+        assert all(type(v) is int for v in basis.entries.values())
+    assert sl_invariant_basis(spec).entries
+
+
+def test_qmatrix_converts_only_other_values():
+    m = QMatrix(1, 3, {(0, 0): 2, (0, 1): Fraction(1, 2), (0, 2): 0.5})
+    assert [type(v) for v in m.entries.values()] == [int, Fraction, Fraction]
+    assert m.entries[(0, 2)] == Fraction(1, 2)

@@ -31,6 +31,7 @@ from tautrings.partitions import Partition, schur_product_expand
 from oracles import (
     all_pairs,
     same_rows_as_previous,
+    sigma_word_rank,
     stacked_kernel,
     stacked_rows,
     stacked_tensor_system,
@@ -51,6 +52,47 @@ class TestTensorSpaceSpec:
     def test_guard(self):
         with pytest.raises(ValueError):
             TensorSpaceSpec(10, 10, 4).check_guard()
+
+
+class TestCaps:
+    """Each cap of the tensor path refuses before the stage it gates."""
+
+    def never(self, *args):
+        pytest.fail("a capped stage ran before its cap was checked")
+
+    def test_halves_before_listing(self, monkeypatch):
+        monkeypatch.setattr(invariants, "_tensor_alphabet", self.never)
+        with pytest.raises(ValueError, match=(
+                r"T\^\{10,10\}\(Q\^4\): the join lists 4\^10 \+ 4\^10 "
+                r"half-words, over the cap of 1000000")):
+            invariant_dim(TensorSpaceSpec(10, 10, 4), "GL")
+
+    def test_halves_without_large_powers(self):
+        """A long word is refused from its length alone: 10^50000 is never
+        formed."""
+        with pytest.raises(ValueError, match=(
+                r"the join lists 10\^50000 \+ 10\^50000 half-words")):
+            invariant_dim(TensorSpaceSpec(50000, 50000, 10), "SL")
+
+    def test_words_before_join(self, monkeypatch):
+        monkeypatch.setattr(invariants, "_join_weighed", self.never)
+        with pytest.raises(ValueError, match=(
+                r"111321 weight words times g = 9 make 1001889, over the "
+                r"cap of 1000000")):
+            invariant_dim(TensorSpaceSpec(4, 4, 9), "GL")
+
+    def test_orbits_before_rows(self, monkeypatch):
+        monkeypatch.setattr(invariants, "_action_rows", self.never)
+        with pytest.raises(ValueError, match=(
+                r"6435 live orbits of weight words, over the cap of 3000")):
+            invariant_dim(TensorSpaceSpec(16, 0, 2), "SL")
+
+    @pytest.mark.slow
+    def test_largest_admitted(self):
+        """The word count of T^{4,4}(Q^8), 66 424 words times 8, and the
+        orbit count of T^{7,4}(Q^3), 2 121, are under the caps."""
+        assert invariant_dim(TensorSpaceSpec(4, 4, 8), "GL") == 24
+        assert invariant_dim(TensorSpaceSpec(7, 4, 3), "SL") == 225
 
 
 class TestGLInvariants:
@@ -116,6 +158,10 @@ class TestSLInvariants:
         assert gl_invariant_basis(spec).cols == 0
 
 
+# the (m, g) pairs the builders are compared on: g^(2m) up to this
+SIGMA_BUILDER_DIM = 200_000
+
+
 def _counted_sigma_columns(m, g):
     """sigma's columns built by counting how often each index occurs."""
     cols = []
@@ -151,9 +197,9 @@ class TestSigma:
     @pytest.mark.parametrize("m", range(1, 6))
     def test_columns_match_counting_builder(self, m):
         """Same dicts, key order included, as the builder that counted
-        each index, for every g under the cap."""
+        each index, for every g with g^(2m) <= 200 000."""
         g = 1
-        while g ** (2 * m) <= invariants.DIMENSION_CAP:
+        while g ** (2 * m) <= SIGMA_BUILDER_DIM:
             got = invariants._sigma_columns(m, g)
             want = _counted_sigma_columns(m, g)
             assert [list(c.items()) for c in got] \
@@ -237,6 +283,64 @@ class TestFundamentalTheorems:
             surjective=rank == inv.cols and column_rank(sigma, inv) == rank,
             injective=rank == math.factorial(m))
         assert verify_fundamental_theorems(m, g) == old
+
+    @staticmethod
+    def assert_orbit_rank_matches_word_rank(m, gs):
+        for g in gs:
+            rep = verify_fundamental_theorems(m, g)
+            assert rep == invariants.FundamentalTheoremReport(
+                m=m, g=g, rank=sigma_word_rank(m, g), surjective=True,
+                injective=m <= g)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_orbit_rank_matches_word_rank(self, m):
+        """On the g with g^(2m) <= 200 000, the pairs the former cap on the
+        whole tensor space admitted, rank sigma read off the orbit-sum
+        coordinates is rank sigma over the words, and sigma spans the
+        invariants.  Every such g for m >= 2; at m = 1, where the orbit
+        walk applies g - 1 swaps to each of g words, the g up to 40,
+        g = 90, 140, ..., 440 and the largest, 447."""
+        gs = [g for g in range(1, 448) if g ** (2 * m) <= SIGMA_BUILDER_DIM]
+        self.assert_orbit_rank_matches_word_rank(
+            m, gs if m > 1 else gs[:40] + gs[89::50] + gs[-1:])
+
+    @pytest.mark.parametrize("tamper", [None, "shift", "unkilled"])
+    def test_words_eliminated_only_for_a_non_invariant(self, monkeypatch,
+                                                       tamper):
+        """sigma goes through the elimination over its words only when one
+        of its columns is not an invariant; otherwise only its orbit-sum
+        coordinates do, whose rank is the same."""
+        real_sigma, real_eliminate = (invariants._sigma_columns,
+                                      invariants._eliminate)
+        built, eliminated = [], []
+
+        def sigma(m, g):
+            cols = real_sigma(m, g)
+            if tamper == "shift":
+                cols[-1] = {1: 1}
+            elif tamper == "unkilled":
+                cols[-1] = {0: 1, 364: 1, 728: 1}
+            built.append(cols)
+            return cols
+
+        def eliminate(rows):
+            eliminated.append(rows)
+            return real_eliminate(rows)
+
+        monkeypatch.setattr(invariants, "_sigma_columns", sigma)
+        monkeypatch.setattr(invariants, "_eliminate", eliminate)
+        rep = verify_fundamental_theorems(3, 3)
+        words_eliminated = any(rows is built[0] for rows in eliminated)
+        assert words_eliminated == (tamper is not None)
+        assert rep.rank == 6 and rep.surjective == (tamper is None)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("m,g,want", [(4, 5, (24, True, True)),
+                                          (5, 4, (119, True, False)),
+                                          (5, 5, (120, True, True))])
+    def test_past_the_former_cap(self, m, g, want):
+        rep = verify_fundamental_theorems(m, g)
+        assert (rep.rank, rep.surjective, rep.injective) == want
 
     @pytest.mark.slow
     def test_matches_kernel_reduction_check_5_3(self):
