@@ -67,8 +67,10 @@ class GeneratorSet:
         # (p, q, total, odd) per generator, built once for the hot loops
         self.degs: tuple[tuple[int, int, int, bool], ...] = tuple(
             (g.p, g.q, g.total, g.odd) for g in parsed)
-        # (gcd of p, gcd of q) over generators i.. (0 for none), so a cell
-        # whose remainder is no multiple of it has no monomial in i..
+        # (gcd of p, gcd of q) over generators i.. (0 for none): a cell
+        # whose remainder is no multiple of it has no monomial in i..; the
+        # reachability tables subsume this prune, which the tests'
+        # reference search still takes
         gcds = [(0, 0)]
         for g in reversed(parsed):
             gp, gq = gcds[-1]
@@ -82,6 +84,43 @@ class GeneratorSet:
             zero_p[i] = i if parsed[i].p == 0 else zero_p[i + 1]
             zero_q[i] = i if parsed[i].q == 0 else zero_q[i + 1]
         self.next_zero = (tuple(zero_p), tuple(zero_q))
+        self._reach: tuple[int, list[list[int]], list[list[int]]] = (
+            -1, [], [])
+
+    def _reachable(self, top: int):
+        """(reach, use): bit b of reach[i][a] is set iff the generators i..
+        make a monomial of bidegree (a, b), and bit b of use[i][a] iff they
+        make one with generator i in it, for a + b <= top.  Built for the
+        largest total asked so far, at least doubling it, so a walk up the
+        totals builds them a logarithmic number of times."""
+        if top <= self._reach[0]:
+            return self._reach[1:]
+        top = max(top, 2 * self._reach[0])
+        masks = [(1 << (top + 1 - a)) - 1 for a in range(top + 1)]
+        n = len(self.degs)
+        reach = [[1] + [0] * top] * (n + 1)
+        use = [[0] * (top + 1)] * n
+        for i in range(n - 1, -1, -1):
+            gp, gq, d, odd = self.degs[i]
+            if d > top:
+                continue
+            nxt = reach[i + 1]
+            row, used = nxt[:], [0] * (top + 1)
+            for a in range(gp, top + 1):
+                if odd:   # exponent 1 on a monomial of i + 1..
+                    x = nxt[a - gp] << gq & masks[a]
+                elif gp:   # one more i on a monomial of i..
+                    x = row[a - gp] << gq & masks[a]
+                else:   # any positive multiple of gq, by doubling shifts
+                    x, shift = nxt[a] << gq & masks[a], gq
+                    while shift <= top - a:
+                        x |= x << shift & masks[a]
+                        shift *= 2
+                used[a] = x
+                row[a] |= x
+            reach[i], use[i] = row, used
+        self._reach = (top, reach, use)
+        return reach, use
 
     def __len__(self) -> int:
         return len(self.gens)
@@ -125,42 +164,46 @@ class GeneratorSet:
 
     def monomials_bidegree(self, p: int, q: int) -> list[tuple[int, ...]]:
         """All monomials of bidegree (p, q), in the order of
-        monomials_total.  Recurses on the remaining (p, q), so only this
-        cell is visited.  Exponent 0 and the generators the remainder
-        cannot use are stepped over in a loop, not a call; with nothing
-        left in p (or q) the loop jumps to the next generator with none
-        there.  The search stops as soon as the remainder is no multiple
-        of the suffix gcds."""
-        degs, gcds = self.degs, self.suffix_gcds
-        n = len(degs)
+        monomials_total.  Recurses on the remaining (p, q), and only where
+        the reachability tables (`_reachable`) say the generators left can
+        make it, so every call ends in at least one monomial.  Exponent 0
+        and the generators the remainder cannot use (a clear use bit) are
+        stepped over in a loop, not a call; with nothing left in p (or q)
+        the loop jumps to the next generator with none there."""
+        if p < 0 or q < 0:
+            return []
+        degs = self.degs
+        reach, use = self._reachable(p + q)
         out = []
         zero_p, zero_q = self.next_zero
 
         def rec(i, rp, rq, acc):
+            # the generators i.. make (rp, rq)
             if rp == 0 and rq == 0:
                 out.append(acc)
                 return
-            # generators are sorted by total degree
             while True:
                 if not rp:
                     i = zero_p[i]
                 elif not rq:
                     i = zero_q[i]
-                if i == n or degs[i][2] > rp + rq:
+                nxt = reach[i + 1]
+                if use[i][rp] >> rq & 1:
+                    gp, gq, _, odd = degs[i]
+                    cap = min(rp // gp if gp else rp + rq,
+                              rq // gq if gq else rp + rq)
+                    if odd:
+                        cap = min(cap, 1)
+                    for e in range(cap, 0, -1):
+                        sp, sq = rp - e * gp, rq - e * gq
+                        if nxt[sp] >> sq & 1:
+                            rec(i + 1, sp, sq, acc + (i,) * e)
+                if not nxt[rp] >> rq & 1:
                     return
-                dp, dq = gcds[i]
-                if (rp % dp if dp else rp) or (rq % dq if dq else rq):
-                    return
-                gp, gq, _, odd = degs[i]
-                cap = min(rp // gp if gp else rp + rq,
-                          rq // gq if gq else rp + rq)
-                if odd:
-                    cap = min(cap, 1)
-                for e in range(cap, 0, -1):
-                    rec(i + 1, rp - e * gp, rq - e * gq, acc + (i,) * e)
                 i += 1
 
-        rec(0, p, q, ())
+        if reach[0][p] >> q & 1:
+            rec(0, p, q, ())
         return out
 
 
@@ -223,10 +266,12 @@ def derivation_table(odd, values) -> list:
     return table
 
 
-def apply_derivation(odd, table, mono, parity: int) -> dict:
+def apply_derivation(odd, table, mono, parity: int, ids=None) -> dict:
     """The derivation of the given parity (1 odd, 0 even) whose letter
     values are table (derivation_table) on one monomial, a sorted tuple
-    of letter ids; odd[a] says whether letter a is odd.
+    of letter ids; odd[a] says whether letter a is odd.  With ids, a dict
+    image monomial -> int, the result is keyed by ids.setdefault(image,
+    len(ids)) instead of the image: the column ids of a caller's rows.
 
     d(xy) = dx y + (-1)^{parity |x|} x dy, so a letter a, e times in mono,
     contributes e (-1)^{parity k} (mono less one a, times a term) for each
@@ -265,6 +310,8 @@ def apply_derivation(odd, table, mono, parity: int) -> dict:
                     if flips % 2:
                         c = -c
                 img = tuple(sorted(rest + t))
+                if ids is not None:
+                    img = ids.setdefault(img, len(ids))
                 v = out.get(img, 0) + factor * c
                 if v:
                     out[img] = v
@@ -314,7 +361,8 @@ def fgca_bidims(gens: GeneratorSet, maxtotal: int) -> list[list[int]]:
 
 # basis monomials through the requested total degree that
 # BigradedDGA.cohomology may build; a 6x6 Koszul map at degree 10 has
-# 8 008 and takes about 2 s at rank 4 (2.5 s at rank 6) on a shared Xeon
+# 8 008 and takes 0.9-1.1 s at rank 4 (0.9-1.4 s at rank 6) on a shared
+# 2-vCPU Xeon
 BASIS_CAP = 20_000
 
 
@@ -440,14 +488,13 @@ class BigradedDGA:
         """Rank of d on the span of basis, monomials of one cell, and the
         image monomials at the pivot columns of its elimination.
 
-        Image monomials become dense int column ids in first-seen order,
-        so that elimination hashes ints, not monomial tuples."""
-        ids: dict = {}
-        rows = []
-        for m in basis:
-            img = apply_derivation(self.gens.odd, self._table, m, 1)
-            rows.append({ids.setdefault(x, len(ids)): c
-                         for x, c in img.items()})
+        Each row is built on dense int column ids, image monomials in
+        first-seen order, so that elimination hashes ints, not monomial
+        tuples.  Two terms of d(m) are equal only if some d(a) has a term
+        a*s, s of bidegree (2, -1), which no monomial has; so no image
+        cancels, and no id goes to a monomial that is in no row."""
+        odd, table, ids = self.gens.odd, self._table, {}
+        rows = [apply_derivation(odd, table, m, 1, ids) for m in basis]
         pivots, _ = _eliminate(rows)
         monos = list(ids)
         return len(pivots), {monos[c] for c in pivots}

@@ -218,6 +218,19 @@ class Alphabet:
         self.exterior = tuple(a.exterior for a in self.letters)
         self._id = {(a.tag, a.up, a.down): i
                     for i, a in enumerate(self.letters)}
+        # per letter, bit r set when the swap s_r of the indices r and
+        # r + 1 moves one of its indices (3 << i >> 1 sets r = i - 1, i);
+        # per index, the letters with it
+        every = (1 << (g - 1)) - 1
+        self.swaps: list[int] = []
+        self._with_index: dict[int, list[int]] = {}
+        for a, letter in enumerate(self.letters):
+            mask = 0
+            for i in letter.up + letter.down:
+                mask |= 3 << i >> 1
+                self._with_index.setdefault(i, []).append(a)
+            self.swaps.append(mask & every)
+        self._identity = list(range(len(self.letters)))
         self._relabel: dict[int, tuple[list[int], set[int]]] = {}
         self._derivation: dict[tuple[int, int], list] = {}
 
@@ -262,14 +275,15 @@ class Alphabet:
     def relabel(self, r: int) -> tuple[list[int], set[int]]:
         """The swap s_r of the indices r and r + 1 on each letter, in N and
         N^v alike, as (image ids, the ids whose image has sign -1).  Built
-        once per alphabet and r."""
+        once per alphabet and r: a copy of the identity with the images of
+        the letters s_r moves written in."""
         if r in self._relabel:
             return self._relabel[r]
         swap = {r: r + 1, r + 1: r}
-        ids, flips = list(range(len(self.letters))), set()
-        for a, letter in enumerate(self.letters):
-            if swap.keys().isdisjoint(letter.up + letter.down):
-                continue
+        ids, flips = self._identity[:], set()
+        with_index = self._with_index
+        for a in {*with_index.get(r, ()), *with_index.get(r + 1, ())}:
+            letter = self.letters[a]
             up = [swap.get(i, i) for i in letter.up]
             down = [swap.get(i, i) for i in letter.down]
             if letter.alternating and _odd(up) != _odd(down):
@@ -331,15 +345,24 @@ def _orbits(alphabet: Alphabet, basis) -> list[list[tuple[int, int]]]:
     orbit is dropped (README, "Why the simple raising operators
     suffice").  s_r is an involution, so each edge is checked from one
     end: the bit r of checked[k] marks the edge from k already checked
-    from its other end."""
+    from its other end.
+
+    An element with fewer letters than swaps is walked only through the
+    s_r with r or r + 1 an index of one of its letters; the others fix
+    it.  (A longer one is walked through every s_r, which costs no more
+    than finding those.)  A fixed element conflicts with itself only when
+    the twist is -1, at an odd constant weight c, and then every index
+    occurs in it, so no swap is skipped there."""
     exterior = alphabet.exterior
     odd = any(exterior)
-    tables = [alphabet.relabel(r) for r in range(alphabet.g - 1)]
+    swaps, nswaps = alphabet.swaps, alphabet.g - 1
+    every = (1 << nswaps) - 1
     # each letter's weight at index 0
     w0 = [a.up.count(0) - a.down.count(0) for a in alphabet.letters]
     position = {elt: j for j, elt in enumerate(basis)}
     sign = [0] * len(basis)
     checked = [0] * len(basis)
+    tables = {}   # relabel tables by the bit of their swap
     orbits = []
     for start in range(len(basis)):
         if sign[start]:
@@ -349,20 +372,30 @@ def _orbits(alphabet: Alphabet, basis) -> list[list[tuple[int, int]]]:
         sign[start] = 1
         orbit, live = [start], True
         for j in orbit:
-            elt = basis[j]
-            done = checked[j]
-            for r, (ids, flips) in enumerate(tables):
-                if done >> r & 1:
-                    continue
+            elt, ej = basis[j], twist * sign[j]
+            if len(elt) < nswaps:
+                todo = 0
+                for a in elt:
+                    todo |= swaps[a]
+            else:
+                todo = every
+            todo &= ~checked[j]
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                t = tables.get(bit)
+                if t is None:
+                    t = tables[bit] = alphabet.relabel(bit.bit_length() - 1)
+                ids, flips = t
                 image = [ids[a] for a in elt]
-                e = twist * sign[j]
+                e = ej
                 if flips and sum(map(flips.__contains__, elt)) % 2:
                     e = -e
                 # the sign of re-sorting the exterior images
                 if odd and _odd([b for b in image if exterior[b]]):
                     e = -e
                 k = position[tuple(sorted(image))]
-                checked[k] |= 1 << r
+                checked[k] |= bit
                 if not sign[k]:
                     sign[k] = e
                     orbit.append(k)

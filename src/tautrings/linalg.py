@@ -179,6 +179,13 @@ def _eliminate(rows: list[dict[int, int]]):
     a popped entry whose row has since grown is pushed again with its true
     length, so the first entry popped with its row's true length is the
     least live row.  A unit pivot (+-1) needs no scaling of the other rows.
+
+    A row an update has changed is divided by its content once, when it
+    is chosen as pivot; a row never updated is not divided.  Until then
+    it is a positive integer multiple of the row that dividing after
+    every update would leave, with the same nonzeros in the same order,
+    so every length, pivot and pivot row is that elimination's (README,
+    "Why the elimination order is unchanged").
     """
     rows_d = {}
     for i, r in enumerate(rows):
@@ -194,6 +201,7 @@ def _eliminate(rows: list[dict[int, int]]):
     heappush, heappop, gcd = heapq.heappush, heapq.heappop, math.gcd
     pivots: list[int] = []
     pivot_rows: list[dict[int, int]] = []
+    updated: set[int] = set()   # rows changed since input: divided as pivots
     while heap:
         n, prow_i = heappop(heap)
         pr = rows_d.get(prow_i)
@@ -202,6 +210,11 @@ def _eliminate(rows: list[dict[int, int]]):
         if len(pr) != n:
             heappush(heap, (len(pr), prow_i))
             continue
+        if prow_i in updated:
+            g = gcd(*pr.values())
+            if g > 1:
+                for cc in pr:
+                    pr[cc] //= g
         c = None
         best = len(rows_d) + 1
         for cc in pr:
@@ -248,14 +261,7 @@ def _eliminate(rows: list[dict[int, int]]):
             if not ri:
                 del rows_d[i]
                 continue
-            g = 0
-            for vv in ri.values():
-                g = gcd(g, vv)
-                if g == 1:
-                    break
-            if g > 1:
-                for cc in ri:
-                    ri[cc] //= g
+            updated.add(i)
             if len(ri) < before:
                 heappush(heap, (len(ri), i))
     return pivots, pivot_rows

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import random
 from fractions import Fraction
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -375,6 +376,50 @@ class TestMonomialBasis:
             for p in range(total + 1):
                 assert gens.monomials_bidegree(p, total - p) \
                     == bidegree_filter(gens, p, total - p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(0, 12))
+    def test_reachability_is_exact(self, seed, top):
+        """Bit b of reach[i][a] is set exactly when the generators i..
+        have a monomial of bidegree (a, b), and of use[i][a] when one of
+        them has generator i, so the search never recurses into a
+        remainder that no monomial completes."""
+        rng = random.Random(seed)
+        degs = [(a, b) for a in range(4) for b in range(4) if a + b]
+        gens = GeneratorSet([(f"g{i}", rng.choice(degs))
+                             for i in range(rng.randint(0, 7))])
+        reach, use = gens._reachable(top)
+        sizes = [fgca_bidims(GeneratorSet(
+            [(g.name, (g.p, g.q)) for g in gens.gens[i:]]), top)
+            for i in range(len(gens) + 1)]
+
+        def bits(rows):
+            return [sum(1 << b for b, k in enumerate(row) if k)
+                    for row in rows]
+
+        for i in range(len(gens) + 1):
+            assert reach[i] == bits(sizes[i])
+        for i in range(len(gens)):
+            # the monomials of i.. less those of i + 1..
+            assert use[i] == bits([map(sub, row, row1) for row, row1
+                                   in zip(sizes[i], sizes[i + 1])])
+
+    @pytest.mark.parametrize("n", [45, 50])
+    def test_bidegree_d_model_generators_large_n(self, n):
+        """Every cell the D-model's cohomology visits at maxdeg n - 3, where
+        most of the search's branches once led to no monomial: the cell's
+        size from the bigraded series, each monomial of its bidegree, in
+        strictly increasing order, which makes them the whole cell."""
+        params = ModelParams(n=n, g=n - 2, M=minimal_M(n), maxdeg=n - 3)
+        gens = build_D_dga(params).gens
+        sizes = fgca_bidims(gens, params.maxdeg)
+        for total in range(params.maxdeg + 1):
+            for p in range(total + 1):
+                monos = gens.monomials_bidegree(p, total - p)
+                assert len(monos) == sizes[p][total - p], (p, total - p)
+                assert all(gens.mono_bidegree(m) == (p, total - p)
+                           for m in monos)
+                assert all(a < b for a, b in zip(monos, monos[1:]))
 
 
 class TestFgcaDims:

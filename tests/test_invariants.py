@@ -472,6 +472,17 @@ class TestOrbits:
                                 Letter("y", (1,), exterior=True)])
         assert invariants._orbits(exterior, [(0, 1)]) == [[(0, 1)]]
 
+    def test_short_words_from_the_highest_index(self):
+        # u_i v^i in N (x) N^v at g = 4, letters listed from the highest
+        # index down: the walk starts at u_3 v^3, which only s_2 moves,
+        # and reaches u_0 v^0 through the words it meets on the way
+        g = 4
+        letters = ([Letter("u", (i,)) for i in reversed(range(g))]
+                   + [Letter("v", (), (i,)) for i in reversed(range(g))])
+        basis = [(k, g + k) for k in range(g)]
+        assert invariants._orbits(Alphabet(g, letters), basis) == [
+            [(k, 1) for k in range(g)]]
+
 
 class TestInvariantDim:
     @pytest.mark.parametrize("group", ["GL", "SL"])

@@ -114,6 +114,15 @@ def int_systems(draw, max_cols=9, max_rows=8, entry=st.integers(-4, 4)):
     return rows, ncols
 
 
+@st.composite
+def scaled_systems(draw, **kwargs):
+    """int_systems with each row multiplied by a factor 1-6."""
+    rows, ncols = draw(int_systems(**kwargs))
+    factors = [draw(st.integers(1, 6)) for _ in rows]
+    return [{c: v * f for c, v in r.items()}
+            for r, f in zip(rows, factors)], ncols
+
+
 class TestEliminate:
     @settings(max_examples=200, deadline=None)
     @given(int_systems())
@@ -267,6 +276,32 @@ class TestAgainstReference:
     def test_same_pivots_and_rows(self, system):
         """Mostly unit entries, so most pivots are +-1, with some larger
         ones; wide rows fill in and grow before they are chosen."""
+        rows, _ = system
+        copy = [dict(r) for r in rows]
+        pivots, pivot_rows = _eliminate(rows)
+        assert rows == copy
+        ref_pivots, ref_rows = reference_eliminate(copy)
+        assert pivots == ref_pivots
+        assert [list(r.items()) for r in pivot_rows] \
+            == [list(r.items()) for r in ref_rows]
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(scaled_systems(max_cols=10, max_rows=12,
+                          entry=st.integers(-30, 30)))
+    # cell (2, 2) of the Koszul complex of a rational 2x3 map, entries
+    # such as -39/5 and 203/240, as `_cell_rank` builds it: d of y0*y1*x0,
+    # y0*y1*x1, y0*y2*x0, y0*y2*x1 and y1*y2*x1 (y1*y2*x0 is a pivot of
+    # d into the cell)
+    @example(([{0: -1872, 1: -872, 2: 360, 3: -203},
+               {1: -1872, 4: -872, 3: 360, 5: -203},
+               {6: -1872, 7: -872, 2: -600, 3: 312},
+               {7: -1872, 8: -872, 3: -600, 5: 312},
+               {7: -360, 8: 203, 1: -600, 4: 312}], 9))
+    def test_same_pivots_and_rows_with_contents(self, system):
+        """Non-unit pivots, and rows that come in with a content above 1
+        or gain one by updates: `_eliminate` divides a row by its content
+        only when it pivots, the reference after every update."""
         rows, _ = system
         copy = [dict(r) for r in rows]
         pivots, pivot_rows = _eliminate(rows)
