@@ -67,15 +67,6 @@ class GeneratorSet:
         # (p, q, total, odd) per generator, built once for the hot loops
         self.degs: tuple[tuple[int, int, int, bool], ...] = tuple(
             (g.p, g.q, g.total, g.odd) for g in parsed)
-        # (gcd of p, gcd of q) over generators i.. (0 for none): a cell
-        # whose remainder is no multiple of it has no monomial in i..; the
-        # reachability tables subsume this prune, which the tests'
-        # reference search still takes
-        gcds = [(0, 0)]
-        for g in reversed(parsed):
-            gp, gq = gcds[-1]
-            gcds.append((math.gcd(gp, g.p), math.gcd(gq, g.q)))
-        self.suffix_gcds: tuple[tuple[int, int], ...] = tuple(reversed(gcds))
         # the first generator j >= i with p = 0 (resp. q = 0), or len:
         # once nothing is left in p (resp. q), the search jumps there
         n = len(parsed)
@@ -144,32 +135,20 @@ class GeneratorSet:
         return "*".join(x if e == 1 else f"{x}^{e}" for x, e in powers) or "1"
 
     def monomials_total(self, degree: int) -> list[tuple[int, ...]]:
-        """All monomials of the given total degree, in increasing order."""
-        out = []
-
-        def rec(i, remaining, acc):
-            if remaining == 0:
-                out.append(acc)
-                return
-            if i == len(self.gens):
-                return
-            g = self.gens[i]
-            cap = remaining // g.total
-            for e in range(min(cap, 1) if g.odd else cap, -1, -1):
-                rec(i + 1, remaining - e * g.total, acc + (i,) * e)
-
-        rec(0, degree, ())
-        out.sort()
-        return out
+        """All monomials of the given total degree, in increasing order:
+        the cells (p, degree - p) of `monomials_bidegree`, merged."""
+        return sorted(m for p in range(degree + 1)
+                      for m in self.monomials_bidegree(p, degree - p))
 
     def monomials_bidegree(self, p: int, q: int) -> list[tuple[int, ...]]:
-        """All monomials of bidegree (p, q), in the order of
-        monomials_total.  Recurses on the remaining (p, q), and only where
-        the reachability tables (`_reachable`) say the generators left can
-        make it, so every call ends in at least one monomial.  Exponent 0
-        and the generators the remainder cannot use (a clear use bit) are
-        stepped over in a loop, not a call; with nothing left in p (or q)
-        the loop jumps to the next generator with none there."""
+        """All monomials of bidegree (p, q), in increasing order: a larger
+        exponent of the first generator comes first.  Recurses on the
+        remaining (p, q), and only where the reachability tables
+        (`_reachable`) say the generators left can make it, so every call
+        ends in at least one monomial.  Exponent 0 and the generators the
+        remainder cannot use (a clear use bit) are stepped over in a loop,
+        not a call; with nothing left in p (or q) the loop jumps to the
+        next generator with none there."""
         if p < 0 or q < 0:
             return []
         degs = self.degs
@@ -432,12 +411,14 @@ class BigradedDGA:
 
     def __init__(self, gens: GeneratorSet, differential: dict[str, dict]):
         """differential: generator name -> element, int or Fraction
-        coefficients.  dvals holds L*d in ints, L the lcm of the denominators:
-        same kernels and images as d, and (L*d)^2 = 0 iff d^2 = 0."""
+        coefficients; zero coefficients are dropped.  dvals holds L*d in
+        ints, L the lcm of the denominators: same kernels and images as d,
+        and (L*d)^2 = 0 iff d^2 = 0."""
         self.gens = gens
         dvals: dict[int, dict] = {}
         for name, val in differential.items():
             i = gens.index[name]
+            val = {m: c for m, c in val.items() if c}
             if val:
                 gp, gq = gens[i].p, gens[i].q
                 for m in val:

@@ -147,11 +147,11 @@ def _join_weighed(pools, by_weight, target) -> list[tuple[int, ...]]:
     return out
 
 
-def _weight_words(spec: TensorSpaceSpec,
+def _weight_words(spec: TensorSpaceSpec, alphabet: Alphabet,
                   target: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All basis words of T^{k,l} with the given torus weight, in
     lexicographic order: the join of the first ceil((k + l)/2) slots
-    with the rest.
+    with the rest, weighed by alphabet, `_tensor_alphabet(spec)`.
 
     Each half is weighed once: the words are counted from the head's
     weights and the tail's weight groups before the join builds them from
@@ -161,7 +161,7 @@ def _weight_words(spec: TensorSpaceSpec,
     k, l, g = spec.k, spec.l, spec.g
     slots = [range(pos * g, pos * g + g) for pos in range(k + l)]
     h = (k + l + 1) // 2
-    weight = _tensor_alphabet(spec).weight
+    weight = alphabet.weight
     head = [(t, weight(t)) for t in itertools.product(*slots[:h])]
     tail = _by_weight(itertools.product(*slots[h:]), weight)
     count = sum(len(tail.get(tuple(map(sub, target, w)), ()))
@@ -460,9 +460,9 @@ def _raising_system(spec: TensorSpaceSpec, group: str):
     # i.e. every E_{rr} eigenvalue vanishes
     if (k - l) % g or (group == "GL" and k != l):
         return [], [], []
-    words = _weight_words(spec, ((k - l) // g,) * g)
-    offsets = range(0, (k + l) * g, g)
     alphabet = _tensor_alphabet(spec)
+    words = _weight_words(spec, alphabet, ((k - l) // g,) * g)
+    offsets = range(0, (k + l) * g, g)
     basis = [tuple(map(add, offsets, w)) for w in words]
     orbits = _orbits(alphabet, basis)
     if len(orbits) > ORBIT_CAP:

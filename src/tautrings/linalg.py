@@ -1,11 +1,10 @@
-"""Exact dense-semantics linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Matrices carry exact entries, int or Fraction, in a dict keyed by
-(row, col); zero entries are simply absent.  This keeps the
-huge-but-sparse tensor-space matrices tractable while the API stays that
-of an ordinary dense matrix.  All rank
-and kernel computations are exact integer/rational eliminations; no
-floating point is used anywhere.
+A `QMatrix` carries exact entries, int or Fraction, in a dict keyed by
+(row, col); zero entries are simply absent, which keeps the
+huge-but-sparse tensor-space matrices tractable.  All rank and kernel
+computations are exact integer eliminations; no floating point is used
+anywhere.
 
 One routine, `_eliminate`, does every elimination: fraction-free over the
 integers, pivoting on the shortest live row (taken from a lazy min-heap)
@@ -16,8 +15,8 @@ no gcd and no scaling of that row.  The heap takes a row back only when
 it shrinks, and re-files a stale entry of a row that has grown when it
 comes up, which leaves the pivot order exactly that of a heap refreshed
 on every change.  `kernel_int_basis` back-substitutes in integers over
-one common denominator per vector, which the engines drop; only
-`QMatrix.kernel_basis` makes Fractions of it (`kernel_basis_columns`).
+one common denominator per vector, which the engines drop;
+`kernel_basis_columns` makes Fractions of it.
 `reduce_against` takes an int vector through the pivot rows of one
 elimination, fraction-free, and leaves an empty residual exactly when the
 vector lies in their span, so a span inclusion costs one elimination of
@@ -37,8 +36,9 @@ Entry = int | Fraction
 
 
 class QMatrix:
-    """A rows x cols matrix over Q.  Int entries stay ints; any other
-    value that is not a Fraction is made one."""
+    """A sparse rows x cols matrix over Q: the Koszul maps, the
+    permutation tensors and the invariant bases.  Int entries stay ints;
+    any other value that is not a Fraction is made one."""
 
     def __init__(self, rows: int, cols: int,
                  entries: dict[tuple[int, int], Entry] | None = None):
@@ -71,14 +71,6 @@ class QMatrix:
         return cls(rows, cols, e)
 
     @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(rows, cols)
-
-    @classmethod
     def from_columns(cls, rows: int, columns: Iterable[dict[int, Entry]]) -> "QMatrix":
         cols = list(columns)
         e = {}
@@ -93,49 +85,6 @@ class QMatrix:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(ij)
         return self.entries.get((i, j), Fraction(0))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, QMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __matmul__(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        by_row: dict[int, dict[int, Fraction]] = {}
-        for (i, k), v in self.entries.items():
-            by_row.setdefault(i, {})[k] = v
-        ocols: dict[int, dict[int, Fraction]] = {}
-        for (k, j), v in other.entries.items():
-            ocols.setdefault(k, {})[j] = v
-        e: dict[tuple[int, int], Fraction] = {}
-        for i, rowd in by_row.items():
-            acc: dict[int, Fraction] = {}
-            for k, v in rowd.items():
-                for j, w in ocols.get(k, {}).items():
-                    acc[j] = acc.get(j, Fraction(0)) + v * w
-            for j, v in acc.items():
-                if v:
-                    e[(i, j)] = v
-        return QMatrix(self.rows, other.cols, e)
-
-    def scale(self, c) -> "QMatrix":
-        c = Fraction(c)
-        return QMatrix(self.rows, self.cols,
-                       {k: v * c for k, v in self.entries.items()} if c else {})
-
-    def hstack(self, other: "QMatrix") -> "QMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch")
-        e = dict(self.entries)
-        for (i, j), v in other.entries.items():
-            e[(i, j + self.cols)] = v
-        return QMatrix(self.rows, self.cols + other.cols, e)
-
-    def column(self, j: int) -> dict[int, Entry]:
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def _int_rows(self, columns: bool = False) -> list[dict[int, int]]:
         """Rows (or, with columns, the columns) with cleared denominators,
@@ -155,11 +104,6 @@ class QMatrix:
     def rank(self) -> int:
         piv, _ = _eliminate(self._int_rows())
         return len(piv)
-
-    def kernel_basis(self) -> "QMatrix":
-        """Matrix whose columns form a basis of the right kernel."""
-        cols = kernel_basis_columns(self._int_rows(), self.cols)
-        return QMatrix.from_columns(self.cols, cols)
 
     def __repr__(self) -> str:
         return f"QMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
@@ -351,19 +295,6 @@ def reduce_against(pivots: list[int], pivot_rows: list[dict[int, int]],
             else:
                 v.pop(cc, None)
     return v
-
-
-def column_rank(*matrices: QMatrix) -> int:
-    """Dimension of the span of the columns of all the given matrices,
-    eliminating the columns themselves: few long vectors, where a tall
-    matrix has many short rows.  The tests build the rank form of the
-    fundamental-theorem check with it (rank of sigma stacked with the
-    invariant basis equals rank of sigma), the oracle that
-    `invariants.verify_fundamental_theorems` must agree with."""
-    if len({m.rows for m in matrices}) > 1:
-        raise ValueError("ambient dimensions differ")
-    return rank_of_int_rows([col for m in matrices
-                             for col in m._int_rows(columns=True)])
 
 
 def subspace_equal(b1: QMatrix, b2: QMatrix) -> bool:

@@ -102,22 +102,17 @@ def k_single_generators(n: int, M: int) -> list[tuple[str, int]]:
     return [(f"k{m}", 4 * m - 2 * n - 1) for m in v_range(n, M)]
 
 
-def k_pair_generators(n: int, M: int,
-                      min_pair_degree: int = 2) -> list[tuple[str, int]]:
+def k_pair_generators(n: int, M: int) -> list[tuple[str, int]]:
     """Pair generators k_{m0,m1}: m0 <= m1 <= M, 4m0 >= n+1, with degree
-    4(m0+m1) - 2n - 1 at least min_pair_degree.
-
-    The default threshold 2 (degree strictly greater than 1) follows the
-    defining condition of K; passing 1 instead admits the degree-1 pair
-    that exists when n = 3 (mod 4).
-    """
+    4(m0+m1) - 2n - 1 > 1, the defining condition of K; the degree-1 pair
+    that exists when n = 3 (mod 4) is not one."""
     out = []
     for m0 in range(1, M + 1):
         if 4 * m0 < n + 1:
             continue
         for m1 in range(m0, M + 1):
             deg = 4 * (m0 + m1) - 2 * n - 1
-            if deg >= min_pair_degree:
+            if deg > 1:
                 out.append((f"k{m0}_{m1}", deg))
     return out
 
@@ -134,7 +129,7 @@ def borel_generators(maxdeg: int) -> list[tuple[str, int]]:
 
 @dataclass(frozen=True)
 class PaperGradedSpaces:
-    """Generator lists (name, degree) of V, W, U, K and the map S."""
+    """Generator lists (name, degree) of V, W, U and K."""
 
     n: int
     M: int
@@ -143,15 +138,6 @@ class PaperGradedSpaces:
     U: tuple[tuple[str, int], ...]
     K_singles: tuple[tuple[str, int], ...]
     K_pairs: tuple[tuple[str, int], ...]
-
-    def S(self, m: int) -> str | None:
-        """Image of w_m: the generator u_m, or None in the degenerate slot
-        4m - n - 1 = 0 (and for m outside the W-range)."""
-        if m not in w_range(self.n, self.M):
-            raise ValueError(f"w_{m} does not exist for n={self.n}, M={self.M}")
-        if 4 * m - self.n - 1 > 0:
-            return f"u{m}"
-        return None
 
     @property
     def K(self) -> tuple[tuple[str, int], ...]:
@@ -297,23 +283,19 @@ def _sorted_contents(size: int, labels: int, most: int):
 
 
 def _ac_contents(g: int, labels: int, size: int, exterior: bool):
-    """(rearrangements, parts) for each sorted content of one factor:
-    parts lists its nonzero label sizes, decreasing, and rearrangements is
-    the multinomial of the counts of each part value (zeros last)."""
+    """(rearrangements, parts, elements) for each sorted content of one
+    factor: parts lists its nonzero label sizes, decreasing;
+    rearrangements is the multinomial of the counts of each part value
+    (zeros last); and elements is the size of the factor's product on it,
+    per label the subsets or the multisets of its g letters."""
     for runs in _sorted_contents(size, labels, g if exterior else size):
-        m, left, parts = 1, labels, []
+        m, left, parts, n = 1, labels, [], 1
         for v, c in runs:
             m, left = m * math.comb(left, c), left - c
             parts += [v] * c
-        yield m, parts
-
-
-def _ac_factor_sizes(g: int, labels: int, size: int, exterior: bool):
-    """The size of one factor's product for each of its sorted contents:
-    per label, the subsets or the multisets of its g letters."""
-    for runs in _sorted_contents(size, labels, g if exterior else size):
-        yield math.prod((math.comb(g, v) if exterior
-                         else math.comb(g + v - 1, v)) ** c for v, c in runs)
+            n *= (math.comb(g, v) if exterior
+                  else math.comb(g + v - 1, v)) ** c
+        yield m, parts, n
 
 
 def _ac_blocks(spec: ACAlgebraSpec, p: int, q: int, r: int, group: str):
@@ -340,7 +322,7 @@ def _ac_blocks(spec: ACAlgebraSpec, p: int, q: int, r: int, group: str):
                      for ids in itertools.product(*(
                          choose(range(lo + k * g, lo + k * g + g), n)
                          for k, n in enumerate(parts)))])
-                for m, parts in _ac_contents(g, labels, size, exterior)]
+                for m, parts, _ in _ac_contents(g, labels, size, exterior)]
 
     xs = list(itertools.combinations_with_replacement(range(nx), p))
     zs = blocks(nx + g * spec.dimW, spec.dimU, r, is_a)
@@ -377,8 +359,8 @@ def ac_invariant_dims_bruteforce(spec: ACAlgebraSpec, p: int, q: int, r: int,
         return 0
     nx = (g * (g + 1) if is_a else g * (g - 1)) // 2
     x_size = math.comb(nx + p - 1, p) if nx else int(p == 0)
-    ys = _ac_factor_sizes(g, spec.dimW, q, not is_a)
-    zs = _ac_factor_sizes(g, spec.dimU, r, is_a)
+    ys = (n for _, _, n in _ac_contents(g, spec.dimW, q, not is_a))
+    zs = (n for _, _, n in _ac_contents(g, spec.dimU, r, is_a))
     sums = [next(ys, 0), next(zs, 0)]   # sum|y|, sum|z| so far
     if not (x_size and all(sums)):
         return 0

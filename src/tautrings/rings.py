@@ -125,13 +125,10 @@ def _diff_presentation_b(n: int, maxdeg: int) -> tuple[RingPresentation, list[in
     return _diff_presentation(n, maxdeg, _kappa_name)
 
 
-def _diff_presentation_c(n: int, maxdeg: int,
-                         min_pair_degree: int = 2) -> tuple[RingPresentation, list[int]]:
+def _diff_presentation_c(n: int, maxdeg: int) -> tuple[RingPresentation, list[int]]:
     """Exterior algebra on the pair generators of K."""
     M = minimal_M(max(n, 5)) + maxdeg  # comfortably beyond any pair in range
-    pairs = [(name, d) for name, d in
-             k_pair_generators(n, M, min_pair_degree=min_pair_degree)
-             if d <= maxdeg]
+    pairs = [(name, d) for name, d in k_pair_generators(n, M) if d <= maxdeg]
     dims = fgca_dims(GeneratorSet(pairs), maxdeg)
     pres = RingPresentation(generators=tuple(pairs), relations=(),
                             dims=tuple(dims))
@@ -152,8 +149,8 @@ class DiffCohomology:
         return self.presentation_c.generators
 
 
-def diff_cohomology(n: int, maxdeg: int, g: int | None = None,
-                    min_pair_degree: int = 2) -> DiffCohomology:
+def diff_cohomology(n: int, maxdeg: int,
+                    g: int | None = None) -> DiffCohomology:
     """Ring of the diffeomorphism classifying space, three ways.
 
     The three presentations (Thom-spectrum quotient, desuspended-algebra
@@ -172,7 +169,7 @@ def diff_cohomology(n: int, maxdeg: int, g: int | None = None,
             f"requires maxdeg <= (g-4)/2 (got maxdeg={maxdeg}, g={g})")
     pa, da = _diff_presentation_a(n, maxdeg)
     pb, db = _diff_presentation_b(n, maxdeg)
-    pc, dc = _diff_presentation_c(n, maxdeg, min_pair_degree=min_pair_degree)
+    pc, dc = _diff_presentation_c(n, maxdeg)
     for d in range(maxdeg + 1):
         if not (da[d] == db[d] == dc[d]):
             raise OracleMismatch(
@@ -193,8 +190,7 @@ class BlockDiffCohomology:
 
 
 def blockdiff_cohomology(n: int, maxdeg: int | None = None,
-                         tangential: bool = False,
-                         min_pair_degree: int = 2) -> BlockDiffCohomology:
+                         tangential: bool = False) -> BlockDiffCohomology:
     """Exterior algebra on K-pairs plus the stable degree-(4k+1)
     generators; with tangential=True the single generators k_m are kept
     as well and the range extends by one degree."""
@@ -208,9 +204,7 @@ def blockdiff_cohomology(n: int, maxdeg: int | None = None,
             f"requires 1 <= maxdeg <= {'n-3' if tangential else 'n-4'} "
             f"(got maxdeg={maxdeg}, n={n})")
     M = minimal_M(n) + maxdeg
-    gens = [(name, d) for name, d in
-            k_pair_generators(n, M, min_pair_degree=min_pair_degree)
-            if d <= maxdeg]
+    gens = [(name, d) for name, d in k_pair_generators(n, M) if d <= maxdeg]
     if tangential:
         gens += [(name, d) for name, d in k_single_generators(n, M)
                  if d <= maxdeg]

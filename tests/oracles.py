@@ -18,11 +18,17 @@ the cell's whole weight space, `reference_ac_basis`.
 
 The fundamental-theorem check reads rank sigma off sigma's orbit-sum
 coordinates; `sigma_word_rank` eliminates sigma over its words, as the
-check did before.
+check did before, and `column_rank` gives the check's rank form: rank of
+sigma stacked with the invariant basis equals rank of sigma.
+
+The matrix operations the tests build their cases with (`identity`,
+`scale`, `hstack`, `column`, `matmul`, `kernel_basis`) are plain
+functions on `QMatrix` here; the program needs none of them.
 """
 
 import itertools
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 
 from tautrings.invariants import (
     _action_rows,
@@ -32,7 +38,7 @@ from tautrings.invariants import (
     _tensor_alphabet,
     _weight_words,
 )
-from tautrings.linalg import kernel_basis_columns, rank_of_int_rows
+from tautrings.linalg import QMatrix, kernel_basis_columns, rank_of_int_rows
 from tautrings.model import _ac_alphabet
 from tautrings.partitions import Partition
 
@@ -154,7 +160,7 @@ def tensor_cell(spec, group):
     k, l, g = spec.k, spec.l, spec.g
     if (k - l) % g or (group == "GL" and k != l):
         return [], []
-    words = _weight_words(spec, ((k - l) // g,) * g)
+    words = _weight_words(spec, _tensor_alphabet(spec), ((k - l) // g,) * g)
     return words, [tuple(pos * g + i for pos, i in enumerate(w))
                    for w in words]
 
@@ -269,3 +275,64 @@ def cellwise_lr_count(lam: Partition, mu: Partition, kappa: Partition) -> int:
     if mu.size == 0:
         return 1
     return _lr_fillings(kappa, lam, mu)
+
+
+def identity(n: int) -> QMatrix:
+    return QMatrix(n, n, {(i, i): Fraction(1) for i in range(n)})
+
+
+def scale(m: QMatrix, c) -> QMatrix:
+    c = Fraction(c)
+    return QMatrix(m.rows, m.cols,
+                   {k: v * c for k, v in m.entries.items()} if c else {})
+
+
+def hstack(a: QMatrix, b: QMatrix) -> QMatrix:
+    if a.rows != b.rows:
+        raise ValueError("row count mismatch")
+    e = dict(a.entries)
+    for (i, j), v in b.entries.items():
+        e[(i, j + a.cols)] = v
+    return QMatrix(a.rows, a.cols + b.cols, e)
+
+
+def column(m: QMatrix, j: int) -> dict:
+    return {i: v for (i, jj), v in m.entries.items() if jj == j}
+
+
+def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
+    """The product a b, summed entry by entry in Fractions."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    by_row: dict = {}
+    for (i, k), v in a.entries.items():
+        by_row.setdefault(i, {})[k] = v
+    bcols: dict = {}
+    for (k, j), v in b.entries.items():
+        bcols.setdefault(k, {})[j] = v
+    e = {}
+    for i, rowd in by_row.items():
+        acc: dict = {}
+        for k, v in rowd.items():
+            for j, w in bcols.get(k, {}).items():
+                acc[j] = acc.get(j, Fraction(0)) + v * w
+        for j, v in acc.items():
+            if v:
+                e[(i, j)] = v
+    return QMatrix(a.rows, b.cols, e)
+
+
+def kernel_basis(m: QMatrix) -> QMatrix:
+    """A matrix whose columns form a basis of the right kernel of m."""
+    return QMatrix.from_columns(
+        m.cols, kernel_basis_columns(m._int_rows(), m.cols))
+
+
+def column_rank(*matrices: QMatrix) -> int:
+    """Dimension of the span of the columns of all the given matrices,
+    eliminating the columns themselves: few long vectors, where a tall
+    matrix has many short rows."""
+    if len({m.rows for m in matrices}) > 1:
+        raise ValueError("ambient dimensions differ")
+    return rank_of_int_rows([col for m in matrices
+                             for col in m._int_rows(columns=True)])

@@ -20,7 +20,6 @@ from tautrings.invariants import (
 from tautrings.linalg import (
     QMatrix,
     _eliminate,
-    column_rank,
     kernel_int_basis,
     rank_of_int_rows,
     reduce_against,
@@ -30,6 +29,8 @@ from tautrings.partitions import Partition, schur_product_expand
 
 from oracles import (
     all_pairs,
+    column,
+    column_rank,
     same_rows_as_previous,
     sigma_word_rank,
     stacked_kernel,
@@ -109,7 +110,7 @@ class TestGLInvariants:
         # T^{1,1} invariants = the identity tensor line
         basis = gl_invariant_basis(TensorSpaceSpec(1, 1, 3))
         assert basis.cols == 1
-        col = basis.column(0)
+        col = column(basis, 0)
         diag = {i * 3 + i for i in range(3)}
         assert set(col) == diag
         assert len({col[i] for i in diag}) == 1
@@ -140,7 +141,7 @@ class TestSLInvariants:
     def test_determinant_line(self):
         basis = sl_invariant_basis(TensorSpaceSpec(2, 0, 2))
         assert basis.cols == 1
-        col = basis.column(0)
+        col = column(basis, 0)
         # the line a1(x)a2 - a2(x)a1
         assert set(col) == {1, 2}
         assert col[1] == -col[2]
@@ -182,7 +183,7 @@ class TestSigma:
     def test_single_column_identity(self):
         s = sigma_matrix(1, 3)
         assert s.cols == 1
-        assert s.column(0) == {0: 1, 4: 1, 8: 1}
+        assert column(s, 0) == {0: 1, 4: 1, 8: 1}
 
     def test_rank_2_2(self):
         assert sigma_matrix(2, 2).rank() == 2
@@ -380,13 +381,14 @@ class TestWeightWords:
         """Direct enumeration = all g^(k+l) words filtered by weight."""
         for spec in SMALL_SPECS:
             k, g = spec.k, spec.g
+            alphabet = _tensor_alphabet(spec)
             by_weight = {}
             for word in itertools.product(range(g), repeat=k + spec.l):
                 by_weight.setdefault(_weight(word, k, g), []).append(word)
             for wt, words in by_weight.items():
-                assert _weight_words(spec, wt) == words
+                assert _weight_words(spec, alphabet, wt) == words
             for wt in [(0,) * g, (1,) * g, (-1,) * g, (spec.k + 1,) + (0,) * (g - 1)]:
-                assert _weight_words(spec, wt) == by_weight.get(wt, [])
+                assert _weight_words(spec, alphabet, wt) == by_weight.get(wt, [])
 
 
 def _basis_over_words(spec, words, vectors) -> QMatrix:
@@ -490,6 +492,20 @@ class TestInvariantDim:
         basis = gl_invariant_basis if group == "GL" else sl_invariant_basis
         for spec in SMALL_SPECS:
             assert invariant_dim(spec, group) == basis(spec).cols
+
+    def test_one_alphabet_per_space(self, monkeypatch):
+        """`_raising_system` builds the tensor alphabet once and weighs
+        the words with it."""
+        built = []
+
+        class Counting(invariants.Alphabet):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(invariants, "Alphabet", Counting)
+        assert invariant_dim(TensorSpaceSpec(2, 2, 2), "GL") == 2
+        assert len(built) == 1
 
 
 def _partitions(m, largest=None):

@@ -69,9 +69,12 @@ class TestBuildSpaces:
                               ("k3_4", 13), ("k4_4", 17))
 
     def test_degenerate_S_slot(self):
-        sp = build_spaces(ModelParams(n=7, g=5, M=4, maxdeg=4))
-        assert sp.S(2) is None  # 4*2 - 7 - 1 = 0
-        assert sp.S(3) == "u3"
+        # S(w_2) = 0 at n = 7 (4*2 - 7 - 1 = 0), so y2_3 = w_2 (x) u_3 has
+        # no differential; y3_4 goes to S(w_3) ^ u_4 = u_3 ^ u_4 = z3_4
+        dga = build_D_dga(ModelParams(n=7, g=5, M=4, maxdeg=4))
+        index = dga.gens.index
+        assert index["y2_3"] not in dga.dvals
+        assert dga.dvals[index["y3_4"]] == {(index["z3_4"],): 1}
 
     def test_all_K_degrees_odd(self):
         for n in range(5, 12):

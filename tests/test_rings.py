@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from tautrings import rings
 from tautrings.graded import GeneratorSet, fgca_dims
 from tautrings.model import OracleMismatch
 from tautrings.rings import (
@@ -88,13 +89,17 @@ class TestDiff:
             diff_cohomology(9, 5, g=10)
         diff_cohomology(9, 5, g=30)
 
-    def test_pair_degree_switch(self):
-        # with the relaxed condition the degree-1 pair reappears for
-        # n = 3 (mod 4) in the exterior-algebra presentation
+    def test_pair_degree_switch(self, monkeypatch):
+        # K's pairs have degree > 1; admitting the degree-1 pair that
+        # exists for n = 3 (mod 4), k2_2 at n = 7 (4*(2+2) - 2*7 - 1 = 1),
+        # breaks the exterior-algebra presentation
         strict = diff_cohomology(7, 4).presentation_c
         assert ("k2_2", 1) not in strict.generators
+        pairs = rings.k_pair_generators
+        monkeypatch.setattr(rings, "k_pair_generators",
+                            lambda n, M: [("k2_2", 1)] + pairs(n, M))
         with pytest.raises(OracleMismatch, match="degree 1"):
-            diff_cohomology(7, 4, min_pair_degree=1)
+            diff_cohomology(7, 4)
 
 
 @pytest.mark.slow
