@@ -214,7 +214,7 @@ def e3_zero_column(params: ModelParams) -> list[int]:
         if p != 0 and h != 0:
             raise OracleMismatch(
                 f"nonzero cohomology {h} off the zero column at "
-                f"bidegree ({p},{q})")
+                f"bidegree ({p},{q}) for n={params.n}, M={params.M}")
     col = [table.get((0, q), 0) for q in range(params.maxdeg + 1)]
     expected = fgca_dims(GeneratorSet(build_spaces(params).K), params.maxdeg)
     if col != expected:
@@ -529,7 +529,7 @@ def e2_bruteforce_oracle(params: ModelParams) -> dict[tuple[int, int], int]:
         model.dga.check_d_squared_on_generators(
             max(gg.total for gg in model.gens))
     except DgaError as exc:
-        raise OracleMismatch(str(exc)) from None
+        raise OracleMismatch(f"{exc} for n={n}, g={g}") from None
 
     invdim: dict[tuple[int, int], int] = {}
     outrank: dict[tuple[int, int], int] = {}

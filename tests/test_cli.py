@@ -8,7 +8,7 @@ import pytest
 from tautrings import acceptance, cli, invariants, model, partitions
 from tautrings.cli import main
 from tautrings.graded import BigradedDGA, GeneratorSet
-from tautrings.model import minimal_M
+from tautrings.model import OracleMismatch, minimal_M
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -137,6 +137,15 @@ class TestBasicCommands:
         rep = run_json(capsys, "mt", "--n", "9", "--maxdeg", "1")
         assert rep["dims"] == [1, 1]
 
+    def test_mt_routes_agree(self, capsys):
+        """`mt` and `cohomology --space mt` report the same ring."""
+        mt = run_json(capsys, "mt", "--n", "11", "--maxdeg", "8")
+        space = run_json(capsys, "cohomology", "--space", "mt", "--n", "11",
+                         "--maxdeg", "8")
+        for key in ("dims", "generators", "provenance"):
+            assert mt[key] == space[key]
+        assert mt["dims"][1] == 2 and len(mt["generators"]) > 2
+
     def test_cohomology_diff(self, capsys):
         rep = run_json(capsys, "cohomology", "--space", "diff", "--n", "9",
                        "--g", "30", "--maxdeg", "5")
@@ -254,6 +263,17 @@ class TestExitCodes:
         code, out, err = run(capsys, "fft-check", m, g)
         assert code == 1
         assert bound in err
+
+    def test_fft_injectivity_mismatch(self, capsys, monkeypatch):
+        """fft-check exits 2 when independence disagrees with m <= g."""
+        monkeypatch.setattr(
+            acceptance, "verify_fundamental_theorems",
+            lambda m, g: invariants.FundamentalTheoremReport(
+                m, g, rank=1, surjective=True, injective=False))
+        code, out, err = run(capsys, "fft-check", "2", "2")
+        assert code == 2 and out == ""
+        assert err == ("consistency failure: permutation tensors are not "
+                       "independent (rank 1) at m=2, g=2\n")
 
     def test_invariants_past_the_former_cap(self, capsys):
         """T^{4,4}(Q^5), 5^8 = 390 625 words in all, was refused for that
@@ -459,7 +479,36 @@ class TestOutputs:
 class TestVerifyAll:
     @pytest.mark.slow
     def test_verify_all(self, capsys):
+        """One JSON object, a text projection of exactly the nine PASS
+        lines and one number,passed csv row per criterion."""
+        rep = run_json(capsys, "verify-all")
+        criteria = rep["criteria"]
+        assert [c["number"] for c in criteria] == list(range(1, 10))
+        assert all(c["passed"] for c in criteria)
+        assert set(criteria[0]) == {"number", "name", "passed", "detail"}
+        code, out, err = run(capsys, "verify-all", "--format", "text")
+        assert code == 0, err
+        lines = out.splitlines()
+        assert len(lines) == 9 and all(l.startswith("PASS") for l in lines)
+        assert lines[0] == ("PASS criterion 1 (fundamental theorems): "
+                            "16 (m,g) pairs, m,g <= 4")
+        code, out, err = run(capsys, "verify-all", "--format", "csv")
+        assert code == 0, err
+        assert out.splitlines() == ["number,passed"] + [
+            f"{i},True" for i in range(1, 10)]
+
+    def test_failure_names_each_criterion(self, capsys, monkeypatch):
+        """A failed criterion makes verify-all exit 2 with no report, and
+        stderr names each failing criterion with its detail."""
+        def failing(number, name):
+            @acceptance.criterion(number, name)
+            def check():
+                raise OracleMismatch(f"wrong at case {number}")
+            return check
+
+        monkeypatch.setattr(acceptance, "ALL_CRITERIA", [
+            failing(1, "one"), acceptance.criterion_9, failing(2, "two")])
         code, out, err = run(capsys, "verify-all")
-        assert code == 0
-        lines = [l for l in out.splitlines() if l.startswith("PASS")]
-        assert len(lines) == 9
+        assert code == 2 and out == ""
+        assert err == ("consistency failure: FAIL criterion 1 (one): wrong "
+                       "at case 1; FAIL criterion 2 (two): wrong at case 2\n")

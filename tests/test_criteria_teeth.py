@@ -1,0 +1,123 @@
+"""Each acceptance criterion except criterion 2 fails under a plausible bug
+in a routine it checks: a criterion that passes when the program is wrong
+is no evidence.  Each mutant is monkeypatched in for one test, and the
+FAIL detail must name the failing case.
+
+Criterion 2 has no mutant here: it compares GL and SL invariant bases
+built by one kernel routine, and no independent count backs it yet.
+"""
+
+import pytest
+
+from tautrings import acceptance, invariants, model, rings
+from tautrings.graded import GeneratorSet, fgca_dims
+from tautrings.rings import BlockDiffCohomology
+
+
+def sigma_column_dropped(monkeypatch):
+    real = invariants._sigma_columns
+    monkeypatch.setattr(invariants, "_sigma_columns",
+                        lambda m, g: real(m, g)[:-1])
+
+
+def schur_dim_of_conjugate(monkeypatch):
+    real = acceptance.schur_dim
+    monkeypatch.setattr(acceptance, "schur_dim",
+                        lambda lam, g: real(lam.conjugate(), g))
+    # uncached, so that no answer of the mutant outlives the test
+    monkeypatch.setattr(acceptance, "_square_identities",
+                        acceptance._square_identities.__wrapped__)
+
+
+def gl_weight_not_zero(monkeypatch):
+    def ac_weight(g, p, q, r, group):
+        c, rem = divmod(2 * p + q - r, g)
+        return None if rem else c
+
+    monkeypatch.setattr(model, "_ac_weight", ac_weight)
+
+
+def kernel_cokernel_swapped(monkeypatch):
+    real = acceptance.kernel_cokernel_dims
+    monkeypatch.setattr(acceptance, "kernel_cokernel_dims",
+                        lambda k, c, maxdeg: real(c, k, maxdeg))
+
+
+def first_pair_dropped(monkeypatch):
+    """The last pair lies past every degree criterion 6 checks, so it is
+    the first that goes."""
+    real = model.k_pair_generators
+    monkeypatch.setattr(model, "k_pair_generators",
+                        lambda n, M: real(n, M)[1:])
+
+
+def la0_sign_flipped(monkeypatch):
+    real = model.E2Model._differential
+
+    def differential(self):
+        diff = real(self)
+        for name, val in diff.items():
+            if name.startswith("la_0_"):
+                diff[name] = {mono: -c for mono, c in val.items()}
+        return diff
+
+    monkeypatch.setattr(model.E2Model, "_differential", differential)
+
+
+def _top_generator_dropped(monkeypatch, stages):
+    """blockdiff_cohomology loses its top generator at n >= 10 in the
+    given stages (tangential or not) and recounts its dims to match."""
+    real = acceptance.blockdiff_cohomology
+
+    def blockdiff(n, maxdeg=None, tangential=False):
+        res = real(n, maxdeg, tangential)
+        if n < 10 or tangential not in stages:
+            return res
+        gens = res.generators[:-1]
+        return BlockDiffCohomology(
+            n=n, maxdeg=res.maxdeg, tangential=tangential, generators=gens,
+            dims=tuple(fgca_dims(GeneratorSet(gens), res.maxdeg)))
+
+    monkeypatch.setattr(acceptance, "blockdiff_cohomology", blockdiff)
+
+
+def top_generator_dropped(monkeypatch):
+    _top_generator_dropped(monkeypatch, (False, True))
+
+
+def top_tangential_generator_dropped(monkeypatch):
+    _top_generator_dropped(monkeypatch, (True,))
+
+
+def mt_index_late(monkeypatch):
+    def mt_generators(n, maxdeg):
+        shift = 2 * n + 1
+        lo = -(-(n + 1) // 4) + 1
+        return [(c, 4 * sum(c) - shift)
+                for c in rings._multisets_in_degree(lo, n, shift, maxdeg)]
+
+    monkeypatch.setattr(rings, "mt_generators", mt_generators)
+
+
+# (criterion, mutant, text naming the first failing case)
+MUTANTS = [
+    (1, sigma_column_dropped, "m=1, g=1"),
+    (3, schur_dim_of_conjugate, "dims (1,1), degree 1"),
+    (4, gl_weight_not_zero, "r=1 != 2p+q for A, g=1, W=1, U=1, (p,q)=(0,0)"),
+    (5, kernel_cokernel_swapped, "trial 0: "),
+    (6, first_pair_dropped, "n=6, M=4"),
+    (7, la0_sign_flipped, "bidegree (0,3) for n=6, g=4"),
+    (8, top_generator_dropped, "block stage dims"),
+    (8, top_tangential_generator_dropped, "tangential stage dims"),
+    (9, mt_index_late, "n=7"),
+]
+
+
+@pytest.mark.parametrize("number,mutate,case", MUTANTS,
+                         ids=[f"c{n}-{m.__name__}" for n, m, _ in MUTANTS])
+def test_criterion_fails_under_mutant(monkeypatch, number, mutate, case):
+    mutate(monkeypatch)
+    result = acceptance.ALL_CRITERIA[number - 1]()
+    assert not result.passed
+    assert case in result.detail, result.detail
+
