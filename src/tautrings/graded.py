@@ -67,14 +67,6 @@ class GeneratorSet:
         # (p, q, total, odd) per generator, built once for the hot loops
         self.degs: tuple[tuple[int, int, int, bool], ...] = tuple(
             (g.p, g.q, g.total, g.odd) for g in parsed)
-        # the first generator j >= i with p = 0 (resp. q = 0), or len:
-        # once nothing is left in p (resp. q), the search jumps there
-        n = len(parsed)
-        zero_p, zero_q = [n] * (n + 1), [n] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            zero_p[i] = i if parsed[i].p == 0 else zero_p[i + 1]
-            zero_q[i] = i if parsed[i].q == 0 else zero_q[i + 1]
-        self.next_zero = (tuple(zero_p), tuple(zero_q))
         self._reach: tuple[int, list[list[int]], list[list[int]]] = (
             -1, [], [])
 
@@ -147,14 +139,12 @@ class GeneratorSet:
         (`_reachable`) say the generators left can make it, so every call
         ends in at least one monomial.  Exponent 0 and the generators the
         remainder cannot use (a clear use bit) are stepped over in a loop,
-        not a call; with nothing left in p (or q) the loop jumps to the
-        next generator with none there."""
+        not a call."""
         if p < 0 or q < 0:
             return []
         degs = self.degs
         reach, use = self._reachable(p + q)
         out = []
-        zero_p, zero_q = self.next_zero
 
         def rec(i, rp, rq, acc):
             # the generators i.. make (rp, rq)
@@ -162,10 +152,6 @@ class GeneratorSet:
                 out.append(acc)
                 return
             while True:
-                if not rp:
-                    i = zero_p[i]
-                elif not rq:
-                    i = zero_q[i]
                 nxt = reach[i + 1]
                 if use[i][rp] >> rq & 1:
                     gp, gq, _, odd = degs[i]
@@ -297,6 +283,14 @@ def apply_derivation(odd, table, mono, parity: int, ids=None) -> dict:
                 else:
                     del out[img]
         k += odd[a]
+    return out
+
+
+def derive(odd, table, elem: dict, parity: int) -> dict:
+    """apply_derivation on an element, a dict monomial -> coefficient."""
+    out: dict = {}
+    for m, c in elem.items():
+        out = elem_add(out, apply_derivation(odd, table, m, parity), c)
     return out
 
 
@@ -436,11 +430,7 @@ class BigradedDGA:
             gens.odd, {i: val.items() for i, val in self.dvals.items()})
 
     def d(self, elem: dict) -> dict:
-        out: dict = {}
-        for m, c in elem.items():
-            out = elem_add(out, apply_derivation(self.gens.odd, self._table,
-                                                 m, 1), c)
-        return out
+        return derive(self.gens.odd, self._table, elem, 1)
 
     def check_d_squared(self, maxtotal: int):
         """Verify d^2 = 0 on every monomial of total degree <= maxtotal;

@@ -17,10 +17,8 @@ comes up, which leaves the pivot order exactly that of a heap refreshed
 on every change.  `kernel_int_basis` back-substitutes in integers over
 one common denominator per vector, which the engines drop;
 `kernel_basis_columns` makes Fractions of it.
-`reduce_against` takes an int vector through the pivot rows of one
-elimination, fraction-free, and leaves an empty residual exactly when the
-vector lies in their span, so a span inclusion costs one elimination of
-the spanning set (`subspace_equal`).
+Two column spans are equal exactly when both ranks equal the rank of the
+two stacked (`subspace_equal`), so span equality is three ranks.
 """
 
 from __future__ import annotations
@@ -79,12 +77,6 @@ class QMatrix:
                 if v:
                     e[(i, j)] = v
         return cls(rows, len(cols), e)
-
-    def __getitem__(self, ij: tuple[int, int]) -> Entry:
-        i, j = ij
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(ij)
-        return self.entries.get((i, j), Fraction(0))
 
     def _int_rows(self, columns: bool = False) -> list[dict[int, int]]:
         """Rows (or, with columns, the columns) with cleared denominators,
@@ -263,50 +255,15 @@ def rank_of_int_rows(rows: list[dict[int, int]]) -> int:
     return len(piv)
 
 
-def reduce_against(pivots: list[int], pivot_rows: list[dict[int, int]],
-                   vec: dict[int, int]) -> dict[int, int]:
-    """The residual of an int vector against the pivot rows of an
-    elimination, in step order: empty exactly when vec lies in the span of
-    the eliminated rows.
-
-    Step k clears pivot column k by v <- m1*v - m2*row with m1 > 0, which
-    later steps leave at zero, since pivot row k is zero at every earlier
-    pivot column.  The residual is thus zero at every pivot column; a
-    nonzero combination of pivot rows is not (at the pivot column of its
-    first row), so the residual vanishes iff vec is in their span.
-    """
-    v = {c: x for c, x in vec.items() if x}
-    gcd = math.gcd
-    for c, pr in zip(pivots, pivot_rows):
-        x = v.get(c)
-        if not x:
-            continue
-        pv = pr[c]
-        if x % pv:
-            m1 = abs(pv) // gcd(x, pv)
-            for cc in v:
-                v[cc] *= m1
-            x *= m1
-        m2 = x // pv
-        for cc, vv in pr.items():
-            nv = v.get(cc, 0) - vv * m2
-            if nv:
-                v[cc] = nv
-            else:
-                v.pop(cc, None)
-    return v
-
-
 def subspace_equal(b1: QMatrix, b2: QMatrix) -> bool:
-    """Do the column spans of b1 and b2 coincide?  Equal ranks, and every
-    column of b2 reduces to zero against b1's eliminated columns."""
+    """Do the column spans of b1 and b2 coincide?  Both ranks equal the
+    rank of the two stacked: each span then fills their sum."""
     if b1.rows != b2.rows:
         raise ValueError("ambient dimensions differ")
+    cols1 = b1._int_rows(columns=True)
     cols2 = b2._int_rows(columns=True)
-    pivots, pivot_rows = _eliminate(b1._int_rows(columns=True))
-    if len(pivots) != rank_of_int_rows(cols2):
-        return False
-    return not any(reduce_against(pivots, pivot_rows, c) for c in cols2)
+    return (rank_of_int_rows(cols1) == rank_of_int_rows(cols2)
+            == rank_of_int_rows(cols1 + cols2))
 
 
 def random_matrix(rows: int, cols: int, rng: random.Random,
@@ -316,5 +273,5 @@ def random_matrix(rows: int, cols: int, rng: random.Random,
         for j in range(cols):
             v = rng.randint(lo, hi)
             if v:
-                e[(i, j)] = Fraction(v)
+                e[(i, j)] = v
     return QMatrix(rows, cols, e)

@@ -12,6 +12,8 @@ generators.  Degrees follow the fixed scheme
     u_m : 4m - n - 1        (U)
 
 with a generator present exactly when its degree is positive and m <= M.
+`vwu_degrees` is the one table of this scheme; only the pair generators
+of K have a formula of their own.
 
 The trigraded counts and the second-page oracle build each cell's
 weight-restricted basis with the join in invariants.  A trigraded cell is
@@ -34,6 +36,7 @@ from .graded import (
     DgaError,
     GeneratorSet,
     check_basis_cap,
+    derive,
     elem_add,
     elem_mul,
     fgca_dims,
@@ -86,20 +89,15 @@ class ModelParams:
                 f"n-3={self.n - 3})")
 
 
-def v_range(n: int, M: int) -> list[int]:
-    return [m for m in range(1, M + 1) if 4 * m - 2 * n - 1 > 0]
-
-
-def w_range(n: int, M: int) -> list[int]:
-    return [m for m in range(1, M + 1) if 4 * m - n > 0]
-
-
-def u_range(n: int, M: int) -> list[int]:
-    return [m for m in range(1, M + 1) if 4 * m - n - 1 > 0]
+def vwu_degrees(n: int, M: int) -> tuple[dict[int, int], ...]:
+    """The degree scheme as (v, w, u): for each letter, index m ->
+    degree over the m <= M whose degree is positive, in increasing m."""
+    return tuple({m: 4 * m - shift for m in range(1, M + 1) if 4 * m > shift}
+                 for shift in (2 * n + 1, n, n + 1))
 
 
 def k_single_generators(n: int, M: int) -> list[tuple[str, int]]:
-    return [(f"k{m}", 4 * m - 2 * n - 1) for m in v_range(n, M)]
+    return [(f"k{m}", d) for m, d in vwu_degrees(n, M)[0].items()]
 
 
 def k_pair_generators(n: int, M: int) -> list[tuple[str, int]]:
@@ -146,11 +144,12 @@ class PaperGradedSpaces:
 
 def build_spaces(params: ModelParams) -> PaperGradedSpaces:
     n, M = params.n, params.M
+    v, w, u = vwu_degrees(n, M)
     return PaperGradedSpaces(
         n=n, M=M,
-        V=tuple((f"v{m}", 4 * m - 2 * n - 1) for m in v_range(n, M)),
-        W=tuple((f"w{m}", 4 * m - n) for m in w_range(n, M)),
-        U=tuple((f"u{m}", 4 * m - n - 1) for m in u_range(n, M)),
+        V=tuple((f"v{m}", d) for m, d in v.items()),
+        W=tuple((f"w{m}", d) for m, d in w.items()),
+        U=tuple((f"u{m}", d) for m, d in u.items()),
         K_singles=tuple(k_single_generators(n, M)),
         K_pairs=tuple(k_pair_generators(n, M)),
     )
@@ -173,26 +172,21 @@ def build_D_dga(params: ModelParams,
     """
     n, M = params.n, params.M
     top = math.inf if maxtotal is None else maxtotal
-    ws, us = w_range(n, M), u_range(n, M)
-    gens_list: list[tuple[str, tuple[int, int]]] = []
-    for m in v_range(n, M):
-        if 4 * m - 2 * n - 1 <= top:
-            gens_list.append((f"v{m}", (0, 4 * m - 2 * n - 1)))
-    ys = [(m0, m1) for m0 in ws for m1 in us
-          if 4 * (m0 + m1) - 2 * n - 1 <= top]
-    for m0, m1 in ys:
-        gens_list.append((f"y{m0}_{m1}", (0, 4 * (m0 + m1) - 2 * n - 1)))
-    for m0, m1 in itertools.combinations(us, 2):
+    v, w, u = vwu_degrees(n, M)
+    gens_list = [(f"v{m}", (0, d)) for m, d in v.items() if d <= top]
+    ys = [(m0, m1) for m0 in w for m1 in u if w[m0] + u[m1] <= top]
+    gens_list += [(f"y{m0}_{m1}", (0, w[m0] + u[m1])) for m0, m1 in ys]
+    for m0, m1 in itertools.combinations(u, 2):
         # z_{m0,m1} = -d(y_{m1,m0}), of total one more
-        if 4 * (m0 + m1) - 2 * n <= top + 1:
-            gens_list.append((f"z{m0}_{m1}", (2, 4 * (m0 + m1) - 2 * n - 2)))
+        if 2 + u[m0] + u[m1] <= top + 1:
+            gens_list.append((f"z{m0}_{m1}", (2, u[m0] + u[m1])))
     gens = GeneratorSet(gens_list)
     if maxtotal is not None:
         check_basis_cap(gens, maxtotal)   # before the dense d-values
 
     diff: dict[str, dict] = {}
     for m0, m1 in ys:
-        if 4 * m0 - n - 1 == 0:
+        if m0 not in u:
             continue  # S(w_{m0}) = 0: degenerate slot
         if m0 == m1:
             continue  # wedge square of a single generator
@@ -433,15 +427,15 @@ class E2Model:
             for j in range(i if n % 2 == 0 else i + 1, g):
                 gens[f"x_{i}_{j}"] = (
                     (2, 0), Letter("x", (i, j), alternating=n % 2 == 1))
-        for m in w_range(n, M):
+        v, w, u = vwu_degrees(n, M)
+        for m, d in w.items():
             for i in range(g):
-                gens[f"la_{i}_{m}"] = ((0, 4 * m - n), Letter(("a", m), (i,)))
-        for m in u_range(n, M):
+                gens[f"la_{i}_{m}"] = ((0, d), Letter(("a", m), (i,)))
+        for m, d in u.items():
             for i in range(g):
-                gens[f"lb_{i}_{m}"] = (
-                    (0, 4 * m - n - 1), Letter(("b", m), (), (i,)))
-        for m in v_range(n, M):
-            gens[f"lu_{m}"] = ((0, 4 * m - 2 * n - 1), Letter(("u", m)))
+                gens[f"lb_{i}_{m}"] = ((0, d), Letter(("b", m), (), (i,)))
+        for m, d in v.items():
+            gens[f"lu_{m}"] = ((0, d), Letter(("u", m)))
         self.gens = GeneratorSet(
             (name, deg) for name, (deg, _) in gens.items())
         # one letter per generator, in GeneratorSet order
@@ -453,9 +447,9 @@ class E2Model:
         n, g, index = self.n, self.g, self.gens.index
         lead = 1 if (n + 1) % 2 == 0 else -1
         diff: dict[str, dict] = {}
-        for m in w_range(n, self.M):
-            if 4 * m - n - 1 == 0:
-                continue
+        # each m of u is an m of w; d2(la_{j,m}) = 0 at the degenerate
+        # slot 4m - n - 1 = 0, where u_m is not a generator
+        for m in vwu_degrees(n, self.M)[2]:
             for j in range(g):
                 val: dict = {}
                 for i in range(g):
@@ -531,6 +525,18 @@ def e2_bruteforce_oracle(params: ModelParams) -> dict[tuple[int, int], int]:
     except DgaError as exc:
         raise OracleMismatch(f"{exc} for n={n}, g={g}") from None
 
+    # d2 must commute with E_{r,r+1} and E_{r+1,r}, which generate sl_g
+    odd, dga = model.gens.odd, model.dga
+    for r in range(g - 1):
+        for s, t in ((r, r + 1), (r + 1, r)):
+            e = model.alphabet.derivation(s, t)
+            for i, val in dga.dvals.items():
+                if (dga.d(derive(odd, e, {(i,): 1}, 0))
+                        != derive(odd, e, val, 0)):
+                    raise OracleMismatch(
+                        f"d2 does not commute with E_{s}{t} on "
+                        f"{model.gens[i].name} for n={n}, g={g}")
+
     invdim: dict[tuple[int, int], int] = {}
     outrank: dict[tuple[int, int], int] = {}
     for p, q in cells:
@@ -596,16 +602,17 @@ def lambda_relations(params: ModelParams, ms: list[int]) -> LambdaExpression:
     gens = model.gens
     if len(ms) >= 3:
         return LambdaExpression(gens, {})
+    v, w, u = vwu_degrees(n, M)
     if len(ms) == 1:
         m = ms[0]
-        if 4 * m - 2 * n - 1 <= 0:
+        if m not in v:
             raise ValueError(
                 f"requires 4m - 2n - 1 > 0 for a single factor (got m={m})")
         return LambdaExpression(gens, mono_elem((gens.index[f"lu_{m}"],)))
     m0, m1 = ms
     elem: dict = {}
     for first, second in ((m0, m1), (m1, m0)):
-        if first not in w_range(n, M) or second not in u_range(n, M):
+        if first not in w or second not in u:
             continue
         for j in range(g):
             elem = elem_add(elem, elem_mul(

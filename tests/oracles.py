@@ -19,14 +19,18 @@ the cell's whole weight space, `reference_ac_basis`.
 The fundamental-theorem check reads rank sigma off sigma's orbit-sum
 coordinates; `sigma_word_rank` eliminates sigma over its words, as the
 check did before, and `column_rank` gives the check's rank form: rank of
-sigma stacked with the invariant basis equals rank of sigma.
+sigma stacked with the invariant basis equals rank of sigma.  The
+kernel-reduction form before that reduced each invariant against sigma's
+pivot rows, by `reduce_against`, which the span tests also check
+`linalg.subspace_equal`'s rank form against.
 
-The matrix operations the tests build their cases with (`identity`,
-`scale`, `hstack`, `column`, `matmul`, `kernel_basis`) are plain
-functions on `QMatrix` here; the program needs none of them.
+The matrix operations the tests build their cases with (`entry`,
+`identity`, `scale`, `hstack`, `column`, `matmul`, `kernel_basis`) are
+plain functions on `QMatrix` here; the program needs none of them.
 """
 
 import itertools
+import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
@@ -275,6 +279,47 @@ def cellwise_lr_count(lam: Partition, mu: Partition, kappa: Partition) -> int:
     if mu.size == 0:
         return 1
     return _lr_fillings(kappa, lam, mu)
+
+
+def reduce_against(pivots: list[int], pivot_rows: list[dict[int, int]],
+                   vec: dict[int, int]) -> dict[int, int]:
+    """The residual of an int vector against the pivot rows of an
+    elimination, in step order: empty exactly when vec lies in the span of
+    the eliminated rows.
+
+    Step k clears pivot column k by v <- m1*v - m2*row with m1 > 0, which
+    later steps leave at zero, since pivot row k is zero at every earlier
+    pivot column.  The residual is thus zero at every pivot column; a
+    nonzero combination of pivot rows is not (at the pivot column of its
+    first row), so the residual vanishes iff vec is in their span.
+    """
+    v = {c: x for c, x in vec.items() if x}
+    gcd = math.gcd
+    for c, pr in zip(pivots, pivot_rows):
+        x = v.get(c)
+        if not x:
+            continue
+        pv = pr[c]
+        if x % pv:
+            m1 = abs(pv) // gcd(x, pv)
+            for cc in v:
+                v[cc] *= m1
+            x *= m1
+        m2 = x // pv
+        for cc, vv in pr.items():
+            nv = v.get(cc, 0) - vv * m2
+            if nv:
+                v[cc] = nv
+            else:
+                v.pop(cc, None)
+    return v
+
+
+def entry(m: QMatrix, i: int, j: int):
+    """Entry (i, j) of m, 0 where none is stored."""
+    if not (0 <= i < m.rows and 0 <= j < m.cols):
+        raise IndexError((i, j))
+    return m.entries.get((i, j), 0)
 
 
 def identity(n: int) -> QMatrix:

@@ -51,6 +51,32 @@ def first_pair_dropped(monkeypatch):
                         lambda n, M: real(n, M)[1:])
 
 
+def x_sign_dropped(monkeypatch):
+    """x_{ji} = x_{ij} in d2 at odd n, where it is -x_{ij}."""
+    real = model._sorted_sign
+
+    def sorted_sign(idx, alternating):
+        x = real(idx, alternating)
+        return None if x is None else (1, x[1])
+
+    monkeypatch.setattr(model, "_sorted_sign", sorted_sign)
+
+
+def one_term_negated(monkeypatch):
+    """The x_{0,1} lb_{1,2} term of d2(la_{0,2}) at n = 5 changes sign."""
+    real = model.E2Model._differential
+
+    def differential(self):
+        diff = real(self)
+        if self.n == 5:
+            index = self.gens.index
+            mono = tuple(sorted((index["x_0_1"], index["lb_1_2"])))
+            diff["la_0_2"][mono] = -diff["la_0_2"][mono]
+        return diff
+
+    monkeypatch.setattr(model.E2Model, "_differential", differential)
+
+
 def la0_sign_flipped(monkeypatch):
     real = model.E2Model._differential
 
@@ -106,7 +132,9 @@ MUTANTS = [
     (4, gl_weight_not_zero, "r=1 != 2p+q for A, g=1, W=1, U=1, (p,q)=(0,0)"),
     (5, kernel_cokernel_swapped, "trial 0: "),
     (6, first_pair_dropped, "n=6, M=4"),
-    (7, la0_sign_flipped, "bidegree (0,3) for n=6, g=4"),
+    (7, la0_sign_flipped, "E_01 on la_1_2 for n=5, g=3"),
+    (7, x_sign_dropped, "E_01 on la_1_2 for n=5, g=3"),
+    (7, one_term_negated, "E_01 on la_1_2 for n=5, g=3"),
     (8, top_generator_dropped, "block stage dims"),
     (8, top_tangential_generator_dropped, "tangential stage dims"),
     (9, mt_index_late, "n=7"),

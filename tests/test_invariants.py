@@ -22,7 +22,6 @@ from tautrings.linalg import (
     _eliminate,
     kernel_int_basis,
     rank_of_int_rows,
-    reduce_against,
     subspace_equal,
 )
 from tautrings.partitions import Partition, schur_product_expand
@@ -31,6 +30,7 @@ from oracles import (
     all_pairs,
     column,
     column_rank,
+    reduce_against,
     same_rows_as_previous,
     sigma_word_rank,
     stacked_kernel,
