@@ -44,7 +44,7 @@ from .model import (
     gh_target_dims,
     minimal_M,
 )
-from .partitions import enumerate_partitions, lr_coefficient, schur_dim
+from .partitions import enumerate_partitions, lr_expansion, schur_dim
 from .rings import blockdiff_cohomology, diff_cohomology, mt_cohomology
 
 
@@ -124,24 +124,42 @@ def criterion_2() -> str:
 @criterion(3, "LR combinatorics")
 def criterion_3() -> str:
     """LR symmetries up to size 8 and the four Cauchy dimension identities."""
-    checked = 0
-    by_size = [enumerate_partitions(s) for s in range(0, 9)]
-    for s, kappas in enumerate(by_size):
-        for a in range(0, s + 1):
-            for lam, mu, kappa in itertools.product(
-                    by_size[a], by_size[s - a], kappas):
-                c = lr_coefficient(lam, mu, kappa)
-                if c != lr_coefficient(mu, lam, kappa):
-                    raise OracleMismatch(
-                        f"symmetry fails at {lam},{mu},{kappa}")
-                if c != lr_coefficient(lam.conjugate(), mu.conjugate(),
-                                       kappa.conjugate()):
-                    raise OracleMismatch(
-                        f"conjugation fails at {lam},{mu},{kappa}")
-                checked += 1
+    checked = lr_symmetries(8)
     cauchy_sweep(3, 3, 6)
     return (f"{checked} LR triples and Cauchy identities "
             f"to dims 3, degree 6")
+
+
+def lr_symmetries(max_size: int) -> int:
+    """c^kappa_{lam mu} = c^kappa_{mu lam} = c^kappa'_{lam' mu'} for every
+    triple with |kappa| = |lam| + |mu| <= max_size, checked on whole
+    expansions, one (lam, mu) pair at a time; returns the number of
+    triples.  At the first pair that fails, names the first kappa, in
+    enumerate_partitions order, at which either identity fails."""
+    checked = 0
+    by_size = [enumerate_partitions(s) for s in range(max_size + 1)]
+    for s, kappas in enumerate(by_size):
+        conj = {k.parts: k.conjugate().parts for k in kappas}
+        for a in range(s + 1):
+            for lam, mu in itertools.product(by_size[a], by_size[s - a]):
+                e = lr_expansion(lam, mu)
+                swapped = lr_expansion(mu, lam)
+                dual = lr_expansion(lam.conjugate(), mu.conjugate())
+                if e != swapped or e != {conj[k]: c for k, c in dual.items()}:
+                    _first_lr_failure(lam, mu, kappas, e, swapped, dual)
+                checked += len(kappas)
+    return checked
+
+
+def _first_lr_failure(lam, mu, kappas, e, swapped, dual) -> None:
+    """Raise at the first kappa where lam * mu differs from mu * lam or
+    from the conjugate of lam' * mu'."""
+    for kappa in kappas:
+        c = e.get(kappa.parts, 0)
+        if c != swapped.get(kappa.parts, 0):
+            raise OracleMismatch(f"symmetry fails at {lam},{mu},{kappa}")
+        if c != dual.get(kappa.conjugate().parts, 0):
+            raise OracleMismatch(f"conjugation fails at {lam},{mu},{kappa}")
 
 
 def cauchy_sweep(max_v: int, max_w: int, maxdeg: int) -> None:

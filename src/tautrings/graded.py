@@ -475,22 +475,25 @@ class BigradedDGA:
 
         Raises ValueError, before any cell is built, if the cells hold more
         than BASIS_CAP monomials in all, and DgaError if d^2 != 0.  The
-        bigraded series then gives each cell's size, and only the nonempty
-        cells are enumerated, in increasing p.  d is ranked on the
-        monomials of a cell that are not pivots of the elimination of d
-        into it: the pivot rows complete them to a basis of the cell, and
-        d^2 = 0 kills the pivot rows (README, "How cohomology plans its
-        cells").
+        bigraded series then gives each cell's size.  d has bidegree
+        (2, -1), so it is zero on a cell with q = 0 or an empty target
+        (p + 2, q - 1): such a cell has rank 0 and no pivots, and is not
+        enumerated.  The other nonempty cells are enumerated in increasing
+        p, and d is ranked on the monomials of a cell that are not pivots
+        of the elimination of d into it: the pivot rows complete them to a
+        basis of the cell, and d^2 = 0 kills the pivot rows (README, "How
+        cohomology plans its cells").
         """
         check_basis_cap(self.gens, maxtotal)
         self.check_d_squared_on_generators(maxtotal)
-        sizes = fgca_bidims(self.gens, maxtotal)
+        # through maxtotal + 1, the totals d maps the cells into
+        sizes = fgca_bidims(self.gens, maxtotal + 1)
         ranks: dict = {}
         incoming: dict = {}   # cell -> pivot monomials of d into it
         for p in range(maxtotal + 1):
             for q in range(maxtotal + 1 - p):
                 pivots = incoming.pop((p, q), ())
-                if sizes[p][q]:
+                if sizes[p][q] and q and sizes[p + 2][q - 1]:
                     basis = [m for m in self.gens.monomials_bidegree(p, q)
                              if m not in pivots]
                     ranks[(p, q)], incoming[(p + 2, q - 1)] = (

@@ -18,10 +18,11 @@ of K have a formula of their own.
 The trigraded counts and the second-page oracle build each cell's
 weight-restricted basis with the join in invariants.  A trigraded cell is
 joined and counted one label-content block at a time, with one block for
-each content up to permuting the W and the U labels.  CELL_CAP bounds
-the elements the blocks of a trigraded cell restrict, and the factor
-elements of each second-page cell; the oracle's cap admits every n <= 11
-at g = n - 2 and n - 1.
+each content up to permuting the W and the U labels, and each distinct
+block is counted once per process.  CELL_CAP bounds the elements the
+blocks of a trigraded cell restrict, and the factor elements of each
+second-page cell; the oracle's cap admits every n <= 11 at g = n - 2 and
+n - 1.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 
 from .graded import (
     BigradedDGA,
@@ -100,16 +101,22 @@ def k_single_generators(n: int, M: int) -> list[tuple[str, int]]:
     return [(f"k{m}", d) for m, d in vwu_degrees(n, M)[0].items()]
 
 
-def k_pair_generators(n: int, M: int) -> list[tuple[str, int]]:
+def k_pair_generators(n: int, M: int,
+                      maxdeg: int | None = None) -> list[tuple[str, int]]:
     """Pair generators k_{m0,m1}: m0 <= m1 <= M, 4m0 >= n+1, with degree
     4(m0+m1) - 2n - 1 > 1, the defining condition of K; the degree-1 pair
-    that exists when n = 3 (mod 4) is not one."""
+    that exists when n = 3 (mod 4) is not one.  With maxdeg, only the
+    pairs of degree <= maxdeg: the degree grows with m0 and with m1, so
+    each loop stops at the bound."""
+    top = math.inf if maxdeg is None else maxdeg
     out = []
-    for m0 in range(1, M + 1):
-        if 4 * m0 < n + 1:
-            continue
+    for m0 in range(-(-(n + 1) // 4), M + 1):
+        if 8 * m0 - 2 * n - 1 > top:
+            break
         for m1 in range(m0, M + 1):
             deg = 4 * (m0 + m1) - 2 * n - 1
+            if deg > top:
+                break
             if deg > 1:
                 out.append((f"k{m0}_{m1}", deg))
     return out
@@ -264,16 +271,40 @@ def _ac_weight(g: int, p: int, q: int, r: int, group: str) -> int | None:
 
 def _sorted_contents(size: int, labels: int, most: int):
     """The partitions of size into at most `labels` parts, each at most
-    `most`, as decreasing (part, count) runs; the bounds on part and count
-    leave the rest a partition to fill, so no branch dies."""
-    if size == 0:
-        yield ()
+    `most`, as decreasing (part, count) runs, largest part first and, for
+    a part, largest count first.  The bounds on part and count leave the
+    rest a partition to fill, so no branch dies: the walk keeps the runs
+    chosen so far on a stack, fills the rest greedily, and then moves the
+    last run that has a next choice to it."""
+    if size > labels * most:
         return
-    for v in range(min(size, most), -(-size // labels) - 1, -1):
-        for c in range(min(size // v, labels),
-                       max(1, size - labels * (v - 1)) - 1, -1):
-            for rest in _sorted_contents(size - c * v, labels - c, v - 1):
-                yield ((v, c),) + rest
+    runs = []   # the (part, count) runs chosen so far
+    before = []   # the size and labels left before each run
+    left, free, top = size, labels, most
+    while True:
+        while left:
+            v = min(left, top)
+            c = min(left // v, free)
+            runs.append((v, c))
+            before.append((left, free))
+            left, free, top = left - c * v, free - c, v - 1
+        yield tuple(runs)
+        while runs:
+            v, c = runs.pop()
+            left, free = before[-1]
+            if c > max(1, left - free * (v - 1)):
+                c -= 1
+            elif v > -(-left // free):
+                v -= 1
+                c = min(left // v, free)
+            else:
+                before.pop()
+                continue
+            runs.append((v, c))
+            left, free, top = left - c * v, free - c, v - 1
+            break
+        else:
+            return
 
 
 def _ac_contents(g: int, labels: int, size: int, exterior: bool):
@@ -283,22 +314,24 @@ def _ac_contents(g: int, labels: int, size: int, exterior: bool):
     (zeros last); and elements is the size of the factor's product on it,
     per label the subsets or the multisets of its g letters."""
     for runs in _sorted_contents(size, labels, g if exterior else size):
-        m, left, parts, n = 1, labels, [], 1
+        m, left, parts, n = 1, labels, (), 1
         for v, c in runs:
             m, left = m * math.comb(left, c), left - c
-            parts += [v] * c
+            parts += (v,) * c
             n *= (math.comb(g, v) if exterior
                   else math.comb(g + v - 1, v)) ** c
         yield m, parts, n
 
 
 def _ac_blocks(spec: ACAlgebraSpec, p: int, q: int, r: int, group: str):
-    """(rearrangements, basis) for each nonempty label-content block of the
+    """(rearrangements, key, basis) for each label-content block of the
     (p, q, r) cell's weight space with both contents sorted decreasingly.
     A block's contents count its y letters of each W label and its z
     letters of each U label; rearrangements is the number of distinct
-    permutations of the two, and basis is in lexicographic order (README,
-    "Why a trigraded cell splits by label content")."""
+    permutations of the two.  key is (variant, g, p, y parts, z parts,
+    level), all that the block's invariant count depends on, and basis()
+    builds the block's basis, possibly empty, in lexicographic order
+    (README, "Why a trigraded cell splits by label content")."""
     g, is_a = spec.g, spec.variant == "A"
     level = _ac_weight(g, p, q, r, group)
     if level is None:
@@ -306,26 +339,36 @@ def _ac_blocks(spec: ACAlgebraSpec, p: int, q: int, r: int, group: str):
     target = (level,) * g
     nx = (g * (g + 1) if is_a else g * (g - 1)) // 2
 
-    def blocks(lo, labels, size, exterior):
-        # per sorted content, with its nonzero parts on the first labels:
-        # its rearrangements and the product over those labels of each
-        # label's multisets or subsets
+    def factor(lo, exterior):
+        # for the nonzero parts of a sorted content, on the first labels:
+        # the product over those labels of each label's multisets or
+        # subsets, built once, when a block first needs it
         choose = (itertools.combinations if exterior
                   else itertools.combinations_with_replacement)
-        return [(m, [tuple(itertools.chain(*ids))
-                     for ids in itertools.product(*(
-                         choose(range(lo + k * g, lo + k * g + g), n)
-                         for k, n in enumerate(parts)))])
-                for m, parts, _ in _ac_contents(g, labels, size, exterior)]
+        return cache(lambda parts: [
+            tuple(itertools.chain(*ids)) for ids in itertools.product(*(
+                choose(range(lo + k * g, lo + k * g + g), n)
+                for k, n in enumerate(parts)))])
 
     xs = list(itertools.combinations_with_replacement(range(nx), p))
-    zs = blocks(nx + g * spec.dimW, spec.dimU, r, is_a)
+    y_factor = factor(nx, not is_a)
+    z_factor = factor(nx + g * spec.dimW, is_a)
     weight = _ac_alphabet(spec).weight
-    for my, ys in blocks(nx, spec.dimW, q, not is_a):
-        for mz, z in zs:
-            basis = _weight_join([xs, ys, z], weight, target)
-            if basis:
-                yield my * mz, basis
+
+    def basis(y_parts, z_parts):
+        return _weight_join([xs, y_factor(y_parts), z_factor(z_parts)],
+                            weight, target)
+
+    zs = [(m, parts) for m, parts, _ in _ac_contents(g, spec.dimU, r, is_a)]
+    for my, y_parts, _ in _ac_contents(g, spec.dimW, q, not is_a):
+        for mz, z_parts in zs:
+            yield (my * mz, (spec.variant, g, p, y_parts, z_parts, level),
+                   partial(basis, y_parts, z_parts))
+
+
+# the invariant count of each label-content block, by its `_ac_blocks`
+# key: ints only, one entry per distinct block a process has counted
+_BLOCK_COUNTS: dict[tuple, int] = {}
 
 
 def ac_invariant_dims_bruteforce(spec: ACAlgebraSpec, p: int, q: int, r: int,
@@ -337,7 +380,8 @@ def ac_invariant_dims_bruteforce(spec: ACAlgebraSpec, p: int, q: int, r: int,
     exterior ones); invariants are the kernel of E_01 on the Weyl-orbit
     sums of the relevant torus-weight subspace, which is the invariant
     subspace by the argument in invariants, summed over `_ac_blocks`.
-    A cell of the wrong weight has none.  A block's basis is the weight
+    A block is counted once per key; later blocks with that key read the
+    count from `_BLOCK_COUNTS`.  A cell of the wrong weight has none.  A block's basis is the weight
     part of the product of its x, y and z factors, so the blocks restrict
     |x| * sum|y| * sum|z| elements in all, at most the whole cell.  The
     sorted contents are listed one at a time, each raising that count by
@@ -368,9 +412,15 @@ def ac_invariant_dims_bruteforce(spec: ACAlgebraSpec, p: int, q: int, r: int,
                 f"least {built} basis elements, over CELL_CAP {CELL_CAP}")
     alphabet = _ac_alphabet(spec)
     total = 0
-    for mult, basis in _ac_blocks(spec, p, q, r, group):
-        orbits, rows = _invariant_system(alphabet, basis)
-        total += mult * (len(orbits) - rank_of_int_rows(rows))
+    for mult, key, basis in _ac_blocks(spec, p, q, r, group):
+        count = _BLOCK_COUNTS.get(key)
+        if count is None:
+            count = 0
+            if elements := basis():
+                orbits, rows = _invariant_system(alphabet, elements)
+                count = len(orbits) - rank_of_int_rows(rows)
+            _BLOCK_COUNTS[key] = count
+        total += mult * count
     return total
 
 

@@ -7,6 +7,7 @@ fixed size) so that downstream fixtures are reproducible.
 Littlewood-Richardson coefficients come from one cached expansion per
 (lam, mu) pair, over every kappa at once: the LR tableaux of content mu
 on lam, built one horizontal strip of equal letters at a time.
+`lr_expansion` reads a whole expansion, `lr_coefficient` one kappa of it.
 """
 
 from __future__ import annotations
@@ -252,7 +253,11 @@ def _lr_count_cached(lam: tuple, mu: tuple) -> dict[tuple, int]:
     return out
 
 
-def _lr_expansion(lam: Partition, mu: Partition) -> dict[tuple, int]:
+def lr_expansion(lam: Partition, mu: Partition) -> dict[tuple, int]:
+    """The product lam * mu over every kappa: c^kappa_{lam mu} by kappa's
+    parts, nonzero coefficients only.  The dict is the cached expansion
+    itself, so callers only read it.  Refused (ValueError) past
+    LR_CELL_CAP cells."""
     n = lam.size + mu.size
     if n > LR_CELL_CAP:
         raise ValueError(
@@ -271,11 +276,11 @@ def lr_coefficient(lam: Partition, mu: Partition, kappa: Partition) -> int:
         return 0
     if not mu.parts:
         return 1
-    return _lr_expansion(lam, mu).get(kappa.parts, 0)
+    return lr_expansion(lam, mu).get(kappa.parts, 0)
 
 
 def schur_product_expand(lam: Partition, mu: Partition) -> dict[Partition, int]:
     """Expand the product of two Schur functors as a multiset of partitions,
     in enumerate_partitions order."""
-    counts = _lr_expansion(lam, mu)
+    counts = lr_expansion(lam, mu)
     return {Partition(k): counts[k] for k in sorted(counts, reverse=True)}

@@ -128,7 +128,7 @@ def _diff_presentation_b(n: int, maxdeg: int) -> tuple[RingPresentation, list[in
 def _diff_presentation_c(n: int, maxdeg: int) -> tuple[RingPresentation, list[int]]:
     """Exterior algebra on the pair generators of K."""
     M = minimal_M(max(n, 5)) + maxdeg  # comfortably beyond any pair in range
-    pairs = [(name, d) for name, d in k_pair_generators(n, M) if d <= maxdeg]
+    pairs = k_pair_generators(n, M, maxdeg)
     dims = fgca_dims(GeneratorSet(pairs), maxdeg)
     pres = RingPresentation(generators=tuple(pairs), relations=(),
                             dims=tuple(dims))
@@ -204,7 +204,7 @@ def blockdiff_cohomology(n: int, maxdeg: int | None = None,
             f"requires 1 <= maxdeg <= {'n-3' if tangential else 'n-4'} "
             f"(got maxdeg={maxdeg}, n={n})")
     M = minimal_M(n) + maxdeg
-    gens = [(name, d) for name, d in k_pair_generators(n, M) if d <= maxdeg]
+    gens = k_pair_generators(n, M, maxdeg)
     if tangential:
         gens += [(name, d) for name, d in k_single_generators(n, M)
                  if d <= maxdeg]

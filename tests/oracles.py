@@ -12,9 +12,15 @@ program had before it expanded each product one strip of letters at a
 time: `cellwise_lr_count` fills the skew shape kappa/lam one cell at a
 time, once for each triple.
 
+Criterion 3 checks the LR symmetries on whole expansions;
+`triplewise_lr_symmetries` is the loop it replaced, two
+`lr_coefficient` comparisons per (lam, mu, kappa) triple.
+
 The trigraded brute force is held to the count it had before it split a
 cell into label-content blocks: `whole_cell_dim` runs the kernel once on
-the cell's whole weight space, `reference_ac_basis`.
+the cell's whole weight space, `reference_ac_basis`.  Its sorted
+contents are held to `recursive_sorted_contents`, the walk with one
+generator per run that the program had before.
 
 The fundamental-theorem check reads rank sigma off sigma's orbit-sum
 coordinates; `sigma_word_rank` eliminates sigma over its words, as the
@@ -43,8 +49,8 @@ from tautrings.invariants import (
     _weight_words,
 )
 from tautrings.linalg import QMatrix, kernel_basis_columns, rank_of_int_rows
-from tautrings.model import _ac_alphabet
-from tautrings.partitions import Partition
+from tautrings.model import OracleMismatch, _ac_alphabet
+from tautrings.partitions import Partition, enumerate_partitions, lr_coefficient
 
 
 def previous_action_rows(alphabet, basis, pairs: list[tuple[int, int]],
@@ -212,6 +218,19 @@ def reference_ac_basis(spec, p, q, r, group):
                 tuple(t - a - b for t, a, b in zip(target, wx, wy)), ())]
 
 
+def recursive_sorted_contents(size: int, labels: int, most: int):
+    """`model._sorted_contents` as a recursion, one generator per run."""
+    if size == 0:
+        yield ()
+        return
+    for v in range(min(size, most), -(-size // labels) - 1, -1):
+        for c in range(min(size // v, labels),
+                       max(1, size - labels * (v - 1)) - 1, -1):
+            for rest in recursive_sorted_contents(size - c * v, labels - c,
+                                                  v - 1):
+                yield ((v, c),) + rest
+
+
 def whole_cell_dim(spec, p, q, r, group) -> int:
     """The invariants of the (p, q, r) cell, counted by the kernel on the
     whole weight space at once."""
@@ -220,6 +239,29 @@ def whole_cell_dim(spec, p, q, r, group) -> int:
         return 0
     orbits, rows = _invariant_system(_ac_alphabet(spec), basis)
     return len(orbits) - rank_of_int_rows(rows)
+
+
+def triplewise_lr_symmetries(max_size: int) -> int:
+    """`acceptance.lr_symmetries` one triple at a time: c^kappa_{lam mu} =
+    c^kappa_{mu lam} = c^kappa'_{lam' mu'} for every triple with |kappa| =
+    |lam| + |mu| <= max_size, in the same order and with the same
+    message at the first failure; returns the number of triples."""
+    checked = 0
+    by_size = [enumerate_partitions(s) for s in range(max_size + 1)]
+    for s, kappas in enumerate(by_size):
+        for a in range(0, s + 1):
+            for lam, mu, kappa in itertools.product(
+                    by_size[a], by_size[s - a], kappas):
+                c = lr_coefficient(lam, mu, kappa)
+                if c != lr_coefficient(mu, lam, kappa):
+                    raise OracleMismatch(
+                        f"symmetry fails at {lam},{mu},{kappa}")
+                if c != lr_coefficient(lam.conjugate(), mu.conjugate(),
+                                       kappa.conjugate()):
+                    raise OracleMismatch(
+                        f"conjugation fails at {lam},{mu},{kappa}")
+                checked += 1
+    return checked
 
 
 def _lr_fillings(kappa: Partition, lam: Partition, mu: Partition) -> int:

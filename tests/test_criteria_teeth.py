@@ -7,11 +7,16 @@ Criterion 2 has no mutant here: it compares GL and SL invariant bases
 built by one kernel routine, and no independent count backs it yet.
 """
 
+from functools import lru_cache
+
 import pytest
 
-from tautrings import acceptance, invariants, model, rings
+from tautrings import acceptance, invariants, model, partitions, rings
 from tautrings.graded import GeneratorSet, fgca_dims
+from tautrings.model import OracleMismatch
 from tautrings.rings import BlockDiffCohomology
+
+from oracles import triplewise_lr_symmetries
 
 
 def sigma_column_dropped(monkeypatch):
@@ -27,6 +32,18 @@ def schur_dim_of_conjugate(monkeypatch):
     # uncached, so that no answer of the mutant outlives the test
     monkeypatch.setattr(acceptance, "_square_identities",
                         acceptance._square_identities.__wrapped__)
+
+
+def strip_without_lattice_rule(monkeypatch):
+    """Every strip is added as if for the first letter, so the expansion
+    counts all semistandard skew fillings, lattice word or not."""
+    real = partitions._add_strip
+    monkeypatch.setattr(partitions, "_add_strip",
+                        lambda shape, prev, m: real(shape, None, m))
+    # a cache of its own, so that no answer of the mutant outlives the
+    # test and no cached true answer hides it
+    monkeypatch.setattr(partitions, "_lr_count_cached", lru_cache(
+        maxsize=None)(partitions._lr_count_cached.__wrapped__))
 
 
 def gl_weight_not_zero(monkeypatch):
@@ -129,6 +146,7 @@ def mt_index_late(monkeypatch):
 MUTANTS = [
     (1, sigma_column_dropped, "m=1, g=1"),
     (3, schur_dim_of_conjugate, "dims (1,1), degree 1"),
+    (3, strip_without_lattice_rule, "conjugation fails at (),(2),(1,1)"),
     (4, gl_weight_not_zero, "r=1 != 2p+q for A, g=1, W=1, U=1, (p,q)=(0,0)"),
     (5, kernel_cokernel_swapped, "trial 0: "),
     (6, first_pair_dropped, "n=6, M=4"),
@@ -149,3 +167,25 @@ def test_criterion_fails_under_mutant(monkeypatch, number, mutate, case):
     assert not result.passed
     assert case in result.detail, result.detail
 
+
+
+def verdict(check, *args):
+    """A check's return value, or the message of its OracleMismatch."""
+    try:
+        return check(*args)
+    except OracleMismatch as exc:
+        return f"FAIL: {exc}"
+
+
+@pytest.mark.parametrize("mutate", [None, strip_without_lattice_rule],
+                         ids=["real", "mutant"])
+def test_lr_leg_matches_triplewise(monkeypatch, mutate):
+    """Criterion 3's LR leg, on whole expansions, gives the triple-wise
+    loop's count or its failure message at every size up to 8."""
+    if mutate:
+        mutate(monkeypatch)
+    verdicts = [verdict(acceptance.lr_symmetries, size) for size in range(9)]
+    assert verdicts == [verdict(triplewise_lr_symmetries, size)
+                        for size in range(9)]
+    assert verdicts[8] == (6830 if mutate is None else
+                           "FAIL: conjugation fails at (),(2),(1,1)")

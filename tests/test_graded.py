@@ -747,13 +747,27 @@ def counting_cell_rank():
         yield seen
 
 
+def koszul_dga(F):
+    """The DGA `koszul_cohomology_dims` builds for the map F: exterior y
+    at (0, 1), polynomial x at (2, 0), d(y_i) column i of F."""
+    gens = GeneratorSet([(f"y{i:03d}", (0, 1)) for i in range(F.cols)]
+                        + [(f"x{j:03d}", (2, 0)) for j in range(F.rows)])
+    diff = {}
+    for (j, i), c in F.entries.items():
+        diff.setdefault(f"y{i:03d}", {})[gens.index[f"x{j:03d}"],] = c
+    return BigradedDGA(gens, diff)
+
+
 def complement_rows(dga, maxtotal):
-    """The sum over nonempty cells of p + q <= maxtotal of size minus the
-    rank of d into the cell, that rank taken on the full basis of the
-    cell d comes from: the rows the complement walk ranks."""
+    """The sum over the cells of p + q <= maxtotal that d can map to a
+    nonzero value, q > 0 and a nonempty target (p + 2, q - 1), of size
+    minus the rank of d into the cell, that rank taken on the full basis
+    of the cell d comes from: the rows the complement walk ranks."""
     gens, total = dga.gens, 0
     for t in range(maxtotal + 1):
         for p in range(t + 1):
+            if p == t or not gens.monomials_bidegree(p + 2, t - p - 1):
+                continue
             size = len(gens.monomials_bidegree(p, t - p))
             if size and p >= 2:
                 source = gens.monomials_bidegree(p - 2, t - p + 1)
@@ -854,8 +868,34 @@ class TestBigradedDGA:
             dims = koszul_cohomology_dims(F, maxdeg)
         rank = F.rank()
         assert dims == kernel_cokernel_dims(cols - rank, rows - rank, maxdeg)
-        dga = seen[0][0]
-        assert sum(n for _, n in seen) == complement_rows(dga, maxdeg)
+        assert sum(n for _, n in seen) == complement_rows(koszul_dga(F),
+                                                          maxdeg)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(0, 7), st.booleans())
+    def test_table_matches_full_bases(self, seed, maxtotal, koszul):
+        """The table, which ranks no cell that d maps to zero by
+        bidegree and no pivot of d into a cell, equals each cell's size
+        less the ranks of d out of it and into it on full bases."""
+        rng = random.Random(seed)
+        if koszul:
+            dga = koszul_dga(random_matrix(rng.randint(0, 4),
+                                           rng.randint(0, 4), rng, lo=-3,
+                                           hi=3))
+        else:
+            dga = random_dga(rng, True)
+        gens = dga.gens
+
+        def rank(p, q):
+            if p < 0:
+                return 0
+            return span_rank([dga.d(mono_elem(m))
+                              for m in gens.monomials_bidegree(p, q)])
+
+        expected = {(p, t - p): len(gens.monomials_bidegree(p, t - p))
+                    - rank(p, t - p) - rank(p - 2, t - p + 1)
+                    for t in range(maxtotal + 1) for p in range(t + 1)}
+        assert dga.cohomology(maxtotal) == expected
 
     def test_cap_refuses_before_any_cell(self, monkeypatch):
         def never(*args):

@@ -43,7 +43,8 @@ def test_kernel_vectors_are_int():
     # the one block of this cell has a kernel whose basis, 1 at its own
     # free columns, holds halves
     spec = ACAlgebraSpec("A", 2, 1, 1)
-    (_, basis), = _ac_blocks(spec, 1, 2, 0, "SL")
+    (_, _, block), = _ac_blocks(spec, 1, 2, 0, "SL")
+    basis = block()
     orbits, rows = _invariant_system(_ac_alphabet(spec), basis)
     columns = kernel_basis_columns(rows, len(orbits))
     assert any(x.denominator > 1 for col in columns for x in col.values())

@@ -7,7 +7,7 @@ import pytest
 from tautrings import invariants, model
 from tautrings.graded import GeneratorSet, fgca_dims
 from tautrings.invariants import _invariant_system, _kernel_vectors
-from tautrings.linalg import QMatrix, subspace_equal
+from tautrings.linalg import QMatrix, rank_of_int_rows, subspace_equal
 from tautrings.model import (
     ACAlgebraSpec,
     E2Model,
@@ -26,6 +26,7 @@ from tautrings.model import (
 
 from oracles import (
     all_pairs,
+    recursive_sorted_contents,
     reference_ac_basis,
     same_rows_as_previous,
     stacked_dim,
@@ -404,9 +405,62 @@ class TestLabelContentBlocks:
         """Sum of rearrangements times block size is the weight space's
         size: no block is lost or counted twice."""
         for cell in self.CELLS:
-            assert sum(mult * len(basis)
-                       for mult, basis in model._ac_blocks(*cell)) == len(
+            assert sum(mult * len(basis())
+                       for mult, _, basis in model._ac_blocks(*cell)) == len(
                 reference_ac_basis(*cell)), cell
+
+    def test_sorted_contents_match_recursion(self):
+        for size in range(13):
+            for labels in range(1, 8):
+                for most in range(1, 14):
+                    assert list(model._sorted_contents(size, labels, most)) == (
+                        list(recursive_sorted_contents(size, labels, most)))
+
+
+class Forgetful(dict):
+    """A block memo that keeps nothing, so every block is counted."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class TestBlockMemo:
+    """A block's invariant count depends only on its memo key: the count
+    memoized from one cell is the count of every block with that key, in
+    every cell, and the memoized cell counts are the unmemoized ones and
+    the whole-cell counts."""
+
+    # criterion 4's cells, every r it asks for, and the invariants
+    # ladder's g = 4 sweeps
+    CELLS = [(ACAlgebraSpec(variant, g, dimW, dimU), p, q, r, "GL")
+             for variant, g, dimW, dimU in itertools.product(
+                 "AC", range(1, 4), (1, 2), (1, 2))
+             for p in range(3) for q in range(5 - 2 * p)
+             for r in range(2 * p + q + 3)] + [
+        (ACAlgebraSpec(variant, 4, 2, 2), p, q, 2 * p + q, "GL")
+        for variant in "AC" for p in range(3) for q in range(5 - 2 * p)]
+
+    def test_memo_matches_every_block_and_cell(self, monkeypatch):
+        memo = {}
+        monkeypatch.setattr(model, "_BLOCK_COUNTS", memo)
+        memoized = [ac_invariant_dims_bruteforce(*cell) for cell in self.CELLS]
+        blocks = 0
+        for cell in self.CELLS:
+            alphabet = model._ac_alphabet(cell[0])
+            for _, key, basis in model._ac_blocks(*cell):
+                blocks += 1
+                elements = basis()
+                want = 0
+                if elements:
+                    orbits, rows = _invariant_system(alphabet, elements)
+                    want = len(orbits) - rank_of_int_rows(rows)
+                # a cell with an empty factor answers 0 before its blocks
+                assert memo.get(key, 0) == want, (cell, key)
+        assert len(memo) < blocks   # some blocks were read, not counted
+        monkeypatch.setattr(model, "_BLOCK_COUNTS", Forgetful())
+        assert memoized == [ac_invariant_dims_bruteforce(*cell)
+                            for cell in self.CELLS]
+        assert memoized == [whole_cell_dim(*cell) for cell in self.CELLS]
 
 
 def reference_e2_basis(e2, p, q):
@@ -421,7 +475,8 @@ def reference_e2_basis(e2, p, q):
 
 @pytest.fixture
 def core_bases(monkeypatch):
-    """Every basis handed to the invariant-kernel core."""
+    """Every basis handed to the invariant-kernel core, with the block
+    memo off, so that every trigraded block reaches the core."""
     seen = []
     real = invariants._orbits
 
@@ -430,6 +485,7 @@ def core_bases(monkeypatch):
         return real(alphabet, seen[-1])
 
     monkeypatch.setattr(invariants, "_orbits", capture)
+    monkeypatch.setattr(model, "_BLOCK_COUNTS", Forgetful())
     return seen
 
 

@@ -97,7 +97,8 @@ class TestDiff:
         assert ("k2_2", 1) not in strict.generators
         pairs = rings.k_pair_generators
         monkeypatch.setattr(rings, "k_pair_generators",
-                            lambda n, M: [("k2_2", 1)] + pairs(n, M))
+                            lambda n, M, maxdeg: [("k2_2", 1)]
+                            + pairs(n, M, maxdeg))
         with pytest.raises(OracleMismatch, match="degree 1"):
             diff_cohomology(7, 4)
 
