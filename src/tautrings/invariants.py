@@ -31,22 +31,28 @@ raising operator, hence (highest weight 0, complete reducibility) by all
 of gl_g.  Rows that are +- an earlier row are dropped.  The stacked
 simple-operator and all-pairs systems stay in the tests as oracles.
 
-The fundamental-theorem check stays in integers and builds no kernel
-basis: the reduced system is eliminated once for the dimension of the
-invariants; one pass over each permutation tensor, an int dict, checks
+`character_dim` counts the invariants of T^{k,l} with no operator: Weyl's
+character formula, in Brauer and Klimyk's form, as a signed sum over the
+permutations of weight-space dimensions (README, "Why containment and a
+count decide the span").  The fundamental-theorem check stays in integers
+and builds no kernel basis: it takes the dimension of the invariants from
+that count; one pass over each permutation tensor, an int dict, checks
 that it is an orbit-sum combination the reduced rows kill and reads its
 orbit-sum coordinates; and those short vectors are eliminated once for
-the rank of the permutation tensors (README, "Why containment and a count
-decide the span").  `invariant_dim` gives the same count for any
-T^{k,l}.  `sigma_matrix` and the invariant bases are QMatrix wrappers
-over int columns, kernel vectors with their denominators dropped.
+the rank of the permutation tensors.  `invariant_dim` counts the kernel
+of the reduced system, the same number, which criterion 2 and the tests
+hold the character count to.  `sigma_matrix` and the invariant bases are
+QMatrix wrappers over int columns, kernel vectors with their denominators
+dropped.
 
 The tensor path refuses, with ValueError, work past two caps, each
 checked before the stage it gates: WORD_CAP on the half-words the join
 lists and on the weight words times g (the join builds each word, the
 orbit walk applies g - 1 swaps to it), counted from the weighed halves
 before any word is built; and ORBIT_CAP on the live orbits, before any
-row is built.
+row is built, where the reduced system is eliminated (`invariant_dim` and
+the bases).  The character count refuses past BLOCK_SEQUENCE_CAP terms,
+counted before it sums them.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add, mul, sub
+from operator import mul, sub
 from typing import NamedTuple
 
 from .graded import apply_derivation, derivation_table
@@ -66,6 +72,8 @@ from .linalg import QMatrix, _eliminate, kernel_int_basis
 # reduced system
 WORD_CAP = 1_000_000
 ORBIT_CAP = 3_000
+# the sequences of permutation blocks the character count sums over
+BLOCK_SEQUENCE_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -92,7 +100,8 @@ class TensorSpaceSpec:
         g^floor((k+l)/2), to count the words of one weight before it
         builds them; refuse those halves past WORD_CAP.  Once g >= 2 and
         2^h > WORD_CAP the first half alone is over, so no large power
-        is taken."""
+        is taken.  Each half-word is weighed as a vector of g entries, so
+        the larger half's g^(h + 1) entries are held to WORD_CAP too."""
         g, n = self.g, self.k + self.l
         h = (n + 1) // 2
         if (g > 1 and h >= WORD_CAP.bit_length()
@@ -100,13 +109,19 @@ class TensorSpaceSpec:
             raise ValueError(
                 f"{self}: the join lists {g}^{h} + {g}^{n - h} half-words, "
                 f"over the cap of {WORD_CAP}")
+        if g ** (h + 1) > WORD_CAP:
+            raise ValueError(
+                f"{self}: the join weighs {g}^{h} half-words of {g} "
+                f"entries each, {g ** (h + 1)}, over the cap of {WORD_CAP}")
 
 
 def _word_index(word: tuple[int, ...], g: int) -> int:
-    # row-major, covariant slots first
+    """Row-major index of a word, covariant slots first.  The word is its
+    indices or its letters of `_tensor_alphabet`: letter pos*g + i has
+    index i."""
     idx = 0
-    for w in word:
-        idx = idx * g + w
+    for a in word:
+        idx = idx * g + a % g
     return idx
 
 
@@ -147,11 +162,12 @@ def _join_weighed(pools, by_weight, target) -> list[tuple[int, ...]]:
     return out
 
 
-def _weight_words(spec: TensorSpaceSpec, alphabet: Alphabet,
+def _weight_words(spec: TensorSpaceSpec, weight,
                   target: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All basis words of T^{k,l} with the given torus weight, in
-    lexicographic order: the join of the first ceil((k + l)/2) slots
-    with the rest, weighed by alphabet, `_tensor_alphabet(spec)`.
+    """All basis words of T^{k,l} with the given weight, as letter tuples
+    of `_tensor_alphabet(spec)` in lexicographic order: the join of the
+    first ceil((k + l)/2) slots with the rest.  weight must be additive
+    over concatenation.
 
     Each half is weighed once: the words are counted from the head's
     weights and the tail's weight groups before the join builds them from
@@ -161,7 +177,6 @@ def _weight_words(spec: TensorSpaceSpec, alphabet: Alphabet,
     k, l, g = spec.k, spec.l, spec.g
     slots = [range(pos * g, pos * g + g) for pos in range(k + l)]
     h = (k + l + 1) // 2
-    weight = alphabet.weight
     head = [(t, weight(t)) for t in itertools.product(*slots[:h])]
     tail = _by_weight(itertools.product(*slots[h:]), weight)
     count = sum(len(tail.get(tuple(map(sub, target, w)), ()))
@@ -170,8 +185,7 @@ def _weight_words(spec: TensorSpaceSpec, alphabet: Alphabet,
         raise ValueError(
             f"{spec}: {count} weight words times g = {g} make "
             f"{count * g}, over the cap of {WORD_CAP}")
-    letters = _join_weighed([head], tail, target)
-    return [tuple(a % g for a in w) for w in letters]
+    return _join_weighed([head], tail, target)
 
 
 class Letter(NamedTuple):
@@ -245,6 +259,13 @@ class Alphabet:
             for i in letter.down:
                 w[i] -= 1
         return tuple(w)
+
+    def reduced_weight(self, elt) -> tuple[int, ...]:
+        """The weight modulo (1, ..., 1), as (w_1 - w_0, ..., w_{g-1} -
+        w_0): 0 exactly at constant weight, and additive like the
+        weight."""
+        w = self.weight(elt)
+        return tuple(c - w[0] for c in w[1:])
 
     def images(self, r: int, s: int) -> list[tuple[tuple[int, int], ...]]:
         """E_rs on each letter, as (coefficient, letter id) terms.
@@ -422,7 +443,8 @@ def _reduced_rows(alphabet: Alphabet, basis, orbits) -> list[dict[int, int]]:
             columns[j] = (o, e)
     rows, seen = [], set()
     for row in _action_rows(alphabet, basis,
-                            [(0, 1)] if alphabet.g > 1 else [], columns):
+                            [(0, 1)] if alphabet.g > 1 and orbits else [],
+                            columns):
         key = tuple(sorted(row.items()))
         if key[0][1] < 0:
             key = tuple((o, -c) for o, c in key)
@@ -447,29 +469,35 @@ def _tensor_alphabet(spec: TensorSpaceSpec) -> Alphabet:
                         for pos in range(k + spec.l) for i in range(g)])
 
 
-def _raising_system(spec: TensorSpaceSpec, group: str):
-    """(words, orbits, rows): the basis words of T^{k,l} of the weight a
-    group invariant must have, in lexicographic order, and
-    `_invariant_system` on them.  The words are held to WORD_CAP before
-    they are built and the live orbits to ORBIT_CAP before any row is."""
+def _weight_orbits(spec: TensorSpaceSpec, group: str):
+    """(alphabet, basis, orbits): the tensor alphabet, the words of
+    T^{k,l} of the weight a group invariant must have, as its letter
+    tuples in lexicographic order, and their live orbits.  GL reads weight
+    0 and SL the weight modulo (1, ..., 1), `Alphabet.reduced_weight`, so
+    a space with no word of such weight has no basis and no orbit.  The
+    words are held to WORD_CAP before they are built."""
     spec.check_guard()
-    k, l, g = spec.k, spec.l, spec.g
     if group not in ("GL", "SL"):
         raise ValueError(f"unknown group {group!r}")
-    # constant weight (c, ..., c), so g must divide k - l; GL needs c = 0,
-    # i.e. every E_{rr} eigenvalue vanishes
-    if (k - l) % g or (group == "GL" and k != l):
-        return [], [], []
     alphabet = _tensor_alphabet(spec)
-    words = _weight_words(spec, alphabet, ((k - l) // g,) * g)
-    offsets = range(0, (k + l) * g, g)
-    basis = [tuple(map(add, offsets, w)) for w in words]
-    orbits = _orbits(alphabet, basis)
+    if group == "GL":
+        weight, target = alphabet.weight, (0,) * spec.g
+    else:
+        weight, target = alphabet.reduced_weight, (0,) * (spec.g - 1)
+    basis = _weight_words(spec, weight, target)
+    return alphabet, basis, _orbits(alphabet, basis)
+
+
+def _raising_system(spec: TensorSpaceSpec, group: str):
+    """(basis, orbits, rows): `_weight_orbits` and the reduced rows on
+    them, for the paths that eliminate the reduced system.  The live
+    orbits are held to ORBIT_CAP before any row is built."""
+    alphabet, basis, orbits = _weight_orbits(spec, group)
     if len(orbits) > ORBIT_CAP:
         raise ValueError(
             f"{spec}: {len(orbits)} live orbits of weight words, over the "
             f"cap of {ORBIT_CAP}")
-    return words, orbits, _reduced_rows(alphabet, basis, orbits)
+    return basis, orbits, _reduced_rows(alphabet, basis, orbits)
 
 
 def invariant_dim(spec: TensorSpaceSpec, group: str) -> int:
@@ -480,9 +508,155 @@ def invariant_dim(spec: TensorSpaceSpec, group: str) -> int:
     return len(orbits) - len(_eliminate(rows)[0])
 
 
+def _block_sequences(g: int, c: int, k: int, l: int):
+    """(e, mu) for each sequence of blocks that the permutations pi of
+    range(g) with weight mu_i = c + pi(i) - i of positive part
+    sum max(0, mu_i) at most k are made of: e is sgn pi times the number
+    of such pi, and mu is sorted over the coordinates the blocks move.
+
+    A block is an interval pi maps onto itself and splits no further,
+    other than a fixed point.  Listing the blocks in order, with the
+    fixed points between them left out, gives a permutation of their
+    total length L; the permutations of range(g) with r such blocks in
+    that order are the comb(g - L + r, r) ways to put g - L fixed points
+    between them, all of one sign and one multiset of weights.  Since
+    sum mu_i = k - l, the negative part is then at most l.  The walk
+    assigns pi(0), pi(1), ... and cuts a branch as soon as either part,
+    with the least negative part the values owed below the position must
+    add, is over; a block ends where every value below the position is
+    taken."""
+    fix_pos = max(c, 0)
+
+    def done(moved, length, blocks):
+        image = dict(moved)
+        seen, cycles = set(), 0
+        for i in image:
+            if i not in seen:
+                cycles += 1
+                while i not in seen:
+                    seen.add(i)
+                    i = image[i]
+        sign = -1 if (len(image) - cycles) % 2 else 1
+        return (sign * math.comb(g - length + blocks, blocks),
+                tuple(sorted(c + v - i for i, v in moved)))
+
+    def settled(i, blocks, pos, neg, moved):
+        # every value below i is taken: stop, with the fixed points put
+        # between the blocks, or start a block at i, moving i up
+        if pos + (g - i) * fix_pos <= k:
+            yield done(moved, i, blocks)
+        if pos + max(0, c + 1) > k or neg + max(0, 1 - c) > l:
+            return
+        for v in range(i + 1, min(g, i - c + k - pos + 1)):
+            mu = c + v - i
+            yield from unsettled(i + 1, blocks + 1, (i,), (v,),
+                                 pos + max(0, mu), neg + max(0, -mu),
+                                 moved + ((i, v),))
+
+    def unsettled(i, blocks, owed, taken, pos, neg, moved):
+        # owed: the values below i not yet taken; taken: those >= i taken
+        if i == g:
+            return
+        low = i - c - (l - neg)
+        for v in [u for u in owed if u >= low] + [
+                u for u in range(i, min(g, i - c + k - pos + 1))
+                if u not in taken]:
+            mu = c + v - i
+            pos2, neg2 = pos + max(0, mu), neg + max(0, -mu)
+            if pos2 > k:
+                continue
+            owed2 = tuple(u for u in owed if u != v)
+            if v != i and i not in taken:
+                owed2 += (i,)
+            taken2 = tuple(t for t in taken if t != i)
+            if v > i:
+                taken2 += (v,)
+            if neg2 + sum(max(0, i + 1 - u - c) for u in owed2) > l:
+                continue
+            moved2 = moved if v == i else moved + ((i, v),)
+            if owed2:
+                yield from unsettled(i + 1, blocks, owed2, taken2, pos2,
+                                     neg2, moved2)
+            else:
+                yield from settled(i + 1, blocks, pos2, neg2, moved2)
+
+    return settled(0, 0, 0, 0, ())
+
+
+def _add_coordinate(counts: dict[int, int], mu: int, before: int,
+                    k: int, l: int) -> dict[int, int]:
+    """counts[K] is the number of word pairs, K covariant letters and
+    K - before contravariant ones, over some coordinates with given
+    weights summing to before; the same with one more coordinate, of
+    weight mu, and K <= k, K - before - mu <= l.  The new coordinate takes
+    a >= max(0, mu) covariant letters and a - mu contravariant ones, in
+    comb(K + a, a) * comb(L + a - mu, a - mu) interleavings."""
+    out: dict[int, int] = {}
+    for K, x in counts.items():
+        L = K - before
+        for a in range(max(0, mu), k - K + 1):
+            b = a - mu
+            if L + b > l:
+                break
+            out[K + a] = (out.get(K + a, 0)
+                          + x * math.comb(K + a, a) * math.comb(L + b, b))
+    return out
+
+
+def character_dim(spec: TensorSpaceSpec, group: str) -> int:
+    """Dimension of the GL_g- or SL_g-invariants of T^{k,l}(Q^g) from
+    Weyl's character formula, with no operator: ints only.
+
+    An invariant spans a copy of det^c, g*c = k - l (c = 0 for GL, and
+    none when g does not divide k - l), and by Brauer and Klimyk it occurs
+    sum_pi sgn(pi) * m(c + pi(i) - i) times, over the permutations pi of
+    range(g), where m(mu) = sum_a multinomial(k; a) * multinomial(l; a -
+    mu) is the dimension of the mu-weight space of T^{k,l}: a counts each
+    index among the covariant slots.  m(mu) is 0 once the positive part of
+    mu is over k, so only the permutations of `_block_sequences` add to
+    the sum, one term per sequence of their blocks.  The sequences are
+    listed before the sum, and refused past BLOCK_SEQUENCE_CAP.  m is
+    symmetric in the coordinates, so the terms are grouped by the sorted
+    weights on the coordinates the blocks move, and each group's m counts
+    the coordinates pi fixes, all of weight c, once for their number
+    (README, "Why containment and a count decide the span")."""
+    k, l, g = spec.k, spec.l, spec.g
+    if group not in ("GL", "SL"):
+        raise ValueError(f"unknown group {group!r}")
+    c, rem = divmod(k - l, g)
+    if rem or (group == "GL" and c):
+        return 0
+    sequences = list(itertools.islice(_block_sequences(g, c, k, l),
+                                      BLOCK_SEQUENCE_CAP + 1))
+    if len(sequences) > BLOCK_SEQUENCE_CAP:
+        raise ValueError(
+            f"{spec}: the character count sums over more than "
+            f"{BLOCK_SEQUENCE_CAP} block sequences, over "
+            f"BLOCK_SEQUENCE_CAP")
+    terms: dict[tuple[int, ...], int] = {}
+    for e, mu in sequences:
+        terms[mu] = terms.get(mu, 0) + e
+    # word-pair counts on the n fixed coordinates, for each n a term has
+    needed = {g - len(mu) for mu in terms}
+    fixed_counts, counts = {}, {0: 1}
+    for n in range(max(needed) + 1):
+        if n in needed:
+            fixed_counts[n] = counts
+        counts = _add_coordinate(counts, c, n * c, k, l)
+    dim = 0
+    for mu, e in terms.items():
+        n = g - len(mu)
+        counts, before = fixed_counts[n], n * c
+        for x in mu:
+            counts = _add_coordinate(counts, x, before, k, l)
+            before += x
+        dim += e * counts.get(k, 0)
+    return dim
+
+
 def _invariant_basis(spec: TensorSpaceSpec, group: str) -> QMatrix:
-    words, orbits, rows = _raising_system(spec, group)
-    index = [_word_index(w, spec.g) for w in words]
+    basis, orbits, rows = _raising_system(spec, group)
+    index = [_word_index(w, spec.g) for w in basis]
     return QMatrix.from_columns(
         spec.dim, [{index[j]: x for j, x in v.items()}
                    for v in _kernel_vectors(orbits, rows)])
@@ -571,19 +745,21 @@ def verify_fundamental_theorems(m: int, g: int) -> FundamentalTheoremReport:
     T^{m,m}(Q^g) and are independent exactly when m <= g.
 
     Every bound is checked before sigma is built: m, the words of weight
-    0 and their live orbits.  The reduced system on the weight-0 words is
-    eliminated once, which gives the dimension of the invariants.  Sigma
-    spans them exactly when the two agree and every column of sigma is a
-    combination of live orbit sums that the reduced rows kill (README,
-    "Why containment and a count decide the span").  Orbit sums have
-    disjoint supports, so rank sigma is the rank of those orbit-sum
-    coordinates; sigma is eliminated over its words only when some column
-    is not an invariant.
+    0 and the permutations of the character count.  The dimension of the
+    invariants is `character_dim`; no system is eliminated for it.  Sigma
+    spans them exactly when every column of sigma is a combination of
+    live orbit sums that the reduced rows kill and rank sigma is that
+    dimension (README, "Why containment and a count decide the span").
+    Orbit sums have disjoint supports, so rank sigma is the rank of those
+    orbit-sum coordinates; sigma is eliminated over its words only when
+    some column is not an invariant.
     """
     _check_sigma_args(m, g)
-    words, orbits, rows = _raising_system(TensorSpaceSpec(m, m, g), "GL")
-    dim = len(orbits) - len(_eliminate(rows)[0])
-    orbits = [[(_word_index(words[j], g), e) for j, e in orbit]
+    spec = TensorSpaceSpec(m, m, g)
+    alphabet, basis, orbits = _weight_orbits(spec, "GL")
+    dim = character_dim(spec, "GL")
+    rows = _reduced_rows(alphabet, basis, orbits)
+    orbits = [[(_word_index(basis[j], g), e) for j, e in orbit]
               for orbit in orbits]
     orbit_of = {idx: (o, e)
                 for o, orbit in enumerate(orbits) for idx, e in orbit}

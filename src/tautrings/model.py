@@ -308,19 +308,29 @@ def _sorted_contents(size: int, labels: int, most: int):
 
 
 def _ac_contents(g: int, labels: int, size: int, exterior: bool):
-    """(rearrangements, parts, elements) for each sorted content of one
-    factor: parts lists its nonzero label sizes, decreasing;
-    rearrangements is the multinomial of the counts of each part value
-    (zeros last); and elements is the size of the factor's product on it,
-    per label the subsets or the multisets of its g letters."""
+    """(rearrangements, parts) for each sorted content of one factor:
+    parts lists its nonzero label sizes, decreasing; rearrangements is
+    the multinomial of the counts of each part value (zeros last)."""
     for runs in _sorted_contents(size, labels, g if exterior else size):
-        m, left, parts, n = 1, labels, (), 1
+        m, left, parts = 1, labels, ()
         for v, c in runs:
             m, left = m * math.comb(left, c), left - c
             parts += (v,) * c
-            n *= (math.comb(g, v) if exterior
-                  else math.comb(g + v - 1, v)) ** c
-        yield m, parts, n
+        yield m, parts
+
+
+def _ac_elements(g: int, labels: int, size: int, exterior: bool):
+    """The size of one factor's product on each sorted content, in the
+    order of `_ac_contents`: per label the subsets or the multisets of
+    its g letters."""
+    most = g if exterior else size
+    per_label = [math.comb(g, v) if exterior else math.comb(g + v - 1, v)
+                 for v in range(most + 1)]
+    for runs in _sorted_contents(size, labels, most):
+        n = 1
+        for v, c in runs:
+            n *= per_label[v] ** c
+        yield n
 
 
 def _ac_blocks(spec: ACAlgebraSpec, p: int, q: int, r: int, group: str):
@@ -359,8 +369,8 @@ def _ac_blocks(spec: ACAlgebraSpec, p: int, q: int, r: int, group: str):
         return _weight_join([xs, y_factor(y_parts), z_factor(z_parts)],
                             weight, target)
 
-    zs = [(m, parts) for m, parts, _ in _ac_contents(g, spec.dimU, r, is_a)]
-    for my, y_parts, _ in _ac_contents(g, spec.dimW, q, not is_a):
+    zs = list(_ac_contents(g, spec.dimU, r, is_a))
+    for my, y_parts in _ac_contents(g, spec.dimW, q, not is_a):
         for mz, z_parts in zs:
             yield (my * mz, (spec.variant, g, p, y_parts, z_parts, level),
                    partial(basis, y_parts, z_parts))
@@ -397,8 +407,8 @@ def ac_invariant_dims_bruteforce(spec: ACAlgebraSpec, p: int, q: int, r: int,
         return 0
     nx = (g * (g + 1) if is_a else g * (g - 1)) // 2
     x_size = math.comb(nx + p - 1, p) if nx else int(p == 0)
-    ys = (n for _, _, n in _ac_contents(g, spec.dimW, q, not is_a))
-    zs = (n for _, _, n in _ac_contents(g, spec.dimU, r, is_a))
+    ys = _ac_elements(g, spec.dimW, q, not is_a)
+    zs = _ac_elements(g, spec.dimU, r, is_a)
     sums = [next(ys, 0), next(zs, 0)]   # sum|y|, sum|z| so far
     if not (x_size and all(sums)):
         return 0
@@ -524,18 +534,14 @@ class E2Model:
         """
         if p % 2:
             return []
-        gens, weight = self.gens, self.alphabet.weight
+        gens = self.gens
         xs = [i for i, gg in enumerate(gens) if gg.p]
         x_part = itertools.combinations_with_replacement(xs, p // 2)
         lam_part = gens.monomials_bidegree(0, q)
-
-        def reduced(elt):
-            w = weight(elt)
-            return tuple(c - w[0] for c in w[1:])
-
         # x and lambda ids interleave in generator order
         basis = sorted(tuple(sorted(elt)) for elt in _weight_join(
-            [x_part, lam_part], reduced, (0,) * (self.g - 1)))
+            [x_part, lam_part], self.alphabet.reduced_weight,
+            (0,) * (self.g - 1)))
         if not basis:
             return []
         orbits, rows = _invariant_system(self.alphabet, basis)

@@ -164,22 +164,22 @@ def stacked_kernel(alphabet, basis, pairs=None):
 
 
 def tensor_cell(spec, group):
-    """(words, letters): the words of T^{k,l}(Q^g) of the weight a GL- or
-    SL-invariant must have, and the same words as letter-id tuples of
-    `invariants._tensor_alphabet(spec)`."""
+    """The words of T^{k,l}(Q^g) of the weight a GL- or SL-invariant must
+    have, as letter-id tuples of `invariants._tensor_alphabet(spec)`:
+    weight 0 for GL, and for SL the constant weight (c, ..., c) with
+    g*c = k - l, none when g does not divide k - l."""
     k, l, g = spec.k, spec.l, spec.g
     if (k - l) % g or (group == "GL" and k != l):
-        return [], []
-    words = _weight_words(spec, _tensor_alphabet(spec), ((k - l) // g,) * g)
-    return words, [tuple(pos * g + i for pos, i in enumerate(w))
-                   for w in words]
+        return []
+    return _weight_words(spec, _tensor_alphabet(spec).weight,
+                         ((k - l) // g,) * g)
 
 
 def stacked_tensor_system(spec, group):
     """(words, rows): the weight words of `tensor_cell` and the stacked
     simple raising operators on their span."""
-    words, letters = tensor_cell(spec, group)
-    return words, stacked_rows(_tensor_alphabet(spec), letters)
+    words = tensor_cell(spec, group)
+    return words, stacked_rows(_tensor_alphabet(spec), words)
 
 
 def sigma_word_rank(m, g) -> int:

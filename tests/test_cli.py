@@ -249,8 +249,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("m,g,bound", [
         ("6", "5", "T^{6,6}(Q^5): 2241225 weight words times g = 5 make "
                    "11206125, over the cap of 1000000"),
-        ("6", "3", "T^{6,6}(Q^3): 5862 live orbits of weight words, over "
-                   "the cap of 3000"),
+        ("5", "6", "T^{5,5}(Q^6): 384156 weight words times g = 6 make "
+                   "2304936, over the cap of 1000000"),
         ("7", "1", "m > 6 rejected"),
     ])
     def test_fft_bounds_before_sigma(self, capsys, monkeypatch, m, g, bound):

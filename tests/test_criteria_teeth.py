@@ -1,10 +1,7 @@
-"""Each acceptance criterion except criterion 2 fails under a plausible bug
-in a routine it checks: a criterion that passes when the program is wrong
-is no evidence.  Each mutant is monkeypatched in for one test, and the
-FAIL detail must name the failing case.
-
-Criterion 2 has no mutant here: it compares GL and SL invariant bases
-built by one kernel routine, and no independent count backs it yet.
+"""Each acceptance criterion fails under a plausible bug in a routine it
+checks: a criterion that passes when the program is wrong is no evidence.
+Each mutant is monkeypatched in for one test, and the FAIL detail must
+name the failing case.
 """
 
 from functools import lru_cache
@@ -23,6 +20,18 @@ def sigma_column_dropped(monkeypatch):
     real = invariants._sigma_columns
     monkeypatch.setattr(invariants, "_sigma_columns",
                         lambda m, g: real(m, g)[:-1])
+
+
+def sl_empty_off_balance(monkeypatch):
+    """SL, like GL, finds no invariant when k != l."""
+    real = invariants._raising_system
+
+    def raising_system(spec, group):
+        if group == "SL" and spec.k != spec.l:
+            return [], [], []
+        return real(spec, group)
+
+    monkeypatch.setattr(invariants, "_raising_system", raising_system)
 
 
 def schur_dim_of_conjugate(monkeypatch):
@@ -145,6 +154,8 @@ def mt_index_late(monkeypatch):
 # (criterion, mutant, text naming the first failing case)
 MUTANTS = [
     (1, sigma_column_dropped, "m=1, g=1"),
+    (2, sl_empty_off_balance,
+     "SL-invariants: kernel 0 != character 1 at k=0, l=1, g=1"),
     (3, schur_dim_of_conjugate, "dims (1,1), degree 1"),
     (3, strip_without_lattice_rule, "conjugation fails at (),(2),(1,1)"),
     (4, gl_weight_not_zero, "r=1 != 2p+q for A, g=1, W=1, U=1, (p,q)=(0,0)"),

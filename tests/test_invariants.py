@@ -11,6 +11,7 @@ from tautrings.invariants import (
     _tensor_alphabet,
     _weight_words,
     _word_index,
+    character_dim,
     gl_invariant_basis,
     invariant_dim,
     sigma_matrix,
@@ -75,6 +76,16 @@ class TestCaps:
                 r"the join lists 10\^50000 \+ 10\^50000 half-words")):
             invariant_dim(TensorSpaceSpec(50000, 50000, 10), "SL")
 
+    def test_weights_before_weighing(self, monkeypatch):
+        """T^{1,0}(Q^1001) has no invariant, but its join would weigh
+        1 001 half-words of 1 001 entries each."""
+        monkeypatch.setattr(invariants, "_tensor_alphabet", self.never)
+        with pytest.raises(ValueError, match=(
+                r"T\^\{1,0\}\(Q\^1001\): the join weighs 1001\^1 "
+                r"half-words of 1001 entries each, 1002001, over the cap "
+                r"of 1000000")):
+            invariant_dim(TensorSpaceSpec(1, 0, 1001), "GL")
+
     def test_words_before_join(self, monkeypatch):
         monkeypatch.setattr(invariants, "_join_weighed", self.never)
         with pytest.raises(ValueError, match=(
@@ -88,12 +99,24 @@ class TestCaps:
                 r"6435 live orbits of weight words, over the cap of 3000")):
             invariant_dim(TensorSpaceSpec(16, 0, 2), "SL")
 
+    def test_block_sequences_before_sum(self, monkeypatch):
+        """The character count lists its block sequences, and refuses
+        past the cap before it counts a weight space."""
+        monkeypatch.setattr(invariants, "_add_coordinate", self.never)
+        with pytest.raises(ValueError, match=(
+                r"T\^\{8,8\}\(Q\^100\): the character count sums over "
+                r"more than 10000 block sequences, over BLOCK_SEQUENCE_CAP")):
+            character_dim(TensorSpaceSpec(8, 8, 100), "GL")
+
     @pytest.mark.slow
     def test_largest_admitted(self):
         """The word count of T^{4,4}(Q^8), 66 424 words times 8, and the
-        orbit count of T^{7,4}(Q^3), 2 121, are under the caps."""
-        assert invariant_dim(TensorSpaceSpec(4, 4, 8), "GL") == 24
-        assert invariant_dim(TensorSpaceSpec(7, 4, 3), "SL") == 225
+        orbit count of T^{7,4}(Q^3), 2 121, are under the caps; the
+        character count agrees on both."""
+        for spec, group, want in [(TensorSpaceSpec(4, 4, 8), "GL", 24),
+                                  (TensorSpaceSpec(7, 4, 3), "SL", 225)]:
+            assert invariant_dim(spec, group) == want
+            assert character_dim(spec, group) == want
 
 
 class TestGLInvariants:
@@ -228,13 +251,14 @@ class TestFundamentalTheorems:
         rep = verify_fundamental_theorems(1, 1)
         assert (rep.rank, rep.surjective, rep.injective) == (1, True, True)
 
-    @pytest.mark.parametrize("tamper", ["drop", "swap", "shift", "unsym",
+    @pytest.mark.parametrize("tamper", ["count", "swap", "shift", "unsym",
                                         "partial", "unkilled"])
     def test_wrong_invariant_basis_not_surjective(self, monkeypatch, tamper):
         """Each tampering at (3, 3) keeps rank sigma = 6 and breaks one
-        part of the check.  drop: without the orbit symmetrization every
-        word is its own orbit, and E_01 alone leaves a kernel larger than
-        the invariants, which sigma still lies in, so only the count fails.
+        part of the check.  count: the dimension is the kernel count with
+        the orbit symmetrization dropped, where every word is its own
+        orbit and E_01 alone leaves a kernel larger than the invariants,
+        which sigma still lies in, so only the count fails.
         The other modes replace the last permutation tensor; the six
         columns stay independent (at (3, 2) the rank would change instead)
         and only the containment fails.  swap: e_0^(x3) (x) e_0*^(x3), of
@@ -246,10 +270,14 @@ class TestFundamentalTheorems:
         unkilled: the sum of e_i^(x3) (x) e_i*^(x3) over i, S_3-fixed but
         not killed by E_01."""
         spec = TensorSpaceSpec(3, 3, 3)
-        if tamper == "drop":
-            monkeypatch.setattr(invariants, "_orbits", lambda alphabet, basis:
-                                [[(j, 1)] for j in range(len(basis))])
-            assert invariant_dim(spec, "GL") > 6
+        if tamper == "count":
+            with monkeypatch.context() as patch:
+                patch.setattr(invariants, "_orbits", lambda alphabet, basis:
+                              [[(j, 1)] for j in range(len(basis))])
+                dim = invariant_dim(spec, "GL")
+            assert dim > 6
+            monkeypatch.setattr(invariants, "character_dim",
+                                lambda spec, group: dim)
         else:
             real_sigma = invariants._sigma_columns
             # the word (i, i, i; i, i, i) has index i * (3^6 - 1) / 2
@@ -339,9 +367,34 @@ class TestFundamentalTheorems:
     @pytest.mark.parametrize("m,g,want", [(4, 5, (24, True, True)),
                                           (5, 4, (119, True, False)),
                                           (5, 5, (120, True, True))])
-    def test_past_the_former_cap(self, m, g, want):
+    def test_past_the_former_cap(self, monkeypatch, m, g, want):
+        """The answers past the cap on the whole tensor space, and the
+        reduced-system count as the oracle of the dimension the check
+        takes from `character_dim`: the system the check builds for
+        containment, eliminated, leaves that many orbit sums."""
+        real, systems = invariants._reduced_rows, []
+
+        def reduced_rows(alphabet, basis, orbits):
+            rows = real(alphabet, basis, orbits)
+            systems.append((len(orbits), rows))
+            return rows
+
+        monkeypatch.setattr(invariants, "_reduced_rows", reduced_rows)
         rep = verify_fundamental_theorems(m, g)
         assert (rep.rank, rep.surjective, rep.injective) == want
+        [(orbits, rows)] = systems
+        assert orbits - rank_of_int_rows(rows) == want[0] == character_dim(
+            TensorSpaceSpec(m, m, g), "GL")
+
+    @pytest.mark.slow
+    def test_past_the_orbit_cap(self):
+        """(6, 3) has 5 862 live orbits, over ORBIT_CAP, which holds only
+        the paths that eliminate the reduced system; the check takes its
+        dimension from the character count instead."""
+        rep = verify_fundamental_theorems(6, 3)
+        assert (rep.rank, rep.surjective, rep.injective) == (513, True, False)
+        with pytest.raises(ValueError, match="5862 live orbits"):
+            invariant_dim(TensorSpaceSpec(6, 6, 3), "GL")
 
     @pytest.mark.slow
     def test_matches_kernel_reduction_check_5_3(self):
@@ -378,17 +431,19 @@ def _weight(word, k, g):
 
 class TestWeightWords:
     def test_matches_filtered_product(self):
-        """Direct enumeration = all g^(k+l) words filtered by weight."""
+        """Direct enumeration = all g^(k+l) words filtered by weight, as
+        letter tuples: slot pos with index i is letter pos*g + i."""
         for spec in SMALL_SPECS:
             k, g = spec.k, spec.g
-            alphabet = _tensor_alphabet(spec)
+            weight = _tensor_alphabet(spec).weight
             by_weight = {}
             for word in itertools.product(range(g), repeat=k + spec.l):
-                by_weight.setdefault(_weight(word, k, g), []).append(word)
+                by_weight.setdefault(_weight(word, k, g), []).append(
+                    tuple(pos * g + i for pos, i in enumerate(word)))
             for wt, words in by_weight.items():
-                assert _weight_words(spec, alphabet, wt) == words
+                assert _weight_words(spec, weight, wt) == words
             for wt in [(0,) * g, (1,) * g, (-1,) * g, (spec.k + 1,) + (0,) * (g - 1)]:
-                assert _weight_words(spec, alphabet, wt) == by_weight.get(wt, [])
+                assert _weight_words(spec, weight, wt) == by_weight.get(wt, [])
 
 
 def _basis_over_words(spec, words, vectors) -> QMatrix:
@@ -408,11 +463,11 @@ class TestRaisingOperators:
             g = spec.g
             basis = (gl_invariant_basis if group == "GL"
                      else sl_invariant_basis)(spec)
-            words, letters = tensor_cell(spec, group)
+            words = tensor_cell(spec, group)
             if not words:
                 assert basis.cols == 0
                 continue
-            rows = stacked_rows(_tensor_alphabet(spec), letters, all_pairs(g))
+            rows = stacked_rows(_tensor_alphabet(spec), words, all_pairs(g))
             assert basis.cols == len(words) - rank_of_int_rows(rows)
             position = {_word_index(w, g): j for j, w in enumerate(words)}
             columns = [{} for _ in range(basis.cols)]
@@ -427,9 +482,9 @@ class TestRaisingOperators:
         """Equal dimensions and equal spans against the stacked system,
         on every small space and T^{4,4}(Q^3)."""
         for spec in SMALL_SPECS:
-            words, letters = tensor_cell(spec, group)
+            words = tensor_cell(spec, group)
             want = _basis_over_words(
-                spec, words, stacked_kernel(_tensor_alphabet(spec), letters))
+                spec, words, stacked_kernel(_tensor_alphabet(spec), words))
             got = (gl_invariant_basis if group == "GL"
                    else sl_invariant_basis)(spec)
             assert invariant_dim(spec, group) == got.cols == want.cols, spec
@@ -445,8 +500,8 @@ class TestSharedDerivationKernel:
     @pytest.mark.parametrize("group", ["GL", "SL"])
     def test_tensor_rows_match_previous(self, group):
         for spec in SMALL_SPECS:
-            _, letters = tensor_cell(spec, group)
-            assert same_rows_as_previous(_tensor_alphabet(spec), letters), spec
+            words = tensor_cell(spec, group)
+            assert same_rows_as_previous(_tensor_alphabet(spec), words), spec
 
 
 class TestOrbits:
@@ -484,6 +539,75 @@ class TestOrbits:
         basis = [(k, g + k) for k in range(g)]
         assert invariants._orbits(Alphabet(g, letters), basis) == [
             [(k, 1) for k in range(g)]]
+
+
+def _weight_space_dim(spec, mu):
+    """m(mu): the number of words of T^{k,l}(Q^g) of weight mu, summed
+    over the covariant index counts a as multinomial(k; a) *
+    multinomial(l; a - mu)."""
+    k, l, g = spec.k, spec.l, spec.g
+    total = 0
+    for a in itertools.product(range(k + 1), repeat=g):
+        b = [x - y for x, y in zip(a, mu)]
+        if sum(a) == k and min(b) >= 0:
+            total += (math.factorial(k) // math.prod(map(math.factorial, a))
+                      * math.factorial(l)
+                      // math.prod(map(math.factorial, b)))
+    return total
+
+
+def _full_character_sum(spec, group):
+    """The Brauer-Klimyk sum over all of S_g, with no displacement bound
+    and no grouping of terms."""
+    k, l, g = spec.k, spec.l, spec.g
+    c, rem = divmod(k - l, g)
+    if rem or (group == "GL" and c):
+        return 0
+    total = 0
+    for perm in itertools.permutations(range(g)):
+        sign = -1 if sum(perm[a] > perm[b] for a, b in
+                         itertools.combinations(range(g), 2)) % 2 else 1
+        total += sign * _weight_space_dim(
+            spec, [c + perm[i] - i for i in range(g)])
+    return total
+
+
+class TestCharacterDim:
+    """The character count against the kernel count and against the sum
+    it prunes."""
+
+    @pytest.mark.parametrize("group", ["GL", "SL"])
+    def test_matches_kernel_count(self, group):
+        """Every T^{k,l}(Q^g) with g <= 4 and k, l <= 5; the caps admit
+        them all."""
+        for g in range(1, 5):
+            for k in range(6):
+                for l in range(6):
+                    spec = TensorSpaceSpec(k, l, g)
+                    assert character_dim(spec, group) == invariant_dim(
+                        spec, group), spec
+
+    @pytest.mark.parametrize("group", ["GL", "SL"])
+    def test_matches_full_sum(self, group):
+        for g in range(1, 5):
+            for k in range(4):
+                for l in range(4):
+                    spec = TensorSpaceSpec(k, l, g)
+                    assert character_dim(spec, group) == _full_character_sum(
+                        spec, group), spec
+
+    def test_block_sequences(self):
+        """At T^{1,1}(Q^1000) the identity and the 999 adjacent
+        transpositions have positive displacement at most 1: the latter
+        are one block put among 998 fixed points in 999 ways.  The count
+        is g - (g - 1)."""
+        assert list(invariants._block_sequences(1000, 0, 1, 1)) == [
+            (1, ()), (-999, (-1, 1))]
+        assert character_dim(TensorSpaceSpec(1, 1, 1000), "GL") == 1
+
+    def test_rejects_unknown_group(self):
+        with pytest.raises(ValueError, match="unknown group"):
+            character_dim(TensorSpaceSpec(1, 1, 2), "SO")
 
 
 class TestInvariantDim:
@@ -538,6 +662,15 @@ class TestSchurWeylCount:
         want = sum(_hook_length_count(lam) ** 2 for lam in _partitions(m)
                    if len(lam) <= g)
         assert gl_invariant_basis(TensorSpaceSpec(m, m, g)).cols == want
+
+    def test_character_dim(self):
+        """The character count where no kernel is eliminated: up to
+        (8, 2), (7, 3) and (6, 4)."""
+        for m in range(1, 9):
+            for g in range(1, 5):
+                want = sum(_hook_length_count(lam) ** 2
+                           for lam in _partitions(m) if len(lam) <= g)
+                assert character_dim(TensorSpaceSpec(m, m, g), "GL") == want
 
     def test_hook_lengths(self):
         assert [_hook_length_count(lam) for lam in _partitions(4)] == \
