@@ -174,15 +174,26 @@ def _cmd_fft_check(args) -> dict:
     }
 
 
+def _int_list(option: str, text: str) -> list[int]:
+    """The comma-separated ints of an option's value."""
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError:
+        raise ValueError(
+            f"{option} wants comma-separated ints, got {text!r}") from None
+
+
 def _cmd_cauchy_check(args) -> dict:
-    dims = [int(t) for t in args.dims.split(",")]
+    dims = _int_list("--dims", args.dims)
     if len(dims) != 2 or min(dims) < 1:
         raise ValueError(f"--dims wants two positive ints, got {args.dims!r}")
+    if args.maxdeg < 0:
+        raise ValueError(f"requires maxdeg >= 0 (got {args.maxdeg})")
     try:   # the largest degree lists the partitions of 2 * maxdeg
-        check_partition_cap(max(0, 2 * args.maxdeg))
+        check_partition_cap(2 * args.maxdeg)
     except ValueError as exc:
         raise ValueError(f"--maxdeg {args.maxdeg}: {exc}") from None
-    checks = dims[0] * dims[1] * max(0, args.maxdeg + 1)
+    checks = dims[0] * dims[1] * (args.maxdeg + 1)
     if checks > CAUCHY_CAP:
         raise ValueError(
             f"--dims {args.dims} --maxdeg {args.maxdeg}: {checks} identity "
@@ -344,7 +355,7 @@ def _cmd_cohomology(args) -> dict:
 
 def _cmd_lambda(args) -> dict:
     params = _params_from_args(args)
-    ms = [int(t) for t in args.ms.split(",")]
+    ms = _int_list("--ms", args.ms)
     expr = lambda_relations(params, ms)
     return {
         "inputs": {"n": params.n, "g": params.g, "M": params.M, "ms": ms},

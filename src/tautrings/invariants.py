@@ -31,19 +31,19 @@ raising operator, hence (highest weight 0, complete reducibility) by all
 of gl_g.  Rows that are +- an earlier row are dropped.  The stacked
 simple-operator and all-pairs systems stay in the tests as oracles.
 
-`character_dim` counts the invariants of T^{k,l} with no operator: Weyl's
-character formula, in Brauer and Klimyk's form, as a signed sum over the
-permutations of weight-space dimensions (README, "Why containment and a
-count decide the span").  The fundamental-theorem check stays in integers
-and builds no kernel basis: it takes the dimension of the invariants from
-that count; one pass over each permutation tensor, an int dict, checks
-that it is an orbit-sum combination the reduced rows kill and reads its
-orbit-sum coordinates; and those short vectors are eliminated once for
-the rank of the permutation tensors.  `invariant_dim` counts the kernel
-of the reduced system, the same number, which criterion 2 and the tests
-hold the character count to.  `sigma_matrix` and the invariant bases are
-QMatrix wrappers over int columns, kernel vectors with their denominators
-dropped.
+`character_dim` counts the invariants of T^{k,l} with no operator, by
+Schur-Weyl duality: one sum of products of standard-tableau counts over
+the partitions of min(k, l) with at most g rows (README, "Why containment
+and a count decide the span").  The fundamental-theorem check stays in
+integers and builds no kernel basis: it takes the dimension of the
+invariants from that count; one pass over each permutation tensor, an int
+dict, checks that it is an orbit-sum combination the reduced rows kill and
+reads its orbit-sum coordinates; and those short vectors are eliminated
+once for the rank of the permutation tensors.  `invariant_dim` counts the
+kernel of the reduced system, the same number, which criterion 2 and the
+tests hold the tableau count to.  `sigma_matrix` and the invariant bases
+are QMatrix wrappers over int columns, kernel vectors with their
+denominators dropped.
 
 The tensor path refuses, with ValueError, work past two caps, each
 checked before the stage it gates: WORD_CAP on the half-words the join
@@ -51,8 +51,8 @@ lists and on the weight words times g (the join builds each word, the
 orbit walk applies g - 1 swaps to it), counted from the weighed halves
 before any word is built; and ORBIT_CAP on the live orbits, before any
 row is built, where the reduced system is eliminated (`invariant_dim` and
-the bases).  The character count refuses past BLOCK_SEQUENCE_CAP terms,
-counted before it sums them.
+the bases).  The tableau count holds the partitions it sums over to
+partitions.PARTITION_CAP and its shapes to partitions.SCHUR_CELL_CAP.
 """
 
 from __future__ import annotations
@@ -65,6 +65,8 @@ from typing import NamedTuple
 
 from .graded import apply_derivation, derivation_table
 from .linalg import QMatrix, _eliminate, kernel_int_basis
+from .partitions import (SCHUR_CELL_CAP, _hook_product, _partitions_desc,
+                         check_partition_cap)
 
 # caps on what the tensor path builds, each checked before the stage it
 # gates (README, "How the tensor path is capped"): the words the join lists
@@ -72,8 +74,6 @@ from .linalg import QMatrix, _eliminate, kernel_int_basis
 # reduced system
 WORD_CAP = 1_000_000
 ORBIT_CAP = 3_000
-# the sequences of permutation blocks the character count sums over
-BLOCK_SEQUENCE_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -508,150 +508,44 @@ def invariant_dim(spec: TensorSpaceSpec, group: str) -> int:
     return len(orbits) - len(_eliminate(rows)[0])
 
 
-def _block_sequences(g: int, c: int, k: int, l: int):
-    """(e, mu) for each sequence of blocks that the permutations pi of
-    range(g) with weight mu_i = c + pi(i) - i of positive part
-    sum max(0, mu_i) at most k are made of: e is sgn pi times the number
-    of such pi, and mu is sorted over the coordinates the blocks move.
-
-    A block is an interval pi maps onto itself and splits no further,
-    other than a fixed point.  Listing the blocks in order, with the
-    fixed points between them left out, gives a permutation of their
-    total length L; the permutations of range(g) with r such blocks in
-    that order are the comb(g - L + r, r) ways to put g - L fixed points
-    between them, all of one sign and one multiset of weights.  Since
-    sum mu_i = k - l, the negative part is then at most l.  The walk
-    assigns pi(0), pi(1), ... and cuts a branch as soon as either part,
-    with the least negative part the values owed below the position must
-    add, is over; a block ends where every value below the position is
-    taken."""
-    fix_pos = max(c, 0)
-
-    def done(moved, length, blocks):
-        image = dict(moved)
-        seen, cycles = set(), 0
-        for i in image:
-            if i not in seen:
-                cycles += 1
-                while i not in seen:
-                    seen.add(i)
-                    i = image[i]
-        sign = -1 if (len(image) - cycles) % 2 else 1
-        return (sign * math.comb(g - length + blocks, blocks),
-                tuple(sorted(c + v - i for i, v in moved)))
-
-    def settled(i, blocks, pos, neg, moved):
-        # every value below i is taken: stop, with the fixed points put
-        # between the blocks, or start a block at i, moving i up
-        if pos + (g - i) * fix_pos <= k:
-            yield done(moved, i, blocks)
-        if pos + max(0, c + 1) > k or neg + max(0, 1 - c) > l:
-            return
-        for v in range(i + 1, min(g, i - c + k - pos + 1)):
-            mu = c + v - i
-            yield from unsettled(i + 1, blocks + 1, (i,), (v,),
-                                 pos + max(0, mu), neg + max(0, -mu),
-                                 moved + ((i, v),))
-
-    def unsettled(i, blocks, owed, taken, pos, neg, moved):
-        # owed: the values below i not yet taken; taken: those >= i taken
-        if i == g:
-            return
-        low = i - c - (l - neg)
-        for v in [u for u in owed if u >= low] + [
-                u for u in range(i, min(g, i - c + k - pos + 1))
-                if u not in taken]:
-            mu = c + v - i
-            pos2, neg2 = pos + max(0, mu), neg + max(0, -mu)
-            if pos2 > k:
-                continue
-            owed2 = tuple(u for u in owed if u != v)
-            if v != i and i not in taken:
-                owed2 += (i,)
-            taken2 = tuple(t for t in taken if t != i)
-            if v > i:
-                taken2 += (v,)
-            if neg2 + sum(max(0, i + 1 - u - c) for u in owed2) > l:
-                continue
-            moved2 = moved if v == i else moved + ((i, v),)
-            if owed2:
-                yield from unsettled(i + 1, blocks, owed2, taken2, pos2,
-                                     neg2, moved2)
-            else:
-                yield from settled(i + 1, blocks, pos2, neg2, moved2)
-
-    return settled(0, 0, 0, 0, ())
-
-
-def _add_coordinate(counts: dict[int, int], mu: int, before: int,
-                    k: int, l: int) -> dict[int, int]:
-    """counts[K] is the number of word pairs, K covariant letters and
-    K - before contravariant ones, over some coordinates with given
-    weights summing to before; the same with one more coordinate, of
-    weight mu, and K <= k, K - before - mu <= l.  The new coordinate takes
-    a >= max(0, mu) covariant letters and a - mu contravariant ones, in
-    comb(K + a, a) * comb(L + a - mu, a - mu) interleavings."""
-    out: dict[int, int] = {}
-    for K, x in counts.items():
-        L = K - before
-        for a in range(max(0, mu), k - K + 1):
-            b = a - mu
-            if L + b > l:
-                break
-            out[K + a] = (out.get(K + a, 0)
-                          + x * math.comb(K + a, a) * math.comb(L + b, b))
-    return out
-
-
 def character_dim(spec: TensorSpaceSpec, group: str) -> int:
-    """Dimension of the GL_g- or SL_g-invariants of T^{k,l}(Q^g) from
-    Weyl's character formula, with no operator: ints only.
+    """Dimension of the GL_g- or SL_g-invariants of T^{k,l}(Q^g) by
+    Schur-Weyl duality, with no operator: ints only.
 
-    An invariant spans a copy of det^c, g*c = k - l (c = 0 for GL, and
-    none when g does not divide k - l), and by Brauer and Klimyk it occurs
-    sum_pi sgn(pi) * m(c + pi(i) - i) times, over the permutations pi of
-    range(g), where m(mu) = sum_a multinomial(k; a) * multinomial(l; a -
-    mu) is the dimension of the mu-weight space of T^{k,l}: a counts each
-    index among the covariant slots.  m(mu) is 0 once the positive part of
-    mu is over k, so only the permutations of `_block_sequences` add to
-    the sum, one term per sequence of their blocks.  The sequences are
-    listed before the sum, and refused past BLOCK_SEQUENCE_CAP.  m is
-    symmetric in the coordinates, so the terms are grouped by the sorted
-    weights on the coordinates the blocks move, and each group's m counts
-    the coordinates pi fixes, all of weight c, once for their number
-    (README, "Why containment and a count decide the span")."""
+    (Q^g)^(x k) is the sum of f^lam copies of S_lam(Q^g) over the
+    partitions lam of k with at most g rows, f^lam the number of standard
+    tableaux of shape lam, and the dual power likewise.  An invariant of
+    S_lam (x) S_mu^v is a map S_mu -> S_lam: for GL_g there is one when
+    lam = mu, and for SL_g, on which S_lam depends only on lam modulo
+    columns of length g, one when lam is mu with c such columns added, g*c
+    = k - l.  So the count is 0 unless g divides k - l (and, for GL, k =
+    l), and else the sum of f^nu * f^(nu + |c| columns of length g) over
+    the partitions nu of min(k, l) with at most g rows (README, "Why
+    containment and a count decide the span").  f is the hook-length
+    formula, which conjugation keeps, so the sum runs over the conjugates
+    of nu, the partitions with parts at most g, and the |c| columns are
+    |c| parts g put in front.  Before the sum the partitions of min(k, l)
+    are held to PARTITION_CAP and the larger shape's max(k, l) cells to
+    SCHUR_CELL_CAP."""
     k, l, g = spec.k, spec.l, spec.g
     if group not in ("GL", "SL"):
         raise ValueError(f"unknown group {group!r}")
     c, rem = divmod(k - l, g)
     if rem or (group == "GL" and c):
         return 0
-    sequences = list(itertools.islice(_block_sequences(g, c, k, l),
-                                      BLOCK_SEQUENCE_CAP + 1))
-    if len(sequences) > BLOCK_SEQUENCE_CAP:
+    n, big = min(k, l), max(k, l)
+    try:
+        check_partition_cap(n)
+    except ValueError as exc:
+        raise ValueError(f"{spec}: {exc} (PARTITION_CAP)") from None
+    if big > SCHUR_CELL_CAP:
         raise ValueError(
-            f"{spec}: the character count sums over more than "
-            f"{BLOCK_SEQUENCE_CAP} block sequences, over "
-            f"BLOCK_SEQUENCE_CAP")
-    terms: dict[tuple[int, ...], int] = {}
-    for e, mu in sequences:
-        terms[mu] = terms.get(mu, 0) + e
-    # word-pair counts on the n fixed coordinates, for each n a term has
-    needed = {g - len(mu) for mu in terms}
-    fixed_counts, counts = {}, {0: 1}
-    for n in range(max(needed) + 1):
-        if n in needed:
-            fixed_counts[n] = counts
-        counts = _add_coordinate(counts, c, n * c, k, l)
-    dim = 0
-    for mu, e in terms.items():
-        n = g - len(mu)
-        counts, before = fixed_counts[n], n * c
-        for x in mu:
-            counts = _add_coordinate(counts, x, before, k, l)
-            before += x
-        dim += e * counts.get(k, 0)
-    return dim
+            f"{spec}: the character count reads a shape of {big} cells, "
+            f"over the cap of {SCHUR_CELL_CAP} (SCHUR_CELL_CAP)")
+    small, large, full = math.factorial(n), math.factorial(big), (g,) * abs(c)
+    return sum(small // _hook_product(cols)
+               * (large // _hook_product(full + cols))
+               for cols in _partitions_desc(n, g))
 
 
 def _invariant_basis(spec: TensorSpaceSpec, group: str) -> QMatrix:
@@ -745,8 +639,9 @@ def verify_fundamental_theorems(m: int, g: int) -> FundamentalTheoremReport:
     T^{m,m}(Q^g) and are independent exactly when m <= g.
 
     Every bound is checked before sigma is built: m, the words of weight
-    0 and the permutations of the character count.  The dimension of the
-    invariants is `character_dim`; no system is eliminated for it.  Sigma
+    0, and the partitions of m and the cells of each shape that the
+    character count reads.  The dimension of the invariants is
+    `character_dim`; no system is eliminated for it.  Sigma
     spans them exactly when every column of sigma is a combination of
     live orbit sums that the reduced rows kill and rank sigma is that
     dimension (README, "Why containment and a count decide the span").

@@ -52,6 +52,7 @@ from .invariants import (
     _weight_join,
 )
 from .linalg import rank_of_int_rows
+from .partitions import enumerate_partitions, schur_dim, schur_product_expand
 
 # cap on the dimension of any single brute-force cell
 CELL_CAP = 200_000
@@ -436,8 +437,6 @@ def ac_invariant_dims_bruteforce(spec: ACAlgebraSpec, p: int, q: int, r: int,
 
 def ac_invariant_dims_formula(spec: ACAlgebraSpec, p: int, q: int) -> int:
     """Littlewood-Richardson evaluation of the (p, q, 2p+q) invariant dim."""
-    from .partitions import (enumerate_partitions, schur_dim,
-                             schur_product_expand)
     if 2 * p + q > 8:
         raise ValueError(f"requires 2p+q <= 8 (got {2 * p + q})")
     lam_filter = "even_rows" if spec.variant == "A" else "even_cols"

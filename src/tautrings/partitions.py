@@ -162,22 +162,29 @@ def enumerate_partitions(n: int, filter: str = "all") -> list[Partition]:
     return out
 
 
+def _hook_product(parts: tuple[int, ...]) -> int:
+    """The product of the hook lengths of the cells of the diagram: the
+    arm and the leg of each cell and the cell itself."""
+    conj = _conjugate(parts).parts
+    hooks = 1
+    for i, row in enumerate(parts):
+        for j in range(row):
+            hooks *= (row - j) + (conj[j] - i) - 1
+    return hooks
+
+
 @lru_cache(maxsize=None)
 def _schur_dim(parts: tuple[int, ...], g: int) -> int:
     # hook content formula: dim = prod over cells (g + j - i) / hook(i,j)
-    lam = Partition(parts)
-    if lam.height > g:
+    if len(parts) > g:
         return 0
-    conj = lam.conjugate().parts
     num = 1
-    den = 1
-    for i, row in enumerate(lam.parts):
+    for i, row in enumerate(parts):
         for j in range(row):
             num *= g + j - i
-            hook = (row - j) + (conj[j] - i) - 1
-            den *= hook
-    assert num % den == 0
-    return num // den
+    hooks = _hook_product(parts)
+    assert num % hooks == 0
+    return num // hooks
 
 
 def schur_dim(lam: Partition, g: int) -> int:

@@ -318,6 +318,23 @@ class TestExitCodes:
         assert err == ("error: --dims 100000,100000 --maxdeg 1: "
                        "20000000000 identity checks, over the cap of 2000\n")
 
+    def test_cauchy_check_negative_maxdeg(self, capsys, monkeypatch):
+        """A negative degree bound is refused, as koszul refuses it, not
+        reported ok with no identity checked."""
+        monkeypatch.setattr(acceptance, "cauchy_sweep", self.never)
+        code, out, err = run(capsys, "cauchy-check", "--maxdeg", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: requires maxdeg >= 0 (got -1)\n"
+
+    @pytest.mark.parametrize("argv,err", [
+        (["cauchy-check", "--dims", "a,b"],
+         "error: --dims wants comma-separated ints, got 'a,b'\n"),
+        (["lambda-product", "--n", "5", "--ms", "1,x"],
+         "error: --ms wants comma-separated ints, got '1,x'\n"),
+    ], ids=["dims", "ms"])
+    def test_comma_list_names_option(self, capsys, argv, err):
+        assert run(capsys, *argv) == (1, "", err)
+
     def test_schur_dim_cell_cap(self, capsys, monkeypatch):
         """A one-row partition of 10^9 cells is refused before the hook
         product walks them."""

@@ -34,6 +34,14 @@ def sl_empty_off_balance(monkeypatch):
     monkeypatch.setattr(invariants, "_raising_system", raising_system)
 
 
+def count_without_row_bound(monkeypatch):
+    """The character count sums over every partition of min(k, l), not
+    only over those with at most g rows (parts at most g, conjugated)."""
+    real = invariants._partitions_desc
+    monkeypatch.setattr(invariants, "_partitions_desc",
+                        lambda n, maxpart: real(n, n))
+
+
 def schur_dim_of_conjugate(monkeypatch):
     real = acceptance.schur_dim
     monkeypatch.setattr(acceptance, "schur_dim",
@@ -156,6 +164,8 @@ MUTANTS = [
     (1, sigma_column_dropped, "m=1, g=1"),
     (2, sl_empty_off_balance,
      "SL-invariants: kernel 0 != character 1 at k=0, l=1, g=1"),
+    (2, count_without_row_bound,
+     "GL-invariants: kernel 1 != character 2 at k=2, l=2, g=1"),
     (3, schur_dim_of_conjugate, "dims (1,1), degree 1"),
     (3, strip_without_lattice_rule, "conjugation fails at (),(2),(1,1)"),
     (4, gl_weight_not_zero, "r=1 != 2p+q for A, g=1, W=1, U=1, (p,q)=(0,0)"),

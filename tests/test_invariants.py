@@ -99,14 +99,26 @@ class TestCaps:
                 r"6435 live orbits of weight words, over the cap of 3000")):
             invariant_dim(TensorSpaceSpec(16, 0, 2), "SL")
 
-    def test_block_sequences_before_sum(self, monkeypatch):
-        """The character count lists its block sequences, and refuses
-        past the cap before it counts a weight space."""
-        monkeypatch.setattr(invariants, "_add_coordinate", self.never)
+    def test_partitions_before_sum(self, monkeypatch):
+        """The character count lists the partitions of min(k, l): p(50)
+        is over PARTITION_CAP, although only 26 of them have at most 2
+        rows."""
+        monkeypatch.setattr(invariants, "_partitions_desc", self.never)
         with pytest.raises(ValueError, match=(
-                r"T\^\{8,8\}\(Q\^100\): the character count sums over "
-                r"more than 10000 block sequences, over BLOCK_SEQUENCE_CAP")):
-            character_dim(TensorSpaceSpec(8, 8, 100), "GL")
+                r"T\^\{50,50\}\(Q\^2\): n=50 has too many partitions to "
+                r"list: p\(50\) = 204226, over the cap of 200000 "
+                r"\(PARTITION_CAP\)")):
+            character_dim(TensorSpaceSpec(50, 50, 2), "GL")
+
+    def test_cells_before_sum(self, monkeypatch):
+        """The SL count of T^{10002,0}(Q^2) reads one shape, two rows of
+        5 001 cells, over SCHUR_CELL_CAP; T^{10000,0}(Q^2) is at it."""
+        monkeypatch.setattr(invariants, "_hook_product", self.never)
+        with pytest.raises(ValueError, match=(
+                r"T\^\{10002,0\}\(Q\^2\): the character count reads a "
+                r"shape of 10002 cells, over the cap of 10000 "
+                r"\(SCHUR_CELL_CAP\)")):
+            character_dim(TensorSpaceSpec(10002, 0, 2), "SL")
 
     @pytest.mark.slow
     def test_largest_admitted(self):
@@ -557,8 +569,9 @@ def _weight_space_dim(spec, mu):
 
 
 def _full_character_sum(spec, group):
-    """The Brauer-Klimyk sum over all of S_g, with no displacement bound
-    and no grouping of terms."""
+    """The Brauer-Klimyk sum over all of S_g: Weyl's character formula
+    read at the invariants, sgn(pi) times the weight-space dimension m at
+    c + pi(i) - i, with no tableau and no partition."""
     k, l, g = spec.k, spec.l, spec.g
     c, rem = divmod(k - l, g)
     if rem or (group == "GL" and c):
@@ -573,8 +586,8 @@ def _full_character_sum(spec, group):
 
 
 class TestCharacterDim:
-    """The character count against the kernel count and against the sum
-    it prunes."""
+    """The character count against the kernel count and against the
+    Brauer-Klimyk sum, two independent counts."""
 
     @pytest.mark.parametrize("group", ["GL", "SL"])
     def test_matches_kernel_count(self, group):
@@ -590,20 +603,20 @@ class TestCharacterDim:
     @pytest.mark.parametrize("group", ["GL", "SL"])
     def test_matches_full_sum(self, group):
         for g in range(1, 5):
-            for k in range(4):
-                for l in range(4):
+            for k in range(6):
+                for l in range(6):
                     spec = TensorSpaceSpec(k, l, g)
                     assert character_dim(spec, group) == _full_character_sum(
                         spec, group), spec
 
-    def test_block_sequences(self):
-        """At T^{1,1}(Q^1000) the identity and the 999 adjacent
-        transpositions have positive displacement at most 1: the latter
-        are one block put among 998 fixed points in 999 ways.  The count
-        is g - (g - 1)."""
-        assert list(invariants._block_sequences(1000, 0, 1, 1)) == [
-            (1, ()), (-999, (-1, 1))]
-        assert character_dim(TensorSpaceSpec(1, 1, 1000), "GL") == 1
+    def test_values(self):
+        """Spaces whose words the join could not list: T^{1,1}(Q^1000)
+        and T^{8,8}(Q^100), where every permutation of 8 letters is
+        independent, and T^{4,4}(Q^1000000), where 24 are."""
+        for spec, want in [(TensorSpaceSpec(1, 1, 1000), 1),
+                           (TensorSpaceSpec(8, 8, 100), 40320),
+                           (TensorSpaceSpec(4, 4, 1000000), 24)]:
+            assert character_dim(spec, "GL") == want, spec
 
     def test_rejects_unknown_group(self):
         with pytest.raises(ValueError, match="unknown group"):
@@ -654,7 +667,11 @@ def _hook_length_count(lam):
 
 class TestSchurWeylCount:
     """dim T^{m,m}(Q^g)^GL = sum over lambda |- m, l(lambda) <= g of
-    (f^lambda)^2, independently of the kernel and of sigma_matrix."""
+    (f^lambda)^2, with partitions and hook lengths of the tests' own.
+    That sum is the formula of `character_dim` itself, so against it this
+    checks only how the program codes it; the kernel, which counts with
+    no formula, is held to it here, and `TestCharacterDim` holds the
+    program's count to the kernel and to the Brauer-Klimyk sum."""
 
     @pytest.mark.parametrize("m,g", [(m, g) for m in range(1, 5)
                                      for g in range(1, 5)] + [(5, 2), (5, 3)])
