@@ -71,46 +71,56 @@ def _parse_partition(text: str) -> Partition:
 
 
 def _emit(report: dict, args) -> None:
+    """Write the report in its format, with the interpreter's limit on an
+    int's decimal digits (4 300) lifted while its text is built."""
     fmt = getattr(args, "format", "json")
-    if fmt == "json":
-        text = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
-    elif fmt == "csv":
-        lines = []
-        if "dims" in report:
-            lines.append("degree,dim")
-            for d, v in enumerate(report["dims"]):
-                lines.append(f"{d},{v}")
-        elif "table" in report:
-            # cells keyed "(p,q)", in (p, q) order
-            lines.append("p,q,dim")
-            for cell, v in report["table"].items():
-                lines.append(f"{cell.strip('()')},{v}")
-        elif "partitions" in report:
-            # parts space-separated; the empty partition is a quoted ""
-            lines.append("parts")
-            for parts in report["partitions"]:
-                lines.append(" ".join(map(str, parts)) or '""')
-        elif "terms" in report:
-            lines.append("coeff,monomial")
-            for t in report["terms"]:
-                lines.append(f"{t['coeff']},{t['monomial']}")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            text = json.dumps(_jsonable(report), indent=2,
+                              sort_keys=True) + "\n"
+        elif fmt == "csv":
+            lines = []
+            if "dims" in report:
+                lines.append("degree,dim")
+                for d, v in enumerate(report["dims"]):
+                    lines.append(f"{d},{v}")
+            elif "table" in report:
+                # cells keyed "(p,q)", in (p, q) order
+                lines.append("p,q,dim")
+                for cell, v in report["table"].items():
+                    lines.append(f"{cell.strip('()')},{v}")
+            elif "partitions" in report:
+                # parts space-separated; the empty partition is a quoted ""
+                lines.append("parts")
+                for parts in report["partitions"]:
+                    lines.append(" ".join(map(str, parts)) or '""')
+            elif "terms" in report:
+                lines.append("coeff,monomial")
+                for t in report["terms"]:
+                    lines.append(f"{t['coeff']},{t['monomial']}")
+            elif "criteria" in report:
+                lines.append("number,passed")
+                for c in report["criteria"]:
+                    lines.append(f"{c['number']},{c['passed']}")
+            else:
+                for k in sorted(report):
+                    if k in ("inputs", "provenance"):
+                        continue
+                    lines.append(f"{k},{report[k]}")
+            text = "\n".join(lines) + "\n"
         elif "criteria" in report:
-            lines.append("number,passed")
-            for c in report["criteria"]:
-                lines.append(f"{c['number']},{c['passed']}")
+            text = "".join(acceptance.CriterionResult(**c).line() + "\n"
+                           for c in report["criteria"])
         else:
-            for k in sorted(report):
-                if k in ("inputs", "provenance"):
-                    continue
-                lines.append(f"{k},{report[k]}")
-        text = "\n".join(lines) + "\n"
-    elif "criteria" in report:
-        text = "".join(acceptance.CriterionResult(**c).line() + "\n"
-                       for c in report["criteria"])
-    else:
-        lines = [f"{k} = {report[k]}" for k in sorted(report)
-                 if k != "inputs"]
-        text = "\n".join(lines) + "\n"
+            lines = [f"{k} = {report[k]}" for k in sorted(report)
+                     if k != "inputs"]
+            text = "\n".join(lines) + "\n"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     out = getattr(args, "output", None)
     if out:
         with open(out, "w") as fh:
@@ -488,14 +498,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.fn(args)
+        _emit(args.fn(args), args)
     except OracleMismatch as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(report, args)
     return 0
 
 

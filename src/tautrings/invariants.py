@@ -8,11 +8,12 @@ symmetric or alternating.  From that alone it derives each letter's torus
 weight, its images under E_rs and under the transpositions s_r of the
 indices r and r + 1.  Basis elements are sorted tuples of letter ids, the
 monomials of graded, and E_rs acts on them as an even derivation through
-graded.apply_derivation; this module sits above graded.  The tensor
-invariants here, the trigraded cell counts and the second-page oracle in
-model only list their letters and the factors of their basis; one
-meet-in-the-middle join, `_weight_join`, keeps the products of factors
-that have the target weight.
+graded.apply_derivation; this module sits above graded.
+
+Every weight space the core reads comes from one builder, `_weight_space`:
+it joins, meet in the middle, a subset or multiset of each label's letters
+into the elements of the target weight.  A tensor space is k + l labels
+of size 1, one per slot; model's blocks are the labels of one content.
 
 Invariants under GL_g (resp. SL_g) are computed as a kernel of the
 infinitesimal gl_g action; over Q this kernel coincides with the group
@@ -45,14 +46,11 @@ tests hold the tableau count to.  `sigma_matrix` and the invariant bases
 are QMatrix wrappers over int columns, kernel vectors with their
 denominators dropped.
 
-The tensor path refuses, with ValueError, work past two caps, each
-checked before the stage it gates: WORD_CAP on the half-words the join
-lists and on the weight words times g (the join builds each word, the
-orbit walk applies g - 1 swaps to it), counted from the weighed halves
-before any word is built; and ORBIT_CAP on the live orbits, before any
-row is built, where the reduced system is eliminated (`invariant_dim` and
-the bases).  The tableau count holds the partitions it sums over to
-partitions.PARTITION_CAP and its shapes to partitions.SCHUR_CELL_CAP.
+Work past two caps is refused with ValueError before the stage it gates:
+JOIN_CAP on the builder's steps, and ORBIT_CAP on the live orbits before
+any row of the reduced system is built (`invariant_dim` and the bases).
+The tableau count holds its shapes to partitions.SCHUR_CELL_CAP and its
+partitions to partitions.PARTITION_CAP.
 """
 
 from __future__ import annotations
@@ -60,19 +58,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import mul, sub
+from functools import cached_property, reduce
+from operator import add, mul, or_, sub
 from typing import NamedTuple
 
 from .graded import apply_derivation, derivation_table
 from .linalg import QMatrix, _eliminate, kernel_int_basis
-from .partitions import (SCHUR_CELL_CAP, _hook_product, _partitions_desc,
-                         check_partition_cap)
+from .partitions import (PARTITION_CAP, SCHUR_CELL_CAP, _hook_product,
+                         _partitions_desc)
 
-# caps on what the tensor path builds, each checked before the stage it
-# gates (README, "How the tensor path is capped"): the words the join lists
-# and the orbit walk steps through, and the live orbits, the columns of the
-# reduced system
-WORD_CAP = 1_000_000
+# the cap on the steps of the weight-space join (README, "How the
+# weight-restricted basis is built"), and the cap on the live orbits, the
+# columns of the reduced system the tensor paths eliminate
+JOIN_CAP = 4_000_000
 ORBIT_CAP = 3_000
 
 
@@ -95,25 +93,6 @@ class TensorSpaceSpec:
     def __str__(self) -> str:
         return f"T^{{{self.k},{self.l}}}(Q^{self.g})"
 
-    def check_guard(self):
-        """The join lists the words of its two halves, g^ceil((k+l)/2) and
-        g^floor((k+l)/2), to count the words of one weight before it
-        builds them; refuse those halves past WORD_CAP.  Once g >= 2 and
-        2^h > WORD_CAP the first half alone is over, so no large power
-        is taken.  Each half-word is weighed as a vector of g entries, so
-        the larger half's g^(h + 1) entries are held to WORD_CAP too."""
-        g, n = self.g, self.k + self.l
-        h = (n + 1) // 2
-        if (g > 1 and h >= WORD_CAP.bit_length()
-                or g ** h + g ** (n - h) > WORD_CAP):
-            raise ValueError(
-                f"{self}: the join lists {g}^{h} + {g}^{n - h} half-words, "
-                f"over the cap of {WORD_CAP}")
-        if g ** (h + 1) > WORD_CAP:
-            raise ValueError(
-                f"{self}: the join weighs {g}^{h} half-words of {g} "
-                f"entries each, {g ** (h + 1)}, over the cap of {WORD_CAP}")
-
 
 def _word_index(word: tuple[int, ...], g: int) -> int:
     """Row-major index of a word, covariant slots first.  The word is its
@@ -125,22 +104,6 @@ def _word_index(word: tuple[int, ...], g: int) -> int:
     return idx
 
 
-def _weight_join(factors, weight, target) -> list[tuple[int, ...]]:
-    """Every concatenation of one tuple from each factor whose weight is
-    target; weight must be additive over concatenation.
-
-    The last factor is grouped by weight; the product of the others is
-    streamed, and each partial tuple looks up the weight it still needs.
-    When each factor lists sorted letter-id tuples of one length in
-    lexicographic order, its letters above those of the factor before,
-    the output is sorted tuples in lexicographic order (README, "How the
-    weight-restricted basis is built").
-    """
-    *head, last = factors
-    return _join_weighed([[(t, weight(t)) for t in f] for f in head],
-                         _by_weight(last, weight), target)
-
-
 def _by_weight(factor, weight) -> dict[tuple[int, ...], list]:
     """The tuples of factor grouped by weight, each group in order."""
     groups: dict[tuple[int, ...], list] = {}
@@ -149,43 +112,85 @@ def _by_weight(factor, weight) -> dict[tuple[int, ...], list]:
     return groups
 
 
-def _join_weighed(pools, by_weight, target) -> list[tuple[int, ...]]:
-    """`_weight_join` over factors already weighed: pools lists (tuple,
-    weight) pairs of each streamed factor, by_weight groups the last."""
+def _join_weighed(head, by_weight) -> list[tuple[int, ...]]:
+    """Every t + u for (t, need) in head and u in by_weight[need]."""
     out = []
-    for parts in itertools.product(*pools):
-        prefix, need = (), target
-        for t, w in parts:
-            prefix += t
-            need = tuple(map(sub, need, w))
-        out.extend(prefix + t for t in by_weight.get(need, ()))
+    for t, need in head:
+        out.extend(t + u for u in by_weight.get(need, ()))
     return out
+
+
+def _charge(spent: list[int], steps: int, what: str, doing: str, *counts):
+    """Add steps to the one-item list spent and refuse past JOIN_CAP,
+    saying what the join would do: doing formatted with counts."""
+    spent[0] += steps
+    if spent[0] > JOIN_CAP:
+        raise ValueError(
+            f"{what}: the weight-space join would {doing.format(*counts)}, "
+            f"{spent[0]} steps or more in all, over the cap of {JOIN_CAP} "
+            f"(JOIN_CAP)")
+
+
+def _weight_space(labels, weight, target, what: str,
+                  spent: list[int] | None = None) -> list[tuple[int, ...]]:
+    """The elements of weight target that take from each label (letter
+    ids, size, exterior) a subset (exterior) or a multiset of size of its
+    letters, as sorted tuples in lexicographic order: the labels come in
+    increasing letter order.  The product of the labels up to where the
+    two products are smallest in sum is streamed against the rest grouped
+    by weight, which is additive.  Steps are charged to spent, shared by
+    the joins of one cell, before the work they count (README, "How the
+    weight-restricted basis is built"); the labels are read only while
+    their sizes sum to at most JOIN_CAP and multiply to at most its square."""
+    spent = [0] if spent is None else spent
+    read, sizes, length, listed, whole = [], [], 0, 0, 1
+    big = JOIN_CAP * JOIN_CAP
+    for label in labels:
+        letters, size, exterior = label
+        n = math.comb(len(letters) + (size - 1 if size and not exterior
+                                      else 0), size)
+        read.append(label)
+        sizes.append(n)
+        length, listed, whole = length + size, listed + n, whole * n
+        if listed > JOIN_CAP or whole > big:
+            break
+    # the sizes of the products of the first s factors and of the rest,
+    # summed, for each s; the last s of least sum
+    sums = list(map(add, itertools.accumulate(sizes, mul, initial=1), reversed(
+        list(itertools.accumulate(reversed(sizes), mul, initial=1)))))
+    elements = min(sums)
+    cut = len(sums) - 1 - sums[::-1].index(elements)
+    _charge(spent, listed + elements * (1 + len(target)), what,
+            "list at least {} elements and weigh at least {} weight entries",
+            listed + elements, elements * len(target))
+
+    def product(part):
+        if all(size == 1 for _, size, _ in part):   # the letters themselves
+            return itertools.product(*(letters for letters, _, _ in part))
+        return map(tuple, map(itertools.chain.from_iterable, itertools.product(
+            *((itertools.combinations if exterior
+               else itertools.combinations_with_replacement)(letters, size)
+              for letters, size, exterior in part))))
+
+    head = [(t, tuple(map(sub, target, weight(t))))
+            for t in product(read[:cut])]
+    tail = _by_weight(product(read[cut:]), weight)
+    count = sum(len(tail.get(need, ())) for _, need in head)
+    _charge(spent, count * (length + len(target)), what,
+            "keep {} words of {} letters and {} weight entries",
+            count, length, len(target))
+    return _join_weighed(head, tail)
 
 
 def _weight_words(spec: TensorSpaceSpec, weight,
                   target: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All basis words of T^{k,l} with the given weight, as letter tuples
-    of `_tensor_alphabet(spec)` in lexicographic order: the join of the
-    first ceil((k + l)/2) slots with the rest.  weight must be additive
-    over concatenation.
-
-    Each half is weighed once: the words are counted from the head's
-    weights and the tail's weight groups before the join builds them from
-    the same groups.  The orbit walk then steps each word through the
-    g - 1 swaps s_r, so words * g is held to WORD_CAP.  The caller holds
-    the halves to `TensorSpaceSpec.check_guard`."""
-    k, l, g = spec.k, spec.l, spec.g
-    slots = [range(pos * g, pos * g + g) for pos in range(k + l)]
-    h = (k + l + 1) // 2
-    head = [(t, weight(t)) for t in itertools.product(*slots[:h])]
-    tail = _by_weight(itertools.product(*slots[h:]), weight)
-    count = sum(len(tail.get(tuple(map(sub, target, w)), ()))
-                for _, w in head)
-    if count * g > WORD_CAP:
-        raise ValueError(
-            f"{spec}: {count} weight words times g = {g} make "
-            f"{count * g}, over the cap of {WORD_CAP}")
-    return _join_weighed([head], tail, target)
+    of `_tensor_alphabet(spec)` in lexicographic order: the weight-space
+    join of k + l labels of size 1, the g letters of each slot."""
+    g = spec.g
+    return _weight_space(((range(pos * g, pos * g + g), 1, False)
+                          for pos in range(spec.k + spec.l)),
+                         weight, target, str(spec))
 
 
 class Letter(NamedTuple):
@@ -224,48 +229,61 @@ def _odd(seq) -> bool:
 
 class Alphabet:
     """An ordered list of letters.  A basis element of the algebra is the
-    sorted tuple of the positions (ids) of its letters."""
+    sorted tuple of the positions (ids) of its letters.  The letters, an
+    iterable, and each lookup table are built when first needed: an
+    alphabet whose join keeps nothing builds no id dict or swap masks."""
 
     def __init__(self, g: int, letters):
         self.g = g
-        self.letters = tuple(letters)
-        self.exterior = tuple(a.exterior for a in self.letters)
-        self._id = {(a.tag, a.up, a.down): i
-                    for i, a in enumerate(self.letters)}
-        # per letter, bit r set when the swap s_r of the indices r and
-        # r + 1 moves one of its indices (3 << i >> 1 sets r = i - 1, i);
-        # per index, the letters with it
-        every = (1 << (g - 1)) - 1
-        self.swaps: list[int] = []
-        self._with_index: dict[int, list[int]] = {}
-        for a, letter in enumerate(self.letters):
-            mask = 0
-            for i in letter.up + letter.down:
-                mask |= 3 << i >> 1
-                self._with_index.setdefault(i, []).append(a)
-            self.swaps.append(mask & every)
-        self._identity = list(range(len(self.letters)))
+        self._letters = letters
         self._relabel: dict[int, tuple[list[int], set[int]]] = {}
         self._derivation: dict[tuple[int, int], list] = {}
+
+    @cached_property
+    def letters(self) -> tuple[Letter, ...]:
+        return tuple(self._letters)
+
+    @cached_property
+    def exterior(self) -> tuple[bool, ...]:
+        return tuple(a.exterior for a in self.letters)
+
+    @cached_property
+    def _id(self) -> dict[tuple, int]:
+        return {(a.tag, a.up, a.down): i for i, a in enumerate(self.letters)}
+
+    @cached_property
+    def weight0(self) -> list[int]:
+        """Per letter, its weight at index 0."""
+        return [a.up.count(0) - a.down.count(0) for a in self.letters]
+
+    @cached_property
+    def swaps(self) -> list[int]:
+        """Per letter, bit r set when the swap s_r of the indices r and
+        r + 1 moves one of its indices (3 << i >> 1 sets r = i - 1, i)."""
+        every = (1 << (self.g - 1)) - 1
+        return [reduce(or_, (3 << i >> 1 for i in a.up + a.down), 0) & every
+                for a in self.letters]
+
+    @cached_property
+    def _with_index(self) -> dict[int, list[int]]:
+        """Per index, the letters with it."""
+        with_index: dict[int, list[int]] = {}
+        for a, letter in enumerate(self.letters):
+            for i in letter.up + letter.down:
+                with_index.setdefault(i, []).append(a)
+        return with_index
 
     def weight(self, elt) -> tuple[int, ...]:
         """Torus weight of a basis element: +1 per N index, -1 per N^v
         index."""
-        w = [0] * self.g
+        w, letters = [0] * self.g, self.letters
         for a in elt:
-            letter = self.letters[a]
+            letter = letters[a]
             for i in letter.up:
                 w[i] += 1
             for i in letter.down:
                 w[i] -= 1
         return tuple(w)
-
-    def reduced_weight(self, elt) -> tuple[int, ...]:
-        """The weight modulo (1, ..., 1), as (w_1 - w_0, ..., w_{g-1} -
-        w_0): 0 exactly at constant weight, and additive like the
-        weight."""
-        w = self.weight(elt)
-        return tuple(c - w[0] for c in w[1:])
 
     def images(self, r: int, s: int) -> list[tuple[tuple[int, int], ...]]:
         """E_rs on each letter, as (coefficient, letter id) terms.
@@ -301,7 +319,7 @@ class Alphabet:
         if r in self._relabel:
             return self._relabel[r]
         swap = {r: r + 1, r + 1: r}
-        ids, flips = self._identity[:], set()
+        ids, flips = list(range(len(self.letters))), set()
         with_index = self._with_index
         for a in {*with_index.get(r, ()), *with_index.get(r + 1, ())}:
             letter = self.letters[a]
@@ -374,12 +392,13 @@ def _orbits(alphabet: Alphabet, basis) -> list[list[tuple[int, int]]]:
     than finding those.)  A fixed element conflicts with itself only when
     the twist is -1, at an odd constant weight c, and then every index
     occurs in it, so no swap is skipped there."""
+    if not basis:
+        return []
     exterior = alphabet.exterior
     odd = any(exterior)
     swaps, nswaps = alphabet.swaps, alphabet.g - 1
     every = (1 << nswaps) - 1
-    # each letter's weight at index 0
-    w0 = [a.up.count(0) - a.down.count(0) for a in alphabet.letters]
+    w0 = alphabet.weight0
     position = {elt: j for j, elt in enumerate(basis)}
     sign = [0] * len(basis)
     checked = [0] * len(basis)
@@ -465,26 +484,20 @@ def _tensor_alphabet(spec: TensorSpaceSpec) -> Alphabet:
     """Letter pos*g + i is index i in slot pos: in N for the k covariant
     slots, in N^v for the l contravariant ones."""
     k, g = spec.k, spec.g
-    return Alphabet(g, [Letter(pos, (i,)) if pos < k else Letter(pos, (), (i,))
-                        for pos in range(k + spec.l) for i in range(g)])
+    return Alphabet(g, (Letter(pos, (i,)) if pos < k else Letter(pos, (), (i,))
+                        for pos in range(k + spec.l) for i in range(g)))
 
 
 def _weight_orbits(spec: TensorSpaceSpec, group: str):
     """(alphabet, basis, orbits): the tensor alphabet, the words of
-    T^{k,l} of the weight a group invariant must have, as its letter
-    tuples in lexicographic order, and their live orbits.  GL reads weight
-    0 and SL the weight modulo (1, ..., 1), `Alphabet.reduced_weight`, so
-    a space with no word of such weight has no basis and no orbit.  The
-    words are held to WORD_CAP before they are built."""
-    spec.check_guard()
+    T^{k,l} of the weight a group invariant must have (0 for GL, (c, ...,
+    c) with g*c = k - l for SL, which no word has unless g divides k - l),
+    as its letter tuples in lexicographic order, and their live orbits."""
     if group not in ("GL", "SL"):
         raise ValueError(f"unknown group {group!r}")
     alphabet = _tensor_alphabet(spec)
-    if group == "GL":
-        weight, target = alphabet.weight, (0,) * spec.g
-    else:
-        weight, target = alphabet.reduced_weight, (0,) * (spec.g - 1)
-    basis = _weight_words(spec, weight, target)
+    c = (spec.k - spec.l) // spec.g if group == "SL" else 0
+    basis = _weight_words(spec, alphabet.weight, (c,) * spec.g)
     return alphabet, basis, _orbits(alphabet, basis)
 
 
@@ -524,9 +537,9 @@ def character_dim(spec: TensorSpaceSpec, group: str) -> int:
     containment and a count decide the span").  f is the hook-length
     formula, which conjugation keeps, so the sum runs over the conjugates
     of nu, the partitions with parts at most g, and the |c| columns are
-    |c| parts g put in front.  Before the sum the partitions of min(k, l)
-    are held to PARTITION_CAP and the larger shape's max(k, l) cells to
-    SCHUR_CELL_CAP."""
+    |c| parts g put in front.  Before the sum the larger shape's cells are
+    held to SCHUR_CELL_CAP, and the partitions with parts at most g, counted
+    by p(j, <= m) = p(j, <= m - 1) + p(j - m, <= m), to PARTITION_CAP."""
     k, l, g = spec.k, spec.l, spec.g
     if group not in ("GL", "SL"):
         raise ValueError(f"unknown group {group!r}")
@@ -534,14 +547,19 @@ def character_dim(spec: TensorSpaceSpec, group: str) -> int:
     if rem or (group == "GL" and c):
         return 0
     n, big = min(k, l), max(k, l)
-    try:
-        check_partition_cap(n)
-    except ValueError as exc:
-        raise ValueError(f"{spec}: {exc} (PARTITION_CAP)") from None
     if big > SCHUR_CELL_CAP:
         raise ValueError(
             f"{spec}: the character count reads a shape of {big} cells, "
             f"over the cap of {SCHUR_CELL_CAP} (SCHUR_CELL_CAP)")
+    counts = [1] + [0] * n
+    for m in range(1, min(n, g) + 1):
+        for j in range(m, n + 1):
+            counts[j] += counts[j - m]
+        if counts[n] > PARTITION_CAP:
+            raise ValueError(
+                f"{spec}: the character count sums over at least "
+                f"{counts[n]} partitions of {n} with parts at most {g}, "
+                f"over the cap of {PARTITION_CAP} (PARTITION_CAP)")
     small, large, full = math.factorial(n), math.factorial(big), (g,) * abs(c)
     return sum(small // _hook_product(cols)
                * (large // _hook_product(full + cols))

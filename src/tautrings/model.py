@@ -15,14 +15,16 @@ with a generator present exactly when its degree is positive and m <= M.
 `vwu_degrees` is the one table of this scheme; only the pair generators
 of K have a formula of their own.
 
-The trigraded counts and the second-page oracle build each cell's
-weight-restricted basis with the join in invariants.  A trigraded cell is
-joined and counted one label-content block at a time, with one block for
-each content up to permuting the W and the U labels, and each distinct
-block is counted once per process.  CELL_CAP bounds the elements the
-blocks of a trigraded cell restrict, and the factor elements of each
-second-page cell; the oracle's cap admits every n <= 11 at g = n - 2 and
-n - 1.
+The trigraded counts and the second-page oracle split each cell by label
+content, which E_rs and the index permutations keep, and build each
+block's weight-restricted basis with the one builder in invariants from
+the block's labels.  A trigraded cell has one block for each content up
+to permuting the W and the U labels, and each distinct block is counted
+once per process; a second-page cell has one block for each count of x,
+la_m, lb_m and lu_m letters whose total weight g divides (the others have
+no element of constant weight).  The joins of one cell share one
+invariants.JOIN_CAP count, which admits every second page with n <= 17
+at g = n - 2 and n - 1.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 
 from .graded import (
     BigradedDGA,
@@ -49,13 +51,10 @@ from .invariants import (
     _invariant_system,
     _kernel_vectors,
     _sorted_sign,
-    _weight_join,
+    _weight_space,
 )
 from .linalg import rank_of_int_rows
 from .partitions import enumerate_partitions, schur_dim, schur_product_expand
-
-# cap on the dimension of any single brute-force cell
-CELL_CAP = 200_000
 
 
 class OracleMismatch(RuntimeError):
@@ -254,13 +253,13 @@ def _ac_alphabet(spec: ACAlgebraSpec) -> Alphabet:
     """The x letters of S^2 N or Lambda^2 N, then the y letters of N (x) W
     and the z letters of N^v (x) U, each label's g letters together."""
     g, is_a = spec.g, spec.variant == "A"
-    return Alphabet(g, [
-        *(Letter("x", (i, j), alternating=not is_a)
-          for i in range(g) for j in range(i if is_a else i + 1, g)),
-        *(Letter(("y", w), (i,), exterior=not is_a)
-          for w in range(spec.dimW) for i in range(g)),
-        *(Letter(("z", u), (), (i,), exterior=is_a)
-          for u in range(spec.dimU) for i in range(g))])
+    return Alphabet(g, itertools.chain(
+        (Letter("x", (i, j), alternating=not is_a)
+         for i in range(g) for j in range(i if is_a else i + 1, g)),
+        (Letter(("y", w), (i,), exterior=not is_a)
+         for w in range(spec.dimW) for i in range(g)),
+        (Letter(("z", u), (), (i,), exterior=is_a)
+         for u in range(spec.dimU) for i in range(g))))
 
 
 def _ac_weight(g: int, p: int, q: int, r: int, group: str) -> int | None:
@@ -320,20 +319,6 @@ def _ac_contents(g: int, labels: int, size: int, exterior: bool):
         yield m, parts
 
 
-def _ac_elements(g: int, labels: int, size: int, exterior: bool):
-    """The size of one factor's product on each sorted content, in the
-    order of `_ac_contents`: per label the subsets or the multisets of
-    its g letters."""
-    most = g if exterior else size
-    per_label = [math.comb(g, v) if exterior else math.comb(g + v - 1, v)
-                 for v in range(most + 1)]
-    for runs in _sorted_contents(size, labels, most):
-        n = 1
-        for v, c in runs:
-            n *= per_label[v] ** c
-        yield n
-
-
 def _ac_blocks(spec: ACAlgebraSpec, p: int, q: int, r: int, group: str):
     """(rearrangements, key, basis) for each label-content block of the
     (p, q, r) cell's weight space with both contents sorted decreasingly.
@@ -341,40 +326,33 @@ def _ac_blocks(spec: ACAlgebraSpec, p: int, q: int, r: int, group: str):
     letters of each U label; rearrangements is the number of distinct
     permutations of the two.  key is (variant, g, p, y parts, z parts,
     level), all that the block's invariant count depends on, and basis()
-    builds the block's basis, possibly empty, in lexicographic order
-    (README, "Why a trigraded cell splits by label content")."""
+    builds the block's basis, possibly empty, in lexicographic order: the
+    join of the x label and of the first W and U labels, of the sizes the
+    parts give (README, "Why a trigraded or second-page cell splits by
+    label content"), under one JOIN_CAP count for the listing's blocks."""
     g, is_a = spec.g, spec.variant == "A"
     level = _ac_weight(g, p, q, r, group)
-    if level is None:
-        return
-    target = (level,) * g
     nx = (g * (g + 1) if is_a else g * (g - 1)) // 2
+    if level is None or (p and not nx):
+        return
+    weight, target = _ac_alphabet(spec).weight, (level,) * g
+    what, spent = f"cell ({p},{q},{r})", [0]
+    x = [(range(nx), p, False)] if p else []
 
-    def factor(lo, exterior):
-        # for the nonzero parts of a sorted content, on the first labels:
-        # the product over those labels of each label's multisets or
-        # subsets, built once, when a block first needs it
-        choose = (itertools.combinations if exterior
-                  else itertools.combinations_with_replacement)
-        return cache(lambda parts: [
-            tuple(itertools.chain(*ids)) for ids in itertools.product(*(
-                choose(range(lo + k * g, lo + k * g + g), n)
-                for k, n in enumerate(parts)))])
+    def labels(lo, parts, exterior):
+        # the exterior labels a part g fills (first, in a sorted content)
+        # have one subset each: one label of all their letters has it too
+        full = parts.count(g) * g if exterior else 0
+        return [(range(lo, lo + full), full, True)] * (full > 0) + [
+            (range(lo + k * g, lo + k * g + g), n, exterior)
+            for k, n in enumerate(parts) if k * g >= full]
 
-    xs = list(itertools.combinations_with_replacement(range(nx), p))
-    y_factor = factor(nx, not is_a)
-    z_factor = factor(nx + g * spec.dimW, is_a)
-    weight = _ac_alphabet(spec).weight
-
-    def basis(y_parts, z_parts):
-        return _weight_join([xs, y_factor(y_parts), z_factor(z_parts)],
-                            weight, target)
-
-    zs = list(_ac_contents(g, spec.dimU, r, is_a))
     for my, y_parts in _ac_contents(g, spec.dimW, q, not is_a):
-        for mz, z_parts in zs:
+        ys = labels(nx, y_parts, not is_a)
+        for mz, z_parts in _ac_contents(g, spec.dimU, r, is_a):
+            block = x + ys + labels(nx + g * spec.dimW, z_parts, is_a)
             yield (my * mz, (spec.variant, g, p, y_parts, z_parts, level),
-                   partial(basis, y_parts, z_parts))
+                   partial(_weight_space, block, weight, target, what, spent))
 
 
 # the invariant count of each label-content block, by its `_ac_blocks`
@@ -390,37 +368,15 @@ def ac_invariant_dims_bruteforce(spec: ACAlgebraSpec, p: int, q: int, r: int,
     letter coordinates (multisets for symmetric factors, subsets for
     exterior ones); invariants are the kernel of E_01 on the Weyl-orbit
     sums of the relevant torus-weight subspace, which is the invariant
-    subspace by the argument in invariants, summed over `_ac_blocks`.
-    A block is counted once per key; later blocks with that key read the
-    count from `_BLOCK_COUNTS`.  A cell of the wrong weight has none.  A block's basis is the weight
-    part of the product of its x, y and z factors, so the blocks restrict
-    |x| * sum|y| * sum|z| elements in all, at most the whole cell.  The
-    sorted contents are listed one at a time, each raising that count by
-    at least one, and the cell is refused as soon as it passes CELL_CAP,
-    before any block is built.
+    subspace by the argument in invariants, summed over `_ac_blocks`,
+    whose joins share one JOIN_CAP count.  A block is counted once per
+    key; later blocks with that key read the count from `_BLOCK_COUNTS`
+    and build nothing.  A cell of the wrong weight has no block.
     """
     if min(p, q, r) < 0:
         raise ValueError("requires nonnegative p, q, r")
     if group not in ("GL", "SL"):
         raise ValueError(f"unknown group {group!r}")
-    g, is_a = spec.g, spec.variant == "A"
-    if _ac_weight(g, p, q, r, group) is None:
-        return 0
-    nx = (g * (g + 1) if is_a else g * (g - 1)) // 2
-    x_size = math.comb(nx + p - 1, p) if nx else int(p == 0)
-    ys = _ac_elements(g, spec.dimW, q, not is_a)
-    zs = _ac_elements(g, spec.dimU, r, is_a)
-    sums = [next(ys, 0), next(zs, 0)]   # sum|y|, sum|z| so far
-    if not (x_size and all(sums)):
-        return 0
-    more = itertools.chain(((0, n) for n in ys), ((1, n) for n in zs))
-    for side, size in itertools.chain([(0, 0)], more):
-        sums[side] += size
-        built = x_size * sums[0] * sums[1]
-        if built > CELL_CAP:
-            raise ValueError(
-                f"cell ({p},{q},{r}): its label-content blocks hold at "
-                f"least {built} basis elements, over CELL_CAP {CELL_CAP}")
     alphabet = _ac_alphabet(spec)
     total = 0
     for mult, key, basis in _ac_blocks(spec, p, q, r, group):
@@ -501,6 +457,15 @@ class E2Model:
         self.alphabet = Alphabet(g, [
             gens[gg.name][1]._replace(exterior=gg.odd) for gg in self.gens])
         self.dga = BigradedDGA(self.gens, self._differential())
+        # (ids, bidegree, exterior, weight total of a letter) for x and
+        # each la_m, lb_m and lu_m, whose letters sit together in order
+        self.labels = []
+        for _, run in itertools.groupby(enumerate(self.alphabet.letters),
+                                        lambda t: t[1].tag):
+            (i, a), *rest = run
+            gg = self.gens[i]
+            self.labels.append((range(i, i + 1 + len(rest)), (gg.p, gg.q),
+                                gg.odd, len(a.up) - len(a.down)))
 
     def _differential(self) -> dict[str, dict]:
         n, g, index = self.n, self.g, self.gens.index
@@ -523,29 +488,44 @@ class E2Model:
                     diff[f"la_{j}_{m}"] = val
         return diff
 
+    def _contents(self, p: int, q: int):
+        """(labels, total weight) for each label content of the (p, q)
+        cell: the labels in order, each with the number of letters taken
+        from it, whose bidegrees sum to (p, q), at most one of each
+        exterior letter; less those whose total g does not divide, which
+        have no element of constant weight (c, ..., c)."""
+        def walk(i, p, q, total):
+            if i == len(self.labels):
+                if not p and not q and not total % self.g:
+                    yield [], total
+                return
+            ids, (a, b), exterior, t = self.labels[i]
+            most = min(p // a if a else q, q // b if b else p)
+            for c in range(min(most, len(ids)) if exterior else most, -1, -1):
+                for rest, tot in walk(i + 1, p - c * a, q - c * b,
+                                      total + c * t):
+                    yield [(ids, c, exterior)] * (c > 0) + rest, tot
+        return walk(0, p, q, 0)
+
     def sl_invariant_vectors(self, p: int, q: int) -> list[dict]:
         """Basis of the SL-invariants of the (p, q) cell, as int elements.
 
-        Only x has p > 0, so the cell joins the multisets of p/2 x letters
-        with the lambda monomials of bidegree (0, q), on the reduced
-        weight (w_1 - w_0, ..., w_{g-1} - w_0) = 0, i.e. constant weight;
-        see invariants for why E_01 on the orbit sums suffices.
+        E_rs and the index permutations keep each label's letter count,
+        so the invariants are those of the blocks of `_contents`, each the
+        join of its labels at the constant weight its total gives, under
+        one JOIN_CAP count; see invariants for why E_01 on orbit sums
+        suffices.
         """
-        if p % 2:
-            return []
-        gens = self.gens
-        xs = [i for i, gg in enumerate(gens) if gg.p]
-        x_part = itertools.combinations_with_replacement(xs, p // 2)
-        lam_part = gens.monomials_bidegree(0, q)
-        # x and lambda ids interleave in generator order
-        basis = sorted(tuple(sorted(elt)) for elt in _weight_join(
-            [x_part, lam_part], self.alphabet.reduced_weight,
-            (0,) * (self.g - 1)))
-        if not basis:
-            return []
-        orbits, rows = _invariant_system(self.alphabet, basis)
-        return [{basis[j]: v for j, v in vec.items()}
-                for vec in _kernel_vectors(orbits, rows)]
+        what = f"cell ({p},{q}) of the second page at n={self.n}, g={self.g}"
+        spent, vectors = [0], []
+        for block, total in self._contents(p, q):
+            basis = _weight_space(block, self.alphabet.weight,
+                                  (total // self.g,) * self.g, what, spent)
+            if basis:
+                orbits, rows = _invariant_system(self.alphabet, basis)
+                vectors += [{basis[j]: v for j, v in vec.items()}
+                            for vec in _kernel_vectors(orbits, rows)]
+        return vectors
 
 
 def e2_bruteforce_oracle(params: ModelParams) -> dict[tuple[int, int], int]:
@@ -553,25 +533,13 @@ def e2_bruteforce_oracle(params: ModelParams) -> dict[tuple[int, int], int]:
 
     Cellwise: take SL-invariants by Lie-algebra kernel, restrict d2, and
     read off kernel-mod-image dimensions for every bidegree with total
-    degree <= maxdeg.  A model with a cell whose join would build more
-    than CELL_CAP factor elements is refused before any cell is built.
+    degree <= maxdeg.  A cell whose joins pass JOIN_CAP is refused before
+    they build it.
     """
     n, g, maxdeg = params.n, params.g, params.maxdeg
     model = E2Model(n, g, params.M)
     cells = [(p, total - p) for total in range(maxdeg + 1)
              for p in range(total + 1)]
-
-    # the join of an even-p cell builds its x part and its lambda part
-    lam = GeneratorSet((gg.name, gg.q) for gg in model.gens if not gg.p)
-    lam_dims = fgca_dims(lam, maxdeg)
-    nx = len(model.gens) - len(lam)
-    for p, q in cells:
-        size = (0 if p % 2
-                else math.comb(nx + p // 2 - 1, p // 2) + lam_dims[q])
-        if size > CELL_CAP:
-            raise ValueError(
-                f"cell ({p},{q}) of the second page at n={n}, g={g} joins "
-                f"{size} factor elements, over CELL_CAP {CELL_CAP}")
 
     # d2 must square to zero on every generator
     try:

@@ -18,9 +18,15 @@ Criterion 3 checks the LR symmetries on whole expansions;
 
 The trigraded brute force is held to the count it had before it split a
 cell into label-content blocks: `whole_cell_dim` runs the kernel once on
-the cell's whole weight space, `reference_ac_basis`.  Its sorted
+the cell's whole weight space, `reference_ac_basis`.  Both are computed
+once per cell and process, and hand out immutable values (a tuple of
+tuples, an int), so no test can change what another reads.  Its sorted
 contents are held to `recursive_sorted_contents`, the walk with one
 generator per run that the program had before.
+
+`guard_joins` wraps the program's one weight-space join so that a test
+fails if a join lists, weighs or keeps anything once its count has passed
+`invariants.JOIN_CAP`: the cap must be checked before each stage.
 
 The fundamental-theorem check reads rank sigma off sigma's orbit-sum
 coordinates; `sigma_word_rank` eliminates sigma over its words, as the
@@ -35,10 +41,13 @@ The matrix operations the tests build their cases with (`entry`,
 plain functions on `QMatrix` here; the program needs none of them.
 """
 
+import functools
 import itertools
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+
+from tautrings import invariants, model
 
 from tautrings.invariants import (
     _action_rows,
@@ -188,14 +197,15 @@ def sigma_word_rank(m, g) -> int:
     return rank_of_int_rows(_sigma_columns(m, g))
 
 
-def reference_ac_basis(spec, p, q, r, group):
+@functools.cache
+def reference_ac_basis(spec, p, q, r, group) -> tuple:
     """The trigraded cell basis as it was built before the shared join:
     full x and y factor bases, joined with the z factors grouped by
-    weight."""
+    weight.  A tuple, computed once per cell."""
     g, is_a = spec.g, spec.variant == "A"
     wsum = 2 * p + q - r
     if wsum % g or (group == "GL" and wsum):
-        return []
+        return ()
     target = (wsum // g,) * g
     nx, ny = (g * (g + 1) if is_a else g * (g - 1)) // 2, g * spec.dimW
     factors = ((0, nx, p, False), (nx, ny, q, not is_a),
@@ -212,10 +222,10 @@ def reference_ac_basis(spec, p, q, r, group):
     z_by_weight = {}
     for zs, wz in zbasis:
         z_by_weight.setdefault(wz, []).append(zs)
-    return [xs + ys + zs
-            for xs, wx in xbasis for ys, wy in ybasis
-            for zs in z_by_weight.get(
-                tuple(t - a - b for t, a, b in zip(target, wx, wy)), ())]
+    return tuple(xs + ys + zs
+                 for xs, wx in xbasis for ys, wy in ybasis
+                 for zs in z_by_weight.get(
+                     tuple(t - a - b for t, a, b in zip(target, wx, wy)), ()))
 
 
 def recursive_sorted_contents(size: int, labels: int, most: int):
@@ -233,7 +243,13 @@ def recursive_sorted_contents(size: int, labels: int, most: int):
 
 def whole_cell_dim(spec, p, q, r, group) -> int:
     """The invariants of the (p, q, r) cell, counted by the kernel on the
-    whole weight space at once."""
+    whole weight space at once; computed once per cell, and once for a GL
+    cell and the SL cell of the same weight 0 (r = 2p + q)."""
+    return _whole_cell_dim(spec, p, q, r, "GL" if r == 2 * p + q else group)
+
+
+@functools.cache
+def _whole_cell_dim(spec, p, q, r, group) -> int:
     basis = reference_ac_basis(spec, p, q, r, group)
     if not basis:
         return 0
@@ -423,3 +439,35 @@ def column_rank(*matrices: QMatrix) -> int:
         raise ValueError("ambient dimensions differ")
     return rank_of_int_rows([col for m in matrices
                              for col in m._int_rows(columns=True)])
+
+
+def guard_joins(monkeypatch):
+    """Wrap `invariants._weight_space`, wherever the program calls it, so
+    that the test fails if the join that passes JOIN_CAP has already done
+    the work it was refused for: weighed an element (which it does as it
+    lists it) when refused before listing, or kept a word when refused
+    before keeping."""
+    real_join, real_keep = invariants._weight_space, invariants._join_weighed
+    done = []   # what the join in progress has done
+
+    def join(labels, weight, target, what, spent=None):
+        done.clear()
+
+        def weigh(t):
+            done.append("weighed")
+            return weight(t)
+
+        try:
+            return real_join(labels, weigh, target, what, spent)
+        except ValueError as exc:
+            stage = "kept" if "would keep" in str(exc) else "weighed"
+            assert stage not in done, f"{what}: {stage} past the cap"
+            raise
+
+    def keep(*args):
+        done.append("kept")
+        return real_keep(*args)
+
+    for module in (invariants, model):
+        monkeypatch.setattr(module, "_weight_space", join)
+    monkeypatch.setattr(invariants, "_join_weighed", keep)

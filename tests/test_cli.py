@@ -1,6 +1,7 @@
 import csv
 import json
 import pathlib
+import sys
 import time
 
 import pytest
@@ -9,6 +10,8 @@ from tautrings import acceptance, cli, invariants, model, partitions
 from tautrings.cli import main
 from tautrings.graded import BigradedDGA, GeneratorSet
 from tautrings.model import OracleMismatch, minimal_M
+
+from oracles import guard_joins
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -83,7 +86,7 @@ class TestBasicCommands:
 
     def test_ac_dims_zero_by_weight_past_cap(self, capsys):
         """A GL cell with 2p + q - r != 0 has no invariants, whatever the
-        size of the cell (378 378 here, over CELL_CAP)."""
+        size of the cell (378 378 here): it has no block to join."""
         rep = run_json(capsys, "ac-dims", "--variant", "C", "--g", "3",
                        "--dimw", "3", "--dimu", "3", "--p", "0", "--q", "4",
                        "--r", "6")
@@ -98,40 +101,46 @@ class TestBasicCommands:
         assert rep["dim"] == 126
 
     def test_ac_dims_block_cap_before_join(self, capsys, monkeypatch):
-        """The blocks of cell (8, 2, 18) restrict C(17, 8) x multisets
-        times 10 y multisets times the 6 z subsets of its first content
-        already: refused before any join."""
-        def never(*args):
-            pytest.fail("a block was joined before the cap was checked")
+        """The first block of cell (14, 2, 30) joins the C(23, 14) = 817 190
+        x multisets with 60 y and z elements, and lists and weighs them
+        past JOIN_CAP: refused before its join weighs anything.  (Cell
+        (8, 2, 18) at dimU = 5, refused by the earlier cap on the blocks'
+        elements, is answered: 0.)"""
+        real = model._weight_space
 
-        monkeypatch.setattr(model, "_weight_join", never)
+        def join(labels, weight, target, what, spent=None):
+            def never(t):
+                pytest.fail("a block was joined before the cap was checked")
+            return real(labels, never, target, what, spent)
+
+        monkeypatch.setattr(model, "_weight_space", join)
         code, out, err = run(capsys, "ac-dims", "--mode", "brute",
                              "--variant", "A", "--g", "4", "--dimw", "1",
-                             "--dimu", "5", "--p", "8", "--q", "2", "--r",
-                             "18")
+                             "--dimu", "8", "--p", "14", "--q", "2", "--r",
+                             "30")
         assert code == 1
-        assert err == ("error: cell (8,2,18): its label-content blocks "
-                       "hold at least 1458600 basis elements, over CELL_CAP "
-                       "200000\n")
+        assert err == ("error: cell (14,2,30): the weight-space join would "
+                       "list at least 1634457 elements and weigh at least "
+                       "3269000 weight entries, 4903457 steps or more in "
+                       "all, over the cap of 4000000 (JOIN_CAP)\n")
 
     @pytest.mark.parametrize("q", ["100", "400"])
     def test_ac_dims_many_labels_refused_fast(self, capsys, monkeypatch, q):
         """At g = 1 every block is small, but q y letters over q W labels
-        have p(q) sorted contents (about 1.9e8 at q = 100); the count stops
-        once it passes the cap, after CELL_CAP contents."""
-        def never(*args):
-            pytest.fail("a block was built before the cap was checked")
-
-        monkeypatch.setattr(model, "_ac_blocks", never)
+        have p(q) sorted contents (about 1.9e8 at q = 100); the blocks'
+        joins share one count, which passes the cap after some thousands
+        of blocks, and no join builds anything past it."""
+        guard_joins(monkeypatch)
         t0 = time.perf_counter()
         code, out, err = run(capsys, "ac-dims", "--mode", "brute",
                              "--variant", "A", "--g", "1", "--dimw", q,
                              "--dimu", q, "--p", "0", "--q", q, "--r", q)
         assert time.perf_counter() - t0 < 5.0
         assert code == 1
-        assert err == (f"error: cell (0,{q},{q}): its label-content blocks "
-                       "hold at least 200001 basis elements, over CELL_CAP "
-                       "200000\n")
+        assert err.startswith(
+            f"error: cell (0,{q},{q}): the weight-space join would keep 1 "
+            f"words of {2 * int(q)} letters and 1 weight entries, ")
+        assert err.endswith(" over the cap of 4000000 (JOIN_CAP)\n")
 
     def test_mt(self, capsys):
         rep = run_json(capsys, "mt", "--n", "9", "--maxdeg", "1")
@@ -242,15 +251,21 @@ class TestExitCodes:
         assert code == 1
 
     def test_oracle_guard(self, capsys):
-        code, out, err = run(capsys, "oracle-e2", "--n", "12", "--g", "10")
+        code, out, err = run(capsys, "oracle-e2", "--n", "14", "--g", "30")
         assert code == 1
-        assert "over CELL_CAP 200000" in err
+        assert err == (
+            "error: cell (4,4) of the second page at n=14, g=30: the "
+            "weight-space join would list at least 271500 elements and "
+            "weigh at least 4072500 weight entries, 4344000 steps or more "
+            "in all, over the cap of 4000000 (JOIN_CAP)\n")
 
     @pytest.mark.parametrize("m,g,bound", [
-        ("6", "5", "T^{6,6}(Q^5): 2241225 weight words times g = 5 make "
-                   "11206125, over the cap of 1000000"),
-        ("5", "6", "T^{5,5}(Q^6): 384156 weight words times g = 6 make "
-                   "2304936, over the cap of 1000000"),
+        ("6", "5", "T^{6,6}(Q^5): the weight-space join would keep 2241225 "
+                   "words of 12 letters and 5 weight entries, 38288385 "
+                   "steps or more in all, over the cap of 4000000"),
+        ("5", "6", "T^{5,5}(Q^6): the weight-space join would keep 384156 "
+                   "words of 10 letters and 6 weight entries, 6255420 "
+                   "steps or more in all, over the cap of 4000000"),
         ("7", "1", "m > 6 rejected"),
     ])
     def test_fft_bounds_before_sigma(self, capsys, monkeypatch, m, g, bound):
@@ -284,13 +299,16 @@ class TestExitCodes:
     @pytest.mark.parametrize("group", ["GL", "SL"])
     def test_invariants_huge_mixed_space(self, capsys, group):
         """A GL space with k != l has no invariants, but a huge one is
-        still refused by the half-word count, before any report is
-        written."""
+        still refused by the count of its join, from its first 14 slots,
+        before any report is written."""
         code, out, err = run(capsys, "invariants", "5000", "0", "10",
                              "--group", group)
         assert (code, out) == (1, "")
-        assert err == ("error: T^{5000,0}(Q^10): the join lists 10^2500 + "
-                       "10^2500 half-words, over the cap of 1000000\n")
+        assert err == (
+            "error: T^{5000,0}(Q^10): the weight-space join would list at "
+            "least 20000140 elements and weigh at least 200000000 weight "
+            "entries, 220000140 steps or more in all, over the cap of "
+            "4000000 (JOIN_CAP)\n")
 
     def never(self, *args):
         pytest.fail("work started before the cap was checked")
@@ -343,6 +361,35 @@ class TestExitCodes:
         assert code == 1
         assert err == ("error: partition of 1000000000 cells, over the cap "
                        "of 10000 cells for a Schur dimension\n")
+
+    def test_schur_dim_past_the_digit_limit(self, capsys):
+        """A dimension of more decimal digits than the interpreter prints
+        by default (4 300) is printed whole, in JSON and in text, and the
+        limit is as it was after the call."""
+        limit = sys.get_int_max_str_digits()
+        rep = run_json(capsys, "schur-dim", "10000", "100000")
+        code, text, _ = run(capsys, "schur-dim", "10000", "100000",
+                            "--format", "text")
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            want = str(partitions.schur_dim(partitions.Partition([10000]),
+                                            100000))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(want) > limit
+        assert rep["dim"] == want
+        assert code == 0 and f"dim = {want}\n" in text
+
+    def test_emit_error_is_an_error_line(self, capsys, monkeypatch):
+        """A ValueError while the report is written exits 1 with an
+        error: line, like one while it is computed."""
+        def bad(obj):
+            raise ValueError("cannot write this report")
+
+        monkeypatch.setattr(cli, "_jsonable", bad)
+        assert run(capsys, "schur-dim", "2,1", "3") == (
+            1, "", "error: cannot write this report\n")
 
     def test_lr_cell_cap(self, capsys, monkeypatch):
         """A product of 19 + 18 cells is refused before its LR expansion

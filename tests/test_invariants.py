@@ -53,7 +53,7 @@ class TestTensorSpaceSpec:
 
     def test_guard(self):
         with pytest.raises(ValueError):
-            TensorSpaceSpec(10, 10, 4).check_guard()
+            invariant_dim(TensorSpaceSpec(10, 10, 4), "GL")
 
 
 class TestCaps:
@@ -63,35 +63,48 @@ class TestCaps:
         pytest.fail("a capped stage ran before its cap was checked")
 
     def test_halves_before_listing(self, monkeypatch):
-        monkeypatch.setattr(invariants, "_tensor_alphabet", self.never)
+        """The two halves, 4^10 words each, with their 4 weight entries;
+        the alphabet reads its letters only when the join first weighs."""
+        monkeypatch.setattr(invariants, "Letter", self.never)
         with pytest.raises(ValueError, match=(
-                r"T\^\{10,10\}\(Q\^4\): the join lists 4\^10 \+ 4\^10 "
-                r"half-words, over the cap of 1000000")):
+                r"T\^\{10,10\}\(Q\^4\): the weight-space join would list "
+                r"at least 2097232 elements and weigh at least 8388608 "
+                r"weight entries, 10485840 steps or more in all, over the "
+                r"cap of 4000000 \(JOIN_CAP\)")):
             invariant_dim(TensorSpaceSpec(10, 10, 4), "GL")
 
     def test_halves_without_large_powers(self):
-        """A long word is refused from its length alone: 10^50000 is never
-        formed."""
+        """A long word is refused from its first 14 slots alone, whose
+        10^14 words pass the square of the cap, with halves of 10^7 words
+        each: 10^50000 is never formed and the other slots are not read."""
         with pytest.raises(ValueError, match=(
-                r"the join lists 10\^50000 \+ 10\^50000 half-words")):
+                r"T\^\{50000,50000\}\(Q\^10\): the weight-space join "
+                r"would list at least 20000140 elements and weigh at least "
+                r"200000000 weight entries, 220000140 steps or more in all")):
             invariant_dim(TensorSpaceSpec(50000, 50000, 10), "SL")
 
     def test_weights_before_weighing(self, monkeypatch):
-        """T^{1,0}(Q^1001) has no invariant, but its join would weigh
-        1 001 half-words of 1 001 entries each."""
-        monkeypatch.setattr(invariants, "_tensor_alphabet", self.never)
+        """T^{1,0}(Q^1999) has no invariant, but its join would weigh
+        1 999 + 1 elements of 1 999 entries each; T^{1,0}(Q^1998), at
+        3 998 000 steps, is answered in TestCaps.test_largest_admitted."""
+        monkeypatch.setattr(invariants, "Letter", self.never)
         with pytest.raises(ValueError, match=(
-                r"T\^\{1,0\}\(Q\^1001\): the join weighs 1001\^1 "
-                r"half-words of 1001 entries each, 1002001, over the cap "
-                r"of 1000000")):
-            invariant_dim(TensorSpaceSpec(1, 0, 1001), "GL")
+                r"T\^\{1,0\}\(Q\^1999\): the weight-space join would list "
+                r"at least 3999 elements and weigh at least 3998000 weight "
+                r"entries, 4001999 steps or more in all, over the cap of "
+                r"4000000 \(JOIN_CAP\)")):
+            invariant_dim(TensorSpaceSpec(1, 0, 1999), "GL")
 
     def test_words_before_join(self, monkeypatch):
+        """T^{4,4}(Q^10) is answered (TestCaps.test_largest_admitted);
+        T^{4,4}(Q^11) keeps too many words."""
         monkeypatch.setattr(invariants, "_join_weighed", self.never)
         with pytest.raises(ValueError, match=(
-                r"111321 weight words times g = 9 make 1001889, over the "
-                r"cap of 1000000")):
-            invariant_dim(TensorSpaceSpec(4, 4, 9), "GL")
+                r"T\^\{4,4\}\(Q\^11\): the weight-space join would keep "
+                r"265111 words of 8 letters and 11 weight entries, 5388581 "
+                r"steps or more in all, over the cap of 4000000 "
+                r"\(JOIN_CAP\)")):
+            invariant_dim(TensorSpaceSpec(4, 4, 11), "GL")
 
     def test_orbits_before_rows(self, monkeypatch):
         monkeypatch.setattr(invariants, "_action_rows", self.never)
@@ -100,15 +113,16 @@ class TestCaps:
             invariant_dim(TensorSpaceSpec(16, 0, 2), "SL")
 
     def test_partitions_before_sum(self, monkeypatch):
-        """The character count lists the partitions of min(k, l): p(50)
-        is over PARTITION_CAP, although only 26 of them have at most 2
-        rows."""
+        """The character count sums over the partitions of min(k, l) with
+        parts at most g: at T^{50,50}(Q^50) all p(50) = 204 226 of them,
+        over PARTITION_CAP, which the recurrence passes at parts at most
+        29; T^{50,50}(Q^2) sums over 26 (TestCharacterDim.test_values)."""
         monkeypatch.setattr(invariants, "_partitions_desc", self.never)
         with pytest.raises(ValueError, match=(
-                r"T\^\{50,50\}\(Q\^2\): n=50 has too many partitions to "
-                r"list: p\(50\) = 204226, over the cap of 200000 "
-                r"\(PARTITION_CAP\)")):
-            character_dim(TensorSpaceSpec(50, 50, 2), "GL")
+                r"T\^\{50,50\}\(Q\^50\): the character count sums over at "
+                r"least \d+ partitions of 50 with parts at most 50, over the "
+                r"cap of 200000 \(PARTITION_CAP\)")):
+            character_dim(TensorSpaceSpec(50, 50, 50), "GL")
 
     def test_cells_before_sum(self, monkeypatch):
         """The SL count of T^{10002,0}(Q^2) reads one shape, two rows of
@@ -122,13 +136,29 @@ class TestCaps:
 
     @pytest.mark.slow
     def test_largest_admitted(self):
-        """The word count of T^{4,4}(Q^8), 66 424 words times 8, and the
-        orbit count of T^{7,4}(Q^3), 2 121, are under the caps; the
-        character count agrees on both."""
-        for spec, group, want in [(TensorSpaceSpec(4, 4, 8), "GL", 24),
+        """The joins of T^{4,4}(Q^10) (3 385 740 steps) and T^{1,0}(Q^1998)
+        (3 998 000 steps) and the orbit count of T^{7,4}(Q^3), 2 121, are
+        under the caps; the character count agrees on each."""
+        for spec, group, want in [(TensorSpaceSpec(4, 4, 10), "GL", 24),
+                                  (TensorSpaceSpec(1, 0, 1998), "GL", 0),
                                   (TensorSpaceSpec(7, 4, 3), "SL", 225)]:
             assert invariant_dim(spec, group) == want
             assert character_dim(spec, group) == want
+
+    def test_join_cap_largest_admitted_and_first_refused(self, monkeypatch):
+        """The fundamental-theorem check at (1, 1153) takes 3 995 145 steps
+        of join, under JOIN_CAP; (1, 1154) would take 4 002 072, and is
+        refused before its words are built or sigma is."""
+        rep = verify_fundamental_theorems(1, 1153)
+        assert (rep.rank, rep.surjective, rep.injective) == (1, True, True)
+        monkeypatch.setattr(invariants, "_join_weighed", self.never)
+        monkeypatch.setattr(invariants, "_sigma_columns", self.never)
+        with pytest.raises(ValueError, match=(
+                r"T\^\{1,1\}\(Q\^1154\): the weight-space join would keep "
+                r"1154 words of 2 letters and 1154 weight entries, 4002072 "
+                r"steps or more in all, over the cap of 4000000 "
+                r"\(JOIN_CAP\)")):
+            verify_fundamental_theorems(1, 1154)
 
 
 class TestGLInvariants:
@@ -617,6 +647,15 @@ class TestCharacterDim:
                            (TensorSpaceSpec(8, 8, 100), 40320),
                            (TensorSpaceSpec(4, 4, 1000000), 24)]:
             assert character_dim(spec, "GL") == want, spec
+
+    def test_many_slots_few_rows(self):
+        """At g = 2 the sum runs over the 26 partitions of 50 with parts
+        at most 2, not over all p(50) = 204 226: T^{50,50}(Q^2) has
+        Catalan(50) = C(100, 50)/51 GL-invariants (the Temperley-Lieb
+        dimension)."""
+        want = 1978261657756160653623774456
+        assert want == math.comb(100, 50) // 51
+        assert character_dim(TensorSpaceSpec(50, 50, 2), "GL") == want
 
     def test_rejects_unknown_group(self):
         with pytest.raises(ValueError, match="unknown group"):

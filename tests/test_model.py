@@ -26,6 +26,7 @@ from tautrings.model import (
 
 from oracles import (
     all_pairs,
+    guard_joins,
     recursive_sorted_contents,
     reference_ac_basis,
     same_rows_as_previous,
@@ -522,17 +523,25 @@ class TestWeightJoin:
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_e2_matches_reference(self, core_bases, n):
-        # x and lambda ids interleave, so the join's output needs its
-        # sort at n = 7, g = 3 and 4
+        """Each label-content block handed to the core is in lexicographic
+        order, though x and lambda ids interleave (at n = 7, g = 3 and 4),
+        and the blocks partition the cell's constant-weight monomials."""
         for g in range(1, n):
             e2 = E2Model(n, g, minimal_M(n))
             for total in range(n - 2):
                 for p in range(total + 1):
                     core_bases.clear()
                     e2.sl_invariant_vectors(p, total - p)
-                    got = core_bases[0] if core_bases else []
-                    assert got == reference_e2_basis(e2, p, total - p), (
-                        n, g, p, total - p)
+                    cell = (n, g, p, total - p)
+                    covered = []
+                    for basis in core_bases:
+                        assert basis == sorted(basis), cell
+                        assert all(list(elt) == sorted(elt)
+                                   for elt in basis), cell
+                        covered.extend(basis)
+                    want = reference_e2_basis(e2, p, total - p)
+                    assert len(covered) == len(want), cell
+                    assert set(covered) == set(want), cell
 
 
 def _columns(nrows, vectors) -> QMatrix:
@@ -559,8 +568,8 @@ class TestStackedSimpleOperators:
             try:
                 got = ac_invariant_dims_bruteforce(*cell)
             except ValueError as exc:
-                # a g = 4 cell over CELL_CAP
-                assert spec.g == 4 and "over CELL_CAP" in str(exc), cell
+                # a g = 4 cell over JOIN_CAP
+                assert spec.g == 4 and "(JOIN_CAP)" in str(exc), cell
                 continue
             alphabet = model._ac_alphabet(spec)
             basis = reference_ac_basis(*cell)
@@ -583,7 +592,8 @@ class TestStackedSimpleOperators:
                     if not core_bases:
                         assert got == []
                         continue
-                    basis = core_bases[0]
+                    # the cell's blocks, one after another
+                    basis = [elt for block in core_bases for elt in block]
                     position = {elt: j for j, elt in enumerate(basis)}
                     want = stacked_kernel(e2.alphabet, basis)
                     assert len(got) == len(want), (n, g, p, total - p)
@@ -609,8 +619,8 @@ class TestSharedDerivationKernel:
             try:
                 ac_invariant_dims_bruteforce(*cell)
             except ValueError as exc:
-                # a g = 4 cell over CELL_CAP
-                assert spec.g == 4 and "over CELL_CAP" in str(exc), cell
+                # a g = 4 cell over JOIN_CAP
+                assert spec.g == 4 and "(JOIN_CAP)" in str(exc), cell
                 continue
             for basis in core_bases:
                 assert same_rows_as_previous(model._ac_alphabet(spec), basis,
@@ -643,22 +653,27 @@ class TestE2Oracle:
         assert table[(0, 3)] == 2
 
     def test_guard(self, monkeypatch):
-        """At n = 12, g = 10 the join of cell (8, 0) would build 424 271
-        factor elements; the cap refuses before any cell is enumerated."""
-        def fail(*args):
-            raise AssertionError("a cell was enumerated")
-
-        monkeypatch.setattr(GeneratorSet, "monomials_bidegree", fail)
-        with pytest.raises(ValueError, match=r"cell \(8,0\) .* 424271 "
-                           r"factor elements, over CELL_CAP 200000"):
-            e2_bruteforce_oracle(ModelParams(n=12, g=10, M=minimal_M(12),
-                                             maxdeg=9))
+        """At n = 14, g = 30 the block of cell (4, 4) with 2 x letters and
+        4 lb letters of degree 1 would list and weigh the C(466, 2) =
+        108 345 multisets of its x letters; the cap refuses it before its
+        join lists anything.  (n = 12, g = 10, refused by the earlier cap
+        at cell (8, 0), is answered: that cell's x letters have no
+        constant weight.  At g = n - 2 the first second page refused is
+        n = 18.)"""
+        guard_joins(monkeypatch)
+        with pytest.raises(ValueError, match=(
+                r"cell \(4,4\) of the second page at n=14, g=30: the "
+                r"weight-space join would list at least 271500 elements and "
+                r"weigh at least 4072500 weight entries, 4344000 steps or "
+                r"more in all, over the cap of 4000000 \(JOIN_CAP\)")):
+            e2_bruteforce_oracle(ModelParams(n=14, g=30, M=minimal_M(14),
+                                             maxdeg=11))
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("n", range(7, 12))
+    @pytest.mark.parametrize("n", range(7, 18))
     def test_matches_model_past_criterion_7(self, n):
-        # criterion 7 covers n = 5, 6; n = 11, g = 10 is the largest case
-        # under the cap
+        # criterion 7 covers n = 5, 6; n = 17, g = 16 is the largest case
+        # under the cap at g = n - 2 and n - 1
         for g in (n - 2, n - 1):
             table = e2_oracle_check(ModelParams(n=n, g=g, M=minimal_M(n),
                                                 maxdeg=n - 3))
