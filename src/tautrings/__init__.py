@@ -9,6 +9,7 @@ parametrized spectral-sequence model; and the final ring presentations.
 """
 
 from .partitions import (
+    CapExceeded,
     Partition,
     enumerate_partitions,
     lr_coefficient,
@@ -55,15 +56,15 @@ from .rings import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Partition", "enumerate_partitions", "lr_coefficient", "schur_dim",
-    "schur_product_expand", "QMatrix", "subspace_equal", "TensorSpaceSpec",
-    "gl_invariant_basis", "sl_invariant_basis", "sigma_matrix",
-    "verify_fundamental_theorems", "GeneratorSet", "BigradedDGA",
-    "fgca_dims", "quotient_dims",
-    "koszul_cohomology_dims", "ModelParams", "PaperGradedSpaces",
-    "ACAlgebraSpec", "OracleMismatch", "minimal_M", "build_spaces",
-    "build_D_dga", "e3_zero_column", "ac_invariant_dims_bruteforce",
-    "ac_invariant_dims_formula", "gh_target_dims", "e2_bruteforce_oracle",
-    "e2_oracle_check", "lambda_relations", "mt_cohomology",
-    "diff_cohomology", "blockdiff_cohomology",
+    "CapExceeded", "Partition", "enumerate_partitions", "lr_coefficient",
+    "schur_dim", "schur_product_expand", "QMatrix", "subspace_equal",
+    "TensorSpaceSpec", "gl_invariant_basis", "sl_invariant_basis",
+    "sigma_matrix", "verify_fundamental_theorems", "GeneratorSet",
+    "BigradedDGA", "fgca_dims", "quotient_dims", "koszul_cohomology_dims",
+    "ModelParams", "PaperGradedSpaces", "ACAlgebraSpec", "OracleMismatch",
+    "minimal_M", "build_spaces", "build_D_dga", "e3_zero_column",
+    "ac_invariant_dims_bruteforce", "ac_invariant_dims_formula",
+    "gh_target_dims", "e2_bruteforce_oracle", "e2_oracle_check",
+    "lambda_relations", "mt_cohomology", "diff_cohomology",
+    "blockdiff_cohomology",
 ]

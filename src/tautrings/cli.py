@@ -34,6 +34,7 @@ from .model import (
 )
 from .partitions import (
     Partition,
+    check_cap,
     check_partition_cap,
     enumerate_partitions,
     lr_coefficient,
@@ -199,15 +200,10 @@ def _cmd_cauchy_check(args) -> dict:
         raise ValueError(f"--dims wants two positive ints, got {args.dims!r}")
     if args.maxdeg < 0:
         raise ValueError(f"requires maxdeg >= 0 (got {args.maxdeg})")
-    try:   # the largest degree lists the partitions of 2 * maxdeg
-        check_partition_cap(2 * args.maxdeg)
-    except ValueError as exc:
-        raise ValueError(f"--maxdeg {args.maxdeg}: {exc}") from None
+    check_partition_cap(2 * args.maxdeg)   # the largest degree's partitions
     checks = dims[0] * dims[1] * (args.maxdeg + 1)
-    if checks > CAUCHY_CAP:
-        raise ValueError(
-            f"--dims {args.dims} --maxdeg {args.maxdeg}: {checks} identity "
-            f"checks, over the cap of {CAUCHY_CAP}")
+    check_cap("CAUCHY_CAP", CAUCHY_CAP, checks, "--dims {} --maxdeg {}: {} "
+              "identity checks", args.dims, args.maxdeg, checks)
     acceptance.cauchy_sweep(dims[0], dims[1], args.maxdeg)
     return {
         "inputs": {"dims": dims, "maxdeg": args.maxdeg},

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .linalg import _eliminate, rank_of_int_rows
+from .partitions import check_cap
 
 
 @dataclass(frozen=True)
@@ -339,15 +340,20 @@ def fgca_bidims(gens: GeneratorSet, maxtotal: int) -> list[list[int]]:
 BASIS_CAP = 20_000
 
 
+# generators listed times the maxdeg + 1 degrees of the Hilbert series of
+# the free algebra on them, which `fgca_dims` sums, counted as the ring
+# presentations list them; `cohomology --space diff` admits n <= 857, which
+# takes about 0.9 s, and `mt --n 9` maxdeg <= 247
+SERIES_CAP = 10_000_000
+
+
 def check_basis_cap(gens: GeneratorSet, maxtotal: int) -> None:
-    """Raise ValueError if the free algebra on gens has more than
+    """Raise CapExceeded if the free algebra on gens has more than
     BASIS_CAP monomials of total degree <= maxtotal."""
     count = sum(fgca_dims(gens, maxtotal))
-    if count > BASIS_CAP:
-        raise ValueError(
-            f"free algebra on {len(gens)} generators has {count} basis "
-            f"monomials through total degree {maxtotal}, over the cap of "
-            f"{BASIS_CAP}")
+    check_cap("BASIS_CAP", BASIS_CAP, count, "free algebra on {} generators "
+              "has {} basis monomials through total degree {}", len(gens),
+              count, maxtotal)
 
 
 def _int_row(row: dict) -> dict:
@@ -473,7 +479,7 @@ class BigradedDGA:
     def cohomology(self, maxtotal: int) -> dict[tuple[int, int], int]:
         """dim H^{p,q} for all bidegrees with p + q <= maxtotal.
 
-        Raises ValueError, before any cell is built, if the cells hold more
+        Raises CapExceeded, before any cell is built, if the cells hold more
         than BASIS_CAP monomials in all, and DgaError if d^2 != 0.  The
         bigraded series then gives each cell's size.  d has bidegree
         (2, -1), so it is zero on a cell with q = 0 or an empty target
@@ -509,7 +515,7 @@ def koszul_cohomology_dims(F, maxdeg: int) -> list[int]:
 
     F is a QMatrix X x Y (a map from Y to X); d(y_i) is column i of F,
     rational as it is, and the exterior y sit in degree 1, the polynomial
-    x in degree 2.  Returns dims of H^0..H^maxdeg.  Raises ValueError,
+    x in degree 2.  Returns dims of H^0..H^maxdeg.  Raises CapExceeded,
     before any cell is built, if the complex has more than BASIS_CAP
     basis monomials up to maxdeg.
     """

@@ -46,11 +46,11 @@ tests hold the tableau count to.  `sigma_matrix` and the invariant bases
 are QMatrix wrappers over int columns, kernel vectors with their
 denominators dropped.
 
-Work past two caps is refused with ValueError before the stage it gates:
-JOIN_CAP on the builder's steps, and ORBIT_CAP on the live orbits before
-any row of the reduced system is built (`invariant_dim` and the bases).
-The tableau count holds its shapes to partitions.SCHUR_CELL_CAP and its
-partitions to partitions.PARTITION_CAP.
+Work past a cap is refused with partitions.CapExceeded before the stage
+it gates: JOIN_CAP on the builder's steps, ORBIT_CAP on the live orbits
+before any row of the reduced system is built (`invariant_dim` and the
+bases), and SIGMA_CAP on sigma's slots.  The tableau count holds its shapes
+to partitions.SCHUR_CELL_CAP and its partitions to partitions.PARTITION_CAP.
 """
 
 from __future__ import annotations
@@ -65,13 +65,14 @@ from typing import NamedTuple
 from .graded import apply_derivation, derivation_table
 from .linalg import QMatrix, _eliminate, kernel_int_basis
 from .partitions import (PARTITION_CAP, SCHUR_CELL_CAP, _hook_product,
-                         _partitions_desc)
+                         _partitions_desc, check_cap)
 
-# the cap on the steps of the weight-space join (README, "How the
-# weight-restricted basis is built"), and the cap on the live orbits, the
-# columns of the reduced system the tensor paths eliminate
+# the caps on the steps of the weight-space join (README, "How the
+# weight-restricted basis is built"), on the live orbits, the columns of the
+# reduced system the tensor paths eliminate, and on the m of sigma's m! columns
 JOIN_CAP = 4_000_000
 ORBIT_CAP = 3_000
+SIGMA_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -124,11 +125,9 @@ def _charge(spent: list[int], steps: int, what: str, doing: str, *counts):
     """Add steps to the one-item list spent and refuse past JOIN_CAP,
     saying what the join would do: doing formatted with counts."""
     spent[0] += steps
-    if spent[0] > JOIN_CAP:
-        raise ValueError(
-            f"{what}: the weight-space join would {doing.format(*counts)}, "
-            f"{spent[0]} steps or more in all, over the cap of {JOIN_CAP} "
-            f"(JOIN_CAP)")
+    check_cap("JOIN_CAP", JOIN_CAP, spent[0], "{}: the weight-space join "
+              "would " + doing + ", {} steps or more in all", what, *counts,
+              spent[0])
 
 
 def _weight_space(labels, weight, target, what: str,
@@ -506,10 +505,8 @@ def _raising_system(spec: TensorSpaceSpec, group: str):
     them, for the paths that eliminate the reduced system.  The live
     orbits are held to ORBIT_CAP before any row is built."""
     alphabet, basis, orbits = _weight_orbits(spec, group)
-    if len(orbits) > ORBIT_CAP:
-        raise ValueError(
-            f"{spec}: {len(orbits)} live orbits of weight words, over the "
-            f"cap of {ORBIT_CAP}")
+    check_cap("ORBIT_CAP", ORBIT_CAP, len(orbits),
+              "{}: {} live orbits of weight words", spec, len(orbits))
     return basis, orbits, _reduced_rows(alphabet, basis, orbits)
 
 
@@ -547,19 +544,15 @@ def character_dim(spec: TensorSpaceSpec, group: str) -> int:
     if rem or (group == "GL" and c):
         return 0
     n, big = min(k, l), max(k, l)
-    if big > SCHUR_CELL_CAP:
-        raise ValueError(
-            f"{spec}: the character count reads a shape of {big} cells, "
-            f"over the cap of {SCHUR_CELL_CAP} (SCHUR_CELL_CAP)")
+    check_cap("SCHUR_CELL_CAP", SCHUR_CELL_CAP, big,
+              "{}: the character count reads a shape of {} cells", spec, big)
     counts = [1] + [0] * n
     for m in range(1, min(n, g) + 1):
         for j in range(m, n + 1):
             counts[j] += counts[j - m]
-        if counts[n] > PARTITION_CAP:
-            raise ValueError(
-                f"{spec}: the character count sums over at least "
-                f"{counts[n]} partitions of {n} with parts at most {g}, "
-                f"over the cap of {PARTITION_CAP} (PARTITION_CAP)")
+        check_cap("PARTITION_CAP", PARTITION_CAP, counts[n],
+                  "{}: the character count sums over at least {} partitions"
+                  " of {} with parts at most {}", spec, counts[n], n, g)
     small, large, full = math.factorial(n), math.factorial(big), (g,) * abs(c)
     return sum(small // _hook_product(cols)
                * (large // _hook_product(full + cols))
@@ -587,8 +580,8 @@ def sl_invariant_basis(spec: TensorSpaceSpec) -> QMatrix:
 def _check_sigma_args(m: int, g: int):
     if m < 1 or g < 1:
         raise ValueError("need m, g >= 1")
-    if m > 6:
-        raise ValueError("m > 6 rejected: factorial column count")
+    check_cap("SIGMA_CAP", SIGMA_CAP, m,
+              "m > {} rejected: factorial column count", SIGMA_CAP)
 
 
 def _sigma_columns(m: int, g: int) -> list[dict[int, int]]:

@@ -31,10 +31,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .graded import (
+    BASIS_CAP,
+    SERIES_CAP,
     BigradedDGA,
     DgaError,
     GeneratorSet,
@@ -54,7 +57,8 @@ from .invariants import (
     _weight_space,
 )
 from .linalg import rank_of_int_rows
-from .partitions import enumerate_partitions, schur_dim, schur_product_expand
+from .partitions import (check_cap, enumerate_partitions, schur_dim,
+                         schur_product_expand)
 
 
 class OracleMismatch(RuntimeError):
@@ -107,8 +111,10 @@ def k_pair_generators(n: int, M: int,
     4(m0+m1) - 2n - 1 > 1, the defining condition of K; the degree-1 pair
     that exists when n = 3 (mod 4) is not one.  With maxdeg, only the
     pairs of degree <= maxdeg: the degree grows with m0 and with m1, so
-    each loop stops at the bound."""
+    each loop stops at the bound; and the pairs listed times the maxdeg + 1
+    degrees of their Hilbert series are held to SERIES_CAP as they are."""
     top = math.inf if maxdeg is None else maxdeg
+    width = 0 if maxdeg is None else maxdeg + 1
     out = []
     for m0 in range(-(-(n + 1) // 4), M + 1):
         if 8 * m0 - 2 * n - 1 > top:
@@ -119,6 +125,10 @@ def k_pair_generators(n: int, M: int,
                 break
             if deg > 1:
                 out.append((f"k{m0}_{m1}", deg))
+                check_cap("SERIES_CAP", SERIES_CAP, len(out) * width,
+                          "{} pair generators of K listed through degree {}"
+                          ", {} Hilbert-series steps or more", len(out),
+                          maxdeg, len(out) * width)
     return out
 
 
@@ -175,11 +185,20 @@ def build_D_dga(params: ModelParams,
     built, and the z of total maxtotal + 1, which the kept y hit: a
     sub-DGA with the same cells, monomials and d through maxtotal (README,
     "Why e3 builds the model only through maxdeg").  Its basis through
-    maxtotal is held to BASIS_CAP before d is built.
+    maxtotal is held to BASIS_CAP before d is built, and first its v and y
+    of total <= maxtotal, each a basis monomial, counted before any is
+    listed.
     """
     n, M = params.n, params.M
     top = math.inf if maxtotal is None else maxtotal
     v, w, u = vwu_degrees(n, M)
+    if maxtotal is not None:
+        ud = list(u.values())   # increasing
+        count = sum(d <= top for d in v.values()) + sum(
+            bisect_right(ud, top - d) for d in w.values())
+        check_cap("BASIS_CAP", BASIS_CAP, count, "the model at n={}, M={} "
+                  "has {} generators v and y of total degree at most {}, "
+                  "each a basis monomial", n, M, count, maxtotal)
     gens_list = [(f"v{m}", (0, d)) for m, d in v.items() if d <= top]
     ys = [(m0, m1) for m0 in w for m1 in u if w[m0] + u[m1] <= top]
     gens_list += [(f"y{m0}_{m1}", (0, w[m0] + u[m1])) for m0, m1 in ys]
@@ -614,31 +633,33 @@ def lambda_relations(params: ModelParams, ms: list[int]) -> LambdaExpression:
     One factor: the invariant generator lu_m.  Two factors: the 2g-term
     pairing sum_j la_{j,m0} lb_{j,m1} + sum_j lb_{j,m0} la_{j,m1}
     (terms whose generator sits in nonpositive degree are absent).
-    Three or more factors: zero.
+    Three or more factors: zero.  The expression is built on only the
+    generators of `E2Model` it names, in the same (total degree, name)
+    order, so its terms, their order and their signs are those on the
+    whole second page.
     """
     if not ms:
         raise ValueError("requires a nonempty list of indices")
     n, g, M = params.n, params.g, params.M
     if any(m < 1 or m > M for m in ms):
         raise ValueError(f"requires 1 <= m <= M={M} (got {ms})")
-    model = E2Model(n, g, M)
-    gens = model.gens
-    if len(ms) >= 3:
-        return LambdaExpression(gens, {})
     v, w, u = vwu_degrees(n, M)
     if len(ms) == 1:
         m = ms[0]
         if m not in v:
             raise ValueError(
                 f"requires 4m - 2n - 1 > 0 for a single factor (got m={m})")
-        return LambdaExpression(gens, mono_elem((gens.index[f"lu_{m}"],)))
-    m0, m1 = ms
+        return LambdaExpression(GeneratorSet([(f"lu_{m}", (0, v[m]))]),
+                                mono_elem((0,)))
+    pairs = [] if len(ms) > 2 else [(a, b) for a, b in (ms, ms[::-1])
+                                    if a in w and b in u]
+    gens = GeneratorSet(
+        {f"l{s}_{j}_{m}": (0, deg) for a, b in pairs for j in range(g)
+         for s, m, deg in (("a", a, w[a]), ("b", b, u[b]))}.items())
     elem: dict = {}
-    for first, second in ((m0, m1), (m1, m0)):
-        if first not in w or second not in u:
-            continue
+    for a, b in pairs:
         for j in range(g):
             elem = elem_add(elem, elem_mul(
-                gens, mono_elem((gens.index[f"la_{j}_{first}"],)),
-                mono_elem((gens.index[f"lb_{j}_{second}"],))))
+                gens, mono_elem((gens.index[f"la_{j}_{a}"],)),
+                mono_elem((gens.index[f"lb_{j}_{b}"],))))
     return LambdaExpression(gens, elem)

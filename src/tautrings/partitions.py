@@ -17,6 +17,22 @@ from operator import ge
 from typing import Iterable, Iterator
 
 
+class CapExceeded(ValueError):
+    """Work past a named cap, refused before it is done.  name, limit and
+    count are the cap's name, its value and the count that passed it."""
+
+    def __init__(self, name: str, limit: int, count: int, text: str):
+        super().__init__(f"{text}, over the cap of {limit} ({name})")
+        self.name, self.limit, self.count = name, limit, count
+
+
+def check_cap(name: str, limit: int, count: int, text: str, *args) -> None:
+    """Raise CapExceeded if count passes limit.  Its text is text
+    formatted with args, built only then."""
+    if count > limit:
+        raise CapExceeded(name, limit, count, text.format(*args))
+
+
 class Partition:
     """An integer partition, i.e. a Young diagram.
 
@@ -86,12 +102,27 @@ def _conjugate(parts: tuple[int, ...]) -> Partition:
 
 
 def _partitions_desc(n: int, maxpart: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n with parts at most maxpart, in descending
+    lexicographic order, with no frame per part: each lowers the last part
+    over 1 of the one before by one, and fills the cells that part and
+    the 1s after it held with the largest parts it may take."""
     if n == 0:
         yield ()
+    if n <= 0 or maxpart <= 0:
         return
-    for first in range(min(n, maxpart), 0, -1):
-        for rest in _partitions_desc(n - first, first):
-            yield (first,) + rest
+    top, rem = divmod(n, maxpart)
+    parts = [maxpart] * top + [rem] * (rem > 0)
+    while True:
+        yield tuple(parts)
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
+            return
+        r = parts.pop() - 1
+        q, s = divmod(ones + 1, r)
+        parts += [r] * (q + 1) + [s] * (s > 0)
 
 
 # p(k) for k < len, filled by partition_count
@@ -129,16 +160,14 @@ def partition_count(n: int) -> int:
 
 
 def check_partition_cap(n: int) -> None:
-    """Raise ValueError, before any partition is built, if n has more
+    """Raise CapExceeded, before any partition is built, if n has more
     than PARTITION_CAP partitions.  p grows with n, so past n = 1000 the
     message names p(1000) as a lower bound rather than compute p(n)."""
     m = min(n, 1000)
     count = partition_count(m)
-    if count > PARTITION_CAP:
-        rel = "=" if m == n else f">= p({m}) ="
-        raise ValueError(
-            f"n={n} has too many partitions to list: p({n}) {rel} {count}, "
-            f"over the cap of {PARTITION_CAP}")
+    check_cap("PARTITION_CAP", PARTITION_CAP, count,
+              "n={0} has too many partitions to list: p({0}) {1} {2}", n,
+              "=" if m == n else f">= p({m}) =", count)
 
 
 def enumerate_partitions(n: int, filter: str = "all") -> list[Partition]:
@@ -146,7 +175,7 @@ def enumerate_partitions(n: int, filter: str = "all") -> list[Partition]:
 
     filter: "all", "even_rows" (every part even) or "even_cols" (every
     column even, i.e. the conjugate has even rows).  Every partition of n
-    is listed before the filter, so n is refused (ValueError) when p(n)
+    is listed before the filter, so n is refused (CapExceeded) when p(n)
     exceeds PARTITION_CAP.
     """
     if n < 0:
@@ -192,15 +221,13 @@ def schur_dim(lam: Partition, g: int) -> int:
 
     Counts semistandard Young tableaux of shape lam with entries <= g;
     zero exactly when the diagram has more than g rows.  The hook-content
-    product walks every cell, so lam is refused (ValueError) past
+    product walks every cell, so lam is refused (CapExceeded) past
     SCHUR_CELL_CAP cells.
     """
     if g < 1:
         raise ValueError("g must be positive")
-    if lam.size > SCHUR_CELL_CAP:
-        raise ValueError(
-            f"partition of {lam.size} cells, over the cap of "
-            f"{SCHUR_CELL_CAP} cells for a Schur dimension")
+    check_cap("SCHUR_CELL_CAP", SCHUR_CELL_CAP, lam.size,
+              "partition of {} cells for a Schur dimension", lam.size)
     return _schur_dim(lam.parts, g)
 
 
@@ -263,14 +290,12 @@ def _lr_count_cached(lam: tuple, mu: tuple) -> dict[tuple, int]:
 def lr_expansion(lam: Partition, mu: Partition) -> dict[tuple, int]:
     """The product lam * mu over every kappa: c^kappa_{lam mu} by kappa's
     parts, nonzero coefficients only.  The dict is the cached expansion
-    itself, so callers only read it.  Refused (ValueError) past
+    itself, so callers only read it.  Refused (CapExceeded) past
     LR_CELL_CAP cells."""
     n = lam.size + mu.size
-    if n > LR_CELL_CAP:
-        raise ValueError(
-            f"partitions of {lam.size} and {mu.size} cells: {n} cells, over "
-            f"the cap of {LR_CELL_CAP} cells for a Littlewood-Richardson "
-            f"expansion")
+    check_cap("LR_CELL_CAP", LR_CELL_CAP, n, "partitions of {} and {} cells: "
+              "{} cells for a Littlewood-Richardson expansion",
+              lam.size, mu.size, n)
     return _lr_count_cached(lam.parts, mu.parts)
 
 
@@ -278,7 +303,7 @@ def lr_coefficient(lam: Partition, mu: Partition, kappa: Partition) -> int:
     """Littlewood-Richardson coefficient: multiplicity of kappa in lam * mu.
 
     Read from the cached expansion of lam * mu over every kappa, which is
-    refused (ValueError) past LR_CELL_CAP cells."""
+    refused (CapExceeded) past LR_CELL_CAP cells."""
     if kappa.size != lam.size + mu.size or not kappa.contains(lam):
         return 0
     if not mu.parts:

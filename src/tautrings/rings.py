@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graded import GeneratorSet, fgca_dims
+from .graded import SERIES_CAP, GeneratorSet, fgca_dims
 from .model import (
     OracleMismatch,
     borel_generators,
@@ -23,6 +23,7 @@ from .model import (
     k_single_generators,
     minimal_M,
 )
+from .partitions import check_cap
 
 
 @dataclass(frozen=True)
@@ -36,21 +37,27 @@ class RingPresentation:
 
 def _multisets_in_degree(lo: int, hi: int, shift: int, maxdeg: int):
     """Weakly increasing tuples c with entries in [lo, hi] and
-    0 < 4*sum(c) - shift <= maxdeg."""
-    out = []
-
-    def rec(start, acc, total):
-        if acc and 0 < 4 * total - shift <= maxdeg:
-            out.append(tuple(acc))
-        for m in range(start, hi + 1):
-            if 4 * (total + m) - shift > maxdeg:
-                break
-            acc.append(m)
-            rec(m, acc, total + m)
-            acc.pop()
-
-    rec(lo, [], 0)
-    return out
+    0 < 4*sum(c) - shift <= maxdeg, in lexicographic order.  c is walked
+    on one list, with no frame per entry, and the tuples listed times the
+    maxdeg + 1 degrees of their Hilbert series are held to SERIES_CAP as
+    they are listed."""
+    out, acc, total, m = [], [], 0, lo   # m: the next entry to try
+    while True:
+        if m <= hi and 4 * (total + m) - shift <= maxdeg:
+            acc.append(m)   # and try m again after it
+            total += m
+            if 4 * total > shift:
+                out.append(tuple(acc))
+                check_cap("SERIES_CAP", SERIES_CAP, len(out) * (maxdeg + 1),
+                          "{} multisets of indices in [{}, {}] listed through"
+                          " degree {}, {} Hilbert-series steps or more",
+                          len(out), lo, hi, maxdeg, len(out) * (maxdeg + 1))
+        elif acc:
+            m = acc.pop()
+            total -= m
+            m += 1
+        else:
+            return out
 
 
 def _mu_name(c: tuple[int, ...]) -> str:

@@ -907,8 +907,9 @@ class TestBigradedDGA:
         count = sum(fgca_dims(gens, 12))
         assert count > BASIS_CAP
         with pytest.raises(ValueError, match=(
-                f"{count} basis monomials through total degree 12, over "
-                f"the cap of {BASIS_CAP}")):
+                f"^free algebra on 16 generators has {count} basis monomials "
+                rf"through total degree 12, over the cap of {BASIS_CAP} "
+                r"\(BASIS_CAP\)$")):
             BigradedDGA(gens, {}).cohomology(12)
 
     def test_random_dgas_cover_both_outcomes(self):

@@ -109,7 +109,8 @@ class TestCaps:
     def test_orbits_before_rows(self, monkeypatch):
         monkeypatch.setattr(invariants, "_action_rows", self.never)
         with pytest.raises(ValueError, match=(
-                r"6435 live orbits of weight words, over the cap of 3000")):
+                r"^T\^\{16,0\}\(Q\^2\): 6435 live orbits of weight words, "
+                r"over the cap of 3000 \(ORBIT_CAP\)$")):
             invariant_dim(TensorSpaceSpec(16, 0, 2), "SL")
 
     def test_partitions_before_sum(self, monkeypatch):
@@ -638,6 +639,15 @@ class TestCharacterDim:
                     spec = TensorSpaceSpec(k, l, g)
                     assert character_dim(spec, group) == _full_character_sum(
                         spec, group), spec
+
+    def test_long_partitions(self):
+        """Both caps admit these, and the partitions of min(k, l) are
+        walked with no frame per part: T^{2000,2000}(Q^1) sums over the
+        one partition of 2 000 ones, and T^{1200,1200}(Q^2) over the 601
+        with parts at most 2, to Catalan(1200)."""
+        assert character_dim(TensorSpaceSpec(2000, 2000, 1), "GL") == 1
+        assert character_dim(TensorSpaceSpec(1200, 1200, 2), "GL") == (
+            math.comb(2400, 1200) // 1201)
 
     def test_values(self):
         """Spaces whose words the join could not list: T^{1,1}(Q^1000)

@@ -78,6 +78,27 @@ class TestEnumeration:
     def test_even_cols(self):
         assert enumerate_partitions(2, "even_cols") == [P(1, 1)]
 
+    def test_walk_matches_recursion(self):
+        """The walk lists what a recursion on the first part lists, in the
+        same order, for every n <= 22 and every bound on the parts."""
+        def recursion(n, maxpart):
+            if n == 0:
+                yield ()
+            for first in range(min(n, maxpart), 0, -1):
+                for rest in recursion(n - first, first):
+                    yield (first,) + rest
+
+        for n in range(23):
+            for maxpart in range(n + 2):
+                assert (list(partitions._partitions_desc(n, maxpart))
+                        == list(recursion(n, maxpart))), (n, maxpart)
+
+    def test_long_partitions_take_no_frame_per_part(self):
+        assert list(partitions._partitions_desc(5000, 1)) == [(1,) * 5000]
+        walk = list(partitions._partitions_desc(5000, 2))
+        assert len(walk) == 2501
+        assert walk[0] == (2,) * 2500 and walk[-1] == (1,) * 5000
+
     def test_even_cols_matches_conjugate(self):
         for n in range(9):
             got = set(enumerate_partitions(n, "even_cols"))
@@ -103,7 +124,8 @@ class TestPartitionCount:
 
         monkeypatch.setattr(partitions, "_partitions_desc", never)
         with pytest.raises(ValueError, match=r"n=50 .* p\(50\) = 204226, "
-                                             r"over the cap of 200000"):
+                                             r"over the cap of 200000 "
+                                             r"\(PARTITION_CAP\)$"):
             enumerate_partitions(50, "even_rows")
 
 
@@ -219,9 +241,11 @@ class TestLRCap:
         assert LR_CELL_CAP == 36
         monkeypatch.setattr(partitions, "_lr_count_cached", self.never)
         lam, mu = P(10, 9), P(9, 9)
-        with pytest.raises(ValueError, match=r"partitions of 19 and 18 "
-                                             r"cells: 37 cells, over the "
-                                             r"cap of 36 cells"):
+        with pytest.raises(ValueError, match=r"^partitions of 19 and 18 "
+                                             r"cells: 37 cells for a "
+                                             r"Littlewood-Richardson "
+                                             r"expansion, over the cap of 36 "
+                                             r"\(LR_CELL_CAP\)$"):
             lr_coefficient(lam, mu, P(19, 18))
         with pytest.raises(ValueError, match="over the cap of 36"):
             schur_product_expand(lam, mu)
