@@ -2,7 +2,8 @@
 computations, run by both `verify-all` and the test suite.
 
 A failed check has one form: it raises OracleMismatch at its first
-failure, naming the failing case.  `criterion` turns a check into a
+failure, through `partitions.check_agree`, naming the quantity, the
+failing case and the values of its legs.  `criterion` turns a check into a
 criterion and is the one place a CriterionResult is built.  Three checks
 are shared with the CLI: `fundamental_theorems` (criterion 1, `fft-check`),
 `cauchy_sweep` (criterion 3, `cauchy-check`) and `koszul_check`
@@ -37,14 +38,14 @@ from .model import (
     ModelParams,
     ac_invariant_dims_bruteforce,
     ac_invariant_dims_formula,
-    OracleMismatch,
     borel_generators,
     e2_oracle_check,
     e3_zero_column,
     gh_target_dims,
     minimal_M,
 )
-from .partitions import enumerate_partitions, lr_expansion, schur_dim
+from .partitions import (OracleMismatch, check_agree, enumerate_partitions,
+                         lr_expansion, mismatch_case, schur_dim)
 from .rings import blockdiff_cohomology, diff_cohomology, mt_cohomology
 
 
@@ -78,14 +79,11 @@ def fundamental_theorems(m: int, g: int) -> FundamentalTheoremReport:
     """The permutation tensors span the GL-invariants of T^{m,m}(Q^g),
     and are independent iff m <= g."""
     rep = verify_fundamental_theorems(m, g)
-    if not rep.surjective:
-        raise OracleMismatch(
-            f"permutation tensors fail to span the invariants at "
-            f"m={m}, g={g}")
-    if rep.injective != (m <= g):
-        raise OracleMismatch(
-            f"permutation tensors {'are' if rep.injective else 'are not'} "
-            f"independent (rank {rep.rank}) at m={m}, g={g}")
+    case = f"m={m}, g={g}"
+    check_agree("permutation tensors span the invariants", case,
+                ("computed", rep.surjective), ("first theorem", True))
+    check_agree("permutation tensors independent", case,
+                (f"rank {rep.rank} = m!", rep.injective), ("m <= g", m <= g))
     return rep
 
 
@@ -109,14 +107,11 @@ def criterion_2() -> str:
     for g in range(1, 4):
         for k in range(0, 6):
             for l in range(0, 6 - k):
-                spec = TensorSpaceSpec(k, l, g)
+                spec, case = TensorSpaceSpec(k, l, g), f"k={k}, l={l}, g={g}"
                 for group in ("GL", "SL"):
-                    dim = invariant_dim(spec, group)
-                    want = character_dim(spec, group)
-                    if dim != want:
-                        raise OracleMismatch(
-                            f"{group}-invariants: kernel {dim} != character "
-                            f"{want} at k={k}, l={l}, g={g}")
+                    check_agree(f"{group}-invariants", case,
+                                ("kernel", invariant_dim(spec, group)),
+                                ("character", character_dim(spec, group)))
                 checked += 1
     return f"{checked} spaces with k+l <= 5, g <= 3"
 
@@ -133,33 +128,29 @@ def criterion_3() -> str:
 def lr_symmetries(max_size: int) -> int:
     """c^kappa_{lam mu} = c^kappa_{mu lam} = c^kappa'_{lam' mu'} for every
     triple with |kappa| = |lam| + |mu| <= max_size, checked on whole
-    expansions, one (lam, mu) pair at a time; returns the number of
-    triples.  At the first pair that fails, names the first kappa, in
-    enumerate_partitions order, at which either identity fails."""
+    expansions, one (lam, mu) pair at a time, read at each kappa in
+    enumerate_partitions order; returns the number of triples."""
     checked = 0
     by_size = [enumerate_partitions(s) for s in range(max_size + 1)]
+    names = {p: str(p) for ps in by_size for p in ps}
     for s, kappas in enumerate(by_size):
-        conj = {k.parts: k.conjugate().parts for k in kappas}
+        # each kappa's parts, its conjugate's and its name
+        reads = [(k.parts, k.conjugate().parts, names[k]) for k in kappas]
         for a in range(s + 1):
             for lam, mu in itertools.product(by_size[a], by_size[s - a]):
                 e = lr_expansion(lam, mu)
                 swapped = lr_expansion(mu, lam)
                 dual = lr_expansion(lam.conjugate(), mu.conjugate())
-                if e != swapped or e != {conj[k]: c for k, c in dual.items()}:
-                    _first_lr_failure(lam, mu, kappas, e, swapped, dual)
+                pair = f"{names[lam]},{names[mu]},"
+                for kappa, conj, name in reads:
+                    # a kappa in no expansion reads 0 three times
+                    if kappa in e or kappa in swapped or conj in dual:
+                        check_agree("LR coefficient", pair + name,
+                                    ("lam*mu", e.get(kappa, 0)),
+                                    ("mu*lam", swapped.get(kappa, 0)),
+                                    ("(lam'*mu')'", dual.get(conj, 0)))
                 checked += len(kappas)
     return checked
-
-
-def _first_lr_failure(lam, mu, kappas, e, swapped, dual) -> None:
-    """Raise at the first kappa where lam * mu differs from mu * lam or
-    from the conjugate of lam' * mu'."""
-    for kappa in kappas:
-        c = e.get(kappa.parts, 0)
-        if c != swapped.get(kappa.parts, 0):
-            raise OracleMismatch(f"symmetry fails at {lam},{mu},{kappa}")
-        if c != dual.get(kappa.conjugate().parts, 0):
-            raise OracleMismatch(f"conjugation fails at {lam},{mu},{kappa}")
 
 
 def cauchy_sweep(max_v: int, max_w: int, maxdeg: int) -> None:
@@ -171,38 +162,37 @@ def cauchy_sweep(max_v: int, max_w: int, maxdeg: int) -> None:
 
 
 def cauchy_identities(dimV: int, dimW: int, degree: int) -> None:
-    """The four Cauchy dimension identities at one (dims, degree)."""
+    """The four Cauchy dimension identities at one (dims, degree), each
+    a binomial count against a sum of Schur dimensions."""
     q = degree
     parts = enumerate_partitions(q)
-    if math.comb(dimV * dimW + q - 1, q) != sum(
-            schur_dim(lam, dimV) * schur_dim(lam, dimW) for lam in parts):
-        which = "S^q(V(x)W)"
-    elif math.comb(dimV * dimW, q) != sum(
-            schur_dim(lam, dimV) * schur_dim(lam.conjugate(), dimW)
-            for lam in parts):
-        which = "Lambda^r(V(x)W)"
-    else:
-        which = _square_identities(dimV, q)
-    if which:
-        raise OracleMismatch(f"Cauchy identity {which} fails at dims "
-                             f"({dimV},{dimW}), degree {degree}")
+    case = f"dims ({dimV},{dimW}), degree {degree}"
+    for which, binomial, schur in (
+            ("S^q(V(x)W)", math.comb(dimV * dimW + q - 1, q),
+             sum(schur_dim(lam, dimV) * schur_dim(lam, dimW)
+                 for lam in parts)),
+            ("Lambda^r(V(x)W)", math.comb(dimV * dimW, q),
+             sum(schur_dim(lam, dimV) * schur_dim(lam.conjugate(), dimW)
+                 for lam in parts)),
+            *_square_identities(dimV, q)):
+        check_agree(f"Cauchy identity {which}", case, ("binomial", binomial),
+                    ("Schur sum", schur))
 
 
 @functools.lru_cache(maxsize=None)
-def _square_identities(dimV: int, q: int) -> str:
+def _square_identities(dimV: int, q: int) -> tuple:
     """The Cauchy identities for S^p(S^2 V) and S^p(Lambda^2 V), which do
-    not involve W, once per (dimV, degree): the first that fails, or ""."""
+    not involve W, once per (dimV, degree): (name, binomial, Schur sum)."""
     dsym, dext = dimV * (dimV + 1) // 2, dimV * (dimV - 1) // 2
-    if math.comb(dsym + q - 1, q) != sum(
-            schur_dim(lam, dimV)
-            for lam in enumerate_partitions(2 * q, "even_rows")):
-        return "S^p(S^2 V)"
-    # Lambda^2 V = 0 when dimV = 1, and its S^p is Q or 0
-    if (math.comb(dext + q - 1, q) if dext else int(q == 0)) != sum(
-            schur_dim(lam, dimV)
-            for lam in enumerate_partitions(2 * q, "even_cols")):
-        return "S^p(Lambda^2 V)"
-    return ""
+    return (
+        ("S^p(S^2 V)", math.comb(dsym + q - 1, q),
+         sum(schur_dim(lam, dimV)
+             for lam in enumerate_partitions(2 * q, "even_rows"))),
+        # Lambda^2 V = 0 when dimV = 1, and its S^p is Q or 0
+        ("S^p(Lambda^2 V)",
+         math.comb(dext + q - 1, q) if dext else int(q == 0),
+         sum(schur_dim(lam, dimV)
+             for lam in enumerate_partitions(2 * q, "even_cols"))))
 
 
 @criterion(4, "trigraded invariants")
@@ -217,22 +207,18 @@ def criterion_4() -> str:
             for q in range(0, 5 - 2 * p):
                 case = f"{variant}, g={g}, W={dimW}, U={dimU}, (p,q)=({p},{q})"
                 r = 2 * p + q
-                brute = ac_invariant_dims_bruteforce(spec, p, q, r)
-                formula = ac_invariant_dims_formula(spec, p, q)
-                if brute != formula:
-                    raise OracleMismatch(
-                        f"brute {brute} != formula {formula} at {case}")
+                brute = ("brute", ac_invariant_dims_bruteforce(spec, p, q, r))
+                check_agree("trigraded invariants", case, brute, (
+                    "formula", ac_invariant_dims_formula(spec, p, q)))
                 if r <= g:
-                    stable = gh_target_dims(dimW, dimU, p, q)
-                    if brute != stable:
-                        raise OracleMismatch(
-                            f"brute {brute} != stable {stable} at {case}")
+                    check_agree("trigraded invariants", case, brute, (
+                        "stable", gh_target_dims(dimW, dimU, p, q)))
                 for r2 in range(0, r + 3):
-                    if r2 != r and ac_invariant_dims_bruteforce(
-                            spec, p, q, r2):
-                        raise OracleMismatch(
-                            f"nonzero invariants at r={r2} != 2p+q for "
-                            f"{case}")
+                    if r2 != r:
+                        check_agree("trigraded invariants off r = 2p+q",
+                                    f"{case}, r={r2}", ("brute",
+                                    ac_invariant_dims_bruteforce(
+                                        spec, p, q, r2)), ("zero", 0))
                 checked += 1
     return f"{checked} cells, both variants, g <= 3"
 
@@ -242,11 +228,9 @@ def koszul_check(F: QMatrix, maxdeg: int) -> tuple[list[int], int]:
     symmetric(cokernel); returns the agreed dims and the rank of F."""
     dims = koszul_cohomology_dims(F, maxdeg)
     rank = F.rank()
-    expected = kernel_cokernel_dims(F.cols - rank, F.rows - rank, maxdeg)
-    if dims != expected:
-        raise OracleMismatch(
-            f"Koszul cohomology {dims} differs from the kernel/cokernel "
-            f"model {expected} for a {F.rows}x{F.cols} map of rank {rank}")
+    check_agree("Koszul cohomology", f"a {F.rows}x{F.cols} map of rank "
+                f"{rank}", ("complex", dims), ("kernel/cokernel model",
+                kernel_cokernel_dims(F.cols - rank, F.rows - rank, maxdeg)))
     return dims, rank
 
 
@@ -257,10 +241,8 @@ def criterion_5() -> str:
     for trial in range(50):
         F = random_matrix(rng.randint(0, 5), rng.randint(0, 5), rng,
                           lo=-3, hi=3)
-        try:
+        with mismatch_case(f"trial {trial}"):
             koszul_check(F, 8)
-        except OracleMismatch as exc:
-            raise OracleMismatch(f"trial {trial}: {exc}") from None
     return "50 random maps, dims <= 5, degrees <= 8"
 
 
@@ -289,10 +271,8 @@ def _stage_check(stage: str, res, source: str, dims) -> None:
     beta = fgca_dims(GeneratorSet(borel_generators(top)), top)
     want = [sum(dims[i] * beta[d - i] for i in range(d + 1))
             for d in range(top + 1)]
-    if list(res.dims) != want:
-        raise OracleMismatch(
-            f"{stage} stage dims {list(res.dims)} != {source} (x) "
-            f"Lambda(beta) {want} at n={res.n}")
+    check_agree(f"{stage} stage dims", f"n={res.n}", ("computed", list(
+        res.dims)), (f"{source} (x) Lambda(beta)", want))
 
 
 @criterion(8, "final rings")
@@ -302,8 +282,8 @@ def criterion_8() -> str:
     column (x) Lambda(beta); spot values at n = 9."""
     for n in range(4, 14):
         dims = diff_cohomology(n, max(1, n - 3)).dims
-        if dims[1] != 0:
-            raise OracleMismatch(f"H^1 != 0 at n={n}: {dims[1]}")
+        check_agree("diff ring H^1", f"n={n}", ("computed", dims[1]),
+                    ("zero", 0))
         if n >= 5:
             _stage_check("block", blockdiff_cohomology(n, n - 4),
                          "diff ring", dims)
@@ -312,12 +292,10 @@ def criterion_8() -> str:
             _stage_check("tangential",
                          blockdiff_cohomology(n, n - 3, tangential=True),
                          "e3 zero column", column)
-    spot = diff_cohomology(9, 5).dims
-    if list(spot) != [1, 0, 0, 0, 0, 1]:
-        raise OracleMismatch(f"n=9 dims {list(spot)} != [1,0,0,0,0,1]")
-    b9 = blockdiff_cohomology(9, 5)
-    if list(b9.dims) != [1, 0, 0, 0, 0, 2]:
-        raise OracleMismatch(f"n=9 block dims {list(b9.dims)}")
+    check_agree("diff ring dims", "n=9", ("computed", list(
+        diff_cohomology(9, 5).dims)), ("spot value", [1, 0, 0, 0, 0, 1]))
+    check_agree("block stage dims", "n=9", ("computed", list(
+        blockdiff_cohomology(9, 5).dims)), ("spot value", [1, 0, 0, 0, 0, 2]))
     return "n = 4..13 triple agreement, spot values, H^1 = 0"
 
 
@@ -325,10 +303,9 @@ def criterion_8() -> str:
 def criterion_9() -> str:
     """H^1 of the Thom-spectrum ring by residue of n mod 4."""
     for n in range(5, 14):
-        h1 = mt_cohomology(n, 1).dims[1]
-        want = 0 if n % 2 == 0 else 1 if n % 4 == 1 else 2
-        if h1 != want:
-            raise OracleMismatch(f"n={n}: got {h1}, want {want}")
+        check_agree("Thom-spectrum H^1", f"n={n}", (
+            "computed", mt_cohomology(n, 1).dims[1]), (
+            "by n mod 4", 0 if n % 2 == 0 else 1 if n % 4 == 1 else 2))
     return "n = 5..13"
 
 

@@ -381,6 +381,15 @@ def _cmd_verify_all(args) -> dict:
             "provenance": "full acceptance suite"}
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 1, invalid parameters, as every other does;
+    its subcommands' parsers are of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared after it.
@@ -390,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     subcommand's handler is bound here, when the parser is built:
     replacing a cli._cmd_* function after the first call has no effect.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tautrings",
         description="Exact computation of tautological cohomology rings.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .linalg import _eliminate, rank_of_int_rows
-from .partitions import check_cap
+from .partitions import check_agree, check_cap
 
 
 @dataclass(frozen=True)
@@ -126,6 +126,10 @@ class GeneratorSet:
         powers = [(self.gens[a].name, len(list(run)))
                   for a, run in groupby(mono)]
         return "*".join(x if e == 1 else f"{x}^{e}" for x, e in powers) or "1"
+
+    def terms(self, elem) -> list[tuple[int, str]]:
+        """(coefficient, mono_str) of each term of elem, by monomial."""
+        return [(c, self.mono_str(m)) for m, c in sorted(elem.items())]
 
     def monomials_total(self, degree: int) -> list[tuple[int, ...]]:
         """All monomials of the given total degree, in increasing order:
@@ -401,10 +405,6 @@ def quotient_dims(gens: GeneratorSet, relations: list[dict], maxdeg: int) -> lis
     return out
 
 
-class DgaError(ValueError):
-    """Raised when a claimed differential fails to square to zero."""
-
-
 class BigradedDGA:
     """Finitely generated bigraded GCA with a derivation differential of
     bidegree (2, -1)."""
@@ -443,10 +443,9 @@ class BigradedDGA:
         the reference for check_d_squared_on_generators."""
         for d in range(maxtotal + 1):
             for m in self.gens.monomials_total(d):
-                dd = self.d(self.d(mono_elem(m)))
-                if dd:
-                    raise DgaError(
-                        f"d^2 != 0 on monomial {self.gens.mono_str(m)}")
+                check_agree("d^2", f"monomial {self.gens.mono_str(m)}", (
+                    "d^2", self.gens.terms(self.d(self.d(mono_elem(m))))),
+                    ("zero", []))
 
     def check_d_squared_on_generators(self, maxtotal: int):
         """Verify d^2 = 0 on every generator of total degree <= maxtotal.
@@ -457,9 +456,9 @@ class BigradedDGA:
         degrees are at most the monomial's.
         """
         for i, val in self.dvals.items():
-            if self.gens[i].total <= maxtotal and self.d(val):
-                raise DgaError(
-                    f"d^2 != 0 on generator {self.gens[i].name}")
+            if self.gens[i].total <= maxtotal:
+                check_agree("d^2", f"generator {self.gens[i].name}", (
+                    "d^2", self.gens.terms(self.d(val))), ("zero", []))
 
     def _cell_rank(self, basis) -> tuple[int, set]:
         """Rank of d on the span of basis, monomials of one cell, and the
@@ -480,7 +479,7 @@ class BigradedDGA:
         """dim H^{p,q} for all bidegrees with p + q <= maxtotal.
 
         Raises CapExceeded, before any cell is built, if the cells hold more
-        than BASIS_CAP monomials in all, and DgaError if d^2 != 0.  The
+        than BASIS_CAP monomials in all, and OracleMismatch if d^2 != 0.  The
         bigraded series then gives each cell's size.  d has bidegree
         (2, -1), so it is zero on a cell with q = 0 or an empty target
         (p + 2, q - 1): such a cell has rank 0 and no pivots, and is not

@@ -39,7 +39,6 @@ from .graded import (
     BASIS_CAP,
     SERIES_CAP,
     BigradedDGA,
-    DgaError,
     GeneratorSet,
     check_basis_cap,
     derive,
@@ -57,12 +56,13 @@ from .invariants import (
     _weight_space,
 )
 from .linalg import rank_of_int_rows
-from .partitions import (check_cap, enumerate_partitions, schur_dim,
-                         schur_product_expand)
+from .partitions import (OracleMismatch, _partitions_desc, check_agree,
+                         check_cap, enumerate_partitions, mismatch_case,
+                         schur_dim, schur_product_expand)
 
-
-class OracleMismatch(RuntimeError):
-    """Two independent computations of the same quantity disagree."""
+# generators of K that build_spaces lists, singles and pairs; e3 at n = 9
+# lists and prints K_CAP of them in about a second
+K_CAP = 40_000
 
 
 def minimal_M(n: int) -> int:
@@ -160,8 +160,15 @@ class PaperGradedSpaces:
 
 
 def build_spaces(params: ModelParams) -> PaperGradedSpaces:
+    """V, W, U and K.  K, a single for each v and O(M^2) pairs, is counted
+    from the degree table and held to K_CAP before any is listed."""
     n, M = params.n, params.M
     v, w, u = vwu_degrees(n, M)
+    # a pair k_{m0,m1}: m0 of w, m0 <= m1 <= M, and 4(m0 + m1) > 2n + 2
+    low = (2 * n + 2) // 4 + 1
+    count = len(v) + sum(max(0, M + 1 - max(m0, low - m0)) for m0 in w)
+    check_cap("K_CAP", K_CAP, count,
+              "the model at n={}, M={} has {} generators of K", n, M, count)
     return PaperGradedSpaces(
         n=n, M=M,
         V=tuple((f"v{m}", d) for m, d in v.items()),
@@ -192,20 +199,27 @@ def build_D_dga(params: ModelParams,
     n, M = params.n, params.M
     top = math.inf if maxtotal is None else maxtotal
     v, w, u = vwu_degrees(n, M)
+    um, ud = list(u), list(u.values())   # increasing
+    # the y_{m0,m1} of total <= top: the first cut[m0] m1 of u; degrees
+    # grow with m, so each walk below stops at the first m0 with none
+    cut = {}
+    for m0, d in w.items():
+        if not (k := bisect_right(ud, top - d)):
+            break
+        cut[m0] = k
     if maxtotal is not None:
-        ud = list(u.values())   # increasing
-        count = sum(d <= top for d in v.values()) + sum(
-            bisect_right(ud, top - d) for d in w.values())
+        count = sum(d <= top for d in v.values()) + sum(cut.values())
         check_cap("BASIS_CAP", BASIS_CAP, count, "the model at n={}, M={} "
                   "has {} generators v and y of total degree at most {}, "
                   "each a basis monomial", n, M, count, maxtotal)
     gens_list = [(f"v{m}", (0, d)) for m, d in v.items() if d <= top]
-    ys = [(m0, m1) for m0 in w for m1 in u if w[m0] + u[m1] <= top]
+    ys = [(m0, m1) for m0, k in cut.items() for m1 in um[:k]]
     gens_list += [(f"y{m0}_{m1}", (0, w[m0] + u[m1])) for m0, m1 in ys]
-    for m0, m1 in itertools.combinations(u, 2):
-        # z_{m0,m1} = -d(y_{m1,m0}), of total one more
-        if 2 + u[m0] + u[m1] <= top + 1:
-            gens_list.append((f"z{m0}_{m1}", (2, u[m0] + u[m1])))
+    for i, (m0, d) in enumerate(u.items()):
+        # z_{m0,m1} = -d(y_{m1,m0}), of total 2 + d + u[m1] <= top + 1
+        if (k := bisect_right(ud, top - 1 - d)) <= i + 1:
+            break
+        gens_list += [(f"z{m0}_{m1}", (2, d + u[m1])) for m1 in um[i + 1:k]]
     gens = GeneratorSet(gens_list)
     if maxtotal is not None:
         check_basis_cap(gens, maxtotal)   # before the dense d-values
@@ -228,19 +242,18 @@ def e3_zero_column(params: ModelParams) -> list[int]:
     Asserts H^{p,q} = 0 for p != 0 in total degrees <= maxdeg and that
     the column equals the Hilbert series of the exterior algebra on K.
     """
-    dga = build_D_dga(params, params.maxdeg)
-    table = dga.cohomology(params.maxdeg)
+    case = f"n={params.n}, M={params.M}"
+    with mismatch_case(case):   # a d^2 failure names n and M
+        table = build_D_dga(params, params.maxdeg).cohomology(params.maxdeg)
     for (p, q), h in sorted(table.items()):
-        if p != 0 and h != 0:
-            raise OracleMismatch(
-                f"nonzero cohomology {h} off the zero column at "
-                f"bidegree ({p},{q}) for n={params.n}, M={params.M}")
+        if p:
+            check_agree("cohomology off the zero column",
+                        f"bidegree ({p},{q}), {case}", ("D-model", h),
+                        ("zero", 0))
     col = [table.get((0, q), 0) for q in range(params.maxdeg + 1)]
-    expected = fgca_dims(GeneratorSet(build_spaces(params).K), params.maxdeg)
-    if col != expected:
-        raise OracleMismatch(
-            f"zero column {col} differs from exterior algebra on K "
-            f"{expected} for n={params.n}, M={params.M}")
+    check_agree("zero column", case, ("D-model", col), (
+        "exterior algebra on K", fgca_dims(
+            GeneratorSet(build_spaces(params).K), params.maxdeg)))
     return col
 
 
@@ -288,53 +301,16 @@ def _ac_weight(g: int, p: int, q: int, r: int, group: str) -> int | None:
     return None if rem or (group == "GL" and c) else c
 
 
-def _sorted_contents(size: int, labels: int, most: int):
-    """The partitions of size into at most `labels` parts, each at most
-    `most`, as decreasing (part, count) runs, largest part first and, for
-    a part, largest count first.  The bounds on part and count leave the
-    rest a partition to fill, so no branch dies: the walk keeps the runs
-    chosen so far on a stack, fills the rest greedily, and then moves the
-    last run that has a next choice to it."""
-    if size > labels * most:
-        return
-    runs = []   # the (part, count) runs chosen so far
-    before = []   # the size and labels left before each run
-    left, free, top = size, labels, most
-    while True:
-        while left:
-            v = min(left, top)
-            c = min(left // v, free)
-            runs.append((v, c))
-            before.append((left, free))
-            left, free, top = left - c * v, free - c, v - 1
-        yield tuple(runs)
-        while runs:
-            v, c = runs.pop()
-            left, free = before[-1]
-            if c > max(1, left - free * (v - 1)):
-                c -= 1
-            elif v > -(-left // free):
-                v -= 1
-                c = min(left // v, free)
-            else:
-                before.pop()
-                continue
-            runs.append((v, c))
-            left, free, top = left - c * v, free - c, v - 1
-            break
-        else:
-            return
-
-
 def _ac_contents(g: int, labels: int, size: int, exterior: bool):
     """(rearrangements, parts) for each sorted content of one factor:
-    parts lists its nonzero label sizes, decreasing; rearrangements is
-    the multinomial of the counts of each part value (zeros last)."""
-    for runs in _sorted_contents(size, labels, g if exterior else size):
-        m, left, parts = 1, labels, ()
-        for v, c in runs:
+    parts lists its nonzero label sizes, decreasing, a partition of size
+    into at most `labels` parts; rearrangements is the multinomial of the
+    counts of each part value (zeros last)."""
+    for parts in _partitions_desc(size, g if exterior else size, labels):
+        m, left = 1, labels
+        for _, run in itertools.groupby(parts):
+            c = len(list(run))
             m, left = m * math.comb(left, c), left - c
-            parts += (v,) * c
         yield m, parts
 
 
@@ -561,23 +537,22 @@ def e2_bruteforce_oracle(params: ModelParams) -> dict[tuple[int, int], int]:
              for p in range(total + 1)]
 
     # d2 must square to zero on every generator
-    try:
+    case = f"n={n}, g={g}"
+    with mismatch_case(case):
         model.dga.check_d_squared_on_generators(
             max(gg.total for gg in model.gens))
-    except DgaError as exc:
-        raise OracleMismatch(f"{exc} for n={n}, g={g}") from None
 
     # d2 must commute with E_{r,r+1} and E_{r+1,r}, which generate sl_g
-    odd, dga = model.gens.odd, model.dga
+    odd, dga, terms = model.gens.odd, model.dga, model.gens.terms
     for r in range(g - 1):
         for s, t in ((r, r + 1), (r + 1, r)):
             e = model.alphabet.derivation(s, t)
             for i, val in dga.dvals.items():
-                if (dga.d(derive(odd, e, {(i,): 1}, 0))
-                        != derive(odd, e, val, 0)):
-                    raise OracleMismatch(
-                        f"d2 does not commute with E_{s}{t} on "
-                        f"{model.gens[i].name} for n={n}, g={g}")
+                check_agree(f"d2 commuting with E_{s}{t}",
+                            f"{model.gens[i].name}, {case}",
+                            ("d2 E - E d2", terms(elem_add(
+                                dga.d(derive(odd, e, {(i,): 1}, 0)),
+                                derive(odd, e, val, 0), -1))), ("zero", []))
 
     invdim: dict[tuple[int, int], int] = {}
     outrank: dict[tuple[int, int], int] = {}
@@ -596,14 +571,12 @@ def e2_oracle_check(params: ModelParams) -> dict[tuple[int, int], int]:
     differing bidegree.
     """
     table = e2_bruteforce_oracle(params)
-    dga = build_D_dga(params, params.maxdeg)
-    dtable = dga.cohomology(params.maxdeg)
+    with mismatch_case(f"n={params.n}, M={params.M}"):
+        dtable = build_D_dga(params, params.maxdeg).cohomology(params.maxdeg)
     for (p, q), a in table.items():
-        b = dtable.get((p, q), 0)
-        if a != b:
-            raise OracleMismatch(
-                f"second-page oracle gives {a} but the D-model gives "
-                f"{b} at bidegree ({p},{q}) for n={params.n}, g={params.g}")
+        check_agree("third-page dim", f"bidegree ({p},{q}), n={params.n}, "
+                    f"g={params.g}", ("second-page oracle", a),
+                    ("D-model", dtable.get((p, q), 0)))
     return table
 
 
@@ -615,8 +588,7 @@ class LambdaExpression:
     element: dict
 
     def terms(self) -> list[tuple[int, str]]:
-        return [(c, self.gens.mono_str(m))
-                for m, c in sorted(self.element.items())]
+        return self.gens.terms(self.element)
 
     def __str__(self) -> str:
         if not self.element:

@@ -12,6 +12,7 @@ on lam, built one horizontal strip of equal letters at a time.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import lru_cache
 from operator import ge
 from typing import Iterable, Iterator
@@ -31,6 +32,41 @@ def check_cap(name: str, limit: int, count: int, text: str, *args) -> None:
     formatted with args, built only then."""
     if count > limit:
         raise CapExceeded(name, limit, count, text.format(*args))
+
+
+class OracleMismatch(RuntimeError):
+    """Two independent computations of the same quantity disagree.  From
+    check_agree it carries the quantity, the case and the legs, (leg name,
+    value) pairs; a summary of several is its text alone."""
+
+    def __init__(self, text: str, quantity=None, case=None, legs=()):
+        super().__init__(text)
+        self.quantity, self.case, self.legs = quantity, case, legs
+
+
+def check_agree(quantity: str, case: str, *legs) -> None:
+    """Raise OracleMismatch unless the legs, (leg name, value) pairs with
+    JSON-representable values (ints, bools, strings, and lists or tuples
+    of them), all agree.  Its text, `<quantity> at <case>: <leg> <value>
+    != <leg> <value>`, is built only then."""
+    value = legs[0][1]
+    for leg in legs:
+        if leg[1] != value:
+            break
+    else:
+        return
+    raise OracleMismatch(f"{quantity} at {case}: " + " != ".join(
+        f"{name} {v}" for name, v in legs), quantity, case, legs)
+
+
+@contextmanager
+def mismatch_case(case: str):
+    """Name case after the case of an OracleMismatch from check_agree
+    raised inside: a caller adds what it knows of the case."""
+    try:
+        yield
+    except OracleMismatch as exc:
+        check_agree(exc.quantity, f"{exc.case}, {case}", *exc.legs)
 
 
 class Partition:
@@ -101,27 +137,35 @@ def _conjugate(parts: tuple[int, ...]) -> Partition:
     return Partition(sum(1 for p in parts if p > j) for j in range(parts[0]))
 
 
-def _partitions_desc(n: int, maxpart: int) -> Iterator[tuple[int, ...]]:
-    """The partitions of n with parts at most maxpart, in descending
-    lexicographic order, with no frame per part: each lowers the last part
-    over 1 of the one before by one, and fills the cells that part and
-    the 1s after it held with the largest parts it may take."""
+def _partitions_desc(n: int, maxpart: int,
+                     maxlen: int | None = None) -> Iterator[tuple[int, ...]]:
+    """The partitions of n with parts at most maxpart and, given maxlen,
+    at most maxlen parts, in descending lexicographic order, with no frame
+    per part: each lowers by one the last part of the one before whose
+    cells and those after it still fit in the parts left, and fills them
+    with the largest parts it may take."""
     if n == 0:
         yield ()
-    if n <= 0 or maxpart <= 0:
+    maxlen = n if maxlen is None else maxlen
+    if n <= 0 or maxpart <= 0 or n > maxpart * maxlen:
         return
     top, rem = divmod(n, maxpart)
     parts = [maxpart] * top + [rem] * (rem > 0)
     while True:
         yield tuple(parts)
-        ones = 0
-        while parts and parts[-1] == 1:
-            parts.pop()
-            ones += 1
-        if not parts:
+        # the 1s at the end go at once; every part before them is >= 2
+        k = parts.index(1) if parts[-1] == 1 else len(parts)
+        free = len(parts) - k   # the cells to fill after the lowered part
+        del parts[k:]
+        while parts:
+            r = parts.pop() - 1
+            free += 1
+            if free <= (maxlen - len(parts) - 1) * r:
+                break
+            free += r
+        else:
             return
-        r = parts.pop() - 1
-        q, s = divmod(ones + 1, r)
+        q, s = divmod(free, r)
         parts += [r] * (q + 1) + [s] * (s > 0)
 
 

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 from .graded import SERIES_CAP, GeneratorSet, fgca_dims
 from .model import (
-    OracleMismatch,
     borel_generators,
     k_pair_generators,
     k_single_generators,
     minimal_M,
 )
-from .partitions import check_cap
+from .partitions import OracleMismatch, check_agree, check_cap
 
 
 @dataclass(frozen=True)
@@ -178,10 +177,8 @@ def diff_cohomology(n: int, maxdeg: int,
     pb, db = _diff_presentation_b(n, maxdeg)
     pc, dc = _diff_presentation_c(n, maxdeg)
     for d in range(maxdeg + 1):
-        if not (da[d] == db[d] == dc[d]):
-            raise OracleMismatch(
-                f"presentations disagree in degree {d} for n={n}: "
-                f"a={da[d]}, b={db[d]}, c={dc[d]}")
+        check_agree("diff ring presentations", f"degree {d}, n={n}",
+                    ("a", da[d]), ("b", db[d]), ("c", dc[d]))
     return DiffCohomology(n=n, maxdeg=maxdeg, dims=tuple(da),
                           presentation_a=pa, presentation_b=pb,
                           presentation_c=pc)

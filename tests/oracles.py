@@ -21,8 +21,10 @@ cell into label-content blocks: `whole_cell_dim` runs the kernel once on
 the cell's whole weight space, `reference_ac_basis`.  Both are computed
 once per cell and process, and hand out immutable values (a tuple of
 tuples, an int), so no test can change what another reads.  Its sorted
-contents are held to `recursive_sorted_contents`, the walk with one
-generator per run that the program had before.
+contents, the partitions of the bounded-length walk
+`partitions._partitions_desc`, are held to `recursive_sorted_contents`,
+the walk with one generator per (part, count) run that the program had
+before.
 
 `guard_joins` wraps the program's one weight-space join so that a test
 fails if a join lists, weighs or keeps anything once its count has passed
@@ -58,8 +60,13 @@ from tautrings.invariants import (
     _weight_words,
 )
 from tautrings.linalg import QMatrix, kernel_basis_columns, rank_of_int_rows
-from tautrings.model import OracleMismatch, _ac_alphabet
-from tautrings.partitions import Partition, enumerate_partitions, lr_coefficient
+from tautrings.model import _ac_alphabet
+from tautrings.partitions import (
+    Partition,
+    check_agree,
+    enumerate_partitions,
+    lr_coefficient,
+)
 
 
 def previous_action_rows(alphabet, basis, pairs: list[tuple[int, int]],
@@ -229,7 +236,9 @@ def reference_ac_basis(spec, p, q, r, group) -> tuple:
 
 
 def recursive_sorted_contents(size: int, labels: int, most: int):
-    """`model._sorted_contents` as a recursion, one generator per run."""
+    """The partitions of size into at most `labels` parts, each at most
+    `most`, in descending lexicographic order, as (part, count) runs: a
+    recursion, one generator per run."""
     if size == 0:
         yield ()
         return
@@ -260,22 +269,21 @@ def _whole_cell_dim(spec, p, q, r, group) -> int:
 def triplewise_lr_symmetries(max_size: int) -> int:
     """`acceptance.lr_symmetries` one triple at a time: c^kappa_{lam mu} =
     c^kappa_{mu lam} = c^kappa'_{lam' mu'} for every triple with |kappa| =
-    |lam| + |mu| <= max_size, in the same order and with the same
-    message at the first failure; returns the number of triples."""
+    |lam| + |mu| <= max_size, in the same order and through the same
+    check, so with the same text at the first failure; returns the number
+    of triples."""
     checked = 0
     by_size = [enumerate_partitions(s) for s in range(max_size + 1)]
     for s, kappas in enumerate(by_size):
         for a in range(0, s + 1):
             for lam, mu, kappa in itertools.product(
                     by_size[a], by_size[s - a], kappas):
-                c = lr_coefficient(lam, mu, kappa)
-                if c != lr_coefficient(mu, lam, kappa):
-                    raise OracleMismatch(
-                        f"symmetry fails at {lam},{mu},{kappa}")
-                if c != lr_coefficient(lam.conjugate(), mu.conjugate(),
-                                       kappa.conjugate()):
-                    raise OracleMismatch(
-                        f"conjugation fails at {lam},{mu},{kappa}")
+                check_agree("LR coefficient", f"{lam},{mu},{kappa}",
+                            ("lam*mu", lr_coefficient(lam, mu, kappa)),
+                            ("mu*lam", lr_coefficient(mu, lam, kappa)),
+                            ("(lam'*mu')'", lr_coefficient(
+                                lam.conjugate(), mu.conjugate(),
+                                kappa.conjugate())))
                 checked += 1
     return checked
 

@@ -18,7 +18,13 @@ from tautrings.invariants import (
     invariant_dim,
     sigma_matrix,
 )
-from tautrings.model import ModelParams, build_D_dga, e3_zero_column, minimal_M
+from tautrings.model import (
+    ModelParams,
+    build_D_dga,
+    build_spaces,
+    e3_zero_column,
+    minimal_M,
+)
 from tautrings.partitions import (
     CapExceeded,
     Partition,
@@ -84,6 +90,9 @@ SITES = [
      10_000_000, 10_000_089,
      "40161 multisets of indices in [3, 9] listed through degree 248, "
      "10000089 Hilbert-series steps or more"),
+    ("k", lambda: build_spaces(ModelParams(n=9, g=7, M=284, maxdeg=6)),
+     "K_CAP", 40_000, 40_183, "the model at n=9, M=284 has 40183 generators "
+     "of K"),
     ("series-pairs", lambda: blockdiff_cohomology(100000), "SERIES_CAP",
      10_000_000, 10_099_697,
      "101 pair generators of K listed through degree 99996, 10099697 "
@@ -160,6 +169,53 @@ class TestE3GeneratorCount:
             f"error: the model at n={n}, M={minimal_M(int(n))} has {count} "
             f"generators v and y of total degree at most {top}, each a "
             f"basis monomial, over the cap of 20000 (BASIS_CAP)\n")
+
+
+class TestKCap:
+    """K, whose pairs grow as M^2, is counted from the degree table and
+    held to K_CAP before any pair is listed, and the D-model walks only
+    the pairs under its degree."""
+
+    def test_count_is_the_listing(self, monkeypatch):
+        for n in range(5, 41):
+            for M in range(minimal_M(n), minimal_M(n) + 12):
+                params = ModelParams(n=n, g=n - 2, M=M, maxdeg=n - 3)
+                size = len(build_spaces(params).K)
+                with monkeypatch.context() as m:
+                    m.setattr(model, "K_CAP", size - 1)
+                    m.setattr(model, "k_pair_generators", never)
+                    with pytest.raises(CapExceeded) as info:
+                        build_spaces(params)
+                assert info.value.count == size, (n, M)
+
+    def test_largest_admitted_and_first_refused(self, monkeypatch):
+        """At n = 9, M = 283 has 39 900 generators of K and is answered;
+        M = 284 has 40 183 and is refused before any pair is listed."""
+        params = ModelParams(n=9, g=7, M=283, maxdeg=6)
+        assert len(build_spaces(params).K) == 39_900
+        monkeypatch.setattr(model, "k_pair_generators", never)
+        with pytest.raises(CapExceeded, match="40183 generators of K"):
+            build_spaces(ModelParams(n=9, g=7, M=284, maxdeg=6))
+
+    @pytest.mark.parametrize("M,count", [("2000", 1_998_997),
+                                         ("100000", 4_999_949_997)])
+    def test_large_M_refused_fast(self, capsys, monkeypatch, M, count):
+        monkeypatch.setattr(model, "k_pair_generators", never)
+        t0 = time.perf_counter()
+        code = main(["e3", "--n", "9", "--M", M])
+        assert time.perf_counter() - t0 < 5.0
+        out = capsys.readouterr()
+        assert (code, out.out) == (1, "")
+        assert out.err == (
+            f"error: the model at n=9, M={M} has {count} generators of K, "
+            f"over the cap of 40000 (K_CAP)\n")
+
+    def test_model_walks_only_pairs_under_its_degree(self):
+        """The cut model at M = 100 000 keeps what it keeps at M = 100."""
+        small, large = (build_D_dga(ModelParams(n=9, g=7, M=M, maxdeg=6), 6)
+                        for M in (100, 100_000))
+        assert [g.name for g in large.gens] == [g.name for g in small.gens]
+        assert large.dvals == small.dvals
 
 
 class TestSeriesCap:

@@ -246,6 +246,29 @@ class TestExitCodes:
         assert code == 1
         assert "4M >= 3n-5" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["e3", "--n", "abc"], "tautrings e3: error: argument --n: invalid "
+         "int value: 'abc'\n"),
+        (["invariants", "2", "2"], "tautrings invariants: error: the "
+         "following arguments are required: g\n"),
+        (["e3", "--n", "8", "--bogus"], "tautrings: error: unrecognized "
+         "arguments: --bogus\n"),
+    ], ids=["bad-int", "missing", "unknown"])
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        """A usage error is invalid parameters: argparse's usage text and
+        message, and exit 1; exit 2 is kept for disagreements."""
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        err = capsys.readouterr().err
+        assert info.value.code == 1
+        assert err.startswith("usage: tautrings") and err.endswith(message)
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["e3", "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: tautrings e3")
+
     def test_invalid_partition(self, capsys):
         code, out, err = run(capsys, "lr", "1,2", "1", "2")
         assert code == 1
@@ -287,8 +310,8 @@ class TestExitCodes:
                 m, g, rank=1, surjective=True, injective=False))
         code, out, err = run(capsys, "fft-check", "2", "2")
         assert code == 2 and out == ""
-        assert err == ("consistency failure: permutation tensors are not "
-                       "independent (rank 1) at m=2, g=2\n")
+        assert err == ("consistency failure: permutation tensors independent "
+                       "at m=2, g=2: rank 1 = m! False != m <= g True\n")
 
     def test_invariants_past_the_former_cap(self, capsys):
         """T^{4,4}(Q^5), 5^8 = 390 625 words in all, was refused for that
@@ -445,7 +468,7 @@ class TestParserReuse:
             m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
             fresh = [self.call(capsys, argv) for argv in sequence]
         assert shared == fresh
-        assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2, 0, 0, 0]
+        assert [code for code, _, _ in shared] == [0, 0, 0, 0, 1, 0, 0, 0]
         assert '"g": 6' in shared[0][1] and '"g": 5' in shared[1][1]
         assert shared[3][1].startswith("degree,dim\n")
         assert shared[5][1].startswith("{")

@@ -1,7 +1,7 @@
 """Each acceptance criterion fails under a plausible bug in a routine it
 checks: a criterion that passes when the program is wrong is no evidence.
 Each mutant is monkeypatched in for one test, and the FAIL detail must
-name the failing case.
+be the one text of `partitions.check_agree` that names the failing case.
 """
 
 from functools import lru_cache
@@ -159,35 +159,49 @@ def mt_index_late(monkeypatch):
     monkeypatch.setattr(rings, "mt_generators", mt_generators)
 
 
-# (criterion, mutant, text naming the first failing case)
+# (criterion, mutant, the FAIL detail, which names the first failing case)
 MUTANTS = [
-    (1, sigma_column_dropped, "m=1, g=1"),
+    (1, sigma_column_dropped, "permutation tensors span the invariants at "
+     "m=1, g=1: computed False != first theorem True"),
     (2, sl_empty_off_balance,
-     "SL-invariants: kernel 0 != character 1 at k=0, l=1, g=1"),
+     "SL-invariants at k=0, l=1, g=1: kernel 0 != character 1"),
     (2, count_without_row_bound,
-     "GL-invariants: kernel 1 != character 2 at k=2, l=2, g=1"),
-    (3, schur_dim_of_conjugate, "dims (1,1), degree 1"),
-    (3, strip_without_lattice_rule, "conjugation fails at (),(2),(1,1)"),
-    (4, gl_weight_not_zero, "r=1 != 2p+q for A, g=1, W=1, U=1, (p,q)=(0,0)"),
-    (5, kernel_cokernel_swapped, "trial 0: "),
-    (6, first_pair_dropped, "n=6, M=4"),
-    (7, la0_sign_flipped, "E_01 on la_1_2 for n=5, g=3"),
-    (7, x_sign_dropped, "E_01 on la_1_2 for n=5, g=3"),
-    (7, one_term_negated, "E_01 on la_1_2 for n=5, g=3"),
-    (8, top_generator_dropped, "block stage dims"),
-    (8, top_tangential_generator_dropped, "tangential stage dims"),
-    (9, mt_index_late, "n=7"),
+     "GL-invariants at k=2, l=2, g=1: kernel 1 != character 2"),
+    (3, schur_dim_of_conjugate, "Cauchy identity S^p(S^2 V) at dims (1,1), "
+     "degree 1: binomial 1 != Schur sum 0"),
+    (3, strip_without_lattice_rule, "LR coefficient at (),(2),(1,1): "
+     "lam*mu 0 != mu*lam 0 != (lam'*mu')' 1"),
+    (4, gl_weight_not_zero, "trigraded invariants off r = 2p+q at A, g=1, "
+     "W=1, U=1, (p,q)=(0,0), r=1: brute 1 != zero 0"),
+    (5, kernel_cokernel_swapped, "Koszul cohomology at a 3x2 map of rank 2, "
+     "trial 0: complex [1, 0, 1, 0, 1, 0, 1, 0, 1] != kernel/cokernel model "
+     "[1, 1, 0, 0, 0, 0, 0, 0, 0]"),
+    (6, first_pair_dropped, "zero column at n=6, M=4: D-model [1, 0, 0, 2] "
+     "!= exterior algebra on K [1, 0, 0, 1]"),
+    (7, la0_sign_flipped, "d2 commuting with E_01 at la_1_2, n=5, g=3: "
+     "d2 E - E d2 [(2, 'lb_1_2*x_0_1'), (2, 'lb_2_2*x_0_2')] != zero []"),
+    (7, x_sign_dropped, "d2 commuting with E_01 at la_1_2, n=5, g=3: "
+     "d2 E - E d2 [(2, 'lb_1_2*x_0_1')] != zero []"),
+    (7, one_term_negated, "d2 commuting with E_01 at la_1_2, n=5, g=3: "
+     "d2 E - E d2 [(2, 'lb_1_2*x_0_1')] != zero []"),
+    (8, top_generator_dropped, "block stage dims at n=10: computed "
+     "[1, 0, 0, 1, 0, 0, 0] != diff ring (x) Lambda(beta) "
+     "[1, 0, 0, 1, 0, 1, 0]"),
+    (8, top_tangential_generator_dropped, "tangential stage dims at n=10: "
+     "computed [1, 0, 0, 2, 0, 1, 1, 1] != e3 zero column (x) Lambda(beta) "
+     "[1, 0, 0, 2, 0, 1, 1, 2]"),
+    (9, mt_index_late, "Thom-spectrum H^1 at n=7: computed 1 != "
+     "by n mod 4 2"),
 ]
 
 
-@pytest.mark.parametrize("number,mutate,case", MUTANTS,
+@pytest.mark.parametrize("number,mutate,detail", MUTANTS,
                          ids=[f"c{n}-{m.__name__}" for n, m, _ in MUTANTS])
-def test_criterion_fails_under_mutant(monkeypatch, number, mutate, case):
+def test_criterion_fails_under_mutant(monkeypatch, number, mutate, detail):
     mutate(monkeypatch)
     result = acceptance.ALL_CRITERIA[number - 1]()
     assert not result.passed
-    assert case in result.detail, result.detail
-
+    assert result.detail == detail
 
 
 def verdict(check, *args):
@@ -209,4 +223,5 @@ def test_lr_leg_matches_triplewise(monkeypatch, mutate):
     assert verdicts == [verdict(triplewise_lr_symmetries, size)
                         for size in range(9)]
     assert verdicts[8] == (6830 if mutate is None else
-                           "FAIL: conjugation fails at (),(2),(1,1)")
+                           "FAIL: LR coefficient at (),(2),(1,1): lam*mu 0 "
+                           "!= mu*lam 0 != (lam'*mu')' 1")

@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import pytest
 
-from tautrings import invariants, model
+from tautrings import invariants, model, partitions
 from tautrings.graded import GeneratorSet, fgca_dims
 from tautrings.invariants import _invariant_system, _kernel_vectors
 from tautrings.linalg import QMatrix, rank_of_int_rows, subspace_equal
@@ -411,11 +411,16 @@ class TestLabelContentBlocks:
                 reference_ac_basis(*cell)), cell
 
     def test_sorted_contents_match_recursion(self):
+        """The one bounded-partition walk, with its length bound, lists
+        the recursion's contents, its runs flattened, in the same order."""
         for size in range(13):
             for labels in range(1, 8):
                 for most in range(1, 14):
-                    assert list(model._sorted_contents(size, labels, most)) == (
-                        list(recursive_sorted_contents(size, labels, most)))
+                    assert list(partitions._partitions_desc(
+                        size, most, labels)) == [
+                        sum(((v,) * c for v, c in runs), ())
+                        for runs in recursive_sorted_contents(
+                            size, labels, most)]
 
 
 class Forgetful(dict):
