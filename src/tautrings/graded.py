@@ -12,15 +12,18 @@ and `span_rank` those of caller-supplied relations.
 `apply_derivation` applies every derivation on such letter-id tuples: d
 on the bigraded model and the second page (odd) and E_rs on the letters
 of invariants (even), with one sign flip per odd letter of the monomial
-between a letter and each odd letter of its image (README, "Why one sign
-per odd letter in between").  The rank of d on a cell is taken over int
-column ids, on the monomials that are not pivots of d into the cell.
+between a letter and each odd letter of its image, counted on bitmasks
+of odd letters (README, "Why one sign per odd letter in between").  The
+rank of d on a cell is taken over int column ids, on the monomials that
+are not pivots of d into the cell; there a monomial is its packed code
+(`mono_codes`), and an image's code is its monomial's plus a shift per
+term, with no image tuple built.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -224,35 +227,80 @@ def mono_elem(mono) -> dict:
     return {mono: 1}
 
 
-def derivation_table(odd, values) -> list:
+# basis monomials through the requested total degree that
+# BigradedDGA.cohomology may build; a 6x6 Koszul map at degree 10 has
+# 8 008 and takes 0.9-1.1 s at rank 4 (0.9-1.4 s at rank 6) on a shared
+# 2-vCPU Xeon
+BASIS_CAP = 20_000
+
+
+# bits per letter in a packed monomial code.  An image of a cell that
+# BigradedDGA.cohomology admits has total degree at most maxtotal + 1, so
+# a letter of total t has exponent at most (maxtotal + 1) / t in it, at
+# most the number of its powers of total <= maxtotal, each a basis
+# monomial: at most BASIS_CAP < 2^CODE_WIDTH
+CODE_WIDTH = BASIS_CAP.bit_length()
+
+
+def mono_codes(monos, codes) -> list[int]:
+    """The packed code of each monomial, a sorted tuple of letter ids, from
+    codes, the code 1 << CODE_WIDTH * a of each letter a: its exponent
+    vector in fields of CODE_WIDTH bits.  Distinct monomials whose
+    exponents stay below 2^CODE_WIDTH have distinct codes."""
+    code = codes.__getitem__
+    return [sum(map(code, m)) for m in monos]
+
+
+def derivation_table(odd, values, codes=None) -> list:
     """The value of a derivation on each letter, as apply_derivation takes
-    it: per letter id, a tuple of (coefficient, term, odd letters of the
-    term).  values maps a letter id to its value as (term, coefficient)
-    pairs; the other letters have value zero."""
+    it: per letter id a, a tuple of (coefficient, term, zero, flip, shift)
+    per term.  zero has bit b for each odd letter b != a of the term: one
+    of them in the rest of a monomial makes the product zero.  flip is the
+    XOR over those b of the bits strictly between a and b.  With codes,
+    the letters' codes (mono_codes), shift is the code of the term less
+    that of a, which takes the code of a monomial to that of its image;
+    otherwise it is None.  values maps a letter id to its value as (term,
+    coefficient) pairs, terms sorted tuples of letter ids; the other
+    letters have value zero."""
     table = [()] * len(odd)
     for a, pairs in values.items():
-        table[a] = tuple((c, t, tuple(b for b in t if odd[b]))
-                         for t, c in pairs)
+        entries = []
+        for t, c in pairs:
+            zero = flip = 0
+            for b in t:
+                if odd[b] and b != a:
+                    zero |= 1 << b
+                    flip ^= (1 << max(a, b)) - (2 << min(a, b))
+            shift = None if codes is None else (
+                sum(codes[b] for b in t) - codes[a])
+            entries.append((c, t, zero, flip, shift))
+        table[a] = tuple(entries)
     return table
 
 
-def apply_derivation(odd, table, mono, parity: int, ids=None) -> dict:
+def apply_derivation(odd, table, mono, parity: int, ids=None,
+                     code: int = 0) -> dict:
     """The derivation of the given parity (1 odd, 0 even) whose letter
     values are table (derivation_table) on one monomial, a sorted tuple
     of letter ids; odd[a] says whether letter a is odd.  With ids, a dict
-    image monomial -> int, the result is keyed by ids.setdefault(image,
-    len(ids)) instead of the image: the column ids of a caller's rows.
+    code -> int, a table built with codes and code the code of mono
+    (mono_codes), the result is keyed by ids.setdefault(code of the image,
+    len(ids)) instead of the image: the column ids of a caller's rows,
+    found with no image tuple built.
 
     d(xy) = dx y + (-1)^{parity |x|} x dy, so a letter a, e times in mono,
     contributes e (-1)^{parity k} (mono less one a, times a term) for each
     term of d(a), k the number of odd letters of mono before a.  The
     product is zero if an odd letter of the term is already in the rest of
-    mono; otherwise moving each odd letter of the term to its sorted place
-    costs one sign per odd letter of mono strictly between a and it.
-    Repeated images add up: E_rs on x_ss is 2 x_rs.
+    mono: its zero mask meets the mask of mono's odd letters.  Otherwise
+    moving each odd letter b of the term to its sorted place costs one
+    sign per odd letter of mono strictly between a and b, so the sign is
+    the parity of the odd letters of mono in the term's flip mask.  The
+    image's code is mono's code plus the term's shift.  Repeated images add
+    up: E_rs on x_ss is 2 x_rs.
     """
     out: dict = {}
-    opos = None   # odd letters of mono, increasing, once a term needs them
+    omask = None   # bits of the odd letters of mono, once a term needs them
     k = 0   # odd letters of mono before letter a
     prev = None
     n = len(mono)
@@ -265,23 +313,21 @@ def apply_derivation(odd, table, mono, parity: int, ids=None) -> dict:
             j = i + 1
             while j < n and mono[j] == a:
                 j += 1
-            rest = mono[:i] + mono[i + 1:]
+            if ids is None:
+                rest = mono[:i] + mono[i + 1:]
             factor = i - j if parity and k % 2 else j - i
-            for c, t, odds in ts:
-                if odds:
-                    if any(b in rest for b in odds):
+            for c, t, zero, flip, shift in ts:
+                if zero:
+                    if omask is None:
+                        omask = sum(1 << b for b in mono if odd[b])
+                    if zero & omask:
                         continue
-                    if opos is None:
-                        opos = [b for b in mono if odd[b]]
-                    flips = 0
-                    for b in odds:
-                        kb = bisect_left(opos, b)
-                        flips += kb - k - odd[a] if b > a else k - kb
-                    if flips % 2:
+                    if (flip & omask).bit_count() % 2:
                         c = -c
-                img = tuple(sorted(rest + t))
-                if ids is not None:
-                    img = ids.setdefault(img, len(ids))
+                if ids is None:
+                    img = tuple(sorted(rest + t))
+                else:
+                    img = ids.setdefault(code + shift, len(ids))
                 v = out.get(img, 0) + factor * c
                 if v:
                     out[img] = v
@@ -335,13 +381,6 @@ def fgca_bidims(gens: GeneratorSet, maxtotal: int) -> list[list[int]]:
         for p, q in cells:
             series[p + gp][q + gq] += series[p][q]
     return series
-
-
-# basis monomials through the requested total degree that
-# BigradedDGA.cohomology may build; a 6x6 Koszul map at degree 10 has
-# 8 008 and takes 0.9-1.1 s at rank 4 (0.9-1.4 s at rank 6) on a shared
-# 2-vCPU Xeon
-BASIS_CAP = 20_000
 
 
 # generators listed times the maxdeg + 1 degrees of the Hilbert series of
@@ -432,8 +471,11 @@ class BigradedDGA:
         self.dvals: dict[int, dict] = {
             i: {m: int(c * den) for m, c in val.items()}
             for i, val in dvals.items()}
+        # the packed code of each letter, as mono_codes reads them
+        self._codes = [1 << CODE_WIDTH * a for a in range(len(gens))]
         self._table = derivation_table(
-            gens.odd, {i: val.items() for i, val in self.dvals.items()})
+            gens.odd, {i: val.items() for i, val in self.dvals.items()},
+            self._codes)
 
     def d(self, elem: dict) -> dict:
         return derive(self.gens.odd, self._table, elem, 1)
@@ -462,18 +504,21 @@ class BigradedDGA:
 
     def _cell_rank(self, basis) -> tuple[int, set]:
         """Rank of d on the span of basis, monomials of one cell, and the
-        image monomials at the pivot columns of its elimination.
+        codes (`mono_codes`) of the image monomials at the pivot columns of
+        its elimination.
 
-        Each row is built on dense int column ids, image monomials in
-        first-seen order, so that elimination hashes ints, not monomial
-        tuples.  Two terms of d(m) are equal only if some d(a) has a term
-        a*s, s of bidegree (2, -1), which no monomial has; so no image
-        cancels, and no id goes to a monomial that is in no row."""
+        Each row is built on dense int column ids, image codes in
+        first-seen order, so that elimination hashes small ints, and no
+        image tuple is built.  Two terms of d(m) are equal only if some
+        d(a) has a term a*s, s of bidegree (2, -1), which no monomial has;
+        so no image cancels, and no id goes to a monomial that is in no
+        row."""
         odd, table, ids = self.gens.odd, self._table, {}
-        rows = [apply_derivation(odd, table, m, 1, ids) for m in basis]
+        rows = [apply_derivation(odd, table, m, 1, ids, code)
+                for m, code in zip(basis, mono_codes(basis, self._codes))]
         pivots, _ = _eliminate(rows)
-        monos = list(ids)
-        return len(pivots), {monos[c] for c in pivots}
+        codes = list(ids)
+        return len(pivots), {codes[c] for c in pivots}
 
     def cohomology(self, maxtotal: int) -> dict[tuple[int, int], int]:
         """dim H^{p,q} for all bidegrees with p + q <= maxtotal.
@@ -494,13 +539,16 @@ class BigradedDGA:
         # through maxtotal + 1, the totals d maps the cells into
         sizes = fgca_bidims(self.gens, maxtotal + 1)
         ranks: dict = {}
-        incoming: dict = {}   # cell -> pivot monomials of d into it
+        incoming: dict = {}   # cell -> codes of the pivots of d into it
         for p in range(maxtotal + 1):
             for q in range(maxtotal + 1 - p):
                 pivots = incoming.pop((p, q), ())
                 if sizes[p][q] and q and sizes[p + 2][q - 1]:
-                    basis = [m for m in self.gens.monomials_bidegree(p, q)
-                             if m not in pivots]
+                    basis = self.gens.monomials_bidegree(p, q)
+                    if pivots:
+                        basis = [m for m, code in zip(
+                            basis, mono_codes(basis, self._codes))
+                            if code not in pivots]
                     ranks[(p, q)], incoming[(p + 2, q - 1)] = (
                         self._cell_rank(basis))
         cells = [(p, total - p) for total in range(maxtotal + 1)

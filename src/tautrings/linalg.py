@@ -14,9 +14,12 @@ unit pivot clears its column from another row by one subtraction, with
 no gcd and no scaling of that row.  The heap takes a row back only when
 it shrinks, and re-files a stale entry of a row that has grown when it
 comes up, which leaves the pivot order exactly that of a heap refreshed
-on every change.  `kernel_int_basis` back-substitutes in integers over
-one common denominator per vector, which the engines drop;
-`kernel_basis_columns` makes Fractions of it.
+on every change.  On the Koszul systems almost half the steps clear no
+other row, so each step is kept lean: the input rows are copied as they
+are, the pivot row leaves its columns while their counts are read, and a
+step whose column meets no other row ends there.  `kernel_int_basis`
+back-substitutes in integers over one common denominator per vector,
+which the engines drop; `kernel_basis_columns` makes Fractions of it.
 Two column spans are equal exactly when both ranks equal the rank of the
 two stacked (`subspace_equal`), so span equality is three ranks.
 """
@@ -115,6 +118,7 @@ def _eliminate(rows: list[dict[int, int]]):
     a popped entry whose row has since grown is pushed again with its true
     length, so the first entry popped with its row's true length is the
     least live row.  A unit pivot (+-1) needs no scaling of the other rows.
+    The rows given are not changed: live rows are copies.
 
     A row an update has changed is divided by its content once, when it
     is chosen as pivot; a row never updated is not divided.  Until then
@@ -123,16 +127,19 @@ def _eliminate(rows: list[dict[int, int]]):
     so every length, pivot and pivot row is that elimination's (README,
     "Why the elimination order is unchanged").
     """
-    rows_d = {}
+    rows_d: dict[int, dict[int, int]] = {}   # live rows, private copies
+    cols_rows: dict[int, set[int]] = {}   # column -> live rows in it
+    heap = []
     for i, r in enumerate(rows):
-        r = {c: v for c, v in r.items() if v}
+        r = {c: v for c, v in r.items() if v} if 0 in r.values() else dict(r)
         if r:
             rows_d[i] = r
-    cols_rows: dict[int, set[int]] = {}
-    for i, r in rows_d.items():
-        for c in r:
-            cols_rows.setdefault(c, set()).add(i)
-    heap = [(len(r), i) for i, r in rows_d.items()]
+            for c in r:
+                if c in cols_rows:
+                    cols_rows[c].add(i)
+                else:
+                    cols_rows[c] = {i}
+            heap.append((len(r), i))
     heapq.heapify(heap)
     heappush, heappop, gcd = heapq.heappush, heapq.heappop, math.gcd
     pivots: list[int] = []
@@ -151,26 +158,30 @@ def _eliminate(rows: list[dict[int, int]]):
             if g > 1:
                 for cc in pr:
                     pr[cc] //= g
+        # the pivot row leaves every column as it is counted, which takes
+        # one from each count and leaves the choice as it was
         c = None
-        best = len(rows_d) + 1
+        best = len(rows_d)
         for cc in pr:
-            k = len(cols_rows[cc])
+            in_col = cols_rows[cc]
+            in_col.discard(prow_i)
+            k = len(in_col)
             if k < best or (k == best and cc < c):
                 best, c = k, cc
-        pv = pr[c]
         pivots.append(c)
         pivot_rows.append(pr)
         del rows_d[prow_i]
         others = cols_rows.pop(c)
-        others.discard(prow_i)
+        if not others:
+            continue
+        pv = pr[c]
         rest = [(cc, vv) for cc, vv in pr.items() if cc != c]
-        for cc, _ in rest:
-            cols_rows[cc].discard(prow_i)
         unit = pv == 1 or pv == -1
         for i in others:
             # ri <- m1 * ri - m2 * pr with m1 > 0, in place: live rows are
             # private copies, and a pivot row leaves rows_d once chosen
             ri = rows_d[i]
+            get = ri.get
             before = len(ri)
             v = ri.pop(c)
             if unit:
@@ -184,16 +195,17 @@ def _eliminate(rows: list[dict[int, int]]):
                     for cc in ri:
                         ri[cc] *= m1
             for cc, vv in rest:
-                if cc in ri:
-                    nv = ri[cc] - vv * m2
-                    if nv:
-                        ri[cc] = nv
+                x = get(cc)
+                if x is None:
+                    ri[cc] = -vv * m2
+                    cols_rows[cc].add(i)
+                else:
+                    x -= vv * m2
+                    if x:
+                        ri[cc] = x
                     else:
                         del ri[cc]
                         cols_rows[cc].discard(i)
-                else:
-                    ri[cc] = -vv * m2
-                    cols_rows[cc].add(i)
             if not ri:
                 del rows_d[i]
                 continue

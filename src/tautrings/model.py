@@ -94,11 +94,38 @@ class ModelParams:
                 f"n-3={self.n - 3})")
 
 
-def vwu_degrees(n: int, M: int) -> tuple[dict[int, int], ...]:
+def vwu_degrees(n: int, M: int,
+                top: int | None = None) -> tuple[dict[int, int], ...]:
     """The degree scheme as (v, w, u): for each letter, index m ->
-    degree over the m <= M whose degree is positive, in increasing m."""
-    return tuple({m: 4 * m - shift for m in range(1, M + 1) if 4 * m > shift}
-                 for shift in (2 * n + 1, n, n + 1))
+    degree over the m <= M whose degree is positive, and at most top if
+    given, in increasing m."""
+    out = []
+    for shift in (2 * n + 1, n, n + 1):
+        last = M if top is None else min(M, (top + shift) // 4)
+        out.append({m: 4 * m - shift for m in range(shift // 4 + 1, last + 1)})
+    return tuple(out)
+
+
+def _sum_to(k: int) -> int:
+    """1 + 2 + ... + k, 0 for k <= 0."""
+    return k * (k + 1) // 2 if k > 0 else 0
+
+
+def k_count(n: int, M: int) -> int:
+    """The generators of K, by closed-form sums over n and M: a single
+    k_m for each v_m, 4m > 2n + 1, and a pair k_{m0,m1} for each m0 of w
+    (4m0 > n) and max(m0, low - m0) <= m1 <= M, low the least m0 + m1
+    with 4(m0 + m1) > 2n + 2.  Below half = ceil(low / 2) a pair count is
+    M + 1 - low + m0, positive from m0 = low - M on; from half on it is
+    M + 1 - m0."""
+    low, w0 = (2 * n + 2) // 4 + 1, n // 4 + 1
+    half = (low + 1) // 2
+    lo, hi = max(w0, low - M), min(half - 1, M)
+    below = 0
+    if hi >= lo:
+        below = _sum_to(M + 1 - low + hi) - _sum_to(M - low + lo)
+    return (max(0, M - (2 * n + 1) // 4) + below
+            + _sum_to(M + 1 - max(w0, half)))
 
 
 def k_single_generators(n: int, M: int) -> list[tuple[str, int]]:
@@ -161,14 +188,12 @@ class PaperGradedSpaces:
 
 def build_spaces(params: ModelParams) -> PaperGradedSpaces:
     """V, W, U and K.  K, a single for each v and O(M^2) pairs, is counted
-    from the degree table and held to K_CAP before any is listed."""
+    from n and M (k_count) and held to K_CAP before any table is built."""
     n, M = params.n, params.M
-    v, w, u = vwu_degrees(n, M)
-    # a pair k_{m0,m1}: m0 of w, m0 <= m1 <= M, and 4(m0 + m1) > 2n + 2
-    low = (2 * n + 2) // 4 + 1
-    count = len(v) + sum(max(0, M + 1 - max(m0, low - m0)) for m0 in w)
+    count = k_count(n, M)
     check_cap("K_CAP", K_CAP, count,
               "the model at n={}, M={} has {} generators of K", n, M, count)
+    v, w, u = vwu_degrees(n, M)
     return PaperGradedSpaces(
         n=n, M=M,
         V=tuple((f"v{m}", d) for m, d in v.items()),
@@ -191,14 +216,15 @@ def build_D_dga(params: ModelParams,
     With maxtotal, only the generators of total degree <= maxtotal are
     built, and the z of total maxtotal + 1, which the kept y hit: a
     sub-DGA with the same cells, monomials and d through maxtotal (README,
-    "Why e3 builds the model only through maxdeg").  Its basis through
-    maxtotal is held to BASIS_CAP before d is built, and first its v and y
-    of total <= maxtotal, each a basis monomial, counted before any is
-    listed.
+    "Why e3 builds the model only through maxdeg").  Its degree tables
+    then stop at maxtotal, so their size follows n and maxtotal and not M.
+    Its basis through maxtotal is held to BASIS_CAP before d is built, and
+    first its v and y of total <= maxtotal, each a basis monomial, counted
+    before any is listed.
     """
     n, M = params.n, params.M
     top = math.inf if maxtotal is None else maxtotal
-    v, w, u = vwu_degrees(n, M)
+    v, w, u = vwu_degrees(n, M, maxtotal)
     um, ud = list(u), list(u.values())   # increasing
     # the y_{m0,m1} of total <= top: the first cut[m0] m1 of u; degrees
     # grow with m, so each walk below stops at the first m0 with none
@@ -208,11 +234,11 @@ def build_D_dga(params: ModelParams,
             break
         cut[m0] = k
     if maxtotal is not None:
-        count = sum(d <= top for d in v.values()) + sum(cut.values())
+        count = len(v) + sum(cut.values())
         check_cap("BASIS_CAP", BASIS_CAP, count, "the model at n={}, M={} "
                   "has {} generators v and y of total degree at most {}, "
                   "each a basis monomial", n, M, count, maxtotal)
-    gens_list = [(f"v{m}", (0, d)) for m, d in v.items() if d <= top]
+    gens_list = [(f"v{m}", (0, d)) for m, d in v.items()]
     ys = [(m0, m1) for m0, k in cut.items() for m1 in um[:k]]
     gens_list += [(f"y{m0}_{m1}", (0, w[m0] + u[m1])) for m0, m1 in ys]
     for i, (m0, d) in enumerate(u.items()):
@@ -408,11 +434,32 @@ def ac_invariant_dims_formula(spec: ACAlgebraSpec, p: int, q: int) -> int:
     return total
 
 
+# bits that the stable value of `gh_target_dims` may have, as
+# `_comb_bits` bounds them; `ac-dims --mode target` admits dimU = 100 000,
+# q = 0 up to p = 23 809 (0.5 s, printing included) and dimW = dimU =
+# 1 000, p = 0 up to q = 83 333 (0.75 s) on a shared 2-vCPU Xeon
+TARGET_CAP = 500_000
+
+
+def _comb_bits(N: int, k: int) -> int:
+    """A bound on the bits of C(N, k), read from bit lengths: at most
+    k log2(eN/k) + 1 for 0 < k <= N/2, C(N, k) = C(N, N - k), and 1 bit
+    when k or N - k is 0 or less."""
+    k = max(0, min(k, N - k))
+    return k * (N.bit_length() - k.bit_length() + 3) + 1
+
+
 def gh_target_dims(dimW: int, dimU: int, p: int, q: int) -> int:
-    """dim S^p(Lambda^2 U) * dim Lambda^q(W (x) U): the stable value."""
+    """dim S^p(Lambda^2 U) * dim Lambda^q(W (x) U): the stable value.
+    Its bits are bounded and held to TARGET_CAP before any binomial is
+    computed."""
     if min(dimW, dimU) < 1 or min(p, q) < 0:
         raise ValueError("requires positive dims and nonnegative p, q")
-    d2 = math.comb(dimU, 2)
+    d2 = dimU * (dimU - 1) // 2
+    bits = _comb_bits(d2 + p - 1, p) + _comb_bits(dimW * dimU, q)
+    check_cap("TARGET_CAP", TARGET_CAP, bits, "the stable value at dimW={}, "
+              "dimU={}, (p,q)=({},{}) may have {} bits", dimW, dimU, p, q,
+              bits)
     sp = (1 if p == 0 else 0) if d2 == 0 else math.comb(d2 + p - 1, p)
     return sp * math.comb(dimW * dimU, q)
 
@@ -488,14 +535,23 @@ class E2Model:
         cell: the labels in order, each with the number of letters taken
         from it, whose bidegrees sum to (p, q), at most one of each
         exterior letter; less those whose total g does not divide, which
-        have no element of constant weight (c, ..., c)."""
+        have no element of constant weight (c, ..., c).  A label that
+        cannot fit the remaining (p, q) takes none and is stepped over in
+        a loop, not a call, so the walk nests only as deep as the labels
+        that fit, not once per label."""
+        labels = self.labels
+
         def walk(i, p, q, total):
-            if i == len(self.labels):
+            while i < len(labels):
+                ids, (a, b), exterior, t = labels[i]
+                most = min(p // a if a else q, q // b if b else p)
+                if most:
+                    break
+                i += 1
+            else:
                 if not p and not q and not total % self.g:
                     yield [], total
                 return
-            ids, (a, b), exterior, t = self.labels[i]
-            most = min(p // a if a else q, q // b if b else p)
             for c in range(min(most, len(ids)) if exterior else most, -1, -1):
                 for rest, tot in walk(i + 1, p - c * a, q - c * b,
                                       total + c * t):

@@ -4,7 +4,9 @@ that passed it; and the inputs past a cap are refused before the work it
 bounds, in well under a second."""
 
 import argparse
+import math
 import pathlib
+import sys
 import time
 
 import pytest
@@ -23,6 +25,8 @@ from tautrings.model import (
     build_D_dga,
     build_spaces,
     e3_zero_column,
+    gh_target_dims,
+    k_count,
     minimal_M,
 )
 from tautrings.partitions import (
@@ -97,6 +101,9 @@ SITES = [
      10_000_000, 10_099_697,
      "101 pair generators of K listed through degree 99996, 10099697 "
      "Hilbert-series steps or more"),
+    ("target", lambda: gh_target_dims(2, 100000, 23810, 0), "TARGET_CAP",
+     500_000, 500_012, "the stable value at dimW=2, dimU=100000, "
+     "(p,q)=(23810,0) may have 500012 bits"),
 ]
 
 
@@ -210,12 +217,80 @@ class TestKCap:
             f"error: the model at n=9, M={M} has {count} generators of K, "
             f"over the cap of 40000 (K_CAP)\n")
 
+    def test_closed_form_is_the_table_sum(self):
+        """k_count equals the count read off the whole degree table: a
+        single per v, and for each m0 of w the m1 in [max(m0, low - m0),
+        M]."""
+        for n in range(1, 70):
+            for M in [*range(0, 90), 283, 284, 1000]:
+                v, w, _ = model.vwu_degrees(n, M)
+                low = (2 * n + 2) // 4 + 1
+                count = len(v) + sum(max(0, M + 1 - max(m0, low - m0))
+                                     for m0 in w)
+                assert k_count(n, M) == count, (n, M)
+
+    def test_huge_M_refused_in_well_under_a_second(self, capsys):
+        """No degree table of M entries is built before the refusal: the
+        D-model's tables stop at maxdeg, and K is counted from n and M."""
+        t0 = time.perf_counter()
+        code = main(["e3", "--n", "9", "--M", "1000000000"])
+        assert time.perf_counter() - t0 < 1.0
+        out = capsys.readouterr()
+        assert (code, out.out) == (1, "")
+        assert out.err == (
+            "error: the model at n=9, M=1000000000 has 499999999499999997 "
+            "generators of K, over the cap of 40000 (K_CAP)\n")
+
     def test_model_walks_only_pairs_under_its_degree(self):
         """The cut model at M = 100 000 keeps what it keeps at M = 100."""
         small, large = (build_D_dga(ModelParams(n=9, g=7, M=M, maxdeg=6), 6)
                         for M in (100, 100_000))
         assert [g.name for g in large.gens] == [g.name for g in small.gens]
         assert large.dvals == small.dvals
+
+
+class TestTargetCap:
+    """The stable value's bits are bounded from its binomials' arguments
+    and held to TARGET_CAP before any binomial is computed."""
+
+    def test_largest_admitted_and_first_refused(self, capsys):
+        """At dimU = 100 000 and q = 0, p = 23 809 is answered (about half
+        a second, printing included) and p = 23 810 refused."""
+        argv = ["ac-dims", "--variant", "A", "--g", "1", "--dimu",
+                "100000", "--q", "0", "--mode", "target", "--p"]
+        assert main(argv + ["23809"]) == 0
+        out = capsys.readouterr().out
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert str(gh_target_dims(2, 100000, 23809, 0)) in out
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert main(argv + ["23810"]) == 1
+        assert capsys.readouterr().err == (
+            "error: the stable value at dimW=2, dimU=100000, (p,q)="
+            "(23810,0) may have 500012 bits, over the cap of 500000 "
+            "(TARGET_CAP)\n")
+
+    def test_bound_holds(self):
+        for N in range(0, 120):
+            for k in range(-2, N + 3):
+                assert (math.comb(N, max(k, 0)).bit_length()
+                        <= model._comb_bits(N, k)), (N, k)
+
+    @pytest.mark.parametrize("argv", [
+        ["--dimw", "1", "--dimu", "100000", "--p", "100000", "--q", "0"],
+        ["--dimw", "1000", "--dimu", "1000", "--p", "0", "--q", "500000"],
+    ])
+    def test_large_inputs_refused_fast(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(model.math, "comb", never)
+        t0 = time.perf_counter()
+        code = main(["ac-dims", "--variant", "A", "--g", "1", "--mode",
+                     "target", *argv])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1
+        assert capsys.readouterr().err.endswith(
+            ", over the cap of 500000 (TARGET_CAP)\n")
 
 
 class TestSeriesCap:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from tautrings.graded import (
     BASIS_CAP,
+    CODE_WIDTH,
     BigradedDGA,
     GeneratorSet,
     apply_derivation,
@@ -21,6 +22,7 @@ from tautrings.graded import (
     fgca_dims,
     kernel_cokernel_dims,
     koszul_cohomology_dims,
+    mono_codes,
     mono_elem,
     mono_mul,
     quotient_dims,
@@ -219,6 +221,11 @@ def merge_mul(gens, m1, m2):
     if any(a == b and odd[a] for a, b in zip(out, out[1:])):
         return None
     return (-1) ** crossings, tuple(out)
+
+
+def letter_codes(letters):
+    """The packed code of each letter, as a BigradedDGA holds them."""
+    return [1 << CODE_WIDTH * a for a in range(letters)]
 
 
 def derive(gens, dvals, mono, parity=1):
@@ -543,6 +550,32 @@ class TestProducts:
                         == reference_derivation(gens, dvals, m, parity)), m
 
     @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([1, 0]))
+    def test_code_path_matches_tuple_path(self, seed, parity):
+        """With ids, rows keyed by packed codes are the tuple rows, the
+        same images with the same coefficients in the same order, on
+        random derivations with odd, even and repeated letters in their
+        terms; the tuple rows are the products'.  These terms may cancel,
+        which d never does, and a cancelled image keeps the id it was
+        given, so the first-seen order of ids is checked on the cells of
+        `test_code_rows_are_the_tuple_rows`."""
+        gens, dvals = random_derivation(random.Random(seed))
+        values = {i: v.items() for i, v in dvals.items()}
+        plain = derivation_table(gens.odd, values)
+        codes = letter_codes(len(gens))
+        coded = derivation_table(gens.odd, values, codes)
+        monos = [m for d in range(7) for m in gens.monomials_total(d)]
+        by_code = {}
+        for m, code in zip(monos, mono_codes(monos, codes)):
+            images = apply_derivation(gens.odd, plain, m, parity)
+            assert images == reference_derivation(gens, dvals, m, parity)
+            row = apply_derivation(gens.odd, coded, m, parity, by_code, code)
+            ids = list(by_code)
+            image_codes = mono_codes(images, codes)
+            assert [(ids[i], c) for i, c in row.items()] == list(
+                zip(image_codes, images.values())), m
+
+    @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6))
     def test_mono_mul_matches_merge(self, seed):
         """mono_mul equals the merge and crossing count on random pairs of
@@ -758,6 +791,13 @@ def koszul_dga(F):
     return BigradedDGA(gens, diff)
 
 
+def criterion_5_maps():
+    """The 50 maps of criterion 5, in its order."""
+    rng = random.Random(57721)
+    return [random_matrix(rng.randint(0, 5), rng.randint(0, 5), rng,
+                          lo=-3, hi=3) for _ in range(50)]
+
+
 def complement_rows(dga, maxtotal):
     """The sum over the cells of p + q <= maxtotal that d can map to a
     nonzero value, q > 0 and a nonempty target (p + 2, q - 1), of size
@@ -850,6 +890,44 @@ class TestBigradedDGA:
         expected = [((p, q), dim - ranks[(p, q)] - ranks.get((p - 2, q + 1), 0))
                     for (p, q), dim in table.items()]
         assert list(dga.cohomology(maxtotal).items()) == expected
+
+    @pytest.mark.parametrize("kind", ["koszul", "e2"])
+    def test_code_rows_are_the_tuple_rows(self, kind):
+        """On the rows `_cell_rank` builds, where no image cancels, the
+        code ids are the tuple images' first-seen ids: the same rows,
+        entry for entry, and the same column order."""
+        if kind == "koszul":
+            dga = koszul_dga(criterion_5_maps()[3])
+        else:
+            dga = E2Model(7, 6, minimal_M(7)).dga
+        gens = dga.gens
+        plain = derivation_table(gens.odd, {
+            i: v.items() for i, v in dga.dvals.items()})
+        for t in range(7):
+            for p in range(t + 1):
+                basis = gens.monomials_bidegree(p, t - p)
+                by_code, by_image, tuple_rows = {}, {}, []
+                rows = [apply_derivation(gens.odd, dga._table, m, 1,
+                                         by_code, code)
+                        for m, code in zip(basis, mono_codes(basis,
+                                                             dga._codes))]
+                for m in basis:
+                    images = apply_derivation(gens.odd, plain, m, 1)
+                    tuple_rows.append([
+                        (by_image.setdefault(image, len(by_image)), c)
+                        for image, c in images.items()])
+                assert [list(r.items()) for r in rows] == tuple_rows
+                assert list(by_code) == mono_codes(by_image, dga._codes)
+
+    def test_codes_injective_on_criterion_5_cells(self):
+        """Every monomial of every cell that criterion 5's maps rank, and
+        of the cells their images fall in, has its own packed code."""
+        for shape in sorted({(F.rows, F.cols) for F in criterion_5_maps()}):
+            gens = koszul_dga(QMatrix(*shape)).gens
+            monos = [m for t in range(10) for p in range(t + 1)
+                     for m in gens.monomials_bidegree(p, t - p)]
+            codes = letter_codes(len(gens))
+            assert len(set(mono_codes(monos, codes))) == len(monos)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10**6), st.integers(0, 7))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tautrings import graded
 from tautrings.linalg import (
     QMatrix,
     _eliminate,
@@ -319,6 +320,37 @@ class TestAgainstReference:
         assert pivots == ref_pivots
         assert [list(r.items()) for r in pivot_rows] \
             == [list(r.items()) for r in ref_rows]
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_rational_koszul_systems(self, seed):
+        """The systems `_cell_rank` eliminates for Koszul complexes of
+        rational maps: each input row is left as it came, entry for entry,
+        and the pivots and pivot rows are the reference's."""
+        rng = random.Random(seed)
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        F = QMatrix(rows, cols, {
+            (i, j): Fraction(rng.randint(-4, 4), rng.randint(1, 9))
+            for i in range(rows) for j in range(cols)})
+        seen = []
+
+        def recording(system):
+            before = [list(r.items()) for r in system]
+            result = _eliminate(system)
+            seen.append((system, before, result))
+            return result
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(graded, "_eliminate", recording)
+            graded.koszul_cohomology_dims(F, 6)
+        for system, before, (pivots, pivot_rows) in seen:
+            assert [list(r.items()) for r in system] == before
+            ref_pivots, ref_rows = reference_eliminate(
+                [dict(r) for r in system])
+            assert pivots == ref_pivots
+            assert [list(r.items()) for r in pivot_rows] \
+                == [list(r.items()) for r in ref_rows]
 
 
 class TestColumnRank:

@@ -1,10 +1,11 @@
 import itertools
+import json
 import math
 from functools import lru_cache
 
 import pytest
 
-from tautrings import invariants, model, partitions
+from tautrings import cli, invariants, model, partitions
 from tautrings.graded import GeneratorSet, fgca_dims
 from tautrings.invariants import _invariant_system, _kernel_vectors
 from tautrings.linalg import QMatrix, rank_of_int_rows, subspace_equal
@@ -683,6 +684,18 @@ class TestE2Oracle:
             table = e2_oracle_check(ModelParams(n=n, g=g, M=minimal_M(n),
                                                 maxdeg=n - 3))
             assert table[(0, 0)] == 1
+
+    def test_many_labels_answered(self, capsys):
+        """At n = 9 the second page has 3M - 8 labels.  M = 333 is the
+        least M whose label walk, one nested call per label, passed the
+        interpreter's recursion limit from the command line; it answers
+        with the table of M = 300."""
+        tables = []
+        for M in ("300", "333"):
+            assert cli.main(["oracle-e2", "--n", "9", "--M", M,
+                             "--format", "json"]) == 0
+            tables.append(json.loads(capsys.readouterr().out)["table"])
+        assert tables[0] == tables[1]
 
     def test_invariant_cells_match_stable_counts(self):
         # the (0,3) cell of the n=6 model: one invariant generator plus
