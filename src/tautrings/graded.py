@@ -15,9 +15,9 @@ of invariants (even), with one sign flip per odd letter of the monomial
 between a letter and each odd letter of its image, counted on bitmasks
 of odd letters (README, "Why one sign per odd letter in between").  The
 rank of d on a cell is taken over int column ids, on the monomials that
-are not pivots of d into the cell; there a monomial is its packed code
-(`mono_codes`), and an image's code is its monomial's plus a shift per
-term, with no image tuple built.
+are not pivots of d into the cell; there, and in the rows of E_rs in
+invariants, a monomial is its packed code (`mono_codes`), and an image's
+code is its monomial's plus a shift per term, with no tuple built.
 """
 
 from __future__ import annotations
@@ -212,8 +212,8 @@ def elem_mul(gens: GeneratorSet, e1: dict, e2: dict) -> dict:
     return out
 
 
-def elem_add(e1: dict, e2: dict, c=1) -> dict:
-    out = dict(e1)
+def add_into(out: dict, e2: dict, c=1) -> dict:
+    """Add c * e2 into out, in place, and return out."""
     for m, v in e2.items():
         nv = out.get(m, 0) + c * v
         if nv:
@@ -244,9 +244,9 @@ CODE_WIDTH = BASIS_CAP.bit_length()
 
 def mono_codes(monos, codes) -> list[int]:
     """The packed code of each monomial, a sorted tuple of letter ids, from
-    codes, the code 1 << CODE_WIDTH * a of each letter a: its exponent
-    vector in fields of CODE_WIDTH bits.  Distinct monomials whose
-    exponents stay below 2^CODE_WIDTH have distinct codes."""
+    codes, the code 1 << width * a of each letter a (CODE_WIDTH in a
+    BigradedDGA): its exponent vector in fields of width bits.  Distinct
+    monomials whose exponents stay below 2^width have distinct codes."""
     code = codes.__getitem__
     return [sum(map(code, m)) for m in monos]
 
@@ -341,7 +341,7 @@ def derive(odd, table, elem: dict, parity: int) -> dict:
     """apply_derivation on an element, a dict monomial -> coefficient."""
     out: dict = {}
     for m, c in elem.items():
-        out = elem_add(out, apply_derivation(odd, table, m, parity), c)
+        add_into(out, apply_derivation(odd, table, m, parity), c)
     return out
 
 
@@ -502,10 +502,10 @@ class BigradedDGA:
                 check_agree("d^2", f"generator {self.gens[i].name}", (
                     "d^2", self.gens.terms(self.d(val))), ("zero", []))
 
-    def _cell_rank(self, basis) -> tuple[int, set]:
+    def _cell_rank(self, basis, codes=None) -> tuple[int, set]:
         """Rank of d on the span of basis, monomials of one cell, and the
         codes (`mono_codes`) of the image monomials at the pivot columns of
-        its elimination.
+        its elimination; codes, if given, are those of basis.
 
         Each row is built on dense int column ids, image codes in
         first-seen order, so that elimination hashes small ints, and no
@@ -514,8 +514,10 @@ class BigradedDGA:
         so no image cancels, and no id goes to a monomial that is in no
         row."""
         odd, table, ids = self.gens.odd, self._table, {}
+        if codes is None:
+            codes = mono_codes(basis, self._codes)
         rows = [apply_derivation(odd, table, m, 1, ids, code)
-                for m, code in zip(basis, mono_codes(basis, self._codes))]
+                for m, code in zip(basis, codes)]
         pivots, _ = _eliminate(rows)
         codes = list(ids)
         return len(pivots), {codes[c] for c in pivots}
@@ -545,12 +547,13 @@ class BigradedDGA:
                 pivots = incoming.pop((p, q), ())
                 if sizes[p][q] and q and sizes[p + 2][q - 1]:
                     basis = self.gens.monomials_bidegree(p, q)
+                    codes = mono_codes(basis, self._codes)
                     if pivots:
-                        basis = [m for m, code in zip(
-                            basis, mono_codes(basis, self._codes))
-                            if code not in pivots]
+                        basis = [m for m, code in zip(basis, codes)
+                                 if code not in pivots]
+                        codes = [code for code in codes if code not in pivots]
                     ranks[(p, q)], incoming[(p + 2, q - 1)] = (
-                        self._cell_rank(basis))
+                        self._cell_rank(basis, codes))
         cells = [(p, total - p) for total in range(maxtotal + 1)
                  for p in range(total + 1)]
         return {(p, q): sizes[p][q] - ranks.get((p, q), 0)

@@ -7,50 +7,45 @@ dual N^v, whether it is exterior, and whether a two-index letter is
 symmetric or alternating.  From that alone it derives each letter's torus
 weight, its images under E_rs and under the transpositions s_r of the
 indices r and r + 1.  Basis elements are sorted tuples of letter ids, the
-monomials of graded, and E_rs acts on them as an even derivation through
-graded.apply_derivation; this module sits above graded.
+monomials of graded; this module sits above graded.
 
 Every weight space the core reads comes from one builder, `_weight_space`:
 it joins, meet in the middle, a subset or multiset of each label's letters
-into the elements of the target weight.  A tensor space is k + l labels
-of size 1, one per slot; model's blocks are the labels of one content.
+into the elements of the target weight, each weight packed into one int.
+A tensor space is k + l labels of size 1, one per slot; model's blocks are
+the labels of one content.
 
 Invariants under GL_g (resp. SL_g) are computed as a kernel of the
 infinitesimal gl_g action; over Q this kernel coincides with the group
-invariants for the rational representations at hand.  Basis elements are
-weight vectors for the diagonal torus, so the computation first restricts
-to the relevant weight subspace: weight 0 for GL_g, constant weight
-(c, ..., c), i.e. sl_g-weight 0, for SL_g.
+invariants for the rational representations at hand.  The computation
+first restricts to the weight subspace of the diagonal torus they lie in:
+weight 0 for GL_g, constant weight (c, ..., c), sl_g-weight 0, for SL_g.
 
 `_invariant_system` reduces that subspace once more, by the Weyl group.
 Permutation matrices P_w lie in GL_g, and a signed one in SL_g acts on
 weight (c, ..., c) as sgn(w)^c P_w, so every invariant is a combination of
-S_g-orbit sums of basis elements, twisted by sgn^c (c = 0 for GL).  On
-those orbit sums it stacks E_01 alone: every E_{r,r+1} is P_w E_01 P_w^-1
-for some w, so an orbit sum killed by E_01 is killed by every simple
-raising operator, hence (highest weight 0, complete reducibility) by all
-of gl_g.  Rows that are +- an earlier row are dropped.  The stacked
+S_g-orbit sums of basis elements, twisted by sgn^c (c = 0 for GL); an
+orbit step's sign of re-sorting exterior letters is an inversion count on
+bitmasks (`_odd`).  On those orbit sums it stacks E_01 alone: every
+E_{r,r+1} is P_w E_01 P_w^-1 for some w, so an orbit sum killed by E_01 is
+killed by every simple raising operator, hence (highest weight 0, complete
+reducibility) by all of gl_g.  E_rs acts as an even derivation through
+graded.apply_derivation on packed monomial codes, so no image tuple is
+built, and rows that are +- an earlier row are dropped.  The stacked
 simple-operator and all-pairs systems stay in the tests as oracles.
 
 `character_dim` counts the invariants of T^{k,l} with no operator, by
-Schur-Weyl duality: one sum of products of standard-tableau counts over
-the partitions of min(k, l) with at most g rows (README, "Why containment
-and a count decide the span").  The fundamental-theorem check stays in
-integers and builds no kernel basis: it takes the dimension of the
-invariants from that count; one pass over each permutation tensor, an int
-dict, checks that it is an orbit-sum combination the reduced rows kill and
-reads its orbit-sum coordinates; and those short vectors are eliminated
-once for the rank of the permutation tensors.  `invariant_dim` counts the
-kernel of the reduced system, the same number, which criterion 2 and the
-tests hold the tableau count to.  `sigma_matrix` and the invariant bases
-are QMatrix wrappers over int columns, kernel vectors with their
-denominators dropped.
+Schur-Weyl duality, and `invariant_dim` as the kernel of the reduced
+system; criterion 2 holds the two to each other.  The fundamental-theorem
+check stays in integers and builds no kernel basis (README, "Why
+containment and a count decide the span").  `sigma_matrix` and the
+invariant bases are QMatrix wrappers over int columns.
 
 Work past a cap is refused with partitions.CapExceeded before the stage
 it gates: JOIN_CAP on the builder's steps, ORBIT_CAP on the live orbits
-before any row of the reduced system is built (`invariant_dim` and the
-bases), and SIGMA_CAP on sigma's slots.  The tableau count holds its shapes
-to partitions.SCHUR_CELL_CAP and its partitions to partitions.PARTITION_CAP.
+before any row of the reduced system is built, and SIGMA_CAP on sigma's
+slots.  The tableau count holds its shapes to partitions.SCHUR_CELL_CAP
+and its partitions to partitions.PARTITION_CAP.
 """
 
 from __future__ import annotations
@@ -58,11 +53,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import add, mul, or_, sub
+from functools import cached_property, lru_cache, reduce
+from operator import add, mul, or_
 from typing import NamedTuple
 
-from .graded import apply_derivation, derivation_table
+from .graded import apply_derivation, derivation_table, mono_codes
 from .linalg import QMatrix, _eliminate, kernel_int_basis
 from .partitions import (PARTITION_CAP, SCHUR_CELL_CAP, _hook_product,
                          _partitions_desc, check_cap)
@@ -105,14 +100,6 @@ def _word_index(word: tuple[int, ...], g: int) -> int:
     return idx
 
 
-def _by_weight(factor, weight) -> dict[tuple[int, ...], list]:
-    """The tuples of factor grouped by weight, each group in order."""
-    groups: dict[tuple[int, ...], list] = {}
-    for t in factor:
-        groups.setdefault(weight(t), []).append(t)
-    return groups
-
-
 def _join_weighed(head, by_weight) -> list[tuple[int, ...]]:
     """Every t + u for (t, need) in head and u in by_weight[need]."""
     out = []
@@ -130,17 +117,18 @@ def _charge(spent: list[int], steps: int, what: str, doing: str, *counts):
               spent[0])
 
 
-def _weight_space(labels, weight, target, what: str,
+def _weight_space(labels, alphabet, target, what: str,
                   spent: list[int] | None = None) -> list[tuple[int, ...]]:
     """The elements of weight target that take from each label (letter
-    ids, size, exterior) a subset (exterior) or a multiset of size of its
-    letters, as sorted tuples in lexicographic order: the labels come in
-    increasing letter order.  The product of the labels up to where the
-    two products are smallest in sum is streamed against the rest grouped
-    by weight, which is additive.  Steps are charged to spent, shared by
-    the joins of one cell, before the work they count (README, "How the
-    weight-restricted basis is built"); the labels are read only while
-    their sizes sum to at most JOIN_CAP and multiply to at most its square."""
+    ids of alphabet, size, exterior) a subset (exterior) or a multiset of
+    size of its letters, as sorted tuples in lexicographic order: the
+    labels come in increasing letter order.  The product of the labels up
+    to where the two products are smallest in sum is streamed against the
+    rest grouped by weight, additive and packed in one int (`packed`).
+    Steps are charged to spent, shared by the joins of one cell, before the
+    work they count (README, "How the weight-restricted basis is built");
+    the labels are read only while their sizes sum to at most JOIN_CAP and
+    multiply to at most its square."""
     spent = [0] if spent is None else spent
     read, sizes, length, listed, whole = [], [], 0, 0, 1
     big = JOIN_CAP * JOIN_CAP
@@ -171,9 +159,18 @@ def _weight_space(labels, weight, target, what: str,
                else itertools.combinations_with_replacement)(letters, size)
               for letters, size, exterior in part))))
 
-    head = [(t, tuple(map(sub, target, weight(t))))
-            for t in product(read[:cut])]
-    tail = _by_weight(product(read[cut:]), weight)
+    bits, table = alphabet.packed(length)
+    if max(map(abs, target), default=0) >> bits - 1:
+        return []   # past every element's weight entries
+    goal = sum(t << bits * i for i, t in enumerate(target))
+
+    def weight(t):
+        return sum(map(table.__getitem__, t))
+
+    head = [(t, goal - weight(t)) for t in product(read[:cut])]
+    tail: dict[int, list] = {}   # by weight, each group in order
+    for u in product(read[cut:]):
+        tail.setdefault(weight(u), []).append(u)
     count = sum(len(tail.get(need, ())) for _, need in head)
     _charge(spent, count * (length + len(target)), what,
             "keep {} words of {} letters and {} weight entries",
@@ -181,7 +178,7 @@ def _weight_space(labels, weight, target, what: str,
     return _join_weighed(head, tail)
 
 
-def _weight_words(spec: TensorSpaceSpec, weight,
+def _weight_words(spec: TensorSpaceSpec, alphabet: Alphabet,
                   target: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All basis words of T^{k,l} with the given weight, as letter tuples
     of `_tensor_alphabet(spec)` in lexicographic order: the weight-space
@@ -189,7 +186,7 @@ def _weight_words(spec: TensorSpaceSpec, weight,
     g = spec.g
     return _weight_space(((range(pos * g, pos * g + g), 1, False)
                           for pos in range(spec.k + spec.l)),
-                         weight, target, str(spec))
+                         alphabet, target, str(spec))
 
 
 class Letter(NamedTuple):
@@ -222,8 +219,14 @@ def _sorted_sign(idx: tuple[int, ...], alternating: bool):
 
 
 def _odd(seq) -> bool:
-    """Has seq an odd number of inversions?"""
-    return sum(a > b for a, b in itertools.combinations(seq, 2)) % 2 == 1
+    """Has seq, distinct ints >= 0, an odd number of inversions?  Each int
+    is inverted with the earlier ones above it, the bits of seen past its
+    own."""
+    seen = inversions = 0
+    for b in seq:
+        inversions += (seen >> b >> 1).bit_count()
+        seen |= 1 << b
+    return inversions % 2 == 1
 
 
 class Alphabet:
@@ -236,7 +239,8 @@ class Alphabet:
         self.g = g
         self._letters = letters
         self._relabel: dict[int, tuple[list[int], set[int]]] = {}
-        self._derivation: dict[tuple[int, int], list] = {}
+        self._derivation: dict[tuple[int, int, int | None], list] = {}
+        self._packed: dict[int, tuple[int, list[int]]] = {}
 
     @cached_property
     def letters(self) -> tuple[Letter, ...]:
@@ -272,17 +276,21 @@ class Alphabet:
                 with_index.setdefault(i, []).append(a)
         return with_index
 
-    def weight(self, elt) -> tuple[int, ...]:
-        """Torus weight of a basis element: +1 per N index, -1 per N^v
-        index."""
-        w, letters = [0] * self.g, self.letters
-        for a in elt:
-            letter = letters[a]
-            for i in letter.up:
-                w[i] += 1
-            for i in letter.down:
-                w[i] -= 1
-        return tuple(w)
+    def packed(self, length: int) -> tuple[int, list[int]]:
+        """(bits, weights): per letter its torus weight w, +1 per N index
+        and -1 per N^v index, as the sum of w_i * 2^(bits*i).  2^(bits - 1)
+        exceeds each |w_i| of an element of length letters, so that packing
+        is injective on their weights and on targets as small.  Built once
+        per alphabet and length."""
+        if length not in self._packed:
+            most = max((len(a.up) + len(a.down) for a in self.letters),
+                       default=0)
+            bits = (length * most).bit_length() + 1
+            unit = [1 << bits * i for i in range(self.g)].__getitem__
+            self._packed[length] = bits, [
+                sum(map(unit, a.up)) - sum(map(unit, a.down))
+                for a in self.letters]
+        return self._packed[length]
 
     def images(self, r: int, s: int) -> list[tuple[tuple[int, int], ...]]:
         """E_rs on each letter, as (coefficient, letter id) terms.
@@ -331,14 +339,17 @@ class Alphabet:
         self._relabel[r] = ids, flips
         return ids, flips
 
-    def derivation(self, r: int, s: int) -> list:
-        """E_rs as a graded.derivation_table.  Built once per alphabet and
-        (r, s)."""
-        if (r, s) not in self._derivation:
-            self._derivation[r, s] = derivation_table(self.exterior, {
+    def derivation(self, r: int, s: int, width: int | None = None) -> list:
+        """E_rs as a graded.derivation_table, on the letter codes 1 <<
+        width * a if a width is given.  Built once per alphabet, (r, s) and
+        width."""
+        if (r, s, width) not in self._derivation:
+            self._derivation[r, s, width] = derivation_table(self.exterior, {
                 a: [((b,), c) for c, b in terms]
-                for a, terms in enumerate(self.images(r, s))})
-        return self._derivation[r, s]
+                for a, terms in enumerate(self.images(r, s))},
+                None if width is None else [
+                    1 << width * a for a in range(len(self.exterior))])
+        return self._derivation[r, s, width]
 
 
 def _action_rows(alphabet: Alphabet, basis, pairs: list[tuple[int, int]],
@@ -349,19 +360,27 @@ def _action_rows(alphabet: Alphabet, basis, pairs: list[tuple[int, int]],
     none where columns[j] is None.
 
     E_rs acts as an even derivation, applied by graded.apply_derivation to
-    its images of the letters.  Rows are indexed by (r, s, image) in the
-    order first seen; entries that cancel are dropped.
+    its images of the letters on codes (graded.mono_codes) in fields wide
+    enough for the longest element, whose length E_rs keeps.  Each operator
+    numbers its images as first seen, and rows are indexed by (operator,
+    number) in the order first seen, the order of (r, s, image); entries
+    that cancel are dropped.
     """
+    if not pairs:
+        return []
     exterior = alphabet.exterior
-    tables = [(r, s, alphabet.derivation(r, s)) for r, s in pairs]
+    width = max(map(len, basis), default=0).bit_length()
+    tables = [(alphabet.derivation(r, s, width), {}) for r, s in pairs]
+    codes = mono_codes(basis, [1 << width * a for a in range(len(exterior))])
     rows: dict[tuple, dict[int, int]] = {}
-    for elt, column in zip(basis, columns):
+    for elt, code, column in zip(basis, codes, columns):
         if column is None:
             continue
         col, e = column
-        for r, s, table in tables:
-            for image, c in apply_derivation(exterior, table, elt, 0).items():
-                key = (r, s, image)
+        for op, (table, ids) in enumerate(tables):
+            for image, c in apply_derivation(exterior, table, elt, 0, ids,
+                                             code).items():
+                key = (op, image)
                 d = rows.get(key)
                 if d is None:
                     rows[key] = {col: c * e}
@@ -479,9 +498,11 @@ def _kernel_vectors(orbits, rows) -> list[dict[int, int]]:
             for vec, _ in kernel_int_basis(rows, len(orbits))]
 
 
+@lru_cache(maxsize=16)
 def _tensor_alphabet(spec: TensorSpaceSpec) -> Alphabet:
     """Letter pos*g + i is index i in slot pos: in N for the k covariant
-    slots, in N^v for the l contravariant ones."""
+    slots, in N^v for the l contravariant ones.  The last few are kept, so
+    that the GL and SL paths of a space share its letter tables."""
     k, g = spec.k, spec.g
     return Alphabet(g, (Letter(pos, (i,)) if pos < k else Letter(pos, (), (i,))
                         for pos in range(k + spec.l) for i in range(g)))
@@ -496,7 +517,7 @@ def _weight_orbits(spec: TensorSpaceSpec, group: str):
         raise ValueError(f"unknown group {group!r}")
     alphabet = _tensor_alphabet(spec)
     c = (spec.k - spec.l) // spec.g if group == "SL" else 0
-    basis = _weight_words(spec, alphabet.weight, (c,) * spec.g)
+    basis = _weight_words(spec, alphabet, (c,) * spec.g)
     return alphabet, basis, _orbits(alphabet, basis)
 
 

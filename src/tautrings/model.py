@@ -40,9 +40,9 @@ from .graded import (
     SERIES_CAP,
     BigradedDGA,
     GeneratorSet,
+    add_into,
     check_basis_cap,
     derive,
-    elem_add,
     elem_mul,
     fgca_dims,
     mono_elem,
@@ -356,7 +356,7 @@ def _ac_blocks(spec: ACAlgebraSpec, p: int, q: int, r: int, group: str):
     nx = (g * (g + 1) if is_a else g * (g - 1)) // 2
     if level is None or (p and not nx):
         return
-    weight, target = _ac_alphabet(spec).weight, (level,) * g
+    alphabet, target = _ac_alphabet(spec), (level,) * g
     what, spent = f"cell ({p},{q},{r})", [0]
     x = [(range(nx), p, False)] if p else []
 
@@ -373,7 +373,8 @@ def _ac_blocks(spec: ACAlgebraSpec, p: int, q: int, r: int, group: str):
         for mz, z_parts in _ac_contents(g, spec.dimU, r, is_a):
             block = x + ys + labels(nx + g * spec.dimW, z_parts, is_a)
             yield (my * mz, (spec.variant, g, p, y_parts, z_parts, level),
-                   partial(_weight_space, block, weight, target, what, spent))
+                   partial(_weight_space, block, alphabet, target, what,
+                           spent))
 
 
 # the invariant count of each label-content block, by its `_ac_blocks`
@@ -475,16 +476,19 @@ class E2Model:
     (0, 4m-n-1), lu_m is the invariant generator in (0, 4m-2n-1).
     d2(la_{j,m}) = (-1)^{n+1} sum_i x_{ij} lb_{i,m}, zero on everything
     else (and zero when 4m-n-1 = 0).
+    With top, only the generators of total degree <= top: a sub-DGA on
+    a prefix of the generators, with the same d2 (README, "Why e3 builds
+    the model only through maxdeg").
     """
 
-    def __init__(self, n: int, g: int, M: int):
-        self.n, self.g, self.M = n, g, M
+    def __init__(self, n: int, g: int, M: int, top: int | None = None):
+        self.n, self.g, self.M, self.top = n, g, M, top
         gens: dict[str, tuple[tuple[int, int], Letter]] = {}
         for i in range(g):
             for j in range(i if n % 2 == 0 else i + 1, g):
                 gens[f"x_{i}_{j}"] = (
                     (2, 0), Letter("x", (i, j), alternating=n % 2 == 1))
-        v, w, u = vwu_degrees(n, M)
+        v, w, u = vwu_degrees(n, M, top)
         for m, d in w.items():
             for i in range(g):
                 gens[f"la_{i}_{m}"] = ((0, d), Letter(("a", m), (i,)))
@@ -511,11 +515,12 @@ class E2Model:
 
     def _differential(self) -> dict[str, dict]:
         n, g, index = self.n, self.g, self.gens.index
+        _, w, u = vwu_degrees(n, self.M, self.top)
         lead = 1 if (n + 1) % 2 == 0 else -1
         diff: dict[str, dict] = {}
-        # each m of u is an m of w; d2(la_{j,m}) = 0 at the degenerate
-        # slot 4m - n - 1 = 0, where u_m is not a generator
-        for m in vwu_degrees(n, self.M)[2]:
+        # d2(la_{j,m}) = 0 at the degenerate slot 4m - n - 1 = 0, where u_m
+        # is not a generator
+        for m in filter(u.__contains__, w):
             for j in range(g):
                 val: dict = {}
                 for i in range(g):
@@ -570,7 +575,7 @@ class E2Model:
         what = f"cell ({p},{q}) of the second page at n={self.n}, g={self.g}"
         spent, vectors = [0], []
         for block, total in self._contents(p, q):
-            basis = _weight_space(block, self.alphabet.weight,
+            basis = _weight_space(block, self.alphabet,
                                   (total // self.g,) * self.g, what, spent)
             if basis:
                 orbits, rows = _invariant_system(self.alphabet, basis)
@@ -584,15 +589,16 @@ def e2_bruteforce_oracle(params: ModelParams) -> dict[tuple[int, int], int]:
 
     Cellwise: take SL-invariants by Lie-algebra kernel, restrict d2, and
     read off kernel-mod-image dimensions for every bidegree with total
-    degree <= maxdeg.  A cell whose joins pass JOIN_CAP is refused before
-    they build it.
+    degree <= maxdeg, on the page through total maxdeg + 1, where the
+    checks of d2 run too.  A cell whose joins pass JOIN_CAP is refused
+    before they build it.
     """
     n, g, maxdeg = params.n, params.g, params.maxdeg
-    model = E2Model(n, g, params.M)
+    model = E2Model(n, g, params.M, maxdeg + 1)
     cells = [(p, total - p) for total in range(maxdeg + 1)
              for p in range(total + 1)]
 
-    # d2 must square to zero on every generator
+    # d2 must square to zero on every generator of the page
     case = f"n={n}, g={g}"
     with mismatch_case(case):
         model.dga.check_d_squared_on_generators(
@@ -606,7 +612,7 @@ def e2_bruteforce_oracle(params: ModelParams) -> dict[tuple[int, int], int]:
             for i, val in dga.dvals.items():
                 check_agree(f"d2 commuting with E_{s}{t}",
                             f"{model.gens[i].name}, {case}",
-                            ("d2 E - E d2", terms(elem_add(
+                            ("d2 E - E d2", terms(add_into(
                                 dga.d(derive(odd, e, {(i,): 1}, 0)),
                                 derive(odd, e, val, 0), -1))), ("zero", []))
 
@@ -687,7 +693,7 @@ def lambda_relations(params: ModelParams, ms: list[int]) -> LambdaExpression:
     elem: dict = {}
     for a, b in pairs:
         for j in range(g):
-            elem = elem_add(elem, elem_mul(
+            add_into(elem, elem_mul(
                 gens, mono_elem((gens.index[f"la_{j}_{a}"],)),
                 mono_elem((gens.index[f"lb_{j}_{b}"],))))
     return LambdaExpression(gens, elem)

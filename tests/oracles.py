@@ -28,7 +28,10 @@ before.
 
 `guard_joins` wraps the program's one weight-space join so that a test
 fails if a join lists, weighs or keeps anything once its count has passed
-`invariants.JOIN_CAP`: the cap must be checked before each stage.
+`invariants.JOIN_CAP`: the cap must be checked before each stage.  The
+join weighs on packed ints; `tuple_weight_space` is the join as it was
+before, weighing each element as a g-tuple (`torus_weight`), which the
+packed join must equal, charges and refusals included.
 
 The fundamental-theorem check reads rank sigma off sigma's orbit-sum
 coordinates; `sigma_word_rank` eliminates sigma over its words, as the
@@ -48,6 +51,7 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from operator import add, mul, sub
 
 from tautrings import invariants, model
 
@@ -62,6 +66,7 @@ from tautrings.invariants import (
 from tautrings.linalg import QMatrix, kernel_basis_columns, rank_of_int_rows
 from tautrings.model import _ac_alphabet
 from tautrings.partitions import (
+    CapExceeded,
     Partition,
     check_agree,
     enumerate_partitions,
@@ -187,8 +192,7 @@ def tensor_cell(spec, group):
     k, l, g = spec.k, spec.l, spec.g
     if (k - l) % g or (group == "GL" and k != l):
         return []
-    return _weight_words(spec, _tensor_alphabet(spec).weight,
-                         ((k - l) // g,) * g)
+    return _weight_words(spec, _tensor_alphabet(spec), ((k - l) // g,) * g)
 
 
 def stacked_tensor_system(spec, group):
@@ -222,7 +226,7 @@ def reference_ac_basis(spec, p, q, r, group) -> tuple:
     def factor_basis(lo, nlet, size, exterior):
         choose = (itertools.combinations if exterior
                   else itertools.combinations_with_replacement)
-        return [(fs, alphabet.weight(fs))
+        return [(fs, torus_weight(alphabet, fs))
                 for fs in choose(range(lo, lo + nlet), size)]
 
     xbasis, ybasis, zbasis = (factor_basis(*f) for f in factors)
@@ -449,28 +453,116 @@ def column_rank(*matrices: QMatrix) -> int:
                              for col in m._int_rows(columns=True)])
 
 
+def elem_add(e1: dict, e2: dict, c=1) -> dict:
+    """e1 + c * e2 as a new element: the copy-and-add the program summed
+    derivations and products with before it summed them in place."""
+    out = dict(e1)
+    for m, v in e2.items():
+        nv = out.get(m, 0) + c * v
+        if nv:
+            out[m] = nv
+        else:
+            out.pop(m, None)
+    return out
+
+
+def torus_weight(alphabet, elt) -> tuple[int, ...]:
+    """Torus weight of a basis element of alphabet: +1 per N index, -1 per
+    N^v index."""
+    w = [0] * alphabet.g
+    for a in elt:
+        letter = alphabet.letters[a]
+        for i in letter.up:
+            w[i] += 1
+        for i in letter.down:
+            w[i] -= 1
+    return tuple(w)
+
+
+def tuple_weight_space(labels, alphabet, target, what, spent=None):
+    """`invariants._weight_space` before it packed weights: the same
+    labels, split, charges and order, with each element weighed as its
+    g-tuple `torus_weight` and each head element's need a g-tuple."""
+    spent = [0] if spent is None else spent
+    read, sizes, length, listed, whole = [], [], 0, 0, 1
+    big = invariants.JOIN_CAP * invariants.JOIN_CAP
+    for label in labels:
+        letters, size, exterior = label
+        n = math.comb(len(letters) + (size - 1 if size and not exterior
+                                      else 0), size)
+        read.append(label)
+        sizes.append(n)
+        length, listed, whole = length + size, listed + n, whole * n
+        if listed > invariants.JOIN_CAP or whole > big:
+            break
+    sums = list(map(add, itertools.accumulate(sizes, mul, initial=1), reversed(
+        list(itertools.accumulate(reversed(sizes), mul, initial=1)))))
+    elements = min(sums)
+    cut = len(sums) - 1 - sums[::-1].index(elements)
+    invariants._charge(
+        spent, listed + elements * (1 + len(target)), what,
+        "list at least {} elements and weigh at least {} weight entries",
+        listed + elements, elements * len(target))
+
+    def product(part):
+        return map(tuple, map(itertools.chain.from_iterable, itertools.product(
+            *((itertools.combinations if exterior
+               else itertools.combinations_with_replacement)(letters, size)
+              for letters, size, exterior in part))))
+
+    def weight(t):
+        return torus_weight(alphabet, t)
+
+    head = [(t, tuple(map(sub, target, weight(t))))
+            for t in product(read[:cut])]
+    tail = {}
+    for u in product(read[cut:]):
+        tail.setdefault(weight(u), []).append(u)
+    count = sum(len(tail.get(need, ())) for _, need in head)
+    invariants._charge(spent, count * (length + len(target)), what,
+                       "keep {} words of {} letters and {} weight entries",
+                       count, length, len(target))
+    return [t + u for t, need in head for u in tail.get(need, ())]
+
+
+def join_both_ways(labels, alphabet, target):
+    """((elements, steps), (elements, steps)): the packed join
+    `invariants._weight_space` and `tuple_weight_space` on the same labels,
+    each charging a count of its own; a refusal is returned as its text in
+    place of the elements."""
+    labels, out = list(labels), []
+    for join in (invariants._weight_space, tuple_weight_space):
+        spent = [0]
+        try:
+            out.append((join(labels, alphabet, target, "join", spent),
+                        spent[0]))
+        except CapExceeded as exc:
+            out.append((str(exc), spent[0]))
+    return tuple(out)
+
+
 def guard_joins(monkeypatch):
     """Wrap `invariants._weight_space`, wherever the program calls it, so
     that the test fails if the join that passes JOIN_CAP has already done
-    the work it was refused for: weighed an element (which it does as it
-    lists it) when refused before listing, or kept a word when refused
-    before keeping."""
+    the work it was refused for: weighed an element (which it does once it
+    has the letters' packed weights, `Alphabet.packed`) when refused
+    before listing, or kept a word when refused before keeping."""
     real_join, real_keep = invariants._weight_space, invariants._join_weighed
+    real_packed = invariants.Alphabet.packed
     done = []   # what the join in progress has done
 
-    def join(labels, weight, target, what, spent=None):
+    def join(labels, alphabet, target, what, spent=None):
         done.clear()
-
-        def weigh(t):
-            done.append("weighed")
-            return weight(t)
-
         try:
-            return real_join(labels, weigh, target, what, spent)
+            return real_join(labels, alphabet, target, what, spent)
         except ValueError as exc:
             stage = "kept" if "would keep" in str(exc) else "weighed"
             assert stage not in done, f"{what}: {stage} past the cap"
             raise
+
+    def packed(self, length):
+        done.append("weighed")
+        return real_packed(self, length)
 
     def keep(*args):
         done.append("kept")
@@ -478,4 +570,5 @@ def guard_joins(monkeypatch):
 
     for module in (invariants, model):
         monkeypatch.setattr(module, "_weight_space", join)
+    monkeypatch.setattr(invariants.Alphabet, "packed", packed)
     monkeypatch.setattr(invariants, "_join_weighed", keep)

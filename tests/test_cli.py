@@ -106,14 +106,10 @@ class TestBasicCommands:
         past JOIN_CAP: refused before its join weighs anything.  (Cell
         (8, 2, 18) at dimU = 5, refused by the earlier cap on the blocks'
         elements, is answered: 0.)"""
-        real = model._weight_space
+        def never(alphabet, length):
+            pytest.fail("a block was joined before the cap was checked")
 
-        def join(labels, weight, target, what, spent=None):
-            def never(t):
-                pytest.fail("a block was joined before the cap was checked")
-            return real(labels, never, target, what, spent)
-
-        monkeypatch.setattr(model, "_weight_space", join)
+        monkeypatch.setattr(invariants.Alphabet, "packed", never)
         code, out, err = run(capsys, "ac-dims", "--mode", "brute",
                              "--variant", "A", "--g", "4", "--dimw", "1",
                              "--dimu", "8", "--p", "14", "--q", "2", "--r",

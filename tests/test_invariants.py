@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -31,6 +32,7 @@ from oracles import (
     all_pairs,
     column,
     column_rank,
+    join_both_ways,
     reduce_against,
     same_rows_as_previous,
     sigma_word_rank,
@@ -478,15 +480,91 @@ class TestWeightWords:
         letter tuples: slot pos with index i is letter pos*g + i."""
         for spec in SMALL_SPECS:
             k, g = spec.k, spec.g
-            weight = _tensor_alphabet(spec).weight
+            alphabet = _tensor_alphabet(spec)
             by_weight = {}
             for word in itertools.product(range(g), repeat=k + spec.l):
                 by_weight.setdefault(_weight(word, k, g), []).append(
                     tuple(pos * g + i for pos, i in enumerate(word)))
             for wt, words in by_weight.items():
-                assert _weight_words(spec, weight, wt) == words
+                assert _weight_words(spec, alphabet, wt) == words
             for wt in [(0,) * g, (1,) * g, (-1,) * g, (spec.k + 1,) + (0,) * (g - 1)]:
-                assert _weight_words(spec, weight, wt) == by_weight.get(wt, [])
+                assert _weight_words(spec, alphabet, wt) == by_weight.get(
+                    wt, [])
+
+
+def _tensor_labels(spec):
+    """The labels `_weight_words` joins: one per slot, its g letters."""
+    g = spec.g
+    return [(range(pos * g, pos * g + g), 1, False)
+            for pos in range(spec.k + spec.l)]
+
+
+class TestPackedJoin:
+    """The join on packed weights against `oracles.tuple_weight_space`,
+    the join on weight tuples it replaced: the same elements in the same
+    order, the same steps charged and the same refusals (the trigraded and
+    second-page blocks are in test_model)."""
+
+    @pytest.mark.parametrize("group", ["GL", "SL"])
+    def test_criterion_2_spaces(self, group):
+        """Every space criterion 2 reads, at the target its group reads,
+        whether or not g divides k - l."""
+        for g in (1, 2, 3):
+            for k in range(6):
+                for l in range(6 - k):
+                    spec = TensorSpaceSpec(k, l, g)
+                    c = (k - l) // g if group == "SL" else 0
+                    packed, tuples = join_both_ways(
+                        _tensor_labels(spec), _tensor_alphabet(spec),
+                        (c,) * g)
+                    assert packed == tuples, spec
+
+    def test_multisets_near_the_bound(self):
+        """A multiset of 511 letters e_0, e_1 has weight entries up to
+        511, packed in base 2^10, whose half 512 is the first entry out of
+        reach.  300 letters x_00, x_11 of S^2(Q^2) and 211 of the dual,
+        511 letters of at most two indices each, reach 600 and -211
+        against half 1 024, and their head's needs borrow across
+        fields."""
+        up = Alphabet(2, [Letter("e", (0,)), Letter("e", (1,))])
+        for target in [(511, 0), (256, 255), (510, 0), (512, -1),
+                       (2 ** 40, 0)]:
+            packed, tuples = join_both_ways([(range(2), 511, False)], up,
+                                            target)
+            assert packed == tuples, target
+            assert len(packed[0]) == (sum(target) == 511
+                                      and min(target) >= 0), target
+        mixed = Alphabet(2, [Letter("x", (0, 0)), Letter("x", (1, 1)),
+                             Letter("f", (), (0,)), Letter("f", (), (1,))])
+        labels = [(range(2), 300, False), (range(2, 4), 211, False)]
+        for target in [(389, 0), (0, 389), (600, -211), (-211, 600),
+                       (200, 189), (389, 1), (1024, -635), (-1024, 1413)]:
+            packed, tuples = join_both_ways(labels, mixed, target)
+            assert packed == tuples, target
+        assert len(join_both_ways(labels, mixed, (200, 189))[0][0]) == 106
+
+    def test_refusals(self):
+        """Refused at the first stage (T^{1,0}(Q^1999)) and at the second
+        (T^{4,4}(Q^11)) with the same text and count."""
+        for spec, target in [(TensorSpaceSpec(1, 0, 1999), (0,) * 1999),
+                             (TensorSpaceSpec(4, 4, 11), (0,) * 11)]:
+            packed, tuples = join_both_ways(
+                _tensor_labels(spec), _tensor_alphabet(spec), target)
+            assert packed == tuples
+            assert packed[0].endswith("(JOIN_CAP)"), spec
+
+
+class TestExteriorSign:
+    def test_odd_matches_pairwise_count(self):
+        """`_odd` counts inversions on bitmasks in one pass; the parity is
+        that of the pairs out of order, on distinct ids of every length
+        to 40."""
+        rng = random.Random(2026)
+        for n in range(41):
+            for _ in range(25):
+                seq = rng.sample(range(2 * n + 3), n)
+                pairs = sum(a > b for a, b in itertools.combinations(seq, 2))
+                assert invariants._odd(seq) == (pairs % 2 == 1), seq
 
 
 def _basis_over_words(spec, words, vectors) -> QMatrix:
@@ -681,7 +759,9 @@ class TestInvariantDim:
 
     def test_one_alphabet_per_space(self, monkeypatch):
         """`_raising_system` builds the tensor alphabet once and weighs
-        the words with it."""
+        the words with it, and the space's SL path reads the same one.
+        The kept alphabets are dropped before and after, so the space is
+        built here and no counting alphabet outlives the test."""
         built = []
 
         class Counting(invariants.Alphabet):
@@ -689,8 +769,13 @@ class TestInvariantDim:
                 built.append(args)
                 super().__init__(*args)
 
+        invariants._tensor_alphabet.cache_clear()
         monkeypatch.setattr(invariants, "Alphabet", Counting)
-        assert invariant_dim(TensorSpaceSpec(2, 2, 2), "GL") == 2
+        try:
+            assert invariant_dim(TensorSpaceSpec(2, 2, 2), "GL") == 2
+            assert invariant_dim(TensorSpaceSpec(2, 2, 2), "SL") == 2
+        finally:
+            invariants._tensor_alphabet.cache_clear()
         assert len(built) == 1
 
 

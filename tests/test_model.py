@@ -1,12 +1,14 @@
+import hashlib
 import itertools
 import json
 import math
+import time
 from functools import lru_cache
 
 import pytest
 
 from tautrings import cli, invariants, model, partitions
-from tautrings.graded import GeneratorSet, fgca_dims
+from tautrings.graded import GeneratorSet, elem_mul, fgca_dims, mono_elem
 from tautrings.invariants import _invariant_system, _kernel_vectors
 from tautrings.linalg import QMatrix, rank_of_int_rows, subspace_equal
 from tautrings.model import (
@@ -27,13 +29,16 @@ from tautrings.model import (
 
 from oracles import (
     all_pairs,
+    elem_add,
     guard_joins,
+    join_both_ways,
     recursive_sorted_contents,
     reference_ac_basis,
     same_rows_as_previous,
     stacked_dim,
     stacked_kernel,
     stacked_rows,
+    torus_weight,
     whole_cell_dim,
 )
 
@@ -475,7 +480,7 @@ def reference_e2_basis(e2, p, q):
     every monomial of the cell, kept when its weight is constant."""
     basis = []
     for elt in e2.gens.monomials_bidegree(p, q):
-        if len(set(e2.alphabet.weight(elt))) <= 1:
+        if len(set(torus_weight(e2.alphabet, elt))) <= 1:
             basis.append(elt)
     return basis
 
@@ -552,6 +557,37 @@ class TestWeightJoin:
 
 def _columns(nrows, vectors) -> QMatrix:
     return QMatrix.from_columns(nrows, [dict(v) for v in vectors])
+
+
+class TestPackedJoinBlocks:
+    """The join on packed weights equals `oracles.tuple_weight_space` on
+    every trigraded block of criterion 4 and every second-page block
+    through n = 12: the same elements in the same order and the same
+    steps charged."""
+
+    @pytest.mark.parametrize("group", ["GL", "SL"])
+    def test_criterion_4_blocks(self, group):
+        for variant, g, dimW, dimU in itertools.product(
+                "AC", range(1, 4), (1, 2), (1, 2)):
+            spec = ACAlgebraSpec(variant, g, dimW, dimU)
+            for p in range(3):
+                for q in range(5 - 2 * p):
+                    for r in range(2 * p + q + 3):
+                        for _, _, basis in model._ac_blocks(spec, p, q, r,
+                                                            group):
+                            packed, tuples = join_both_ways(*basis.args[:3])
+                            assert packed == tuples, (spec, p, q, r)
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_second_page_blocks(self, n):
+        for g in (n - 2, n - 1):
+            e2 = E2Model(n, g, minimal_M(n), n - 2)
+            for total in range(n - 2):
+                for p in range(total + 1):
+                    for block, weight in e2._contents(p, total - p):
+                        packed, tuples = join_both_ways(
+                            block, e2.alphabet, (weight // g,) * g)
+                        assert packed == tuples, (n, g, p, total - p)
 
 
 class TestStackedSimpleOperators:
@@ -643,6 +679,103 @@ class TestSharedDerivationKernel:
                     for basis in core_bases:
                         assert same_rows_as_previous(e2.alphabet, basis), (
                             n, g, p, total - p)
+
+
+# md5 of the JSON `oracle-e2` prints, by (n, g, M), M None for
+# minimal_M(n), as the program printed it when it built the second page
+# through every m <= M
+E2_JSON_MD5 = {
+    (5, 3, None): "18482b89288ad422bace4d60511f7e67",
+    (5, 4, None): "8e26914c01fce0d50fbac8610f329971",
+    (6, 4, None): "5e6353039e509557fdca4ea7e6815df3",
+    (6, 5, None): "c9a42c55c4ac6c3f37f72c9c5ea35246",
+    (7, 5, None): "f0c77ec8e0552896615d4197fde7e49d",
+    (7, 6, None): "a4ce99ce2b0bcaa4e0e80d7fbe306119",
+    (8, 6, None): "6f5273b0d9b788ed2d01f2d9a9bc0ee8",
+    (8, 7, None): "e588f8005c94bf161a9bb8ec20b2fd68",
+    (9, 7, None): "9e46f576cc0c68919c54483bd9c50cb7",
+    (9, 8, None): "03d718d030e736076882e24609f9d8ea",
+    (10, 8, None): "e146064445273c3ba3f65b36f58538cf",
+    (10, 9, None): "93bb92dadbc3891da8ca989107ec404b",
+    (11, 9, None): "1b758acead47e784a6e8e7ba0b1d665e",
+    (11, 10, None): "81c14e1603494824c518e3596e903a6b",
+    (12, 10, None): "99ad4dc59cac58583167854c94c0abb1",
+    (12, 11, None): "27d7d6cb95f0028e80faeb3d5bc9a263",
+    (13, 11, None): "4da56d0b774ad92ff78912b68c752916",
+    (13, 12, None): "fd86759e08a6746d6832ba6f114b4955",
+    (14, 12, None): "8d7d8db8b4eab153403f092567b8ecf6",
+    (14, 13, None): "b702638053eef6a9aecd877f64afbad0",
+    (15, 13, None): "c7b0a0a825ec1a551fe2893441067ae9",
+    (15, 14, None): "e120e85f28d5b2edcfe5f9f108158120",
+    (16, 14, None): "0c0eeb679eec49d28df5935172978528",
+    (16, 15, None): "5cc0bf0866855b7b4cb2935391579f4a",
+    (17, 15, None): "fa6b99a039c7ca5c6a30449155a43867",
+    (17, 16, None): "4297ca1a4e901b5a6693e87103406468",
+    (9, 7, 300): "57d432a1f61d9da1af2997a86cff47ca",
+    (9, 7, 1000): "ba75518e7c279260252526033d1f54b0",
+}
+
+
+class TestCutSecondPage:
+    """The oracle's second page, E2Model(n, g, M, maxdeg + 1), against the
+    whole page (README, "Why e3 builds the model only through maxdeg")."""
+
+    @pytest.mark.parametrize("n", range(5, 18))
+    def test_prefix_with_the_same_d2(self, n):
+        """Its generators and letters are the whole page's of total
+        degree <= n - 2, a prefix of them, with the same d2 values."""
+        full = E2Model(n, n - 2, minimal_M(n) + 2)
+        cut = E2Model(n, n - 2, minimal_M(n) + 2, n - 2)
+        kept = len(cut.gens)
+        assert cut.gens.gens == full.gens.gens[:kept]
+        assert [gg.total <= n - 2 for gg in full.gens] == (
+            [True] * kept + [False] * (len(full.gens) - kept))
+        assert cut.alphabet.letters == full.alphabet.letters[:kept]
+        assert list(cut.dga.dvals.items()) == [
+            (i, v) for i, v in full.dga.dvals.items() if i < kept]
+
+    @pytest.mark.slow
+    def test_json_unchanged(self, capsys):
+        for (n, g, M), digest in E2_JSON_MD5.items():
+            argv = ["oracle-e2", "--n", str(n), "--g", str(g), "--format",
+                    "json"] + (["--M", str(M)] if M else [])
+            assert cli.main(argv) == 0
+            out = capsys.readouterr().out
+            assert hashlib.md5(out.encode()).hexdigest() == digest, (n, g, M)
+
+    def test_huge_M_answers_with_the_table_of_M_300(self, capsys):
+        """The cost follows maxdeg, not M: M = 100 000 builds the letters
+        of M = 300."""
+        tables = []
+        t0 = time.perf_counter()
+        for M in ("300", "100000"):
+            assert cli.main(["oracle-e2", "--n", "9", "--M", M,
+                             "--format", "json"]) == 0
+            tables.append(json.loads(capsys.readouterr().out)["table"])
+        assert time.perf_counter() - t0 < 5.0
+        assert tables[0] == tables[1]
+
+    def test_rows_on_the_cut_alphabet(self, core_bases):
+        """`_action_rows` on codes gives the earlier action loop's rows on
+        every basis of the cut second page at n = 9."""
+        e2 = E2Model(9, 7, 300, 7)
+        for total in range(7):
+            for p in range(total + 1):
+                core_bases.clear()
+                e2.sl_invariant_vectors(p, total - p)
+                for basis in core_bases:
+                    assert same_rows_as_previous(e2.alphabet, basis), (
+                        p, total - p)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", [9, 12])
+    def test_stable_in_g(self, n):
+        """The D-model has no g: the oracle agrees with it from g = n - 2
+        up to g = 40, the paper's "for large g" at desk scale."""
+        for g in (n - 2, n - 1, 2 * n, 40):
+            table = e2_oracle_check(ModelParams(n=n, g=g, M=minimal_M(n),
+                                                maxdeg=n - 3))
+            assert table[(0, 0)] == 1
 
 
 class TestE2Oracle:
@@ -748,3 +881,18 @@ class TestLambdaRelations:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             lambda_relations(self.params(), [9])
+
+    @pytest.mark.parametrize("ms", [[2, 3], [3, 2], [2, 2]])
+    def test_sum_in_place_matches_copy_and_add(self, ms):
+        """The 2g products summed in place, at g = 60, are their sum by
+        copy-and-add (oracles.elem_add), terms in the same order; [2, 2]
+        adds each product twice."""
+        expr = lambda_relations(ModelParams(n=5, g=60, M=4, maxdeg=2), ms)
+        index, want = expr.gens.index, {}
+        for a, b in (ms, ms[::-1]):
+            for j in range(60):
+                want = elem_add(want, elem_mul(
+                    expr.gens, mono_elem((index[f"la_{j}_{a}"],)),
+                    mono_elem((index[f"lb_{j}_{b}"],))))
+        assert list(expr.element.items()) == list(want.items())
+        assert len(want) == (60 if ms[0] == ms[1] else 120)
