@@ -32,7 +32,7 @@ from .invariants import (
     invariant_dim,
     verify_fundamental_theorems,
 )
-from .linalg import QMatrix, random_matrix
+from .linalg import rank_of_int_rows
 from .model import (
     ACAlgebraSpec,
     ModelParams,
@@ -223,14 +223,16 @@ def criterion_4() -> str:
     return f"{checked} cells, both variants, g <= 3"
 
 
-def koszul_check(F: QMatrix, maxdeg: int) -> tuple[list[int], int]:
-    """Koszul cohomology of F through maxdeg against exterior(kernel) (x)
-    symmetric(cokernel); returns the agreed dims and the rank of F."""
-    dims = koszul_cohomology_dims(F, maxdeg)
-    rank = F.rank()
-    check_agree("Koszul cohomology", f"a {F.rows}x{F.cols} map of rank "
+def koszul_check(rows: list[dict[int, int]], ncols: int,
+                 maxdeg: int) -> tuple[list[int], int]:
+    """Koszul cohomology through maxdeg of the map with these int rows
+    against exterior(kernel) (x) symmetric(cokernel); returns the agreed
+    dims and the rank of the map."""
+    dims = koszul_cohomology_dims(rows, ncols, maxdeg)
+    rank = rank_of_int_rows(rows)
+    check_agree("Koszul cohomology", f"a {len(rows)}x{ncols} map of rank "
                 f"{rank}", ("complex", dims), ("kernel/cokernel model",
-                kernel_cokernel_dims(F.cols - rank, F.rows - rank, maxdeg)))
+                kernel_cokernel_dims(ncols - rank, len(rows) - rank, maxdeg)))
     return dims, rank
 
 
@@ -239,10 +241,11 @@ def criterion_5() -> str:
     """Koszul complex cohomology = exterior(kernel) (x) symmetric(cokernel)."""
     rng = random.Random(57721)
     for trial in range(50):
-        F = random_matrix(rng.randint(0, 5), rng.randint(0, 5), rng,
-                          lo=-3, hi=3)
+        nrows, ncols = rng.randint(0, 5), rng.randint(0, 5)
+        rows = [{j: v for j in range(ncols) if (v := rng.randint(-3, 3))}
+                for _ in range(nrows)]
         with mismatch_case(f"trial {trial}"):
-            koszul_check(F, 8)
+            koszul_check(rows, ncols, 8)
     return "50 random maps, dims <= 5, degrees <= 8"
 
 

@@ -13,12 +13,12 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
 from . import acceptance
 from .invariants import TensorSpaceSpec, invariant_dim
-from .linalg import QMatrix
 from .model import (
     ACAlgebraSpec,
     ModelParams,
@@ -235,7 +235,9 @@ def _cmd_ac_dims(args) -> dict:
     }
 
 
-def _read_map_file(path: str) -> QMatrix:
+def _read_map_file(path: str) -> tuple[int, int, list[dict[int, int]]]:
+    """(rows, cols, each row as a dict column -> int): entries p/q times
+    the lcm of their denominators, which changes no rank or cohomology."""
     with open(path) as fh:
         tokens = fh.read().split()
     if len(tokens) < 2:
@@ -250,28 +252,30 @@ def _read_map_file(path: str) -> QMatrix:
         raise ValueError(
             f"map file {path}: expected {rows * cols} entries, "
             f"got {len(body)}")
-    entries = {}
-    for idx, tok in enumerate(body):
+    entries = []
+    for tok in body:
         try:
-            v = Fraction(tok)
+            entries.append(Fraction(tok))
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"map file {path}: bad entry {tok!r}") from None
-        if v:
-            entries[(idx // cols, idx % cols)] = v
-    return QMatrix(rows, cols, entries)
+    den = math.lcm(*(v.denominator for v in entries))
+    return rows, cols, [
+        {j: v.numerator * (den // v.denominator)
+         for j, v in enumerate(entries[i * cols:(i + 1) * cols]) if v}
+        for i in range(rows)]
 
 
 def _cmd_koszul(args) -> dict:
     if args.maxdeg < 0:
         raise ValueError(f"requires maxdeg >= 0 (got {args.maxdeg})")
-    F = _read_map_file(args.map_file)
-    dims, rank = acceptance.koszul_check(F, args.maxdeg)
+    rows, cols, F = _read_map_file(args.map_file)
+    dims, rank = acceptance.koszul_check(F, cols, args.maxdeg)
     return {
-        "inputs": {"map_file": args.map_file, "rows": F.rows,
-                   "cols": F.cols, "maxdeg": args.maxdeg},
+        "inputs": {"map_file": args.map_file, "rows": rows,
+                   "cols": cols, "maxdeg": args.maxdeg},
         "rank": rank,
-        "kernel_dim": F.cols - rank,
-        "cokernel_dim": F.rows - rank,
+        "kernel_dim": cols - rank,
+        "cokernel_dim": rows - rank,
         "dims": dims,
         "provenance": "Koszul complex cohomology vs "
                       "exterior(kernel) (x) symmetric(cokernel)",

@@ -5,9 +5,8 @@ Generators carry a bidegree (p, q); singly graded algebras use (0, d).  A
 generator is exterior iff its total degree is odd, polynomial otherwise.
 A monomial is the sorted tuple of its generator ids (positions in the
 (total degree, name)-sorted generator list), an id once per unit of its
-exponent; elements are dicts monomial -> coefficient, all ints in the
-engine: `BigradedDGA` clears a rational differential's denominators once,
-and `span_rank` those of caller-supplied relations.
+exponent; elements are dicts monomial -> coefficient, all ints: the
+engine refuses any other value and builds no `QMatrix`.
 
 `apply_derivation` applies every derivation on such letter-id tuples: d
 on the bigraded model and the second page (odd) and E_rs on the letters
@@ -22,7 +21,6 @@ code is its monomial's plus a shift per term, with no tuple built.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import groupby
@@ -399,19 +397,12 @@ def check_basis_cap(gens: GeneratorSet, maxtotal: int) -> None:
               count, maxtotal)
 
 
-def _int_row(row: dict) -> dict:
-    """row, a dict key -> int or Fraction, with its denominators cleared,
-    which leaves its span unchanged; an all-int row is returned as it is."""
-    if all(type(v) is int for v in row.values()):
-        return row
-    den = math.lcm(*(v.denominator for v in row.values()))
-    return {k: int(v * den) for k, v in row.items()}
-
-
-def span_rank(rows) -> int:
-    """Rank over Q of rows given as dicts key -> int or Fraction, by exact
-    integer elimination of the rows with cleared denominators."""
-    return rank_of_int_rows([_int_row(row) for row in rows])
+def _int_coefficients(elem: dict, what: str) -> dict:
+    """elem, once each of its coefficients is checked to be an int."""
+    for c in elem.values():
+        if type(c) is not int:
+            raise ValueError(f"{what} has the coefficient {c!r}, not an int")
+    return elem
 
 
 def _homogeneous_degree(gens: GeneratorSet, elem: dict) -> int:
@@ -424,10 +415,10 @@ def _homogeneous_degree(gens: GeneratorSet, elem: dict) -> int:
 def quotient_dims(gens: GeneratorSet, relations: list[dict], maxdeg: int) -> list[int]:
     """Dimensions of F(gens)/(relations) in degrees 0..maxdeg.
 
-    Relations must be homogeneous elements.  The ideal is spanned
+    Relations must be homogeneous int elements.  The ideal is spanned
     degreewise by products relation * monomial; the span's rank is exact.
     """
-    rels = [r for r in relations if r]
+    rels = [_int_coefficients(r, "a relation") for r in relations if r]
     rel_degs = [_homogeneous_degree(gens, r) for r in rels]
     free = fgca_dims(gens, maxdeg)
     out = [free[0]]
@@ -440,7 +431,7 @@ def quotient_dims(gens: GeneratorSet, relations: list[dict], maxdeg: int) -> lis
                 prod = elem_mul(gens, r, mono_elem(mm))
                 if prod:
                     rows.append(prod)
-        out.append(free[d] - span_rank(rows))
+        out.append(free[d] - rank_of_int_rows(rows))
     return out
 
 
@@ -449,12 +440,10 @@ class BigradedDGA:
     bidegree (2, -1)."""
 
     def __init__(self, gens: GeneratorSet, differential: dict[str, dict]):
-        """differential: generator name -> element, int or Fraction
-        coefficients; zero coefficients are dropped.  dvals holds L*d in
-        ints, L the lcm of the denominators: same kernels and images as d,
-        and (L*d)^2 = 0 iff d^2 = 0."""
+        """differential: generator name -> element with int coefficients;
+        zero coefficients are dropped."""
         self.gens = gens
-        dvals: dict[int, dict] = {}
+        self.dvals: dict[int, dict] = {}
         for name, val in differential.items():
             i = gens.index[name]
             val = {m: c for m, c in val.items() if c}
@@ -465,17 +454,9 @@ class BigradedDGA:
                     if (mp, mq) != (gp + 2, gq - 1):
                         raise ValueError(
                             f"differential of {name} not of bidegree (2,-1)")
-                dvals[i] = val
-        den = math.lcm(*(c.denominator for val in dvals.values()
-                         for c in val.values()))
-        self.dvals: dict[int, dict] = {
-            i: {m: int(c * den) for m, c in val.items()}
-            for i, val in dvals.items()}
-        # the packed code of each letter, as mono_codes reads them
-        self._codes = [1 << CODE_WIDTH * a for a in range(len(gens))]
+                self.dvals[i] = _int_coefficients(val, f"d({name})")
         self._table = derivation_table(
-            gens.odd, {i: val.items() for i, val in self.dvals.items()},
-            self._codes)
+            gens.odd, {i: val.items() for i, val in self.dvals.items()})
 
     def d(self, elem: dict) -> dict:
         return derive(self.gens.odd, self._table, elem, 1)
@@ -502,10 +483,10 @@ class BigradedDGA:
                 check_agree("d^2", f"generator {self.gens[i].name}", (
                     "d^2", self.gens.terms(self.d(val))), ("zero", []))
 
-    def _cell_rank(self, basis, codes=None) -> tuple[int, set]:
+    def _cell_rank(self, basis, codes, table) -> tuple[int, set]:
         """Rank of d on the span of basis, monomials of one cell, and the
         codes (`mono_codes`) of the image monomials at the pivot columns of
-        its elimination; codes, if given, are those of basis.
+        its elimination; codes are those of basis, table d's on codes.
 
         Each row is built on dense int column ids, image codes in
         first-seen order, so that elimination hashes small ints, and no
@@ -513,9 +494,7 @@ class BigradedDGA:
         d(a) has a term a*s, s of bidegree (2, -1), which no monomial has;
         so no image cancels, and no id goes to a monomial that is in no
         row."""
-        odd, table, ids = self.gens.odd, self._table, {}
-        if codes is None:
-            codes = mono_codes(basis, self._codes)
+        odd, ids = self.gens.odd, {}
         rows = [apply_derivation(odd, table, m, 1, ids, code)
                 for m, code in zip(basis, codes)]
         pivots, _ = _eliminate(rows)
@@ -540,6 +519,10 @@ class BigradedDGA:
         self.check_d_squared_on_generators(maxtotal)
         # through maxtotal + 1, the totals d maps the cells into
         sizes = fgca_bidims(self.gens, maxtotal + 1)
+        # each letter's code and d's table on codes: only the ranks read them
+        letters = [1 << CODE_WIDTH * a for a in range(len(self.gens))]
+        table = derivation_table(self.gens.odd, {
+            i: val.items() for i, val in self.dvals.items()}, letters)
         ranks: dict = {}
         incoming: dict = {}   # cell -> codes of the pivots of d into it
         for p in range(maxtotal + 1):
@@ -547,35 +530,36 @@ class BigradedDGA:
                 pivots = incoming.pop((p, q), ())
                 if sizes[p][q] and q and sizes[p + 2][q - 1]:
                     basis = self.gens.monomials_bidegree(p, q)
-                    codes = mono_codes(basis, self._codes)
+                    codes = mono_codes(basis, letters)
                     if pivots:
                         basis = [m for m, code in zip(basis, codes)
                                  if code not in pivots]
                         codes = [code for code in codes if code not in pivots]
                     ranks[(p, q)], incoming[(p + 2, q - 1)] = (
-                        self._cell_rank(basis, codes))
+                        self._cell_rank(basis, codes, table))
         cells = [(p, total - p) for total in range(maxtotal + 1)
                  for p in range(total + 1)]
         return {(p, q): sizes[p][q] - ranks.get((p, q), 0)
                 - ranks.get((p - 2, q + 1), 0) for p, q in cells}
 
 
-def koszul_cohomology_dims(F, maxdeg: int) -> list[int]:
+def koszul_cohomology_dims(rows: list[dict[int, int]], ncols: int,
+                           maxdeg: int) -> list[int]:
     """Cohomology dimensions of the Koszul complex of a linear map.
 
-    F is a QMatrix X x Y (a map from Y to X); d(y_i) is column i of F,
-    rational as it is, and the exterior y sit in degree 1, the polynomial
-    x in degree 2.  Returns dims of H^0..H^maxdeg.  Raises CapExceeded,
-    before any cell is built, if the complex has more than BASIS_CAP
-    basis monomials up to maxdeg.
+    rows: the map's rows, one per x, as dicts column -> int (a rational
+    map's over one common denominator); d(y_i) is column i, the exterior y
+    sit in degree 1 and the polynomial x in degree 2.  Returns
+    dims of H^0..H^maxdeg.  Raises CapExceeded, before any cell is built,
+    if the complex has more than BASIS_CAP basis monomials up to maxdeg.
     """
-    ny, nx = F.cols, F.rows
     gens = GeneratorSet(
-        [(f"y{i:03d}", (0, 1)) for i in range(ny)]
-        + [(f"x{j:03d}", (2, 0)) for j in range(nx)])
+        [(f"y{i:03d}", (0, 1)) for i in range(ncols)]
+        + [(f"x{j:03d}", (2, 0)) for j in range(len(rows))])
     check_basis_cap(gens, maxdeg)   # before the differential is built
     diff: dict[str, dict] = {}
-    for (j, i), c in sorted(F.entries.items(), key=lambda e: e[0][::-1]):
+    for (i, j), c in sorted(((i, j), c) for j, row in enumerate(rows)
+                            for i, c in row.items()):
         diff.setdefault(f"y{i:03d}", {})[gens.index[f"x{j:03d}"],] = c
     dga = BigradedDGA(gens, diff)
     table = dga.cohomology(maxdeg)

@@ -2,9 +2,10 @@
 
 A `QMatrix` carries exact entries, int or Fraction, in a dict keyed by
 (row, col); zero entries are simply absent, which keeps the
-huge-but-sparse tensor-space matrices tractable.  All rank and kernel
-computations are exact integer eliminations; no floating point is used
-anywhere.
+huge-but-sparse tensor-space matrices tractable; only the public
+invariant bases, `invariants.sigma_matrix` and tests build one.  All rank
+and kernel computations are exact integer eliminations; no floating point
+is used anywhere.
 
 One routine, `_eliminate`, does every elimination: fraction-free over the
 integers, pivoting on the shortest live row (taken from a lazy min-heap)
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -37,9 +37,9 @@ Entry = int | Fraction
 
 
 class QMatrix:
-    """A sparse rows x cols matrix over Q: the Koszul maps, the
-    permutation tensors and the invariant bases.  Int entries stay ints;
-    any other value that is not a Fraction is made one."""
+    """A sparse rows x cols matrix over Q: the permutation tensors and the
+    invariant bases.  Int entries stay ints; any other value that is not
+    a Fraction is made one."""
 
     def __init__(self, rows: int, cols: int,
                  entries: dict[tuple[int, int], Entry] | None = None):
@@ -276,14 +276,3 @@ def subspace_equal(b1: QMatrix, b2: QMatrix) -> bool:
     cols2 = b2._int_rows(columns=True)
     return (rank_of_int_rows(cols1) == rank_of_int_rows(cols2)
             == rank_of_int_rows(cols1 + cols2))
-
-
-def random_matrix(rows: int, cols: int, rng: random.Random,
-                  lo: int = -9, hi: int = 9) -> QMatrix:
-    e = {}
-    for i in range(rows):
-        for j in range(cols):
-            v = rng.randint(lo, hi)
-            if v:
-                e[(i, j)] = v
-    return QMatrix(rows, cols, e)

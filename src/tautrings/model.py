@@ -584,16 +584,33 @@ class E2Model:
         return vectors
 
 
+# operator applications in the second page's check that d2 commutes with
+# sl_g: 2(g - 1) operators, each on the page's letters and d2's terms,
+# which grow as g^2; at n = 6 it admits g <= 62, about 0.6 s on a shared
+# 2-vCPU Xeon
+COMMUTE_CAP = 1_000_000
+
+
 def e2_bruteforce_oracle(params: ModelParams) -> dict[tuple[int, int], int]:
     """Third-page dimensions from the explicit generators-and-d2 model.
 
     Cellwise: take SL-invariants by Lie-algebra kernel, restrict d2, and
     read off kernel-mod-image dimensions for every bidegree with total
     degree <= maxdeg, on the page through total maxdeg + 1, where the
-    checks of d2 run too.  A cell whose joins pass JOIN_CAP is refused
-    before they build it.
+    checks of d2 run too.  The check with sl_g is held to COMMUTE_CAP
+    before the page is built, and a cell whose joins pass JOIN_CAP is
+    refused before they build it.
     """
     n, g, maxdeg = params.n, params.g, params.maxdeg
+    # at most g^2 x letters, g per index of w and u, one per index of v,
+    # and g + 1 terms of d2 and its letter per index of both w and u
+    v, w, u = vwu_degrees(n, params.M, maxdeg + 1)
+    pairs = sum(m in u for m in w)
+    work = 2 * (g - 1) * (g * g * (1 + pairs) + g * (len(w) + len(u) + pairs)
+                          + len(v))
+    check_cap("COMMUTE_CAP", COMMUTE_CAP, work, "the second page at n={}, "
+              "g={}: {} operator applications to check that d2 commutes "
+              "with sl_g", n, g, work)
     model = E2Model(n, g, params.M, maxdeg + 1)
     cells = [(p, total - p) for total in range(maxdeg + 1)
              for p in range(total + 1)]

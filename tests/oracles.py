@@ -42,13 +42,18 @@ pivot rows, by `reduce_against`, which the span tests also check
 `linalg.subspace_equal`'s rank form against.
 
 The matrix operations the tests build their cases with (`entry`,
-`identity`, `scale`, `hstack`, `column`, `matmul`, `kernel_basis`) are
-plain functions on `QMatrix` here; the program needs none of them.
+`identity`, `scale`, `hstack`, `column`, `matmul`, `kernel_basis`,
+`random_matrix`) are plain functions on `QMatrix` here; the program needs
+none of them.  The graded engine takes int coefficients only: `int_rows`
+and `over_common_denominator` clear a test's rational maps and elements
+by one common denominator, as the map-file reader does, which changes no
+rank, span or cohomology.
 """
 
 import functools
 import itertools
 import math
+import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import add, mul, sub
@@ -409,6 +414,37 @@ def hstack(a: QMatrix, b: QMatrix) -> QMatrix:
     for (i, j), v in b.entries.items():
         e[(i, j + a.cols)] = v
     return QMatrix(a.rows, a.cols + b.cols, e)
+
+
+def random_matrix(rows: int, cols: int, rng: random.Random,
+                  lo: int = -9, hi: int = 9) -> QMatrix:
+    """A rows x cols int matrix, entries drawn row by row from [lo, hi]."""
+    e = {}
+    for i in range(rows):
+        for j in range(cols):
+            v = rng.randint(lo, hi)
+            if v:
+                e[(i, j)] = v
+    return QMatrix(rows, cols, e)
+
+
+def over_common_denominator(elements) -> list[dict]:
+    """The elements, dicts key -> int or Fraction, times L, the lcm of all
+    their denominators, as dicts key -> int."""
+    elements = list(elements)
+    den = math.lcm(*(Fraction(c).denominator for e in elements
+                     for c in e.values()))
+    return [{k: int(c * den) for k, c in e.items()} for e in elements]
+
+
+def int_rows(m: QMatrix) -> list[dict[int, int]]:
+    """The rows of m over one common denominator, one dict column -> int
+    per row, empty rows included: a map as `graded.koszul_cohomology_dims`
+    takes it."""
+    rows: list[dict] = [{} for _ in range(m.rows)]
+    for (i, j), v in sorted(m.entries.items()):
+        rows[i][j] = v
+    return over_common_denominator(rows)
 
 
 def column(m: QMatrix, j: int) -> dict:

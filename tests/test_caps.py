@@ -24,6 +24,7 @@ from tautrings.model import (
     ModelParams,
     build_D_dga,
     build_spaces,
+    e2_bruteforce_oracle,
     e3_zero_column,
     gh_target_dims,
     k_count,
@@ -104,6 +105,10 @@ SITES = [
     ("target", lambda: gh_target_dims(2, 100000, 23810, 0), "TARGET_CAP",
      500_000, 500_012, "the stable value at dimW=2, dimU=100000, "
      "(p,q)=(23810,0) may have 500012 bits"),
+    ("commute", lambda: e2_bruteforce_oracle(
+        ModelParams(n=6, g=160, M=4, maxdeg=3)), "COMMUTE_CAP", 1_000_000,
+     16_434_558, "the second page at n=6, g=160: 16434558 operator "
+     "applications to check that d2 commutes with sl_g"),
 ]
 
 
@@ -291,6 +296,67 @@ class TestTargetCap:
         assert code == 1
         assert capsys.readouterr().err.endswith(
             ", over the cap of 500000 (TARGET_CAP)\n")
+
+
+class TestCommuteCap:
+    """The second-page oracle counts its check that d2 commutes with sl_g
+    from g and the cut page's degree table, and holds it to COMMUTE_CAP
+    before the page is built."""
+
+    def test_largest_admitted_and_first_refused(self, monkeypatch):
+        """At n = 6, g = 62 passes the count and the page is built; g = 63
+        is refused before it."""
+        class Built(Exception):
+            pass
+
+        def built(*args):
+            raise Built
+
+        monkeypatch.setattr(model, "E2Model", built)
+        with pytest.raises(Built):
+            e2_bruteforce_oracle(ModelParams(n=6, g=62, M=4, maxdeg=3))
+        monkeypatch.setattr(model, "E2Model", never)
+        with pytest.raises(CapExceeded) as info:
+            e2_bruteforce_oracle(ModelParams(n=6, g=63, M=4, maxdeg=3))
+        assert info.value.count == 1_007_872
+
+    def test_large_g_refused_fast(self, capsys, monkeypatch):
+        monkeypatch.setattr(model, "E2Model", never)
+        t0 = time.perf_counter()
+        code = main(["oracle-e2", "--n", "6", "--g", "160"])
+        assert time.perf_counter() - t0 < 1.0
+        out = capsys.readouterr()
+        assert (code, out.out) == (1, "")
+        assert out.err == (
+            "error: the second page at n=6, g=160: 16434558 operator "
+            "applications to check that d2 commutes with sl_g, over the "
+            "cap of 1000000 (COMMUTE_CAP)\n")
+
+    @pytest.mark.parametrize("n,g", [(5, 3), (6, 4), (6, 9), (9, 8),
+                                     (12, 10)])
+    def test_count_bounds_the_check(self, monkeypatch, n, g):
+        """The count is at least the letters in the tables of the check's
+        operators plus the monomials it applies them to, and at most twice
+        that, on pages of both parities of n with one and two
+        indices of both w and u."""
+        params = ModelParams(n=n, g=g, M=minimal_M(n), maxdeg=n - 3)
+        with monkeypatch.context() as m:
+            m.setattr(model, "COMMUTE_CAP", 0)
+            with pytest.raises(CapExceeded) as info:
+                e2_bruteforce_oracle(params)
+        tables, monomials, derive = [], [], model.derive
+
+        def counting(odd, table, elem, parity):
+            if parity == 0:   # an operator of the check, not d2
+                tables.append(table)
+                monomials.append(len(elem))
+            return derive(odd, table, elem, parity)
+
+        monkeypatch.setattr(model, "derive", counting)
+        e2_bruteforce_oracle(params)
+        work = sum({id(t): len(t) for t in tables}.values()) + sum(monomials)
+        assert len({id(t) for t in tables}) == 2 * (g - 1)
+        assert work <= info.value.count <= 2 * work
 
 
 class TestSeriesCap:

@@ -193,6 +193,23 @@ class TestKoszul:
         assert rep["rank"] == 1
         assert rep["dims"] == [1, 1, 0, 0, 0, 0]
 
+    def test_rational_maps_report_as_before(self, capsys, tmp_path):
+        """data/koszul_maps.json holds 45 maps and the report the program
+        printed for each when a map travelled as Fractions, its path
+        written MAP: the 40 maps bench/workloads.write_maps writes for
+        seeds 1-5, and shapes 0x3, 3x0, 2x2, 5x1 and 1x5 with
+        denominators up to 97.  Read as int rows, each report is the
+        same, byte for byte."""
+        cases = json.loads((DATA / "koszul_maps.json").read_text())
+        assert len(cases) == 45
+        for name, case in cases.items():
+            path = tmp_path / f"{name}.txt"
+            path.write_text(case["map"])
+            code, out, err = run(capsys, "koszul", "--map-file", str(path),
+                                 "--maxdeg", "8")
+            assert (code, err) == (0, "")
+            assert out.replace(str(path), "MAP") == case["report"], name
+
     def test_bad_map_file(self, capsys, tmp_path):
         path = tmp_path / "map.txt"
         path.write_text("2 2\n1 2 3\n")

@@ -25,14 +25,21 @@ from tautrings.graded import (
     mono_elem,
     mono_mul,
     quotient_dims,
-    span_rank,
 )
 from tautrings import graded
-from tautrings.linalg import QMatrix, random_matrix
+from tautrings.linalg import QMatrix, rank_of_int_rows
 from tautrings.model import E2Model, ModelParams, build_D_dga, minimal_M
 from tautrings.partitions import OracleMismatch
 
-from oracles import elem_add, identity, matmul, scale
+from oracles import (
+    elem_add,
+    identity,
+    int_rows,
+    matmul,
+    over_common_denominator,
+    random_matrix,
+    scale,
+)
 
 
 def single(gens, name):
@@ -168,7 +175,8 @@ def random_dga(rng, closed):
                                    rng.choice(coeffs))
         if val:
             diff[g.name] = dvals[i] = val
-    return BigradedDGA(gens, diff)
+    return BigradedDGA(gens, dict(zip(diff, over_common_denominator(
+        diff.values()))))
 
 
 def rational_closed_differential(rng):
@@ -224,8 +232,17 @@ def merge_mul(gens, m1, m2):
 
 
 def letter_codes(letters):
-    """The packed code of each letter, as a BigradedDGA holds them."""
+    """The packed code of each letter, as BigradedDGA.cohomology builds
+    them."""
     return [1 << CODE_WIDTH * a for a in range(letters)]
+
+
+def coded(dga):
+    """Each letter's code and d's table on codes, as `cohomology` builds
+    them for `_cell_rank`."""
+    letters = letter_codes(len(dga.gens))
+    return letters, derivation_table(dga.gens.odd, {
+        i: v.items() for i, v in dga.dvals.items()}, letters)
 
 
 def derive(gens, dvals, mono, parity=1):
@@ -631,9 +648,9 @@ class TestSpanRank:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_int_and_fraction_rows_against_gauss_jordan(self, data):
-        """All-int rows pass to elimination as they are, rows with a
-        Fraction have their denominators cleared; multiples of earlier
-        rows, int and Fraction, make the rank fall short."""
+        """Int and Fraction rows over one common denominator, as the
+        map-file reader clears a map, have their rank over Q; multiples
+        of earlier rows, int and Fraction, make the rank fall short."""
         key = st.tuples(st.integers(0, 2), st.integers(0, 2))
         value = st.one_of(st.integers(-3, 3),
                           st.fractions(-3, 3, max_denominator=4))
@@ -646,7 +663,8 @@ class TestSpanRank:
             factor = data.draw(st.sampled_from([2, -1, Fraction(1, 3)]))
             rows.append({k: v * factor for k, v in src.items()})
         copy = [dict(r) for r in rows]
-        assert span_rank(rows) == fraction_rank(rows)
+        assert rank_of_int_rows(over_common_denominator(rows)) \
+            == fraction_rank(rows)
         assert rows == copy
 
 
@@ -662,7 +680,7 @@ class TestQuotientDims:
 
     def test_truncated_polynomial(self):
         g = GeneratorSet([("e", 2)])
-        rel = {(0, 0): Fraction(1)}
+        rel = {(0, 0): 1}
         assert quotient_dims(g, [rel], 8) == [1, 0, 1, 0, 0, 0, 0, 0, 0]
 
     def test_inhomogeneous_rejected(self):
@@ -675,13 +693,13 @@ class TestQuotientDims:
         # S(a, b)/(a - b) has one generator left
         g = GeneratorSet([("a", 2), ("b", 2)])
         rel = elem_add(mono_elem(single(g, "a")),
-                       mono_elem(single(g, "b")), Fraction(-1))
+                       mono_elem(single(g, "b")), -1)
         assert quotient_dims(g, [rel], 6) == [1, 0, 1, 0, 1, 0, 1]
 
     def test_monotone_under_more_relations(self):
         g = GeneratorSet([("x", 1), ("y", 1), ("e", 2)])
         rels = [mono_elem(single(g, "x")),
-                {(2,): Fraction(1)},
+                {(2,): 1},
                 elem_mul(g, mono_elem(single(g, "y")),
                          mono_elem(single(g, "e")))]
         prev = fgca_dims(g, 6)
@@ -719,16 +737,22 @@ def rank_r_map(rng, rows, cols, rank):
     return matmul(factor(rows, rank), factor(rank, cols))
 
 
+def koszul_dims(F: QMatrix, maxdeg: int) -> list[int]:
+    """`koszul_cohomology_dims` of F, its rows over one common
+    denominator."""
+    return koszul_cohomology_dims(int_rows(F), F.cols, maxdeg)
+
+
 class TestKoszul:
     def test_acyclic_identity(self):
-        assert koszul_cohomology_dims(identity(1), 5) == [1, 0, 0, 0, 0, 0]
+        assert koszul_dims(identity(1), 5) == [1, 0, 0, 0, 0, 0]
 
     def test_zero_map(self):
-        got = koszul_cohomology_dims(QMatrix(1, 1), 6)
+        got = koszul_dims(QMatrix(1, 1), 6)
         assert got == kernel_cokernel_dims(1, 1, 6)
 
     def test_surjective_with_kernel(self):
-        got = koszul_cohomology_dims(QMatrix.from_rows([[1, 1]]), 5)
+        got = koszul_dims(QMatrix.from_rows([[1, 1]]), 5)
         assert got == [1, 1, 0, 0, 0, 0]
 
     @settings(max_examples=50, deadline=None)
@@ -739,7 +763,7 @@ class TestKoszul:
         F = random_matrix(rows, cols, rng, lo=-3, hi=3)
         rank = F.rank()
         expected = kernel_cokernel_dims(cols - rank, rows - rank, 8)
-        assert koszul_cohomology_dims(F, 8) == expected
+        assert koszul_dims(F, 8) == expected
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6))
@@ -751,7 +775,7 @@ class TestKoszul:
             for i in range(rows) for j in range(cols)})
         rank = F.rank()
         expected = kernel_cokernel_dims(cols - rank, rows - rank, 7)
-        assert koszul_cohomology_dims(F, 7) == expected
+        assert koszul_dims(F, 7) == expected
 
     @pytest.mark.slow
     @pytest.mark.parametrize("rows, cols, rank, seed", [
@@ -760,19 +784,19 @@ class TestKoszul:
         F = rank_r_map(random.Random(seed), rows, cols, rank)
         assert F.rank() == rank
         expected = kernel_cokernel_dims(cols - rank, rows - rank, 8)
-        assert koszul_cohomology_dims(F, 8) == expected
+        assert koszul_dims(F, 8) == expected
 
     @pytest.mark.slow
     def test_six_by_six_rank_4_at_degree_10(self):
         # 8 008 basis monomials, the size quoted beside BASIS_CAP
         F = rank_r_map(random.Random(10), 6, 6, 4)
         assert F.rank() == 4
-        assert koszul_cohomology_dims(F, 10) == kernel_cokernel_dims(2, 2, 10)
+        assert koszul_dims(F, 10) == kernel_cokernel_dims(2, 2, 10)
 
     def test_work_cap(self):
         # 7 + 7 generators to degree 11 span 31 824 monomials (19 448 to 10)
         with pytest.raises(ValueError, match="31824 basis monomials"):
-            koszul_cohomology_dims(identity(7), 11)
+            koszul_dims(identity(7), 11)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6),
@@ -781,8 +805,7 @@ class TestKoszul:
         rng = random.Random(seed)
         F = random_matrix(rng.randint(0, 4), rng.randint(0, 4), rng,
                           lo=-3, hi=3)
-        assert koszul_cohomology_dims(F, 6) == koszul_cohomology_dims(
-            scale(F, c), 6)
+        assert koszul_dims(F, 6) == koszul_dims(scale(F, c), 6)
 
 
 @contextlib.contextmanager
@@ -792,9 +815,9 @@ def counting_cell_rank():
     seen = []
     original = BigradedDGA._cell_rank
 
-    def counting(self, basis, codes=None):
+    def counting(self, basis, *args):
         seen.append((self, len(basis)))
-        return original(self, basis, codes)
+        return original(self, basis, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(BigradedDGA, "_cell_rank", counting)
@@ -803,12 +826,14 @@ def counting_cell_rank():
 
 def koszul_dga(F):
     """The DGA `koszul_cohomology_dims` builds for the map F: exterior y
-    at (0, 1), polynomial x at (2, 0), d(y_i) column i of F."""
+    at (0, 1), polynomial x at (2, 0), d(y_i) column i of F over one
+    common denominator."""
     gens = GeneratorSet([(f"y{i:03d}", (0, 1)) for i in range(F.cols)]
                         + [(f"x{j:03d}", (2, 0)) for j in range(F.rows)])
     diff = {}
-    for (j, i), c in F.entries.items():
-        diff.setdefault(f"y{i:03d}", {})[gens.index[f"x{j:03d}"],] = c
+    for j, row in enumerate(int_rows(F)):
+        for i, c in row.items():
+            diff.setdefault(f"y{i:03d}", {})[gens.index[f"x{j:03d}"],] = c
     return BigradedDGA(gens, diff)
 
 
@@ -832,7 +857,8 @@ def complement_rows(dga, maxtotal):
             size = len(gens.monomials_bidegree(p, t - p))
             if size and p >= 2:
                 source = gens.monomials_bidegree(p - 2, t - p + 1)
-                size -= span_rank([dga.d(mono_elem(m)) for m in source])
+                size -= rank_of_int_rows([dga.d(mono_elem(m))
+                                          for m in source])
             total += size
     return total
 
@@ -868,7 +894,7 @@ class TestBigradedDGA:
         for (p, q), h in table.items():
             if p + q <= 6:
                 regraded[p + q] += h
-        assert regraded == koszul_cohomology_dims(identity(1), 6)
+        assert regraded == koszul_dims(identity(1), 6)
 
     def test_d_squared_witness_names_monomial(self):
         gens = GeneratorSet([("y", (0, 2)), ("x", (2, 1)), ("z", (4, 0))])
@@ -901,13 +927,15 @@ class TestBigradedDGA:
         """The same dict, keys in order and zeros included, as ranking d
         on every cell."""
         dga = random_dga(random.Random(seed), True)
+        letters, d_table = coded(dga)
         table = {}
         ranks = {}
         for total in range(maxtotal + 1):
             for p in range(total + 1):
                 basis = dga.gens.monomials_bidegree(p, total - p)
                 table[(p, total - p)] = len(basis)
-                ranks[(p, total - p)] = dga._cell_rank(basis)[0]
+                ranks[(p, total - p)] = dga._cell_rank(
+                    basis, mono_codes(basis, letters), d_table)[0]
         expected = [((p, q), dim - ranks[(p, q)] - ranks.get((p - 2, q + 1), 0))
                     for (p, q), dim in table.items()]
         assert list(dga.cohomology(maxtotal).items()) == expected
@@ -922,23 +950,24 @@ class TestBigradedDGA:
         else:
             dga = E2Model(7, 6, minimal_M(7)).dga
         gens = dga.gens
+        letters, table = coded(dga)
         plain = derivation_table(gens.odd, {
             i: v.items() for i, v in dga.dvals.items()})
         for t in range(7):
             for p in range(t + 1):
                 basis = gens.monomials_bidegree(p, t - p)
                 by_code, by_image, tuple_rows = {}, {}, []
-                rows = [apply_derivation(gens.odd, dga._table, m, 1,
-                                         by_code, code)
+                rows = [apply_derivation(gens.odd, table, m, 1, by_code,
+                                         code)
                         for m, code in zip(basis, mono_codes(basis,
-                                                             dga._codes))]
+                                                             letters))]
                 for m in basis:
                     images = apply_derivation(gens.odd, plain, m, 1)
                     tuple_rows.append([
                         (by_image.setdefault(image, len(by_image)), c)
                         for image, c in images.items()])
                 assert [list(r.items()) for r in rows] == tuple_rows
-                assert list(by_code) == mono_codes(by_image, dga._codes)
+                assert list(by_code) == mono_codes(by_image, letters)
 
     def test_codes_injective_on_criterion_5_cells(self):
         """Every monomial of every cell that criterion 5's maps rank, and
@@ -968,7 +997,7 @@ class TestBigradedDGA:
             (i, j): Fraction(rng.randint(-3, 3), rng.randint(1, 7))
             for i in range(rows) for j in range(cols)})
         with counting_cell_rank() as seen:
-            dims = koszul_cohomology_dims(F, maxdeg)
+            dims = koszul_dims(F, maxdeg)
         rank = F.rank()
         assert dims == kernel_cokernel_dims(cols - rank, rows - rank, maxdeg)
         assert sum(n for _, n in seen) == complement_rows(koszul_dga(F),
@@ -992,8 +1021,8 @@ class TestBigradedDGA:
         def rank(p, q):
             if p < 0:
                 return 0
-            return span_rank([dga.d(mono_elem(m))
-                              for m in gens.monomials_bidegree(p, q)])
+            return rank_of_int_rows([dga.d(mono_elem(m))
+                                     for m in gens.monomials_bidegree(p, q)])
 
         expected = {(p, t - p): len(gens.monomials_bidegree(p, t - p))
                     - rank(p, t - p) - rank(p - 2, t - p + 1)
@@ -1026,7 +1055,8 @@ class TestBigradedDGA:
     @given(st.integers(0, 10**6), st.integers(0, 6))
     def test_rational_differential_against_fraction_ranks(self, seed,
                                                           maxtotal):
-        """The engine ranks L*d in ints; each cell's size less the
+        """The engine ranks L*d in ints, d over one common denominator
+        as the test hands it on; each cell's size less the
         Fraction Gauss-Jordan ranks of the unscaled d out of it and into
         it gives the same table."""
         gens, diff = rational_closed_differential(random.Random(seed))
@@ -1041,4 +1071,5 @@ class TestBigradedDGA:
         expected = {(p, t - p): len(gens.monomials_bidegree(p, t - p))
                     - rank(p, t - p) - rank(p - 2, t - p + 1)
                     for t in range(maxtotal + 1) for p in range(t + 1)}
-        assert BigradedDGA(gens, diff).cohomology(maxtotal) == expected
+        cleared = dict(zip(diff, over_common_denominator(diff.values())))
+        assert BigradedDGA(gens, cleared).cohomology(maxtotal) == expected

@@ -1,16 +1,20 @@
 """Past the input boundary every coefficient is an int: the engine modules
-import nothing from fractions, and the kernel vectors, public invariant
-bases, second-page vectors and differentials they hand on hold int
-entries only."""
+and the acceptance suite import nothing from fractions, the map-file
+reader clears a map's denominators once, the graded engine refuses any
+other coefficient, and the kernel vectors, public invariant bases,
+second-page vectors and differentials they hand on hold int entries
+only."""
 
 import ast
 import pathlib
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from tautrings import graded, invariants, model
-from tautrings.graded import BigradedDGA, GeneratorSet
+from tautrings import acceptance, cli, graded, invariants, linalg, model
+from tautrings.graded import BigradedDGA, GeneratorSet, quotient_dims
 from tautrings.invariants import (
     TensorSpaceSpec,
     _invariant_system,
@@ -21,12 +25,14 @@ from tautrings.invariants import (
 from tautrings.linalg import QMatrix, kernel_basis_columns
 from tautrings.model import ACAlgebraSpec, E2Model, _ac_alphabet, _ac_blocks
 
+from oracles import int_rows, random_matrix
+
 
 def all_int(elements):
     return all(type(c) is int for e in elements for c in e.values())
 
 
-@pytest.mark.parametrize("module", [graded, invariants, model])
+@pytest.mark.parametrize("module", [graded, invariants, model, acceptance])
 def test_no_fractions_import(module):
     tree = ast.parse(pathlib.Path(module.__file__).read_text())
     for node in ast.walk(tree):
@@ -58,12 +64,29 @@ def test_second_page_vectors_are_int():
     assert vectors and all_int(vectors)
 
 
-def test_rational_differential_is_scaled_once():
-    """dvals and d() hold L*d, L = 6 the lcm of d's denominators."""
+@pytest.mark.parametrize("module", [graded, acceptance])
+def test_no_rational_arithmetic(module):
+    """No lcm and no denominator: the reader clears a map's denominators
+    once, and the engine and the acceptance suite take ints only."""
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    attrs = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    assert not {"lcm", "denominator", "numerator"} & attrs
+    if module is graded:
+        assert "math" not in {node.id for node in ast.walk(tree)
+                              if isinstance(node, ast.Name)}
+
+
+def test_rational_differential_is_scaled_once(tmp_path):
+    """The reader reads 1/2 and -2/3 as 3 and -4 over L = 6, the lcm of the
+    map's denominators, and dvals and d() hold those ints."""
+    path = tmp_path / "map.txt"
+    path.write_text("2 1\n1/2\n-2/3\n")
+    rows, cols, F = cli._read_map_file(str(path))
+    assert (rows, cols, F) == (2, 1, [{0: 3}, {0: -4}])
     gens = GeneratorSet([("y", (0, 1)), ("x", (2, 0)), ("z", (2, 0))])
     y, x, z = (gens.index[name] for name in "yxz")
-    dga = BigradedDGA(gens, {"y": {(x,): Fraction(1, 2),
-                                   (z,): Fraction(-2, 3)}})
+    dga = BigradedDGA(gens, {"y": {(x,): F[0][0], (z,): F[1][0]}})
     assert dga.dvals == {y: {(x,): 3, (z,): -4}}
     assert all_int(dga.dvals.values())
     assert all_int([dga.d({(y,): 1})])
@@ -84,3 +107,47 @@ def test_qmatrix_converts_only_other_values():
     m = QMatrix(1, 3, {(0, 0): 2, (0, 1): Fraction(1, 2), (0, 2): 0.5})
     assert [type(v) for v in m.entries.values()] == [int, Fraction, Fraction]
     assert m.entries[(0, 2)] == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(3), 0.5, True])
+def test_engine_refuses_other_coefficients(bad):
+    """BigradedDGA and quotient_dims take int coefficients only, and name
+    the value they refuse."""
+    gens = GeneratorSet([("y", (0, 1)), ("x", (2, 0))])
+    x = gens.index["x"]
+    with pytest.raises(ValueError, match=re.escape(
+            f"d(y) has the coefficient {bad!r}, not an int")):
+        BigradedDGA(gens, {"y": {(x,): bad}})
+    with pytest.raises(ValueError, match=re.escape(
+            f"a relation has the coefficient {bad!r}, not an int")):
+        quotient_dims(gens, [{(x,): bad}], 4)
+
+
+def test_criterion_5_rows_are_random_matrix_entries(monkeypatch):
+    """Criterion 5 draws random_matrix's maps for seed 57721, map for map,
+    as int rows."""
+    seen = []
+    monkeypatch.setattr(acceptance, "koszul_check",
+                        lambda rows, ncols, maxdeg: seen.append(
+                            (rows, ncols)) or ([], 0))
+    acceptance.criterion_5()
+    rng = random.Random(57721)
+    want = []
+    for _ in range(50):
+        F = random_matrix(rng.randint(0, 5), rng.randint(0, 5), rng, lo=-3,
+                          hi=3)
+        want.append((int_rows(F), F.cols))
+    assert seen == want
+    assert all_int(row for rows, _ in seen for row in rows)
+
+
+def test_koszul_and_verify_all_build_no_qmatrix(monkeypatch, tmp_path,
+                                                capsys):
+    def never(*args, **kwargs):
+        pytest.fail("a QMatrix was built")
+
+    monkeypatch.setattr(linalg.QMatrix, "__init__", never)
+    path = tmp_path / "map.txt"
+    path.write_text("2 3\n1/2 -2/3 5\n1 4/7 0\n")
+    assert cli.main(["koszul", "--map-file", str(path)]) == 0
+    assert cli.main(["verify-all"]) == 0

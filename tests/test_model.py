@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -790,6 +791,19 @@ class TestE2Oracle:
         params = ModelParams(n=6, g=4, M=4, maxdeg=3)
         table = e2_oracle_check(params)
         assert table[(0, 3)] == 2
+
+    def test_page_builds_no_codes(self):
+        """The second page's DGA ranks no cell, so it builds no packed
+        codes: at n = 6, g = 60 building the page peaks at about 2.3 MB
+        under tracemalloc, where the codes of its 1 951 letters and their
+        shifts took it to 13.8 MB."""
+        tracemalloc.start()
+        try:
+            E2Model(6, 60, 4, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
 
     def test_guard(self, monkeypatch):
         """At n = 14, g = 30 the block of cell (4, 4) with 2 x letters and
