@@ -602,8 +602,8 @@ def e2_bruteforce_oracle(params: ModelParams) -> dict[tuple[int, int], int]:
     refused before they build it.
     """
     n, g, maxdeg = params.n, params.g, params.maxdeg
-    # at most g^2 x letters, g per index of w and u, one per index of v,
-    # and g + 1 terms of d2 and its letter per index of both w and u
+    # letters: at most g^2 x, g per index of w and u, one per index of v;
+    # per index of both w and u, g letters la, each with d2 of <= g terms
     v, w, u = vwu_degrees(n, params.M, maxdeg + 1)
     pairs = sum(m in u for m in w)
     work = 2 * (g - 1) * (g * g * (1 + pairs) + g * (len(w) + len(u) + pairs)
