@@ -227,8 +227,8 @@ def mono_elem(mono) -> dict:
 
 # basis monomials through the requested total degree that
 # BigradedDGA.cohomology may build; a 6x6 Koszul map at degree 10 has
-# 8 008 and takes 0.9-1.1 s at rank 4 (0.9-1.4 s at rank 6) on a shared
-# 2-vCPU Xeon
+# 8 008 and takes 0.22-0.24 s at rank 4 (0.28-0.29 s at rank 6) on a
+# shared 2-vCPU Xeon
 BASIS_CAP = 20_000
 
 

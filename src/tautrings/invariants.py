@@ -296,10 +296,12 @@ class Alphabet:
         """E_rs on each letter, as (coefficient, letter id) terms.
 
         E_rs sends e_s to e_r in N and e^r to -e^s in N^v, one index at a
-        time.
+        time, so only the letters with index r or s have terms.
         """
-        table = []
-        for a in self.letters:
+        table: list[tuple[tuple[int, int], ...]] = [()] * len(self.letters)
+        with_index = self._with_index
+        for k in {*with_index.get(r, ()), *with_index.get(s, ())}:
+            a = self.letters[k]
             terms = []
             for t, i in enumerate(a.up):
                 if i == s:
@@ -315,7 +317,7 @@ class Alphabet:
                     if moved:
                         c, down = moved
                         terms.append((-c, self._id[a.tag, a.up, down]))
-            table.append(tuple(terms))
+            table[k] = tuple(terms)
         return table
 
     def relabel(self, r: int) -> tuple[list[int], set[int]]:
@@ -646,18 +648,20 @@ def _kills(by_orbit, orbits, orbit_of, col: dict[int, int]):
     """col's orbit-sum coordinates {o: x_o} when col is an invariant, else
     None.  Over word indices, orbit o is the list of (index, e) and
     orbit_of[index] = (o, e).  col must be a combination of live orbit
-    sums: zero off their words, and x_o * e at each word of each orbit o
-    it meets.  The reduced rows, their entries grouped by orbit, must kill
-    that combination."""
+    sums: x_o * e at each of its words, and as many words as the orbits
+    it meets hold (each of its words lies in one of them, so it then
+    covers them).  The reduced rows, their entries grouped by orbit, must
+    kill that combination."""
     coeff: dict[int, int] = {}
     for idx, x in col.items():
         hit = orbit_of.get(idx)
         if hit is None:
             return None
         o, e = hit
-        coeff.setdefault(o, x * e)
-    if any(col.get(idx) != x * e
-           for o, x in coeff.items() for idx, e in orbits[o]):
+        x *= e
+        if coeff.setdefault(o, x) != x:
+            return None
+    if sum(len(orbits[o]) for o in coeff) != len(col):
         return None
     image: dict[int, int] = {}
     for o, x in coeff.items():

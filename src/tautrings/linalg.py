@@ -8,19 +8,21 @@ and kernel computations are exact integer eliminations; no floating point
 is used anywhere.
 
 One routine, `_eliminate`, does every elimination: fraction-free over the
-integers, pivoting on the shortest live row (taken from a lazy min-heap)
-at its column with the fewest rows, which keeps fill-in low on the sparse
-Lie-action systems.  Nearly all pivots of those systems are +-1, and a
-unit pivot clears its column from another row by one subtraction, with
-no gcd and no scaling of that row.  The heap takes a row back only when
-it shrinks, and re-files a stale entry of a row that has grown when it
-comes up, which leaves the pivot order exactly that of a heap refreshed
-on every change.  On the Koszul systems almost half the steps clear no
-other row, so each step is kept lean: the input rows are copied as they
-are, the pivot row leaves its columns while their counts are read, and a
-step whose column meets no other row ends there.  `kernel_int_basis`
-back-substitutes in integers over one common denominator per vector,
-which the engines drop; `kernel_basis_columns` makes Fractions of it.
+integers.  A column with one live row is a pivot on that row with no
+arithmetic, so such columns go first; only when none is left does a step
+pivot on the shortest live row (taken from a lazy min-heap) at its column
+with the fewest rows, which keeps fill-in low on the sparse Lie-action
+systems.  On the Koszul systems the singleton steps halve the row
+updates; the Lie systems have almost none.  Nearly all pivots of those
+systems are +-1, and a unit pivot clears its column from another row by
+one subtraction, with no gcd and no scaling of that row.  The heap takes
+a row back only when it shrinks, and re-files a stale entry of a row that
+has grown when it comes up, which leaves the pivot order exactly that of
+a heap refreshed on every change.  The input rows are copied as they
+are, and the pivot row leaves its columns while their counts are read.
+`kernel_int_basis` back-substitutes in integers over one common
+denominator per vector, which the engines drop; `kernel_basis_columns`
+makes Fractions of it.
 Two column spans are equal exactly when both ranks equal the rank of the
 two stacked (`subspace_equal`), so span equality is three ranks.
 """
@@ -111,21 +113,29 @@ def _eliminate(rows: list[dict[int, int]]):
     elimination order, pivot_rows the corresponding reduced integer rows.
     Pivot row k has zero in all pivot columns of steps < k.
 
-    Each step pivots on the live row least in (length, index), at that
-    row's column with the fewest rows (ties to the lowest column).  Live
-    rows sit in a lazy min-heap keyed by (length, index) whose entry for a
-    row is never longer than the row: a row is pushed when it shrinks, and
-    a popped entry whose row has since grown is pushed again with its true
-    length, so the first entry popped with its row's true length is the
-    least live row.  A unit pivot (+-1) needs no scaling of the other rows.
-    The rows given are not changed: live rows are copies.
+    While some column has exactly one live row, each step pivots on that
+    row at the lowest such column and clears nothing: the row is
+    independent of the others, which are zero there, so the rank is one
+    more than theirs.  Columns are fed to a min-heap of candidates
+    whenever their count drops to one (at input, when a pivot row leaves
+    its columns, and when an update cancels an entry) and checked when
+    taken; a count reaches one only so, since a heap step starts with
+    every count at two or more.  Otherwise a step pivots on the live row
+    least in (length, index), at that row's column with the fewest rows
+    (ties to the lowest column), and clears that column from every other
+    row.  Live rows sit in a lazy min-heap keyed by (length, index) whose
+    entry for a row is never longer than the row: a row is pushed when it
+    shrinks, and a popped entry whose row has since grown is pushed again
+    with its true length, so the first entry popped with its row's true
+    length is the least live row.  A unit pivot (+-1) needs no scaling of
+    the other rows.  The rows given are not changed: live rows are copies.
 
     A row an update has changed is divided by its content once, when it
-    is chosen as pivot; a row never updated is not divided.  Until then
-    it is a positive integer multiple of the row that dividing after
-    every update would leave, with the same nonzeros in the same order,
-    so every length, pivot and pivot row is that elimination's (README,
-    "Why the elimination order is unchanged").
+    is chosen as pivot by either kind of step; a row never updated is not
+    divided.  Until then it is a positive integer multiple of the row that
+    dividing after every update would leave, with the same nonzeros in the
+    same order, so every length, pivot and pivot row is that elimination's
+    (README, "Why the elimination order is exact").
     """
     rows_d: dict[int, dict[int, int]] = {}   # live rows, private copies
     cols_rows: dict[int, set[int]] = {}   # column -> live rows in it
@@ -141,18 +151,36 @@ def _eliminate(rows: list[dict[int, int]]):
                     cols_rows[c] = {i}
             heap.append((len(r), i))
     heapq.heapify(heap)
+    # columns that may have one live row, checked when taken
+    single = [c for c, in_col in cols_rows.items() if len(in_col) == 1]
+    heapq.heapify(single)
     heappush, heappop, gcd = heapq.heappush, heapq.heappop, math.gcd
     pivots: list[int] = []
     pivot_rows: list[dict[int, int]] = []
     updated: set[int] = set()   # rows changed since input: divided as pivots
-    while heap:
-        n, prow_i = heappop(heap)
-        pr = rows_d.get(prow_i)
-        if pr is None:
-            continue
-        if len(pr) != n:
-            heappush(heap, (len(pr), prow_i))
-            continue
+    while True:
+        c = None
+        while single:
+            cc = heappop(single)
+            in_col = cols_rows.get(cc)
+            if in_col is not None and len(in_col) == 1:
+                # a singleton column: no other row meets it, and best =
+                # -1 keeps it the pivot through the count below
+                c, best = cc, -1
+                prow_i, = in_col
+                break
+        if c is None:
+            if not heap:
+                break
+            n, prow_i = heappop(heap)
+            pr = rows_d.get(prow_i)
+            if pr is None:
+                continue
+            if len(pr) != n:
+                heappush(heap, (len(pr), prow_i))
+                continue
+            best = len(rows_d)
+        pr = rows_d.pop(prow_i)
         if prow_i in updated:
             g = gcd(*pr.values())
             if g > 1:
@@ -160,17 +188,16 @@ def _eliminate(rows: list[dict[int, int]]):
                     pr[cc] //= g
         # the pivot row leaves every column as it is counted, which takes
         # one from each count and leaves the choice as it was
-        c = None
-        best = len(rows_d)
         for cc in pr:
             in_col = cols_rows[cc]
             in_col.discard(prow_i)
             k = len(in_col)
+            if k == 1:
+                heappush(single, cc)
             if k < best or (k == best and cc < c):
                 best, c = k, cc
         pivots.append(c)
         pivot_rows.append(pr)
-        del rows_d[prow_i]
         others = cols_rows.pop(c)
         if not others:
             continue
@@ -205,7 +232,10 @@ def _eliminate(rows: list[dict[int, int]]):
                         ri[cc] = x
                     else:
                         del ri[cc]
-                        cols_rows[cc].discard(i)
+                        in_col = cols_rows[cc]
+                        in_col.discard(i)
+                        if len(in_col) == 1:
+                            heappush(single, cc)
             if not ri:
                 del rows_d[i]
                 continue

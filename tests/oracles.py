@@ -39,7 +39,15 @@ check did before, and `column_rank` gives the check's rank form: rank of
 sigma stacked with the invariant basis equals rank of sigma.  The
 kernel-reduction form before that reduced each invariant against sigma's
 pivot rows, by `reduce_against`, which the span tests also check
-`linalg.subspace_equal`'s rank form against.
+`linalg.subspace_equal`'s rank form against.  Its containment check
+counts a column's words; `walked_kills` is the check as it was before,
+which walked every word of every orbit the column meets.
+
+`shortest_row_eliminate` is the elimination as it was before singleton
+columns pivoted first, with its count of row updates: the work-count
+test holds `_eliminate` to never more.  `walked_images` is
+`Alphabet.images` as it was before it read only the letters with the
+operator's indices.
 
 The matrix operations the tests build their cases with (`entry`,
 `identity`, `scale`, `hstack`, `column`, `matmul`, `kernel_basis`,
@@ -51,6 +59,7 @@ rank, span or cohomology.
 """
 
 import functools
+import heapq
 import itertools
 import math
 import random
@@ -388,6 +397,107 @@ def reduce_against(pivots: list[int], pivot_rows: list[dict[int, int]],
             else:
                 v.pop(cc, None)
     return v
+
+
+def shortest_row_eliminate(rows: list[dict[int, int]]):
+    """The elimination as it was before singleton columns pivoted first:
+    (pivots, pivot_rows, row updates).
+
+    Each step pivots on the live row least in (length, index), at its
+    column with the fewest rows (ties to the lowest column), and clears
+    that column from every other row; each such row is one row update.
+    Rows are divided by their content after every update.
+    """
+    rows_d = {i: {c: v for c, v in r.items() if v}
+              for i, r in enumerate(rows)}
+    rows_d = {i: r for i, r in rows_d.items() if r}
+    cols_rows: dict[int, set[int]] = {}
+    for i, r in rows_d.items():
+        for c in r:
+            cols_rows.setdefault(c, set()).add(i)
+    heap = [(len(r), i) for i, r in rows_d.items()]
+    heapq.heapify(heap)
+    pivots, pivot_rows, updates = [], [], 0
+    while heap:
+        n, prow_i = heapq.heappop(heap)
+        pr = rows_d.get(prow_i)
+        if pr is None or len(pr) != n:
+            continue
+        c = min(pr, key=lambda cc: (len(cols_rows[cc]), cc))
+        pv = pr[c]
+        pivots.append(c)
+        pivot_rows.append(pr)
+        for i in list(cols_rows[c] - {prow_i}):
+            updates += 1
+            ri = rows_d[i]
+            g = math.gcd(pv, ri[c])
+            m1, m2 = pv // g, ri[c] // g
+            if m1 < 0:
+                m1, m2 = -m1, -m2
+            ri = {cc: x * m1 for cc, x in ri.items()}
+            for cc, vv in pr.items():
+                nv = ri.get(cc, 0) - vv * m2
+                if nv:
+                    ri[cc] = nv
+                    cols_rows[cc].add(i)
+                else:
+                    ri.pop(cc, None)
+                    cols_rows[cc].discard(i)
+            if ri:
+                g = math.gcd(*ri.values())
+                rows_d[i] = {cc: x // g for cc, x in ri.items()}
+                heapq.heappush(heap, (len(ri), i))
+            else:
+                del rows_d[i]
+        for cc in pr:
+            cols_rows[cc].discard(prow_i)
+        del rows_d[prow_i]
+    return pivots, pivot_rows, updates
+
+
+def walked_kills(by_orbit, orbits, orbit_of, col: dict[int, int]):
+    """`invariants._kills` as it was before it counted words: after the
+    coefficients are read, every word of every orbit col meets is
+    walked and checked."""
+    coeff: dict[int, int] = {}
+    for idx, x in col.items():
+        hit = orbit_of.get(idx)
+        if hit is None:
+            return None
+        o, e = hit
+        coeff.setdefault(o, x * e)
+    if any(col.get(idx) != x * e
+           for o, x in coeff.items() for idx, e in orbits[o]):
+        return None
+    image: dict[int, int] = {}
+    for o, x in coeff.items():
+        for i, c in by_orbit[o]:
+            image[i] = image.get(i, 0) + c * x
+    return None if any(image.values()) else coeff
+
+
+def walked_images(alphabet, r: int, s: int):
+    """`Alphabet.images(r, s)` as it was before it read the letters with
+    index r or s: every letter's indices are walked."""
+    table = []
+    for a in alphabet.letters:
+        terms = []
+        for t, i in enumerate(a.up):
+            if i == s:
+                moved = invariants._sorted_sign(
+                    a.up[:t] + (r,) + a.up[t + 1:], a.alternating)
+                if moved:
+                    c, up = moved
+                    terms.append((c, alphabet._id[a.tag, up, a.down]))
+        for t, i in enumerate(a.down):
+            if i == r:
+                moved = invariants._sorted_sign(
+                    a.down[:t] + (s,) + a.down[t + 1:], a.alternating)
+                if moved:
+                    c, down = moved
+                    terms.append((-c, alphabet._id[a.tag, a.up, down]))
+        table.append(tuple(terms))
+    return table
 
 
 def entry(m: QMatrix, i: int, j: int):

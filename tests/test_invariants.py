@@ -5,6 +5,7 @@ import random
 import pytest
 
 from tautrings import invariants
+from tautrings.graded import derivation_table
 from tautrings.invariants import (
     Alphabet,
     Letter,
@@ -26,6 +27,7 @@ from tautrings.linalg import (
     rank_of_int_rows,
     subspace_equal,
 )
+from tautrings.model import ACAlgebraSpec, E2Model, _ac_alphabet
 from tautrings.partitions import Partition, schur_product_expand
 
 from oracles import (
@@ -40,6 +42,8 @@ from oracles import (
     stacked_rows,
     stacked_tensor_system,
     tensor_cell,
+    walked_images,
+    walked_kills,
 )
 
 
@@ -358,6 +362,31 @@ class TestFundamentalTheorems:
             injective=rank == math.factorial(m))
         assert verify_fundamental_theorems(m, g) == old
 
+    def test_kills_matches_walked_check(self, monkeypatch):
+        """The containment check that counts a column's words against the
+        walk over every word of every orbit it meets, on criterion 1's 16
+        pairs, (5, 3) and (6, 2): each column of sigma, the column less
+        its last word, the column with its last entry doubled, and the sum
+        on the orbit of its first word, so that columns both killed and
+        not killed are met."""
+        real, seen = invariants._kills, set()
+
+        def kills(by_orbit, orbits, orbit_of, col):
+            (last, x), first = list(col.items())[-1], next(iter(col))
+            o, e = orbit_of[first]
+            for c in (col, {i: v for i, v in col.items() if i != last},
+                      {**col, last: 2 * x}, {i: e * f for i, f in orbits[o]}):
+                got = real(by_orbit, orbits, orbit_of, c)
+                assert got == walked_kills(by_orbit, orbits, orbit_of, c)
+                seen.add(got is None)
+            return real(by_orbit, orbits, orbit_of, col)
+
+        monkeypatch.setattr(invariants, "_kills", kills)
+        for m, g in [(m, g) for m in range(1, 5) for g in range(1, 5)] \
+                + [(5, 3), (6, 2)]:
+            assert verify_fundamental_theorems(m, g).surjective
+        assert seen == {True, False}
+
     @staticmethod
     def assert_orbit_rank_matches_word_rank(m, gs):
         for g in gs:
@@ -610,6 +639,32 @@ class TestRaisingOperators:
                    else sl_invariant_basis)(spec)
             assert invariant_dim(spec, group) == got.cols == want.cols, spec
             assert subspace_equal(got, want), spec
+
+
+class TestImages:
+    """`Alphabet.images(r, s)` reads only the letters with index r or s;
+    its derivation tables are those of the walk over every letter."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: _tensor_alphabet(TensorSpaceSpec(2, 2, 3)),
+        lambda: _tensor_alphabet(TensorSpaceSpec(3, 1, 4)),
+        lambda: _ac_alphabet(ACAlgebraSpec("A", 3, 2, 2)),
+        lambda: _ac_alphabet(ACAlgebraSpec("C", 4, 1, 2)),
+        lambda: E2Model(6, 4, 4).alphabet,
+        lambda: E2Model(7, 3, 4).alphabet,
+    ], ids=["tensor-2-2", "tensor-3-1", "A", "C", "page-n6", "page-n7"])
+    def test_tables_match_walk(self, build):
+        alphabet = build()
+        g, n = alphabet.g, len(alphabet.letters)
+        for r, s in itertools.product(range(g), repeat=2):
+            walked = walked_images(alphabet, r, s)
+            assert alphabet.images(r, s) == walked
+            values = {a: [((b,), c) for c, b in terms]
+                      for a, terms in enumerate(walked)}
+            for width in (None, 3):
+                assert alphabet.derivation(r, s, width) == derivation_table(
+                    alphabet.exterior, values, None if width is None
+                    else [1 << width * a for a in range(n)])
 
 
 class TestSharedDerivationKernel:
