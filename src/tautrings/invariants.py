@@ -37,8 +37,10 @@ simple-operator and all-pairs systems stay in the tests as oracles.
 `character_dim` counts the invariants of T^{k,l} with no operator, by
 Schur-Weyl duality, and `invariant_dim` as the kernel of the reduced
 system; criterion 2 holds the two to each other.  The fundamental-theorem
-check stays in integers and builds no kernel basis (README, "Why
-containment and a count decide the span").  `sigma_matrix` and the
+check stays in integers, builds no kernel basis and applies E_01 to the
+permutation tensor of the identity alone: the others are its images under
+relabelling the contravariant slots, which commutes with gl_g (README,
+"Why containment and a count decide the span").  `sigma_matrix` and the
 invariant bases are QMatrix wrappers over int columns.
 
 Work past a cap is refused with partitions.CapExceeded before the stage
@@ -54,7 +56,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from operator import add, mul, or_
+from operator import add, eq, mul, or_
 from typing import NamedTuple
 
 from .graded import apply_derivation, derivation_table, mono_codes
@@ -363,22 +365,23 @@ def _action_rows(alphabet: Alphabet, basis, pairs: list[tuple[int, int]],
 
     E_rs acts as an even derivation, applied by graded.apply_derivation to
     its images of the letters on codes (graded.mono_codes) in fields wide
-    enough for the longest element, whose length E_rs keeps.  Each operator
-    numbers its images as first seen, and rows are indexed by (operator,
-    number) in the order first seen, the order of (r, s, image); entries
-    that cancel are dropped.
+    enough for the longest element acted on, whose length E_rs keeps; the
+    other elements are not coded.  Each operator numbers its images as
+    first seen, and rows are indexed by (operator, number) in the order
+    first seen, the order of (r, s, image); entries that cancel are
+    dropped.
     """
     if not pairs:
         return []
     exterior = alphabet.exterior
-    width = max(map(len, basis), default=0).bit_length()
+    acted = [(elt, column) for elt, column in zip(basis, columns)
+             if column is not None]
+    width = max((len(elt) for elt, _ in acted), default=0).bit_length()
     tables = [(alphabet.derivation(r, s, width), {}) for r, s in pairs]
-    codes = mono_codes(basis, [1 << width * a for a in range(len(exterior))])
+    codes = mono_codes((elt for elt, _ in acted),
+                       [1 << width * a for a in range(len(exterior))])
     rows: dict[tuple, dict[int, int]] = {}
-    for elt, code, column in zip(basis, codes, columns):
-        if column is None:
-            continue
-        col, e = column
+    for (elt, (col, e)), code in zip(acted, codes):
         for op, (table, ids) in enumerate(tables):
             for image, c in apply_derivation(exterior, table, elt, 0, ids,
                                              code).items():
@@ -475,7 +478,8 @@ def _invariant_system(alphabet: Alphabet, basis):
 
 
 def _reduced_rows(alphabet: Alphabet, basis, orbits) -> list[dict[int, int]]:
-    """The rows of `_invariant_system` on the given live orbits."""
+    """The rows of `_invariant_system` on the given live orbits, orbit o
+    as column o; an orbit given as [] is not acted on."""
     columns = [None] * len(basis)
     for o, orbit in enumerate(orbits):
         for j, e in orbit:
@@ -644,14 +648,12 @@ class FundamentalTheoremReport:
     injective: bool
 
 
-def _kills(by_orbit, orbits, orbit_of, col: dict[int, int]):
-    """col's orbit-sum coordinates {o: x_o} when col is an invariant, else
-    None.  Over word indices, orbit o is the list of (index, e) and
-    orbit_of[index] = (o, e).  col must be a combination of live orbit
-    sums: x_o * e at each of its words, and as many words as the orbits
-    it meets hold (each of its words lies in one of them, so it then
-    covers them).  The reduced rows, their entries grouped by orbit, must
-    kill that combination."""
+def _coordinates(orbits, orbit_of, col: dict[int, int]):
+    """col's orbit-sum coordinates {o: x_o} when col is a combination of
+    live orbit sums, else None.  Over word indices, orbit o is the list of
+    (index, e) and orbit_of[index] = (o, e).  col must hold x_o * e at
+    each of its words, and as many words as the orbits it meets hold
+    (each of its words lies in one of them, so it then covers them)."""
     coeff: dict[int, int] = {}
     for idx, x in col.items():
         hit = orbit_of.get(idx)
@@ -663,11 +665,47 @@ def _kills(by_orbit, orbits, orbit_of, col: dict[int, int]):
             return None
     if sum(len(orbits[o]) for o in coeff) != len(col):
         return None
+    return coeff
+
+
+def _kills(by_orbit, orbits, orbit_of, col: dict[int, int]):
+    """col's orbit-sum coordinates when col is an invariant, else None:
+    col must be a combination of live orbit sums (`_coordinates`), and
+    the reduced rows must kill it.  by_orbit[o] lists the rows' entries
+    on orbit o, (row, c), for every orbit col meets."""
+    coeff = _coordinates(orbits, orbit_of, col)
+    if coeff is None:
+        return None
     image: dict[int, int] = {}
     for o, x in coeff.items():
         for i, c in by_orbit[o]:
             image[i] = image.get(i, 0) + c * x
     return None if any(image.values()) else coeff
+
+
+def _slot_permuted(orbits, orbit_of, coeff: dict[int, int], m: int, g: int):
+    """For each permutation s of range(m), in `_sigma_columns`' order, the
+    orbit-sum coordinates of P_s applied to the combination coeff of orbit
+    sums of the weight-0 words of T^{m,m}(Q^g).  P_s moves contravariant
+    slot pos to slot s(pos); it keeps the weight and commutes with
+    permuting the indices, so it takes the sum on orbit o to e * e' times
+    the sum on the orbit of the image of o's first word (live, as every
+    orbit of these words is), e and e' the two words' signs: one relabel
+    and one lookup per orbit."""
+    size = g ** m
+    firsts = []
+    for o, x in coeff.items():
+        idx, e = orbits[o][0]
+        contra = idx % size
+        firsts.append((idx - contra, [contra // g ** (m - 1 - pos) % g
+                                      for pos in range(m)], x * e))
+    for perm in itertools.permutations(range(m)):
+        w = [g ** (m - 1 - img) for img in perm]
+        image = {}
+        for cov, digits, x in firsts:
+            o, e = orbit_of[cov + sum(map(mul, digits, w))]
+            image[o] = x * e
+        yield image
 
 
 def verify_fundamental_theorems(m: int, g: int) -> FundamentalTheoremReport:
@@ -677,32 +715,44 @@ def verify_fundamental_theorems(m: int, g: int) -> FundamentalTheoremReport:
     Every bound is checked before sigma is built: m, the words of weight
     0, and the partitions of m and the cells of each shape that the
     character count reads.  The dimension of the invariants is
-    `character_dim`; no system is eliminated for it.  Sigma
-    spans them exactly when every column of sigma is a combination of
-    live orbit sums that the reduced rows kill and rank sigma is that
-    dimension (README, "Why containment and a count decide the span").
-    Orbit sums have disjoint supports, so rank sigma is the rank of those
-    orbit-sum coordinates; sigma is eliminated over its words only when
-    some column is not an invariant.
+    `character_dim`; no system is eliminated for it.  Sigma spans them
+    exactly when every column of sigma is an invariant and rank sigma is
+    that dimension (README, "Why containment and a count decide the
+    span").  Every column must be a combination of live orbit sums
+    (`_coordinates`).  Sigma's first column, sigma_id, must be killed by
+    the reduced rows, built on the orbits it meets only (`_kills`).  Each
+    column sigma_s must have the coordinates of P_s sigma_id
+    (`_slot_permuted`): P_s commutes with gl_g, so sigma_s is then an
+    invariant too.  A column that fails a step, or one past the m!
+    permutations, is not an invariant.  Orbit sums have disjoint
+    supports, so rank sigma is the rank of those orbit-sum coordinates;
+    sigma is eliminated over its words only when some column is not an
+    invariant.
     """
     _check_sigma_args(m, g)
     spec = TensorSpaceSpec(m, m, g)
-    alphabet, basis, orbits = _weight_orbits(spec, "GL")
+    alphabet, basis, live = _weight_orbits(spec, "GL")
     dim = character_dim(spec, "GL")
-    rows = _reduced_rows(alphabet, basis, orbits)
     orbits = [[(_word_index(basis[j], g), e) for j, e in orbit]
-              for orbit in orbits]
+              for orbit in live]
     orbit_of = {idx: (o, e)
                 for o, orbit in enumerate(orbits) for idx, e in orbit}
-    # the rows' entries grouped by orbit, so R applied to sigma_s is one
-    # pass over sigma_s's orbit coordinates
-    by_orbit: list[list[tuple[int, int]]] = [[] for _ in orbits]
-    for i, row in enumerate(rows):
-        for o, c in row.items():
-            by_orbit[o].append((i, c))
     sigma = _sigma_columns(m, g)
-    coords = [_kills(by_orbit, orbits, orbit_of, col) for col in sigma]
-    killed = None not in coords
+    coords = [_coordinates(orbits, orbit_of, col) for col in sigma]
+    killed = None not in coords and len(sigma) <= math.factorial(m)
+    if killed and sigma:
+        # the reduced rows on sigma_id's orbits, their entries grouped by
+        # orbit, so R applied to sigma_id is one pass over its coordinates
+        met = coords[0]
+        rows = _reduced_rows(alphabet, basis, [
+            orbit if o in met else [] for o, orbit in enumerate(live)])
+        by_orbit: dict[int, list[tuple[int, int]]] = {o: [] for o in met}
+        for i, row in enumerate(rows):
+            for o, c in row.items():
+                by_orbit[o].append((i, c))
+        killed = (_kills(by_orbit, orbits, orbit_of, sigma[0]) is not None
+                  and all(map(eq, coords,
+                              _slot_permuted(orbits, orbit_of, met, m, g))))
     rank = len(_eliminate(coords if killed else sigma)[0])
     return FundamentalTheoremReport(m=m, g=g, rank=rank,
                                     surjective=killed and rank == dim,

@@ -43,6 +43,10 @@ pivot rows, by `reduce_against`, which the span tests also check
 counts a column's words; `walked_kills` is the check as it was before,
 which walked every word of every orbit the column meets.
 
+`every_column_check` is the fundamental-theorem check as it was before
+it applied E_01 to the permutation tensor of the identity alone: the
+reduced rows on every live orbit, and `_kills` on every column.
+
 `shortest_row_eliminate` is the elimination as it was before singleton
 columns pivoted first, with its count of row updates: the work-count
 test holds `_eliminate` to never more.  `walked_images` is
@@ -155,15 +159,20 @@ def row_systems(alphabet, basis, every_pair=True):
     """The (pairs, columns) of every E_rs system the program and these
     oracles build on basis: E_01 over the live orbits of
     `invariants._orbits`, as `invariants._invariant_system` builds it,
-    then the simple raising operators and, with every_pair, all E_rs
-    over basis positions, as the stacked systems do."""
+    and over every other one, then the simple raising operators and,
+    with every_pair, all E_rs over basis positions, as the stacked
+    systems do."""
     columns = [None] * len(basis)
     for o, orbit in enumerate(_orbits(alphabet, basis)):
         for j, e in orbit:
             columns[j] = (o, e)
+    # every other live orbit, as the fundamental-theorem check acts on
+    # the orbits sigma_id meets only
+    some = [c if c and c[0] % 2 else None for c in columns]
     positions = [(j, 1) for j in range(len(basis))]
     g = alphabet.g
-    return [([(0, 1)] if g > 1 else [], columns),
+    e01 = [(0, 1)] if g > 1 else []
+    return [(e01, columns), (e01, some),
             (simple_pairs(g), positions),
             *([(all_pairs(g), positions)] if every_pair else [])]
 
@@ -474,6 +483,35 @@ def walked_kills(by_orbit, orbits, orbit_of, col: dict[int, int]):
         for i, c in by_orbit[o]:
             image[i] = image.get(i, 0) + c * x
     return None if any(image.values()) else coeff
+
+
+def every_column_check(m, g):
+    """`invariants.verify_fundamental_theorems` as it was before it
+    applied E_01 to sigma_id alone: the reduced rows on every live orbit,
+    then `invariants._kills` on every column of sigma.  It reads the
+    program's routines through the module, so a test's tampering reaches
+    both."""
+    invariants._check_sigma_args(m, g)
+    spec = invariants.TensorSpaceSpec(m, m, g)
+    alphabet, basis, orbits = invariants._weight_orbits(spec, "GL")
+    dim = invariants.character_dim(spec, "GL")
+    rows = invariants._reduced_rows(alphabet, basis, orbits)
+    orbits = [[(invariants._word_index(basis[j], g), e) for j, e in orbit]
+              for orbit in orbits]
+    orbit_of = {idx: (o, e)
+                for o, orbit in enumerate(orbits) for idx, e in orbit}
+    by_orbit: list[list[tuple[int, int]]] = [[] for _ in orbits]
+    for i, row in enumerate(rows):
+        for o, c in row.items():
+            by_orbit[o].append((i, c))
+    sigma = invariants._sigma_columns(m, g)
+    coords = [invariants._kills(by_orbit, orbits, orbit_of, col)
+              for col in sigma]
+    killed = None not in coords
+    rank = len(invariants._eliminate(coords if killed else sigma)[0])
+    return invariants.FundamentalTheoremReport(
+        m=m, g=g, rank=rank, surjective=killed and rank == dim,
+        injective=rank == math.factorial(m))
 
 
 def walked_images(alphabet, r: int, s: int):

@@ -34,6 +34,7 @@ from oracles import (
     all_pairs,
     column,
     column_rank,
+    every_column_check,
     join_both_ways,
     reduce_against,
     same_rows_as_previous,
@@ -279,6 +280,25 @@ class TestSigma:
                 == [list(c.items()) for c in want]
             g += 1
 
+    @pytest.mark.parametrize("m,g", [(m, g) for m in range(1, 6)
+                                     for g in range(1, 4)] + [(4, 4)])
+    def test_columns_permute_the_first_contra_slots(self, m, g):
+        """The premise of the fundamental-theorem check: column s is
+        column 0, sigma_id, with each word's contravariant slot pos moved
+        to slot s(pos), computed over the words."""
+        cols = invariants._sigma_columns(m, g)
+        for perm, col in zip(itertools.permutations(range(m)), cols,
+                             strict=True):
+            moved = []
+            for idx in cols[0]:
+                word = [idx // g ** (2 * m - 1 - t) % g
+                        for t in range(2 * m)]
+                contra = [0] * m
+                for pos, img in enumerate(perm):
+                    contra[img] = word[m + pos]
+                moved.append(_word_index(tuple(word[:m] + contra), g))
+            assert col == dict.fromkeys(moved, 1)
+
     def test_columns_inside_invariants(self):
         spec = TensorSpaceSpec(3, 3, 2)
         inv = gl_invariant_basis(spec)
@@ -441,24 +461,53 @@ class TestFundamentalTheorems:
     @pytest.mark.parametrize("m,g,want", [(4, 5, (24, True, True)),
                                           (5, 4, (119, True, False)),
                                           (5, 5, (120, True, True))])
-    def test_past_the_former_cap(self, monkeypatch, m, g, want):
+    def test_past_the_former_cap(self, m, g, want):
         """The answers past the cap on the whole tensor space, and the
         reduced-system count as the oracle of the dimension the check
-        takes from `character_dim`: the system the check builds for
-        containment, eliminated, leaves that many orbit sums."""
-        real, systems = invariants._reduced_rows, []
-
-        def reduced_rows(alphabet, basis, orbits):
-            rows = real(alphabet, basis, orbits)
-            systems.append((len(orbits), rows))
-            return rows
-
-        monkeypatch.setattr(invariants, "_reduced_rows", reduced_rows)
+        takes from `character_dim`: the reduced system on every live
+        orbit of the weight-0 words, eliminated, leaves that many orbit
+        sums."""
         rep = verify_fundamental_theorems(m, g)
         assert (rep.rank, rep.surjective, rep.injective) == want
-        [(orbits, rows)] = systems
-        assert orbits - rank_of_int_rows(rows) == want[0] == character_dim(
+        alphabet, basis, orbits = invariants._weight_orbits(
             TensorSpaceSpec(m, m, g), "GL")
+        rows = invariants._reduced_rows(alphabet, basis, orbits)
+        assert len(orbits) - rank_of_int_rows(rows) == want[0] \
+            == character_dim(TensorSpaceSpec(m, m, g), "GL")
+
+    def test_extra_column_not_an_invariant(self, monkeypatch):
+        """A column past the m! that the permutations pair with sigma's
+        columns is no image of sigma_id.  An orbit sum E_01 does not kill,
+        appended at (3, 3) with the count raised to the rank it gives, is
+        caught as the oracle catches it, and not passed unchecked."""
+        real_sigma, real_dim = invariants._sigma_columns, character_dim
+        monkeypatch.setattr(invariants, "_sigma_columns", lambda m, g: [
+            *real_sigma(m, g), {0: 1, 364: 1, 728: 1}])
+        monkeypatch.setattr(invariants, "character_dim",
+                            lambda spec, group: real_dim(spec, group) + 1)
+        rep = verify_fundamental_theorems(3, 3)
+        assert rep == every_column_check(3, 3)
+        assert rep.rank == 7 and not rep.surjective
+
+    @pytest.mark.parametrize("m,g", [(m, g) for m in range(1, 5)
+                                     for g in range(1, 5)]
+                             + [(5, 2), (5, 3), (6, 2)] + [
+        pytest.param(m, g, marks=pytest.mark.slow)
+        for m, g in [(4, 5), (5, 4), (5, 5), (6, 3)]])
+    def test_matches_every_column_check(self, m, g):
+        """Oracle: the check as it was before it applied E_01 to sigma_id
+        alone, with the reduced rows on every live orbit and `_kills` on
+        every column."""
+        assert verify_fundamental_theorems(m, g) == every_column_check(m, g)
+
+    @pytest.mark.parametrize("tamper", ["count", "swap", "shift", "unsym",
+                                        "partial", "unkilled"])
+    def test_tampered_matches_every_column_check(self, monkeypatch, tamper):
+        """Under each tampering of `test_wrong_invariant_basis_not_surjective`,
+        which stays in force after it, the check and its oracle give one
+        report."""
+        self.test_wrong_invariant_basis_not_surjective(monkeypatch, tamper)
+        assert verify_fundamental_theorems(3, 3) == every_column_check(3, 3)
 
     @pytest.mark.slow
     def test_past_the_orbit_cap(self):
