@@ -5,6 +5,13 @@ emits a machine-readable report (JSON by default; csv/text are
 projections of the same data).  Exit codes: 0 success, 1 invalid
 parameters, 2 internal consistency failure (two independent computations
 of the same quantity disagreed).
+
+Each subcommand is declared once, in COMMANDS.  A call that names one is
+parsed by that subcommand's parser alone (`command_parser`); the full
+parser (`build_parser`), whose 14 subparsers take most of a first call's
+time to build, is built from the same table only for --help, a missing or
+unknown name, and arguments the subcommand cannot place, which argparse
+reports from the top level.  Both print the same help, usage and errors.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from . import acceptance
-from .invariants import TensorSpaceSpec, invariant_dim
+from .invariants import TensorSpaceSpec
 from .model import (
     ACAlgebraSpec,
     ModelParams,
@@ -34,11 +41,14 @@ from .model import (
 )
 from .partitions import (
     Partition,
+    check_agree,
     check_cap,
     check_partition_cap,
     enumerate_partitions,
     lr_coefficient,
     schur_dim,
+    weyl_dim,
+    whole_ints,
 )
 from .rings import blockdiff_cohomology, diff_cohomology, mt_cohomology
 
@@ -75,10 +85,7 @@ def _emit(report: dict, args) -> None:
     """Write the report in its format, with the interpreter's limit on an
     int's decimal digits (4 300) lifted while its text is built."""
     fmt = getattr(args, "format", "json")
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
+    with whole_ints():
         if fmt == "json":
             text = json.dumps(_jsonable(report), indent=2,
                               sort_keys=True) + "\n"
@@ -119,9 +126,6 @@ def _emit(report: dict, args) -> None:
             lines = [f"{k} = {report[k]}" for k in sorted(report)
                      if k != "inputs"]
             text = "\n".join(lines) + "\n"
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
     out = getattr(args, "output", None)
     if out:
         with open(out, "w") as fh:
@@ -144,9 +148,12 @@ def _cmd_lr(args) -> dict:
 
 def _cmd_schur_dim(args) -> dict:
     lam = _parse_partition(args.lam)
+    dim = schur_dim(lam, args.g)
+    check_agree("Schur functor dimension", f"lam={lam}, g={args.g}",
+                ("hook-content", dim), ("Weyl", weyl_dim(lam, args.g)))
     return {
         "inputs": {"lam": str(lam), "g": args.g},
-        "dim": schur_dim(lam, args.g),
+        "dim": dim,
         "provenance": "Schur functor dimension by hook-content count",
     }
 
@@ -166,7 +173,7 @@ def _cmd_invariants(args) -> dict:
     return {
         "inputs": {"k": args.k, "l": args.l, "g": args.g,
                    "group": args.group},
-        "dim": invariant_dim(spec, args.group),
+        "dim": acceptance.invariant_count(spec, args.group),
         "ambient_dim": spec.dim,
         "provenance": "invariants of mixed tensor powers as the kernel of "
                       "the infinitesimal action",
@@ -385,6 +392,70 @@ def _cmd_verify_all(args) -> dict:
             "provenance": "full acceptance suite"}
 
 
+def _arg(*flags, **kwargs):
+    """One add_argument call of a subcommand's parser."""
+    return flags, kwargs
+
+
+_MODEL_ARGS = (_arg("--n", type=int, required=True), _arg("--g", type=int),
+               _arg("--M", type=int), _arg("--maxdeg", type=int))
+
+# Every subcommand once, in the order `tautrings --help` lists them: its
+# handler, its help line and its arguments past --output and --format.
+COMMANDS = {
+    "lr": (_cmd_lr, "Littlewood-Richardson coefficient",
+           (_arg("lam"), _arg("mu"), _arg("kappa"))),
+    "schur-dim": (_cmd_schur_dim, "Schur functor dimension",
+                  (_arg("lam"), _arg("g", type=int))),
+    "partitions": (_cmd_partitions, "enumerate partitions", (
+        _arg("n", type=int),
+        _arg("--filter", choices=["all", "even_rows", "even_cols"],
+             default="all"))),
+    "invariants": (_cmd_invariants,
+                   "invariant dimensions of mixed tensor powers", (
+        _arg("k", type=int), _arg("l", type=int), _arg("g", type=int),
+        _arg("--group", choices=["GL", "SL"], default="GL"))),
+    "fft-check": (_cmd_fft_check,
+                  "verify the fundamental theorems at one (m, g)",
+                  (_arg("m", type=int), _arg("g", type=int))),
+    "cauchy-check": (_cmd_cauchy_check,
+                     "verify the Cauchy dimension identities", (
+        _arg("--dims", default="3,3",
+             help="max dims 'dimV,dimW' (default 3,3)"),
+        _arg("--maxdeg", type=int, default=6))),
+    "ac-dims": (_cmd_ac_dims, "invariant dimension of one trigraded cell", (
+        _arg("--variant", choices=["A", "C"], required=True),
+        _arg("--g", type=int, required=True),
+        _arg("--dimw", type=int, default=2),
+        _arg("--dimu", type=int, default=2),
+        _arg("--p", type=int, required=True),
+        _arg("--q", type=int, required=True),
+        _arg("--r", type=int),
+        _arg("--mode", choices=["brute", "formula", "target"],
+             default="brute"),
+        _arg("--group", choices=["GL", "SL"], default="GL"))),
+    "koszul": (_cmd_koszul, "Koszul complex cohomology", (
+        _arg("--map-file", required=True,
+             help="text matrix: 'rows cols' then row-major entries"),
+        _arg("--maxdeg", type=int, default=8))),
+    "e3": (_cmd_e3, "third-page zero column of the bigraded model",
+           _MODEL_ARGS),
+    "oracle-e2": (_cmd_oracle_e2,
+                  "brute-force second-page oracle vs the model", _MODEL_ARGS),
+    "lambda-product": (_cmd_lambda, "cup products of the lambda-classes", (
+        *_MODEL_ARGS,
+        _arg("--ms", required=True, help="comma-separated L-class indices"))),
+    "mt": (_cmd_mt, "Thom-spectrum cohomology ring", (
+        _arg("--n", type=int, required=True),
+        _arg("--maxdeg", type=int, required=True))),
+    "cohomology": (_cmd_cohomology, "final cohomology rings by space", (
+        _arg("--space", choices=["mt", "blockdiff", "diff", "tangential"],
+             required=True),
+        *_MODEL_ARGS)),
+    "verify-all": (_cmd_verify_all, "run the full acceptance suite", ()),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """A usage error exits 1, invalid parameters, as every other does;
     its subcommands' parsers are of this class too."""
@@ -394,118 +465,56 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _add_arguments(parser: _Parser, name: str) -> _Parser:
+    """Give parser subcommand name's handler and arguments."""
+    fn, _, arguments = COMMANDS[name]
+    parser.set_defaults(fn=fn)
+    parser.add_argument("--output", help="write the report to this path")
+    parser.add_argument("--format", choices=["json", "csv", "text"],
+                        default="json")
+    for flags, kwargs in arguments:
+        parser.add_argument(*flags, **kwargs)
+    return parser
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on the first call and shared after it.
+    """The CLI's full parser, with a subparser per subcommand, built on
+    the first call and shared after it.
 
     Each parse_args call starts from a fresh namespace, so reusing the
     parser carries no state from one main() call to the next.  Each
-    subcommand's handler is bound here, when the parser is built:
-    replacing a cli._cmd_* function after the first call has no effect.
+    subcommand's handler is the one in COMMANDS, bound at import.
     """
     parser = _Parser(
         prog="tautrings",
         description="Exact computation of tautological cohomology rings.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        p.add_argument("--output", help="write the report to this path")
-        p.add_argument("--format", choices=["json", "csv", "text"],
-                       default="json")
-        return p
-
-    p = add("lr", _cmd_lr, help="Littlewood-Richardson coefficient")
-    p.add_argument("lam")
-    p.add_argument("mu")
-    p.add_argument("kappa")
-
-    p = add("schur-dim", _cmd_schur_dim, help="Schur functor dimension")
-    p.add_argument("lam")
-    p.add_argument("g", type=int)
-
-    p = add("partitions", _cmd_partitions, help="enumerate partitions")
-    p.add_argument("n", type=int)
-    p.add_argument("--filter", choices=["all", "even_rows", "even_cols"],
-                   default="all")
-
-    p = add("invariants", _cmd_invariants,
-            help="invariant dimensions of mixed tensor powers")
-    p.add_argument("k", type=int)
-    p.add_argument("l", type=int)
-    p.add_argument("g", type=int)
-    p.add_argument("--group", choices=["GL", "SL"], default="GL")
-
-    p = add("fft-check", _cmd_fft_check,
-            help="verify the fundamental theorems at one (m, g)")
-    p.add_argument("m", type=int)
-    p.add_argument("g", type=int)
-
-    p = add("cauchy-check", _cmd_cauchy_check,
-            help="verify the Cauchy dimension identities")
-    p.add_argument("--dims", default="3,3",
-                   help="max dims 'dimV,dimW' (default 3,3)")
-    p.add_argument("--maxdeg", type=int, default=6)
-
-    p = add("ac-dims", _cmd_ac_dims,
-            help="invariant dimension of one trigraded cell")
-    p.add_argument("--variant", choices=["A", "C"], required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--dimw", type=int, default=2)
-    p.add_argument("--dimu", type=int, default=2)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--mode", choices=["brute", "formula", "target"],
-                   default="brute")
-    p.add_argument("--group", choices=["GL", "SL"], default="GL")
-
-    p = add("koszul", _cmd_koszul, help="Koszul complex cohomology")
-    p.add_argument("--map-file", required=True,
-                   help="text matrix: 'rows cols' then row-major entries")
-    p.add_argument("--maxdeg", type=int, default=8)
-
-    for name, fn, hlp in [
-        ("e3", _cmd_e3, "third-page zero column of the bigraded model"),
-        ("oracle-e2", _cmd_oracle_e2,
-         "brute-force second-page oracle vs the model"),
-    ]:
-        p = add(name, fn, help=hlp)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--g", type=int, default=None)
-        p.add_argument("--M", type=int, default=None)
-        p.add_argument("--maxdeg", type=int, default=None)
-
-    p = add("lambda-product", _cmd_lambda,
-            help="cup products of the lambda-classes")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--g", type=int, default=None)
-    p.add_argument("--M", type=int, default=None)
-    p.add_argument("--maxdeg", type=int, default=None)
-    p.add_argument("--ms", required=True,
-                   help="comma-separated L-class indices")
-
-    p = add("mt", _cmd_mt, help="Thom-spectrum cohomology ring")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--maxdeg", type=int, required=True)
-
-    p = add("cohomology", _cmd_cohomology,
-            help="final cohomology rings by space")
-    p.add_argument("--space", choices=["mt", "blockdiff", "diff",
-                                       "tangential"], required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--g", type=int, default=None)
-    p.add_argument("--M", type=int, default=None)
-    p.add_argument("--maxdeg", type=int, default=None)
-
-    add("verify-all", _cmd_verify_all, help="run the full acceptance suite")
+    for name, (_, hlp, _) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=hlp), name)
     return parser
 
 
+@functools.cache
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """Subcommand name's parser alone, built on the first call and shared
+    after it: the parser the full one hands name's arguments to, with the
+    same prog, so its help, usage and errors read the same."""
+    return _add_arguments(_Parser(prog=f"tautrings {name}"), name)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand.  A call that names one parses with its parser
+    alone; the full parser is built only for anything else (--help, no
+    arguments, an unknown name) and for arguments the subcommand does not
+    know, which argparse reports from the top level."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        args, extras = command_parser(argv[0]).parse_known_args(argv[1:])
+        if extras:
+            args = build_parser().parse_args(argv)
+    else:
+        args = build_parser().parse_args(argv)
     try:
         _emit(args.fn(args), args)
     except OracleMismatch as exc:

@@ -282,16 +282,17 @@ class Alphabet:
         """(bits, weights): per letter its torus weight w, +1 per N index
         and -1 per N^v index, as the sum of w_i * 2^(bits*i).  2^(bits - 1)
         exceeds each |w_i| of an element of length letters, so that packing
-        is injective on their weights and on targets as small.  Built once
-        per alphabet and length."""
+        is injective on their weights and on targets as small.  Each weight
+        is built from its own letter's indices: a table of 2^(bits*i) for
+        every i < g would take about bits*g^2/16 bytes.  Built once per
+        alphabet and length."""
         if length not in self._packed:
             most = max((len(a.up) + len(a.down) for a in self.letters),
                        default=0)
             bits = (length * most).bit_length() + 1
-            unit = [1 << bits * i for i in range(self.g)].__getitem__
             self._packed[length] = bits, [
-                sum(map(unit, a.up)) - sum(map(unit, a.down))
-                for a in self.letters]
+                sum(1 << bits * i for i in a.up)
+                - sum(1 << bits * i for i in a.down) for a in self.letters]
         return self._packed[length]
 
     def images(self, r: int, s: int) -> list[tuple[tuple[int, int], ...]]:

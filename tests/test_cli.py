@@ -1,8 +1,10 @@
+import argparse
 import csv
 import json
 import pathlib
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -346,6 +348,62 @@ class TestExitCodes:
             "entries, 220000140 steps or more in all, over the cap of "
             "4000000 (JOIN_CAP)\n")
 
+    def test_invariants_character_mismatch(self, capsys, monkeypatch):
+        """invariants checks the kernel count against the character count,
+        as criterion 2 does, and exits 2 when they differ."""
+        character = acceptance.character_dim
+        monkeypatch.setattr(acceptance, "character_dim",
+                            lambda spec, group: character(spec, group) + 1)
+        assert run(capsys, "invariants", "2", "2", "2") == (
+            2, "", "consistency failure: GL-invariants at k=2, l=2, g=2: "
+                   "kernel 2 != character 3\n")
+
+    def test_invariants_kernel_refuses_first(self, capsys):
+        """T^{20000,0}(Q^10) is past the caps of both legs; the kernel's,
+        checked first, is the one named."""
+        code, out, err = run(capsys, "invariants", "20000", "0", "10",
+                             "--group", "SL")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: T^{20000,0}(Q^10): the weight-space "
+                              "join would list at least 20000140 elements")
+        assert err.endswith("(JOIN_CAP)\n")
+
+    @pytest.mark.parametrize("k,l,group", [(10_001, 10_001, "GL"),
+                                           (10_001, 0, "SL")])
+    def test_invariants_past_the_character_cap(self, capsys, k, l, group):
+        """T^{k,l}(Q^1) with max(k, l) past SCHUR_CELL_CAP: the kernel
+        answers, the character count would refuse, and the kernel count
+        is printed alone, as before the character leg."""
+        rep = run_json(capsys, "invariants", str(k), str(l), "1",
+                       "--group", group)
+        assert (rep["dim"], rep["ambient_dim"]) == (1, 1)
+
+    def test_schur_dim_weyl_mismatch(self, capsys, monkeypatch):
+        """schur-dim checks the hook-content count against Weyl's formula
+        and exits 2 when they differ."""
+        monkeypatch.setattr(cli, "weyl_dim",
+                            lambda lam, g: partitions.weyl_dim(lam, g) - 1)
+        assert run(capsys, "schur-dim", "2,1", "3") == (
+            2, "", "consistency failure: Schur functor dimension at "
+                   "lam=(2,1), g=3: hook-content 8 != Weyl 7\n")
+
+    def test_mismatch_past_the_digit_limit(self, capsys, monkeypatch):
+        """A mismatch of dimensions past the interpreter's 4 300 printed
+        digits is still a consistency failure, printed whole, and the
+        limit is as it was after it."""
+        monkeypatch.setattr(cli, "weyl_dim",
+                            lambda lam, g: partitions.weyl_dim(lam, g) + 1)
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "schur-dim", "10000", "100000")
+        assert sys.get_int_max_str_digits() == limit
+        dim = partitions.schur_dim(partitions.Partition([10000]), 100000)
+        with partitions.whole_ints():
+            want = (f"consistency failure: Schur functor dimension at "
+                    f"lam=(10000), g=100000: hook-content {dim} != Weyl "
+                    f"{dim + 1}\n")
+        assert len(want) > limit
+        assert (code, out, err) == (2, "", want)
+
     def never(self, *args):
         pytest.fail("work started before the cap was checked")
 
@@ -476,9 +534,11 @@ class TestParserReuse:
             ["e3", "--help"],
         ]
         cli.build_parser.cache_clear()
+        cli.command_parser.cache_clear()
         shared = [self.call(capsys, argv) for argv in sequence]
         with monkeypatch.context() as m:
             m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            m.setattr(cli, "command_parser", cli.command_parser.__wrapped__)
             fresh = [self.call(capsys, argv) for argv in sequence]
         assert shared == fresh
         assert [code for code, _, _ in shared] == [0, 0, 0, 0, 1, 0, 0, 0]
@@ -488,6 +548,101 @@ class TestParserReuse:
 
     def test_built_once(self):
         assert cli.build_parser() is cli.build_parser()
+        assert cli.command_parser("e3") is cli.command_parser("e3")
+
+
+def subparsers():
+    """The full parser's subparser of each subcommand, by name."""
+    action, = (a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def usage_corpus():
+    """Per subcommand: an unknown option, an extra positional, a missing
+    required argument, a bad int, a bad choice and -h; then --help, no
+    arguments and a bad name."""
+    corpus = [["--help"], [], ["bogus"], ["E3", "--n", "7"]]
+    # a valid call, and the same call with one int replaced by "x"
+    for name, argv, bad_int in [
+            ("lr", ["2,1", "1", "2,2"], None),
+            ("schur-dim", ["2,1", "3"], ["2,1", "x"]),
+            ("partitions", ["4"], ["x"]),
+            ("invariants", ["2", "2", "2"], ["2", "x", "2"]),
+            ("fft-check", ["2", "2"], ["x", "2"]),
+            ("cauchy-check", ["--maxdeg", "2"], ["--maxdeg", "x"]),
+            ("ac-dims", ["--variant", "A", "--g", "2", "--p", "1", "--q", "0"],
+             ["--variant", "A", "--g", "2", "--p", "x", "--q", "0"]),
+            ("koszul", ["--map-file", "m.txt"],
+             ["--map-file", "m.txt", "--maxdeg", "x"]),
+            ("e3", ["--n", "7"], ["--n", "x"]),
+            ("oracle-e2", ["--n", "5"], ["--n", "5", "--g", "x"]),
+            ("lambda-product", ["--n", "5", "--ms", "2,3"],
+             ["--n", "5", "--M", "x", "--ms", "2,3"]),
+            ("mt", ["--n", "9", "--maxdeg", "5"],
+             ["--n", "9", "--maxdeg", "x"]),
+            ("cohomology", ["--space", "diff", "--n", "9"],
+             ["--space", "diff", "--n", "x"]),
+            ("verify-all", [], None)]:
+        corpus += [[name, *argv, "--bogus"], [name, *argv, "extra"],
+                   [name, *argv, "--format", "xml"], [name, "-h"]]
+        if argv:
+            corpus += [[name], [name, *argv[:-1]]]
+        if bad_int:
+            corpus.append([name, *bad_int])
+    return corpus
+
+
+class TestCommandParser:
+    """A call that names a subcommand parses with that subcommand's parser
+    alone; it must read exactly as the full parser does."""
+
+    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    def test_help_and_usage_as_the_subparser(self, name):
+        lone, sub = cli.command_parser(name), subparsers()[name]
+        assert lone.format_help() == sub.format_help()
+        assert lone.format_usage() == sub.format_usage()
+
+    @pytest.mark.parametrize("argv", usage_corpus(), ids=" ".join)
+    def test_usage_errors_as_the_full_parser(self, capsys, monkeypatch,
+                                             argv):
+        """Byte-identical stdout, stderr and exit code whether the call
+        takes the lone parser or, handed an argument it cannot place, the
+        full one."""
+        def call():
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            return code, out.out, out.err
+
+        lone = call()
+        unplaced = SimpleNamespace(
+            parse_known_args=lambda rest: (None, ["not placed"]))
+        monkeypatch.setattr(cli, "command_parser", lambda name: unplaced)
+        assert call() == lone
+        assert lone[0] in (0, 1) and lone[1:] != ("", "")
+
+    def test_one_parser_per_call(self, capsys, monkeypatch):
+        """e3 builds its own parser and no other."""
+        progs = []
+        init = cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        def never():
+            pytest.fail("the full parser was built")
+
+        cli.build_parser.cache_clear()
+        cli.command_parser.cache_clear()
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        monkeypatch.setattr(cli, "build_parser", never)
+        assert main(["e3", "--n", "7"]) == 0
+        assert progs == ["tautrings e3"]
+        capsys.readouterr()
 
 
 class TestOutputs:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -79,6 +80,18 @@ class TestCaps:
                 r"weight entries, 10485840 steps or more in all, over the "
                 r"cap of 4000000 \(JOIN_CAP\)")):
             invariant_dim(TensorSpaceSpec(10, 10, 4), "GL")
+
+    def test_no_table_over_every_index(self):
+        """T^{0,0}(Q^30000) is one empty word and no letter: the packed
+        weights come from the letters' own indices, with no table of all
+        30 000 (it took about 56 MB; at g = 10^6 it ran out of memory)."""
+        tracemalloc.start()
+        try:
+            assert invariant_dim(TensorSpaceSpec(0, 0, 30_000), "GL") == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     def test_halves_without_large_powers(self):
         """A long word is refused from its first 14 slots alone, whose

@@ -1,4 +1,5 @@
-from math import comb, factorial
+from fractions import Fraction
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from tautrings.partitions import (
     lr_coefficient,
     schur_dim,
     schur_product_expand,
+    weyl_dim,
 )
 
 from oracles import cellwise_lr_count
@@ -144,6 +146,48 @@ class TestSchurDim:
         # g^2 = dim S^2 + dim Lambda^2
         for g in range(1, 6):
             assert schur_dim(P(2), g) + schur_dim(P(1, 1), g) == g * g
+
+
+def weyl_pairs(parts, g):
+    """Weyl's formula as written, over every pair i < j <= g."""
+    lam = list(parts) + [0] * (g - len(parts))
+    return prod(Fraction(lam[i] - lam[j] + j - i, j - i)
+                for i in range(g) for j in range(i + 1, g))
+
+
+class TestWeylDim:
+    """`weyl_dim`, the CLI's second leg of `schur_dim`."""
+
+    def test_every_small_shape(self):
+        """Against the hook-content count and against the pair product
+        as written, on every partition of at most 10 cells, g <= 8."""
+        for n in range(11):
+            for lam in enumerate_partitions(n):
+                for g in range(1, 9):
+                    want = schur_dim(lam, g)
+                    assert weyl_dim(lam, g) == want, (lam, g)
+                    if lam.height <= g:
+                        assert weyl_pairs(lam.parts, g) == want, (lam, g)
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 14).flatmap(lambda n: st.sampled_from(
+        enumerate_partitions(n))), st.integers(1, 9))
+    def test_random_shapes(self, lam, g):
+        assert weyl_dim(lam, g) == schur_dim(lam, g)
+
+    @pytest.mark.parametrize("parts", [
+        (10_000,), (1,) * 10_000, (2,) * 3_333 + (1,) * 3_334,
+        tuple(range(140, 0, -1)), tuple(v for v in range(31, 0, -1)
+                                        for _ in range(20)),
+        (100,) * 100,
+    ], ids=["row", "column", "two-blocks", "staircase", "blocks-of-20",
+            "square"])
+    @pytest.mark.parametrize("g", [140, 10 ** 12])
+    def test_shapes_at_the_cell_cap(self, parts, g):
+        """Shapes of up to 10 000 cells, with many rows or many distinct
+        parts, past and below their height."""
+        lam = Partition(parts)
+        assert weyl_dim(lam, g) == schur_dim(lam, g)
 
 
 class TestLR:
