@@ -222,15 +222,16 @@ def _cmd_cauchy_check(args) -> dict:
 
 def _cmd_ac_dims(args) -> dict:
     spec = ACAlgebraSpec(args.variant, args.g, args.dimw, args.dimu)
+    r = 2 * args.p + args.q if args.r is None else args.r
     if args.mode == "brute":
-        r = args.r if args.r is not None else 2 * args.p + args.q
         dim = ac_invariant_dims_bruteforce(spec, args.p, args.q, r,
                                            group=args.group)
+    elif r != 2 * args.p + args.q:
+        raise ValueError(f"--mode {args.mode} computes r = 2p+q = "
+                         f"{2 * args.p + args.q}, not the given --r {r}")
     elif args.mode == "formula":
-        r = 2 * args.p + args.q
         dim = ac_invariant_dims_formula(spec, args.p, args.q)
     else:
-        r = 2 * args.p + args.q
         dim = gh_target_dims(args.dimw, args.dimu, args.p, args.q)
     return {
         "inputs": {"variant": args.variant, "g": args.g, "dimW": args.dimw,

@@ -415,6 +415,8 @@ def ac_invariant_dims_bruteforce(spec: ACAlgebraSpec, p: int, q: int, r: int,
 
 def ac_invariant_dims_formula(spec: ACAlgebraSpec, p: int, q: int) -> int:
     """Littlewood-Richardson evaluation of the (p, q, 2p+q) invariant dim."""
+    if min(p, q) < 0:
+        raise ValueError("requires nonnegative p, q")
     if 2 * p + q > 8:
         raise ValueError(f"requires 2p+q <= 8 (got {2 * p + q})")
     lam_filter = "even_rows" if spec.variant == "A" else "even_cols"
@@ -563,25 +565,36 @@ class E2Model:
                     yield [(ids, c, exterior)] * (c > 0) + rest, tot
         return walk(0, p, q, 0)
 
-    def sl_invariant_vectors(self, p: int, q: int) -> list[dict]:
-        """Basis of the SL-invariants of the (p, q) cell, as int elements.
-
-        E_rs and the index permutations keep each label's letter count,
-        so the invariants are those of the blocks of `_contents`, each the
-        join of its labels at the constant weight its total gives, under
-        one JOIN_CAP count; see invariants for why E_01 on orbit sums
-        suffices.
-        """
+    def _blocks(self, p: int, q: int):
+        """(basis, orbits, rows) of each nonempty block of `_contents`: its
+        join, under the cell's one JOIN_CAP count, and `_invariant_system`."""
         what = f"cell ({p},{q}) of the second page at n={self.n}, g={self.g}"
-        spent, vectors = [0], []
+        spent = [0]
         for block, total in self._contents(p, q):
             basis = _weight_space(block, self.alphabet,
                                   (total // self.g,) * self.g, what, spent)
             if basis:
-                orbits, rows = _invariant_system(self.alphabet, basis)
-                vectors += [{basis[j]: v for j, v in vec.items()}
-                            for vec in _kernel_vectors(orbits, rows)]
-        return vectors
+                yield (basis, *_invariant_system(self.alphabet, basis))
+
+    def sl_invariant_vectors(self, p: int, q: int) -> list[dict]:
+        """Basis of the SL-invariants of the (p, q) cell, as int elements,
+        block by block; the oracle ranks `_stack` and builds no basis."""
+        return [{basis[j]: v for j, v in vec.items()}
+                for basis, orbits, rows in self._blocks(p, q)
+                for vec in _kernel_vectors(orbits, rows)]
+
+    def _stack(self, p: int, q: int):
+        """(columns, R, D) on the orbit sums of the (p, q) cell's blocks in
+        turn: their E_01 rows and their d2 images, one row per monomial
+        (README, "Why the second page's cells need no kernel basis")."""
+        R, D, cols, d = [], {}, 0, self.dga.d
+        for basis, orbits, rows in self._blocks(p, q):
+            R += [{cols + o: c for o, c in row.items()} for row in rows]
+            for o, orbit in enumerate(orbits, cols):
+                for mono, c in d({basis[j]: e for j, e in orbit}).items():
+                    D.setdefault(mono, {})[o] = c
+            cols += len(orbits)
+        return cols, R, list(D.values())
 
 
 # operator applications in the second page's check that d2 commutes with
@@ -594,12 +607,12 @@ COMMUTE_CAP = 1_000_000
 def e2_bruteforce_oracle(params: ModelParams) -> dict[tuple[int, int], int]:
     """Third-page dimensions from the explicit generators-and-d2 model.
 
-    Cellwise: take SL-invariants by Lie-algebra kernel, restrict d2, and
-    read off kernel-mod-image dimensions for every bidegree with total
-    degree <= maxdeg, on the page through total maxdeg + 1, where the
-    checks of d2 run too.  The check with sl_g is held to COMMUTE_CAP
-    before the page is built, and a cell whose joins pass JOIN_CAP is
-    refused before they build it.
+    Cellwise, on the page through total maxdeg + 1, where the checks of
+    d2 run too: cell (p, q) of total <= maxdeg has #orbits - rank [R; D]
+    invariants d2 kills (`E2Model._stack`), less rank [R; D] - rank R at
+    (p - 2, q + 1), and no kernel basis is built.  The check with sl_g is
+    held to COMMUTE_CAP before the page is built, and a cell whose joins
+    pass JOIN_CAP is refused before they build it.
     """
     n, g, maxdeg = params.n, params.g, params.maxdeg
     # letters: at most g^2 x, g per index of w and u, one per index of v;
@@ -633,14 +646,13 @@ def e2_bruteforce_oracle(params: ModelParams) -> dict[tuple[int, int], int]:
                                 dga.d(derive(odd, e, {(i,): 1}, 0)),
                                 derive(odd, e, val, 0), -1))), ("zero", []))
 
-    invdim: dict[tuple[int, int], int] = {}
-    outrank: dict[tuple[int, int], int] = {}
+    table, d_rank = {}, {}
     for p, q in cells:
-        vectors = model.sl_invariant_vectors(p, q)
-        invdim[(p, q)] = len(vectors)
-        outrank[(p, q)] = rank_of_int_rows([model.dga.d(v) for v in vectors])
-    return {(p, q): dim - outrank[(p, q)] - outrank.get((p - 2, q + 1), 0)
-            for (p, q), dim in invdim.items()}
+        cols, R, D = model._stack(p, q)
+        rank = rank_of_int_rows(R + D)
+        d_rank[p, q] = rank - rank_of_int_rows(R)
+        table[p, q] = cols - rank - d_rank.get((p - 2, q + 1), 0)
+    return table
 
 
 def e2_oracle_check(params: ModelParams) -> dict[tuple[int, int], int]:

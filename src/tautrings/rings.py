@@ -2,9 +2,9 @@
 diffeomorphism-group ring via three presentations, and the
 block-diffeomorphism / tangential stages.
 
-Presentation c of the diffeomorphism-group ring is its independent check;
-a and b keep the same multisets by the same rule (ceil((n+1)/4) =
-n//4 + 1), so their agreement checks the naming and the bound arithmetic.
+Presentation c of the diffeomorphism-group ring is its one independent
+leg; a and b are one helper, `_diff_presentation`, called with the same
+(n, maxdeg) and two naming rules, so they agree by construction.
 
 All answers are exterior algebras in the computed range; presentations
 are stored as generators plus the names of the generators they kill, and
@@ -161,9 +161,9 @@ def diff_cohomology(n: int, maxdeg: int,
 
     The three presentations (Thom-spectrum quotient, desuspended-algebra
     quotient, exterior algebra on pair generators) must agree degreewise;
-    a mismatch raises OracleMismatch naming the degree.  Only c is
-    independent mathematics: a and b keep the same generators by the same
-    rule, so they check the naming and the bound arithmetic.
+    a mismatch raises OracleMismatch naming the degree.  Only c is an
+    independent leg: a and b come from `_diff_presentation` with the same
+    (n, maxdeg), so they agree by construction.
     """
     if n < 4:
         raise ValueError(f"requires n >= 4 (got n={n})")

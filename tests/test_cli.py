@@ -288,6 +288,26 @@ class TestExitCodes:
         code, out, err = run(capsys, "lr", "1,2", "1", "2")
         assert code == 1
 
+    @pytest.mark.parametrize("mode", ["formula", "target"])
+    def test_ac_dims_r_off_the_diagonal_refused(self, capsys, mode):
+        """formula and target count the r = 2p + q cell alone: another
+        --r is refused, naming both, where brute answers it (0 here, as
+        criterion 4 proves off r = 2p + q).  --r = 2p + q reads as none."""
+        argv = ["ac-dims", "--variant", "A", "--g", "2", "--p", "0", "--q",
+                "1", "--mode"]
+        assert run(capsys, *argv, mode, "--r", "5") == (
+            1, "", f"error: --mode {mode} computes r = 2p+q = 1, not the "
+            "given --r 5\n")
+        assert run_json(capsys, *argv, "brute", "--r", "5")["dim"] == 0
+        assert run(capsys, *argv, mode, "--r", "1") == run(capsys, *argv,
+                                                           mode)
+
+    @pytest.mark.parametrize("p,q", [("-1", "1"), ("0", "-1")])
+    def test_ac_dims_formula_negative_p_q(self, capsys, p, q):
+        assert run(capsys, "ac-dims", "--variant", "A", "--g", "2", "--p", p,
+                   "--q", q, "--mode", "formula") == (
+            1, "", "error: requires nonnegative p, q\n")
+
     def test_oracle_guard(self, capsys):
         code, out, err = run(capsys, "oracle-e2", "--n", "14", "--g", "30")
         assert code == 1

@@ -10,7 +10,8 @@ import pytest
 
 from tautrings import acceptance, invariants, model, partitions, rings
 from tautrings.graded import GeneratorSet, fgca_dims
-from tautrings.model import OracleMismatch
+from tautrings.linalg import rank_of_int_rows
+from tautrings.model import E2Model, ModelParams, OracleMismatch, minimal_M
 from tautrings.rings import BlockDiffCohomology
 
 from oracles import triplewise_lr_symmetries
@@ -225,3 +226,88 @@ def test_lr_leg_matches_triplewise(monkeypatch, mutate):
     assert verdicts[8] == (6830 if mutate is None else
                            "FAIL: LR coefficient at (),(2),(1,1): lam*mu 0 "
                            "!= mu*lam 0 != (lam'*mu')' 1")
+
+
+# The second page's cells are ranked from one stack per cell,
+# `E2Model._stack`: R, the E_01 rows on the orbit sums, and D, their d2
+# images.  Criterion 7 cannot see a mutant of either part: at its cases,
+# and through n = 9 at g = n - 2, d2 has rank 0 on every cell's
+# invariants, and R has rank 0 through n = 13.  So each mutant is run at
+# the least n where its part counts, and the ranks there are pinned.
+
+def _stack_mutant(monkeypatch, change):
+    real = E2Model._stack
+    monkeypatch.setattr(E2Model, "_stack",
+                        lambda self, p, q: change(*real(self, p, q)))
+
+
+def d2_images_dropped(monkeypatch):
+    _stack_mutant(monkeypatch, lambda cols, R, D: (cols, R, []))
+
+
+def d2_sign_flipped(monkeypatch):
+    """The first entry of a cell's first row of D changes sign."""
+    def change(cols, R, D):
+        if D:
+            (c, x), *rest = D[0].items()
+            D[0] = {c: -x, **dict(rest)}
+        return cols, R, D
+
+    _stack_mutant(monkeypatch, change)
+
+
+def e01_rows_dropped(monkeypatch):
+    _stack_mutant(monkeypatch, lambda cols, R, D: (cols, [], D))
+
+
+# (n, mutant, the mismatch), each at g = n - 2 through maxdeg n - 3
+STACK_MUTANTS = [
+    (10, d2_images_dropped, "third-page dim at bidegree (0,7), n=10, g=8: "
+     "second-page oracle 3 != D-model 2"),
+    (10, d2_sign_flipped, "third-page dim at bidegree (0,7), n=10, g=8: "
+     "second-page oracle 1 != D-model 2"),
+    (14, e01_rows_dropped, "third-page dim at bidegree (2,6), n=14, g=12: "
+     "second-page oracle 1 != D-model 0"),
+]
+
+
+def _page(n):
+    return ModelParams(n=n, g=n - 2, M=minimal_M(n), maxdeg=n - 3)
+
+
+@pytest.mark.parametrize("n,mutate,detail", STACK_MUTANTS,
+                         ids=[m.__name__ for _, m, _ in STACK_MUTANTS])
+def test_second_page_fails_under_stack_mutant(monkeypatch, n, mutate,
+                                              detail):
+    mutate(monkeypatch)
+    with pytest.raises(OracleMismatch) as info:
+        model.e2_oracle_check(_page(n))
+    assert str(info.value) == detail
+
+
+def stack_ranks(n):
+    """{cell: (orbit sums, rank R, rank [R; D])} over the cells of the
+    page `_page(n)` whose rank R or rank of d2 on the invariants is not
+    0."""
+    params = _page(n)
+    e2 = E2Model(n, params.g, params.M, params.maxdeg + 1)
+    out = {}
+    for total in range(params.maxdeg + 1):
+        for p in range(total + 1):
+            cols, R, D = e2._stack(p, total - p)
+            ranks = cols, rank_of_int_rows(R), rank_of_int_rows(R + D)
+            if ranks[2]:
+                out[p, total - p] = ranks
+    return out
+
+
+def test_stack_ranks_where_the_mutants_count():
+    """d2 first has nonzero rank on a cell's invariants at n = 10, in
+    cell (0, 7): 3 invariants, rank 1.  R first has nonzero rank at
+    n = 14."""
+    assert all(stack_ranks(n) == {} for n in (5, 6, 7, 8, 9))
+    assert stack_ranks(10) == {(0, 7): (3, 0, 1)}
+    assert all(r == 0 for n in (11, 12, 13)
+               for _, r, _ in stack_ranks(n).values())
+    assert {cell: r for cell, (_, r, _) in stack_ranks(14).items()
+            if r} == {(2, 6): 1, (0, 10): 1, (2, 9): 3}

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import pytest
 
-from tautrings import cli, invariants, model, partitions
+from tautrings import cli, invariants, linalg, model, partitions
 from tautrings.graded import GeneratorSet, elem_mul, fgca_dims, mono_elem
 from tautrings.invariants import _invariant_system, _kernel_vectors
 from tautrings.linalg import QMatrix, rank_of_int_rows, subspace_equal
@@ -218,6 +218,13 @@ class TestACInvariants:
     def test_formula_guard(self):
         with pytest.raises(ValueError, match="2p\\+q <= 8"):
             ac_invariant_dims_formula(ACAlgebraSpec("A", 2, 2, 2), 4, 1)
+
+    def test_formula_refuses_negative_p_q_first(self):
+        spec = ACAlgebraSpec("A", 2, 2, 2)
+        for p, q in ((-1, 1), (0, -1), (-1, 20)):
+            with pytest.raises(ValueError,
+                               match="^requires nonnegative p, q$"):
+                ac_invariant_dims_formula(spec, p, q)
 
     def test_bad_variant(self):
         with pytest.raises(ValueError):
@@ -843,6 +850,18 @@ class TestE2Oracle:
                              "--format", "json"]) == 0
             tables.append(json.loads(capsys.readouterr().out)["table"])
         assert tables[0] == tables[1]
+
+    def test_cli_builds_no_kernel_basis(self, monkeypatch, capsys):
+        """Every invariant count the CLI makes is #orbits - rank, the
+        second page's cells included: nothing back-substitutes a kernel
+        basis."""
+        def never(*args, **kwargs):
+            pytest.fail("a kernel basis was built")
+
+        monkeypatch.setattr(linalg, "kernel_int_basis", never)
+        monkeypatch.setattr(invariants, "kernel_int_basis", never)
+        assert cli.main(["verify-all"]) == 0
+        assert cli.main(["oracle-e2", "--n", "14"]) == 0
 
     def test_invariant_cells_match_stable_counts(self):
         # the (0,3) cell of the n=6 model: one invariant generator plus
