@@ -274,7 +274,13 @@ def criterion_6() -> str:
 
 @criterion(7, "second-page oracle")
 def criterion_7() -> str:
-    """Explicit second-page oracle equals the D-model cellwise."""
+    """Explicit second-page oracle equals the D-model cellwise.
+
+    Blind spot: at these cases R and d2 have rank 0 on every cell's
+    invariants (`E2Model._stack`), so this criterion, and verify-all,
+    pass with a broken R or D.  `tests/test_criteria_teeth.py` catches
+    both, D at n = 10 and R at n = 14.  The cases are the contract and
+    stay: (10, 8) alone takes about 10 ms, three times this criterion."""
     cases = [(5, 3), (5, 4), (6, 4)]
     for n, g in cases:
         e2_oracle_check(ModelParams(n=n, g=g, M=minimal_M(n), maxdeg=n - 3))

@@ -46,6 +46,7 @@ from .partitions import (
     check_partition_cap,
     enumerate_partitions,
     lr_coefficient,
+    partition_count,
     schur_dim,
     weyl_dim,
     whole_ints,
@@ -160,6 +161,13 @@ def _cmd_schur_dim(args) -> dict:
 
 def _cmd_partitions(args) -> dict:
     parts = enumerate_partitions(args.n, args.filter)
+    n = args.n
+    if args.filter != "all":
+        # halving the parts (of the conjugate, for even_cols) is a
+        # bijection onto the partitions of n/2
+        n = n // 2 if n % 2 == 0 else -1
+    check_agree("partition count", f"n={args.n}, filter={args.filter}",
+                ("listed", len(parts)), ("Euler", partition_count(n)))
     return {
         "inputs": {"n": args.n, "filter": args.filter},
         "count": len(parts),

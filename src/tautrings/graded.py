@@ -69,43 +69,35 @@ class GeneratorSet:
         # (p, q, total, odd) per generator, built once for the hot loops
         self.degs: tuple[tuple[int, int, int, bool], ...] = tuple(
             (g.p, g.q, g.total, g.odd) for g in parsed)
-        self._reach: tuple[int, list[list[int]], list[list[int]]] = (
-            -1, [], [])
+        self._cells: tuple[int, list] = (-1, [])
 
-    def _reachable(self, top: int):
-        """(reach, use): bit b of reach[i][a] is set iff the generators i..
-        make a monomial of bidegree (a, b), and bit b of use[i][a] iff they
-        make one with generator i in it, for a + b <= top.  Built for the
-        largest total asked so far, at least doubling it, so a walk up the
-        totals builds them a logarithmic number of times."""
-        if top <= self._reach[0]:
-            return self._reach[1:]
-        top = max(top, 2 * self._reach[0])
-        masks = [(1 << (top + 1 - a)) - 1 for a in range(top + 1)]
-        n = len(self.degs)
-        reach = [[1] + [0] * top] * (n + 1)
-        use = [[0] * (top + 1)] * n
-        for i in range(n - 1, -1, -1):
+    def cells(self, top: int) -> list[list[list[tuple[int, ...]]]]:
+        """out[p][q] lists the monomials of bidegree (p, q), p + q <= top, in
+        increasing order, all in one pass over the generators from the last:
+        a cell of generators i.. is generator i, e times, in front of each
+        monomial of generators i + 1.. in the cell e steps below it, largest
+        e first, then the cell of i + 1.. unchanged.  An even generator's
+        e >= 1 part is i in front of its own cell of i.. one step below,
+        built first since p and q go up.  Cached through the largest top
+        asked; every caller gets the same table, so callers only read it."""
+        if top <= self._cells[0]:
+            return self._cells[1]
+        cells = [[[] for _ in range(top + 1 - p)] for p in range(top + 1)]
+        cells[0][0] = [()]
+        for i in range(len(self.degs) - 1, -1, -1):
             gp, gq, d, odd = self.degs[i]
             if d > top:
                 continue
-            nxt = reach[i + 1]
-            row, used = nxt[:], [0] * (top + 1)
-            for a in range(gp, top + 1):
-                if odd:   # exponent 1 on a monomial of i + 1..
-                    x = nxt[a - gp] << gq & masks[a]
-                elif gp:   # one more i on a monomial of i..
-                    x = row[a - gp] << gq & masks[a]
-                else:   # any positive multiple of gq, by doubling shifts
-                    x, shift = nxt[a] << gq & masks[a], gq
-                    while shift <= top - a:
-                        x |= x << shift & masks[a]
-                        shift *= 2
-                used[a] = x
-                row[a] |= x
-            reach[i], use[i] = row, used
-        self._reach = (top, reach, use)
-        return reach, use
+            new = [row[:] for row in cells]
+            below = cells if odd else new
+            for p in range(gp, top + 1):
+                for q in range(gq, top + 1 - p):
+                    lower = below[p - gp][q - gq]
+                    if lower:
+                        new[p][q] = [(i,) + m for m in lower] + cells[p][q]
+            cells = new
+        self._cells = (top, cells)
+        return cells
 
     def __len__(self) -> int:
         return len(self.gens)
@@ -140,42 +132,10 @@ class GeneratorSet:
 
     def monomials_bidegree(self, p: int, q: int) -> list[tuple[int, ...]]:
         """All monomials of bidegree (p, q), in increasing order: a larger
-        exponent of the first generator comes first.  Recurses on the
-        remaining (p, q), and only where the reachability tables
-        (`_reachable`) say the generators left can make it, so every call
-        ends in at least one monomial.  Exponent 0 and the generators the
-        remainder cannot use (a clear use bit) are stepped over in a loop,
-        not a call."""
+        exponent of the first generator comes first (`cells`)."""
         if p < 0 or q < 0:
             return []
-        degs = self.degs
-        reach, use = self._reachable(p + q)
-        out = []
-
-        def rec(i, rp, rq, acc):
-            # the generators i.. make (rp, rq)
-            if rp == 0 and rq == 0:
-                out.append(acc)
-                return
-            while True:
-                nxt = reach[i + 1]
-                if use[i][rp] >> rq & 1:
-                    gp, gq, _, odd = degs[i]
-                    cap = min(rp // gp if gp else rp + rq,
-                              rq // gq if gq else rp + rq)
-                    if odd:
-                        cap = min(cap, 1)
-                    for e in range(cap, 0, -1):
-                        sp, sq = rp - e * gp, rq - e * gq
-                        if nxt[sp] >> sq & 1:
-                            rec(i + 1, sp, sq, acc + (i,) * e)
-                if not nxt[rp] >> rq & 1:
-                    return
-                i += 1
-
-        if reach[0][p] >> q & 1:
-            rec(0, p, q, ())
-        return out
+        return self.cells(p + q)[p][q][:]
 
 
 def mono_mul(gens: GeneratorSet, m1, m2):
@@ -504,16 +464,17 @@ class BigradedDGA:
     def cohomology(self, maxtotal: int) -> dict[tuple[int, int], int]:
         """dim H^{p,q} for all bidegrees with p + q <= maxtotal.
 
-        Raises CapExceeded, before any cell is built, if the cells hold more
-        than BASIS_CAP monomials in all, and OracleMismatch if d^2 != 0.  The
-        bigraded series then gives each cell's size.  d has bidegree
-        (2, -1), so it is zero on a cell with q = 0 or an empty target
-        (p + 2, q - 1): such a cell has rank 0 and no pivots, and is not
-        enumerated.  The other nonempty cells are enumerated in increasing
-        p, and d is ranked on the monomials of a cell that are not pivots
-        of the elimination of d into it: the pivot rows complete them to a
-        basis of the cell, and d^2 = 0 kills the pivot rows (README, "How
-        cohomology plans its cells").
+        Raises CapExceeded, before any cell is listed, if the cells hold
+        more than BASIS_CAP monomials in all, and OracleMismatch if d^2 !=
+        0.  One pass (`GeneratorSet.cells`) then lists every cell, and the
+        bigraded series gives the sizes of the cells d maps the top ones
+        into.  d has bidegree (2, -1), so it is zero on a cell with q = 0
+        or an empty target (p + 2, q - 1): such a cell has rank 0 and no
+        pivots, and is not ranked.  The other nonempty cells are ranked in
+        increasing p, and d is ranked on the monomials of a cell that are
+        not pivots of the elimination of d into it: the pivot rows complete
+        them to a basis of the cell, and d^2 = 0 kills the pivot rows
+        (README, "How cohomology plans its cells").
         """
         check_basis_cap(self.gens, maxtotal)
         self.check_d_squared_on_generators(maxtotal)
@@ -523,13 +484,14 @@ class BigradedDGA:
         letters = [1 << CODE_WIDTH * a for a in range(len(self.gens))]
         table = derivation_table(self.gens.odd, {
             i: val.items() for i, val in self.dvals.items()}, letters)
+        monos = self.gens.cells(maxtotal)
         ranks: dict = {}
         incoming: dict = {}   # cell -> codes of the pivots of d into it
         for p in range(maxtotal + 1):
             for q in range(maxtotal + 1 - p):
                 pivots = incoming.pop((p, q), ())
                 if sizes[p][q] and q and sizes[p + 2][q - 1]:
-                    basis = self.gens.monomials_bidegree(p, q)
+                    basis = monos[p][q]
                     codes = mono_codes(basis, letters)
                     if pivots:
                         basis = [m for m, code in zip(basis, codes)

@@ -16,7 +16,7 @@ import sys
 from contextlib import contextmanager
 from functools import lru_cache
 from itertools import accumulate, groupby
-from math import comb, isqrt, prod
+from math import comb, factorial, isqrt, prod
 from operator import ge
 from typing import Iterable, Iterator
 
@@ -429,12 +429,22 @@ def lr_coefficient(lam: Partition, mu: Partition, kappa: Partition) -> int:
     """Littlewood-Richardson coefficient: multiplicity of kappa in lam * mu.
 
     Read from the cached expansion of lam * mu over every kappa, which is
-    refused (CapExceeded) past LR_CELL_CAP cells."""
+    refused (CapExceeded) past LR_CELL_CAP cells, and checked whole: it is
+    the S_n module induced from S_|lam| x S_|mu|, of dimension
+    C(n, |lam|) f^lam f^mu, f^nu = |nu|! over nu's hook product."""
     if kappa.size != lam.size + mu.size or not kappa.contains(lam):
         return 0
     if not mu.parts:
         return 1
-    return lr_expansion(lam, mu).get(kappa.parts, 0)
+    counts = lr_expansion(lam, mu)
+
+    def f(parts):
+        return factorial(sum(parts)) // _hook_product(parts)
+
+    check_agree("LR expansion dimension", f"lam={lam}, mu={mu}", (
+        "sum c f", sum(c * f(nu) for nu, c in counts.items())), (
+        "induced", comb(kappa.size, lam.size) * f(lam.parts) * f(mu.parts)))
+    return counts.get(kappa.parts, 0)
 
 
 def schur_product_expand(lam: Partition, mu: Partition) -> dict[Partition, int]:

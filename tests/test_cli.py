@@ -424,6 +424,44 @@ class TestExitCodes:
         assert len(want) > limit
         assert (code, out, err) == (2, "", want)
 
+    @pytest.mark.parametrize("n, filter, count", [
+        (8, "all", 22), (8, "even_rows", 5), (8, "even_cols", 5),
+        (9, "all", 30)])
+    def test_partitions_count_mismatch(self, capsys, monkeypatch, n, filter,
+                                       count):
+        """partitions checks the listed count against Euler's recurrence,
+        p(n) for all and p(n/2) for the even filters, and exits 2 when one
+        partition is dropped from the listing."""
+        assert run_json(capsys, "partitions", str(n), "--filter",
+                        filter)["count"] == count
+        monkeypatch.setattr(cli, "enumerate_partitions",
+                            lambda n, f: partitions.enumerate_partitions(
+                                n, f)[1:])
+        assert run(capsys, "partitions", str(n), "--filter", filter) == (
+            2, "", f"consistency failure: partition count at n={n}, "
+                   f"filter={filter}: listed {count - 1} != Euler {count}\n")
+
+    def test_partitions_odd_n_even_filters(self, capsys):
+        for filter in ("even_rows", "even_cols"):
+            assert run_json(capsys, "partitions", "7", "--filter",
+                            filter)["count"] == 0
+
+    def test_lr_expansion_mismatch(self, capsys, monkeypatch):
+        """lr checks the whole expansion against the dimension of the
+        induced representation, C(4, 3) f^(2,1) f^(1) = 8, and exits 2
+        when one coefficient is bumped."""
+        expansion = partitions._lr_count_cached
+
+        def bumped(lam, mu):
+            counts = dict(expansion(lam, mu))
+            counts[(2, 2)] += 1
+            return counts
+
+        monkeypatch.setattr(partitions, "_lr_count_cached", bumped)
+        assert run(capsys, "lr", "2,1", "1", "2,2") == (
+            2, "", "consistency failure: LR expansion dimension at "
+                   "lam=(2,1), mu=(1): sum c f 10 != induced 8\n")
+
     def never(self, *args):
         pytest.fail("work started before the cap was checked")
 
@@ -518,7 +556,7 @@ class TestExitCodes:
                        "(LR_CELL_CAP)\n")
 
     def test_e3_cap(self, capsys, monkeypatch):
-        monkeypatch.setattr(GeneratorSet, "monomials_bidegree", self.never)
+        monkeypatch.setattr(GeneratorSet, "cells", self.never)
         monkeypatch.setattr(BigradedDGA, "__init__", self.never)
         code, out, err = run(capsys, "e3", "--n", "200")
         assert code == 1

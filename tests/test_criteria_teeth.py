@@ -228,6 +228,19 @@ def test_lr_leg_matches_triplewise(monkeypatch, mutate):
                            "!= mu*lam 0 != (lam'*mu')' 1")
 
 
+def test_lr_coefficient_leg_catches_lattice_mutant(monkeypatch):
+    """lr_coefficient checks the whole expansion it reads against the
+    dimension of the induced representation, which counts the fillings
+    that break the lattice rule: (1,1) on the empty shape gives (2) and
+    (1,1), f 1 each, where C(2, 0) f^() f^(1,1) = 1."""
+    strip_without_lattice_rule(monkeypatch)
+    with pytest.raises(OracleMismatch) as info:
+        P = partitions.Partition
+        partitions.lr_coefficient(P(), P([1, 1]), P([1, 1]))
+    assert str(info.value) == ("LR expansion dimension at lam=(), "
+                               "mu=(1,1): sum c f 2 != induced 1")
+
+
 # The second page's cells are ranked from one stack per cell,
 # `E2Model._stack`: R, the E_01 rows on the orbit sums, and D, their d2
 # images.  Criterion 7 cannot see a mutant of either part: at its cases,

@@ -3,7 +3,6 @@ import functools
 import math
 import random
 from fractions import Fraction
-from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -411,32 +410,18 @@ class TestMonomialBasis:
                 assert gens.monomials_bidegree(p, total - p) \
                     == bidegree_filter(gens, p, total - p)
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 10**6), st.integers(0, 12))
-    def test_reachability_is_exact(self, seed, top):
-        """Bit b of reach[i][a] is set exactly when the generators i..
-        have a monomial of bidegree (a, b), and of use[i][a] when one of
-        them has generator i, so the search never recurses into a
-        remainder that no monomial completes."""
-        rng = random.Random(seed)
-        degs = [(a, b) for a in range(4) for b in range(4) if a + b]
-        gens = GeneratorSet([(f"g{i}", rng.choice(degs))
-                             for i in range(rng.randint(0, 7))])
-        reach, use = gens._reachable(top)
-        sizes = [fgca_bidims(GeneratorSet(
-            [(g.name, (g.p, g.q)) for g in gens.gens[i:]]), top)
-            for i in range(len(gens) + 1)]
-
-        def bits(rows):
-            return [sum(1 << b for b, k in enumerate(row) if k)
-                    for row in rows]
-
-        for i in range(len(gens) + 1):
-            assert reach[i] == bits(sizes[i])
-        for i in range(len(gens)):
-            # the monomials of i.. less those of i + 1..
-            assert use[i] == bits([map(sub, row, row1) for row, row1
-                                   in zip(sizes[i], sizes[i + 1])])
+    def test_cells_cached_through_the_largest_top(self):
+        """A smaller total reads the table listed through the largest one
+        asked, and each of its cells is the one a pass through that cell's
+        own total lists."""
+        params = ModelParams(n=12, g=10, M=minimal_M(12), maxdeg=9)
+        gens = build_D_dga(params).gens
+        table = gens.cells(9)
+        assert gens.cells(4) is table
+        for total in range(10):
+            fresh = build_D_dga(params).gens.cells(total)
+            for p in range(total + 1):
+                assert table[p][total - p] == fresh[p][total - p]
 
     @pytest.mark.parametrize("n", [45, 50])
     def test_bidegree_d_model_generators_large_n(self, n):
@@ -1031,9 +1016,9 @@ class TestBigradedDGA:
 
     def test_cap_refuses_before_any_cell(self, monkeypatch):
         def never(*args):
-            pytest.fail("a cell was enumerated before the cap was checked")
+            pytest.fail("a cell was listed before the cap was checked")
 
-        monkeypatch.setattr(GeneratorSet, "monomials_bidegree", never)
+        monkeypatch.setattr(GeneratorSet, "cells", never)
         gens = GeneratorSet([(f"x{i}", (0, 1)) for i in range(8)]
                             + [(f"e{i}", (2, 0)) for i in range(8)])
         count = sum(fgca_dims(gens, 12))
@@ -1043,6 +1028,28 @@ class TestBigradedDGA:
                 rf"through total degree 12, over the cap of {BASIS_CAP} "
                 r"\(BASIS_CAP\)$")):
             BigradedDGA(gens, {}).cohomology(12)
+
+    @pytest.mark.parametrize("koszul", [True, False])
+    def test_one_listing_per_call(self, monkeypatch, koszul):
+        """cohomology asks `GeneratorSet.cells` for its monomials once
+        per call, through maxtotal, and never for a single cell; a second
+        call on the same generators asks once more and gets the same
+        table."""
+        rng = random.Random(7)
+        dga = koszul_dga(random_matrix(4, 5, rng, lo=-3, hi=3)) if koszul \
+            else random_dga(rng, True)
+        calls = []
+        original = GeneratorSet.cells
+
+        def listing(gens, top):
+            calls.append(top)
+            return original(gens, top)
+
+        monkeypatch.setattr(GeneratorSet, "cells", listing)
+        first = dga.cohomology(6)
+        assert calls == [6]
+        assert dga.cohomology(6) == first
+        assert calls == [6, 6]
 
     def test_random_dgas_cover_both_outcomes(self):
         # the property above must see differentials with d^2 != 0 as well
